@@ -3,8 +3,10 @@
 Three iterations over unit columns: the classical additive perceptron, the
 averaged variant that tracks a convex combination of columns (a subgradient
 step on the margin loss), and the furthest-point line-search iteration that
-is Frank-Wolfe on the minimum-norm-point problem. Ties break on the lowest
-column index so every trace is reproducible bit for bit.
+is Frank-Wolfe on the minimum-norm-point problem. Each loop keeps w . a_j for
+every column and updates it from one row of the instance's cached Gram matrix,
+so a step costs O(d + n). Ties break on the lowest column index, up to the
+rounding of those dots, and every trace is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ __all__ = [
 MODES = ("primal-feasibility", "dual-certificate", "margin-maximization")
 
 TRACE_HEADER = "t,norm_w,margin_t,loss,chosen_index"
+
+# vng stalls once its Frank-Wolfe gap is rounding noise, a few eps * ||w|| at the optimum
+STALL_GAP = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -103,11 +108,11 @@ class IterateTrace:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for i in range(self.ts.size):
-                fh.write(
-                    f"{int(self.ts[i])},{self.norms[i]:.17g},{self.margins[i]:.17g},"
-                    f"{self.losses[i]:.17g},{int(self.chosen[i])}\n"
-                )
+            columns = (self.ts, self.norms, self.margins, self.losses, self.chosen)
+            fh.write("".join(
+                f"{t},{norm:.17g},{margin:.17g},{loss_t:.17g},{i}\n"
+                for t, norm, margin, loss_t, i in zip(*(c.tolist() for c in columns))
+            ))
         return path
 
 
@@ -123,10 +128,9 @@ class _TraceBuilder:
         self.chosen = np.full(capacity + 1, -1, dtype=int)
         self.rows = 0
 
-    def record(self, t: int, w: np.ndarray, coeff: np.ndarray, dots: np.ndarray, chosen: int) -> None:
+    def record(self, t: int, w: np.ndarray, coeff: np.ndarray, norm: float, worst: float, chosen: int) -> None:
+        """Append the state after update t; ``worst`` is min_i w . a_i."""
         i = self.rows
-        norm = float(np.linalg.norm(w))
-        worst = float(dots.min())
         self.ts[i] = t
         self.iterates[i] = w
         self.coefficients[i] = coeff
@@ -137,17 +141,13 @@ class _TraceBuilder:
         self.rows += 1
 
     def freeze(self, termination: str) -> IterateTrace:
+        # a full buffer is handed over as is; a partial one is trimmed, freeing its unused tail
         r = self.rows
+        buffers = {name: b for name, b in vars(self).items() if isinstance(b, np.ndarray)}
         return IterateTrace(
             algorithm=self.algorithm,
-            ts=self.ts[:r].copy(),
-            iterates=self.iterates[:r].copy(),
-            coefficients=self.coefficients[:r].copy(),
-            norms=self.norms[:r].copy(),
-            margins=self.margins[:r].copy(),
-            losses=self.losses[:r].copy(),
-            chosen=self.chosen[:r].copy(),
             termination=termination,
+            **{name: b if b.shape[0] == r else b[:r].copy() for name, b in buffers.items()},
         )
 
 
@@ -156,14 +156,21 @@ def _require_unit_columns(instance: ProblemInstance) -> None:
         raise ValueError("algorithm requires unit columns; ingest with normalize=True")
 
 
-def _primal_certificate(w: np.ndarray, dots: np.ndarray, iterations: int) -> Certificate:
-    norm = float(np.linalg.norm(w))
-    achieved = float(dots.min()) / norm if norm > 0 else 0.0
+def _primal_certificate(cols: np.ndarray, w: np.ndarray, dots: np.ndarray, iterations: int) -> Certificate | None:
+    """Certify w if it strictly separates the columns, checked against them directly.
+
+    The loops update ``dots`` incrementally, so this resynchronises them with
+    w @ cols in place and returns None if rounding had carried one across zero.
+    """
+    dots[:] = w @ cols
+    worst = float(dots.min())
+    if worst <= 0.0:
+        return None
     return Certificate(
         kind="primal-feasible",
         direction=w.copy(),
         weights=None,
-        epsilon=achieved,
+        epsilon=worst / math.sqrt(float(w @ w)),
         iterations=iterations,
     )
 
@@ -189,29 +196,29 @@ def perceptron_classic(
     """
     _require_unit_columns(instance)
     cols = instance.columns
-    n = instance.n
+    gram = instance.gram
     trace = _TraceBuilder("classic", instance, config.max_iters)
     w = cols[:, 0].copy()
-    counts = np.zeros(n)
+    counts = np.zeros(instance.n)
     counts[0] = 1.0
-    dots = w @ cols
-    trace.record(0, w, counts, dots, -1)
-    updates = 0
+    dots = gram[0].copy()  # w . a_j for every column j
+    trace.record(0, w, counts, math.sqrt(float(w @ w)), float(dots[dots.argmin()]), -1)
     certificate: Certificate | None = None
-    for t in range(1, config.max_iters + 1):
+    for t in range(1, config.max_iters + 2):  # the last pass only checks the final state
         mistakes = dots <= 0.0  # exact sign test, no slack
-        if not mistakes.any():
-            certificate = _primal_certificate(w, dots, updates)
+        i = int(mistakes.argmax())  # the lowest-index mistake, if there is one
+        if not mistakes[i]:
+            certificate = _primal_certificate(cols, w, dots, t - 1)
+            if certificate is not None:
+                break
+            mistakes = dots <= 0.0
+            i = int(mistakes.argmax())
+        if t > config.max_iters:
             break
-        i = int(np.argmax(mistakes))
-        w = w + cols[:, i]
+        w += cols[:, i]
         counts[i] += 1.0
-        updates += 1
-        dots = w @ cols
-        trace.record(t, w, counts, dots, i)
-    else:
-        if not (dots <= 0.0).any():
-            certificate = _primal_certificate(w, dots, updates)
+        dots += gram[i]
+        trace.record(t, w, counts, math.sqrt(float(w @ w)), float(dots[dots.argmin()]), i)
     reason = "primal-feasible" if certificate is not None else "exhausted"
     return certificate, trace.freeze(reason)
 
@@ -222,71 +229,64 @@ def _averaged_run(
     step_rule: str,
 ) -> tuple[Certificate | None, IterateTrace]:
     cols = instance.columns
-    n = instance.n
+    gram = instance.gram
+    half_diag = 0.5 * gram.diagonal()
     trace = _TraceBuilder(step_rule, instance, config.max_iters)
     w = cols[:, 0].copy()
-    alpha = np.zeros(n)
+    alpha = np.zeros(instance.n)
     alpha[0] = 1.0
-    dots = w @ cols
-    trace.record(0, w, alpha, dots, -1)
+    dots = gram[0].copy()  # w . a_j for every column j
+    sq = float(w @ w)
+    norm = math.sqrt(sq)
+    worst_index = int(dots.argmin())  # a most violated column
+    worst = float(dots[worst_index])
+    trace.record(0, w, alpha, norm, worst, -1)
     certificate: Certificate | None = None
     reason = "completed"
-    updates = 0
-
-    for t in range(1, config.max_iters + 1):
-        norm = float(np.linalg.norm(w))
-        if config.mode == "primal-feasibility" and dots.min() > 0.0:
-            certificate = _primal_certificate(w, dots, updates)
-            reason = "primal-feasible"
-            break
+    for t in range(1, config.max_iters + 2):  # the last pass only checks the final state
+        if config.mode == "primal-feasibility" and worst > 0.0:
+            certificate = _primal_certificate(cols, w, dots, t - 1)
+            if certificate is not None:
+                reason = "primal-feasible"
+                break
         if config.mode == "dual-certificate" and norm <= config.target_eps:
-            certificate = _dual_certificate(alpha, norm, updates)
+            certificate = _dual_certificate(alpha, norm, t - 1)
             reason = "dual-epsilon"
             break
+        if t > config.max_iters:
+            if config.mode != "margin-maximization":
+                reason = "exhausted"
+            elif worst > 0.0:
+                certificate = _primal_certificate(cols, w, dots, t - 1)
+            break
 
+        # both rules move to w <- keep * w + step * a_i and differ only in (keep, step)
         if step_rule == "np":
-            i = int(np.argmin(dots))
+            i = worst_index
             step = 1.0 / t
-            w = (1.0 - step) * w + step * cols[:, i]
-            alpha *= 1.0 - step
-            alpha[i] += step
+            keep = 1.0 - step
         else:  # vng: furthest point, exact line search on the connecting segment
-            gaps = np.sum((w[:, None] - cols) ** 2, axis=0)
-            i = int(np.argmax(gaps))
-            a = cols[:, i]
-            denom = float(gaps[i])
-            if denom <= 1e-30:
-                reason = "stalled"
+            i = int((dots - half_diag).argmin())  # furthest: ||w - a_j||^2 = ||w||^2 - 2 w.a_j + G_jj
+            dot_i, g_ii = float(dots[i]), float(gram[i, i])
+            gap = sq - dot_i  # Frank-Wolfe gap, zero at the minimum-norm point
+            denom = gap + g_ii - dot_i  # ||w - a_i||^2
+            keep = (g_ii - dot_i) / denom if denom > 1e-30 else 1.0
+            if keep >= 1.0 or gap <= STALL_GAP * norm:
+                reason = "stalled"  # line search cannot shrink the norm beyond rounding
                 break
-            lam = float((a @ a - a @ w) / denom)
-            if lam >= 1.0:
-                reason = "stalled"  # line search cannot shrink the norm further
-                break
-            lam = max(lam, 0.0)
-            w = lam * w + (1.0 - lam) * a
-            alpha *= lam
-            alpha[i] += 1.0 - lam
-        updates += 1
-        dots = w @ cols
-        trace.record(t, w, alpha, dots, i)
-    if certificate is None and reason == "completed":
-        # budget ran out (or margin-maximization ran its course): check the final state
-        norm = float(np.linalg.norm(w))
-        if config.mode == "primal-feasibility":
-            if dots.min() > 0.0:
-                certificate = _primal_certificate(w, dots, updates)
-                reason = "primal-feasible"
-            else:
-                reason = "exhausted"
-        elif config.mode == "dual-certificate":
-            if norm <= config.target_eps:
-                certificate = _dual_certificate(alpha, norm, updates)
-                reason = "dual-epsilon"
-            else:
-                reason = "exhausted"
-        else:
-            if dots.min() > 0.0:
-                certificate = _primal_certificate(w, dots, updates)
+            keep = max(keep, 0.0)
+            step = 1.0 - keep
+        w *= keep
+        w += step * cols[:, i]
+        alpha *= keep
+        alpha[i] += step
+        dots *= keep
+        dots += step * gram[i]
+        sq = float(w @ w)
+        norm = math.sqrt(sq)
+        worst_index = int(dots.argmin())
+        worst = float(dots[worst_index])
+        trace.record(t, w, alpha, norm, worst, i)
     return certificate, trace.freeze(reason)
 
 

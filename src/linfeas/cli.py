@@ -360,8 +360,8 @@ def cmd_certify(args) -> int:
 
 
 def _batch_worker(task) -> tuple[str, str, bool]:
-    path, algorithm, mode, eps, max_iters, out_dir, dump_alpha = task
-    summary, _ = _run_one(Path(path), algorithm, mode, eps, max_iters, Path(out_dir), dump_alpha)
+    path, algorithm, mode, eps, max_iters, out_dir, dump_alpha, rank_tol = task
+    summary, _ = _run_one(Path(path), algorithm, mode, eps, max_iters, Path(out_dir), dump_alpha, rank_tol)
     return summary.instance_name, algorithm, summary.all_passed
 
 
@@ -375,7 +375,8 @@ def cmd_batch(args) -> int:
     if unknown:
         raise _UsageError(f"unknown algorithms: {unknown}")
     tasks = [
-        (str(path), algo, args.mode, args.eps, args.max_iters, str(args.out_dir), args.dump_alpha)
+        (str(path), algo, args.mode, args.eps, args.max_iters, str(args.out_dir), args.dump_alpha,
+         args.tol_rank)
         for path in paths
         for algo in algorithms
     ]

@@ -312,15 +312,22 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
 
 
 def instance_from_dict(payload: dict) -> ProblemInstance:
+    if not isinstance(payload, dict):
+        raise IngestError(f"instance payload must be an object, got {type(payload).__name__}")
     try:
         columns = payload["columns"]
     except KeyError as exc:
         raise IngestError("instance payload is missing 'columns'") from exc
-    return ingest(
-        columns,
-        normalize=bool(payload.get("normalize", True)),
-        name=str(payload.get("name", "instance")),
-    )
+    try:
+        return ingest(
+            columns,
+            normalize=bool(payload.get("normalize", True)),
+            name=str(payload.get("name", "instance")),
+        )
+    except IngestError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"'columns' must hold numeric vectors: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> ProblemInstance:

@@ -188,6 +188,64 @@ def test_trace_csv_round_trip(tmp_path, axes):
     assert int(chosen) == trace.chosen[2]
 
 
+def test_trace_csv_bytes_match_row_format(tmp_path, segment):
+    cfg = AlgorithmConfig(max_iters=32, mode="margin-maximization")
+    _, trace = perceptron_normalized(segment, cfg)  # every even step lands on the origin
+    assert np.isnan(trace.margins).any()
+    expected = "t,norm_w,margin_t,loss,chosen_index\n" + "".join(
+        f"{int(trace.ts[i])},{trace.norms[i]:.17g},{trace.margins[i]:.17g},"
+        f"{trace.losses[i]:.17g},{int(trace.chosen[i])}\n"
+        for i in range(trace.ts.size)
+    )
+    assert trace.write_csv(tmp_path / "trace.csv").read_bytes() == expected.encode()
+
+
+def _check_trace_against_columns(inst, trace):
+    """Recompute every recorded row and every choice directly from the columns."""
+    cols = inst.columns
+    for t in range(trace.ts.size):
+        w = trace.iterates[t]
+        assert abs(trace.norms[t] - np.linalg.norm(w)) <= 1e-12
+        assert np.abs(cols @ trace.coefficients[t] - w).max() <= 1e-9
+        if t == 0:
+            continue
+        previous = trace.iterates[t - 1]
+        dots = previous @ cols
+        i = trace.chosen[t]
+        if trace.algorithm == "classic":  # the lowest-index mistake
+            assert dots[i] <= 1e-12
+            assert dots[:i].min(initial=np.inf) > -1e-12
+        elif trace.algorithm == "np":  # a most violated column
+            assert dots[i] <= dots.min() + 1e-12
+        else:  # a furthest column
+            dist_sq = np.sum((previous[:, None] - cols) ** 2, axis=0)
+            assert dist_sq[i] >= dist_sq.max() - 1e-12
+
+
+def test_kernel_cross_checked_against_direct_products():
+    rng = np.random.default_rng(1900)
+    large = ingest(rng.standard_normal((200, 50)).tolist(), name="d50n200")
+    cases = negative_instances(6, seed=1700) + positive_instances(6, seed=1800)
+    for inst, iters in [(inst, 200) for inst, _ in cases] + [(large, 300)]:
+        cfg = AlgorithmConfig(max_iters=iters, mode="margin-maximization")
+        for runner in (perceptron_classic, perceptron_normalized, vng):
+            _, trace = runner(inst, cfg)
+            _check_trace_against_columns(inst, trace)
+
+
+def test_vng_stalls_on_reaching_the_optimum_in_one_step():
+    # a0, a1 orthonormal, the other columns beyond the midpoint of the segment
+    # [a0, a1]: the first step lands on the minimum-norm point (a0 + a1) / 2
+    for seed in range(20):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        a0, a1, a2, a3 = q.T
+        inst = ingest([a0, a1, a0 + a1, a0 + a1 + 0.5 * a2, a0 + a1 - 0.5 * a2 + 0.2 * a3])
+        _, trace = vng(inst, AlgorithmConfig(max_iters=1000, mode="margin-maximization"))
+        assert trace.termination == "stalled"
+        assert trace.steps == 1
+        assert trace.norms[1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AlgorithmConfig(max_iters=0)

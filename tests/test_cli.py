@@ -193,3 +193,37 @@ def test_batch_requires_instances(tmp_path):
 def test_usage_error_exit_code():
     assert main(["margin"]) == 1  # missing positional
     assert main(["no-such-command"]) == 1
+
+
+def test_batch_forwards_rank_tolerance(tmp_path, capsys):
+    inst_dir = tmp_path / "instances"
+    path = inst_dir / "neg.json"
+    run_cli(
+        "gen", "--kind", "planted-negative", "--d", "3", "--n", "6",
+        "--target", "-0.3", "--seed", "0", "--out", path,
+    )
+    run_cli(
+        "run", path, "--algorithm", "np", "--mode", "margin-maximization",
+        "--tol-rank", "1e-3", "--out-dir", tmp_path / "run",
+    )
+    code = run_cli(
+        "batch", "--instances", inst_dir, "--algorithms", "np",
+        "--tol-rank", "1e-3", "--out-dir", tmp_path / "batch",
+    )
+    assert code == 0
+    capsys.readouterr()
+    for out_dir in ("run", "batch"):
+        (summary,) = (tmp_path / out_dir).glob("*.summary.json")
+        oracle = json.loads(summary.read_text())["oracle"]
+        assert oracle["rank_tolerance"] == 0.001
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '{"columns": "abc"}'])
+def test_malformed_instance_json_is_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    assert run_cli("margin", path) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: cannot read instance")
+    assert "Traceback" not in err
