@@ -18,7 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from linfeas.algorithms import AlgorithmConfig, vng
 from linfeas.generators import GeneratorSpec, generate
-from linfeas.margins import margin_report
 
 
 def main() -> int:
@@ -37,7 +36,7 @@ def main() -> int:
         target = -float(rng.uniform(0.2, min(0.7, math.cos(math.pi / n) - 0.05)))
         spec = GeneratorSpec("planted-negative", 2, n, target, seed=args.seed + k, jitter=0.05)
         instance, meta = generate(spec)
-        inradius = abs(margin_report(instance).rho_minus)
+        inradius = abs(meta["rho_minus"])
         predicted = math.sqrt(1.0 - inradius * inradius)
 
         budget = math.ceil(math.log(1.0 / args.target_norm) / inradius**2) + 1

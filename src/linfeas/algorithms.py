@@ -44,8 +44,6 @@ class AlgorithmConfig:
     max_iters: int = 1000
     target_eps: float = 0.0
     mode: str = "primal-feasibility"
-    seed: int = 0  # reserved for randomized tie-breaks; unused under lowest-index
-    tie_break: str = "lowest-index"
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -54,8 +52,6 @@ class AlgorithmConfig:
             raise ValueError("target_eps must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only lowest-index tie-breaking is implemented")
 
 
 @dataclass(eq=False)

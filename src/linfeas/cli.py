@@ -28,6 +28,7 @@ from .instance import IngestError, ProblemInstance, SimplexPoint, load_instance,
 from .margins import (
     BudgetExceededError,
     ZERO_BAND,
+    MarginReport,
     margin_grid_estimate,
     margin_report,
     minimum_enclosing_ball,
@@ -259,13 +260,12 @@ def cmd_run(args) -> int:
     return EXIT_OK if summary.all_passed else EXIT_VIOLATION
 
 
-def _certify_meb(instance: ProblemInstance) -> int:
+def _certify_meb(instance: ProblemInstance, report: MarginReport) -> int:
     try:
-        ball = minimum_enclosing_ball(instance)
+        ball = minimum_enclosing_ball(instance, report)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
-    report = margin_report(instance)
     radius_sq_gap = abs(ball.radius**2 + report.rho_plus**2 - 1.0)
     overshoot = float(
         np.linalg.norm(instance.columns - ball.center[:, None], axis=0).max() - ball.radius
@@ -285,8 +285,7 @@ def _certify_meb(instance: ProblemInstance) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _certify_radius(instance: ProblemInstance, samples: int, seed: int) -> int:
-    report = margin_report(instance)
+def _certify_radius(instance: ProblemInstance, report: MarginReport, samples: int, seed: int) -> int:
     if report.rho_affine >= -ZERO_BAND:
         print("radius statement needs a strictly negative margin", file=sys.stderr)
         return EXIT_INAPPLICABLE
@@ -318,10 +317,11 @@ def cmd_certify(args) -> int:
     instance = _load(args.instance)
     n, d = instance.n, instance.d
     try:
+        report = margin_report(instance, rank_tol=args.tol_rank)
         if args.theorem in ("gordan1", "gordan2", "gordan3"):
             part = int(args.theorem[-1])
             verdict = gordan_decide(
-                instance, args.gamma, part, sample_seed=args.seed, samples=args.samples
+                instance, args.gamma, part, sample_seed=args.seed, samples=args.samples, report=report
             )
             _emit(verdict.as_dict())
             return EXIT_OK if verdict.verified else EXIT_VIOLATION
@@ -332,21 +332,21 @@ def cmd_certify(args) -> int:
             if x is None:
                 x = np.zeros(n)
                 x[0] = 1.0
-            hreport = hoffman_dual(instance, b, x)
+            hreport = hoffman_dual(instance, b, x, report=report)
         elif args.theorem == "hoffman-simplex":
             p = _parse_vector(args.p, n, "p")
             point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
-            hreport = hoffman_simplex(instance, point)
+            hreport = hoffman_simplex(instance, point, report=report)
         elif args.theorem == "hoffman-primal":
             c = _parse_vector(args.c, n, "c")
             w = _parse_vector(args.w, d, "w")
             c = np.ones(n) if c is None else c
             w = np.zeros(d) if w is None else w
-            hreport = hoffman_primal(instance, c, w)
+            hreport = hoffman_primal(instance, c, w, report=report)
         elif args.theorem == "meb":
-            return _certify_meb(instance)
+            return _certify_meb(instance, report)
         else:
-            return _certify_radius(instance, args.samples, args.seed)
+            return _certify_radius(instance, report, args.samples, args.seed)
     except (IllPosedError, InapplicableError, BudgetExceededError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE

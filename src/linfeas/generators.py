@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import ProblemInstance, ingest
-from .margins import margin_report
+from .margins import MarginReport, margin_report
 
 __all__ = ["GenerationError", "GeneratorSpec", "generate", "KINDS"]
 
@@ -130,7 +130,7 @@ def _negative_template(rng, d, n, radius):
     return base
 
 
-def _planted_negative(spec: GeneratorSpec, rng, target: float) -> ProblemInstance:
+def _planted_negative(spec: GeneratorSpec, rng, target: float) -> tuple[ProblemInstance, MarginReport]:
     radius = abs(target)
     base = _negative_template(rng, spec.d, spec.n, radius)
     perturbation = rng.standard_normal(base.shape)
@@ -146,12 +146,14 @@ def _planted_negative(spec: GeneratorSpec, rng, target: float) -> ProblemInstanc
         else:
             candidate = base
         instance = ingest(candidate, normalize=True, name=spec.default_name)
-        if margin_report(instance).rho_affine <= target + 1e-9:
-            return instance
+        report = margin_report(instance)
+        if report.rho_affine <= target + 1e-9:
+            return instance, report
         if jitter == 0.0:
             raise GenerationError("template failed its own oracle verification")
         jitter *= 0.5  # shrink until containment of the planted ball survives
-    return ingest(base, normalize=True, name=spec.default_name)
+    instance = ingest(base, normalize=True, name=spec.default_name)
+    return instance, margin_report(instance)
 
 
 def _random_rotation(rng, d: int) -> np.ndarray:
@@ -169,9 +171,10 @@ def generate(spec: GeneratorSpec) -> tuple[ProblemInstance, dict]:
         target = spec.target_margin if spec.kind == "planted-positive" else NEAR_ILL_POSED_TARGET
         columns = _sample_positive_columns(rng, spec.d, spec.n, target)
         instance = ingest(columns, normalize=True, name=spec.default_name)
+        report = margin_report(instance)
     elif spec.kind == "planted-negative":
         target = spec.target_margin
-        instance = _planted_negative(spec, rng, target)
+        instance, report = _planted_negative(spec, rng, target)
     else:  # rank-deficient: embed a flat negative-margin instance and rotate
         if spec.d < 2:
             raise GenerationError("rank-deficient requires d >= 2")
@@ -184,12 +187,12 @@ def generate(spec: GeneratorSpec) -> tuple[ProblemInstance, dict]:
             seed=spec.seed,
             jitter=spec.jitter,
         )
-        inner = _planted_negative(inner_spec, rng, target)
+        inner, _ = _planted_negative(inner_spec, rng, target)
         padded = np.vstack([inner.columns, np.zeros((1, spec.n))])
         rotated = _random_rotation(rng, spec.d) @ padded
         instance = ingest(rotated.T, normalize=True, name=spec.default_name)
+        report = margin_report(instance)  # the embedding has its own rank and span
 
-    report = margin_report(instance)
     if spec.kind in ("planted-positive", "near-ill-posed"):
         if report.rho_affine < target - 1e-9:
             raise GenerationError("planted positive margin failed oracle verification")

@@ -24,7 +24,6 @@ __all__ = [
     "ColumnSpaceBasis",
     "ProblemInstance",
     "ingest",
-    "gram",
     "column_space_basis",
     "combine",
     "project_to_column_space",
@@ -251,7 +250,13 @@ def ingest(
     lengths = {len(col) for col in raw_columns}
     if len(lengths) != 1:
         raise IngestError(f"ragged column dimensions: {sorted(lengths)}")
-    cols = np.array(raw_columns, dtype=float).T  # outer list indexes columns
+    cols = np.asarray(raw_columns)
+    # decide what a number is here, not in numpy: no digit strings, booleans or scalars
+    if cols.ndim != 2 or cols.dtype.kind not in "fiu":
+        raise IngestError(f"columns must be numeric vectors, got a {cols.ndim}-D array of {cols.dtype}")
+    if cols.shape[1] == 0:
+        raise IngestError("columns must have dimension at least 1")
+    cols = cols.astype(float).T  # outer list indexes columns
     if not np.all(np.isfinite(cols)):
         raise IngestError("columns must have finite entries")
     if normalize:
@@ -261,11 +266,6 @@ def ingest(
             raise IngestError(f"cannot normalize zero column at index {int(zero[0])}")
         cols = cols / norms
     return ProblemInstance(columns=cols, name=name, normalized=normalize)
-
-
-def gram(instance: ProblemInstance) -> np.ndarray:
-    """The n-by-n matrix of pairwise column dot products (cached)."""
-    return instance.gram
 
 
 def column_space_basis(instance: ProblemInstance, tol: float | None = None) -> ColumnSpaceBasis:

@@ -32,7 +32,6 @@ __all__ = [
     "MarginReport",
     "BallReport",
     "positive_margin_exact",
-    "negative_margin_exact",
     "margin_report",
     "margin_grid_estimate",
     "minimum_enclosing_ball",
@@ -106,26 +105,23 @@ class BallReport:
         }
 
 
-def _check_budget(instance: ProblemInstance, budget: int) -> None:
-    if instance.n > budget:
+def _check_budget(instance: ProblemInstance) -> None:
+    if instance.n > ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"instance has n={instance.n} columns, above the enumeration budget "
-            f"{budget}; use margin_grid_estimate (rank <= 3) or the iterative "
+            f"{ENUMERATION_BUDGET}; use margin_grid_estimate (rank <= 3) or the iterative "
             "estimators in the algorithms module"
         )
 
 
-def positive_margin_exact(
-    instance: ProblemInstance,
-    budget: int = ENUMERATION_BUDGET,
-) -> tuple[float, SimplexPoint]:
+def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoint]:
     """Distance from the origin to the convex hull, with a minimizing weight vector.
 
     Enumerates every affinely independent support set, solves the bordered
     least-norm system on its face, keeps candidates with nonnegative weights,
     and returns the global minimum. Exactly 0 when the origin lies in the hull.
     """
-    _check_budget(instance, budget)
+    _check_budget(instance)
     n = instance.n
     cols = instance.columns
     G = instance.gram
@@ -170,11 +166,11 @@ def positive_margin_exact(
 
 def _negative_margin_details(
     instance: ProblemInstance,
-    budget: int,
     basis: ColumnSpaceBasis,
     side_tol: float = SIDE_TOL,
 ) -> tuple[float, PrimalDirection, bool, tuple[int, ...]]:
-    _check_budget(instance, budget)
+    """Inradius of the hull about the origin within the span, with the nearest facet's normal."""
+    _check_budget(instance)
     r = basis.rank
     if r < 1:
         raise ValueError("instance has rank 0; margins are undefined")
@@ -234,36 +230,18 @@ def _negative_margin_details(
     return float(dist_array[winner]), direction, flagged, supports[winner]
 
 
-def negative_margin_exact(
-    instance: ProblemInstance,
-    budget: int = ENUMERATION_BUDGET,
-) -> tuple[float, PrimalDirection]:
-    """Inradius of the hull about the origin within the column span.
+def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> MarginReport:
+    """Exact classical and span-restricted margins with both witnesses attached.
 
-    Returns (value, w) where value = min over unit w in the span of
-    max_i w . a_i and w is the minimizing direction (the outward normal of
-    the nearest facet). The margin-maximizing direction is -w. Requires the
-    origin to lie in the hull.
+    This is the single entry into the exact enumeration: every consumer
+    (generators, run summaries, certifiers, the enclosing ball) computes one
+    report per instance and reads its margins and witnesses from it. The
+    witness direction is the unit margin maximizer; on the negative side it is
+    minus the outward normal of the nearest facet.
     """
-    rho_plus, _ = positive_margin_exact(instance, budget)
-    if rho_plus > ZERO_BAND:
-        raise ValueError(
-            f"origin lies outside the hull (distance {rho_plus:.3e}); "
-            "the positive-margin oracle is the one to call"
-        )
-    value, direction, _, _ = _negative_margin_details(instance, budget, instance.basis)
-    return value, direction
-
-
-def margin_report(
-    instance: ProblemInstance,
-    budget: int = ENUMERATION_BUDGET,
-    rank_tol: float | None = None,
-) -> MarginReport:
-    """Exact classical and span-restricted margins with both witnesses attached."""
     basis = column_space_basis(instance, rank_tol)
     rank = basis.rank
-    rho_plus_val, weights = positive_margin_exact(instance, budget)
+    rho_plus_val, weights = positive_margin_exact(instance)
     flagged = False
     if rho_plus_val > ZERO_BAND:
         rho_affine = float(rho_plus_val)
@@ -271,7 +249,7 @@ def margin_report(
             combine(instance, weights) / rho_plus_val, in_column_space=True
         )
     else:
-        inradius, facet_normal, flagged, _ = _negative_margin_details(instance, budget, basis)
+        inradius, facet_normal, flagged, _ = _negative_margin_details(instance, basis)
         rho_affine = -float(inradius)
         direction = PrimalDirection(-facet_normal.vector, in_column_space=True)
     rho_classical = rho_affine if rank == instance.d else max(0.0, rho_affine)
@@ -331,16 +309,19 @@ def margin_grid_estimate(instance: ProblemInstance, resolution: int) -> float:
     return best
 
 
-def minimum_enclosing_ball(instance: ProblemInstance) -> BallReport:
+def minimum_enclosing_ball(instance: ProblemInstance, report: MarginReport | None = None) -> BallReport:
     """Smallest ball enclosing the hull of unit columns, from the margin witness.
 
     For unit columns the radius is sqrt(1 - rho_plus^2) and the center is the
     hull point selected by the positive-margin minimizer; when the origin lies
-    in the hull the answer degenerates to the unit ball about the origin.
+    in the hull the answer degenerates to the unit ball about the origin. A
+    ``report`` computed earlier can be passed to skip the oracle.
     """
     if not instance.has_unit_columns():
         raise ValueError("minimum_enclosing_ball requires unit columns (ingest with normalize=True)")
-    rho_plus, weights = positive_margin_exact(instance)
+    if report is None:
+        report = margin_report(instance)
+    rho_plus, weights = report.rho_plus, report.witness_weights
     if rho_plus <= ZERO_BAND:
         return BallReport(center=np.zeros(instance.d), radius=1.0, support_weights=weights)
     radius = float(np.sqrt(max(0.0, 1.0 - rho_plus * rho_plus)))

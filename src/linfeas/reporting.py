@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import Certificate, IterateTrace
-from .instance import ProblemInstance
+from .instance import ProblemInstance, combine
 from .lp import dist_l1_to_polyhedron
-from .margins import ZERO_BAND, MarginReport, minimum_enclosing_ball
+from .margins import ZERO_BAND, MarginReport
 
 __all__ = ["BoundCheck", "RunSummary", "build_run_summary", "DUAL_DISTANCE_SAMPLES"]
 
@@ -217,8 +217,8 @@ def build_run_summary(
             checks.append(_dual_rate(trace, abs(report.rho_minus)))
             checks.append(_dual_witness_distance(instance, trace, abs(report.rho_minus)))
         if feasible and algorithm in ("np", "vng"):
-            ball = minimum_enclosing_ball(instance)
-            w_star = ball.center / np.linalg.norm(ball.center)
+            center = combine(instance, report.witness_weights)  # the enclosing ball's center
+            w_star = center / np.linalg.norm(center)
             checks.append(_margin_maximization(trace, report.rho_plus, w_star))
             checks.append(_meb_convergence(trace, report.rho_plus, w_star))
             checks.append(_norm_sandwich(trace, report.rho_plus))

@@ -157,7 +157,6 @@ def gordan_decide(
     instance: ProblemInstance,
     gamma: float,
     part: int,
-    budget: int = 14,
     sample_seed: int = 0,
     samples: int = 32,
     report: MarginReport | None = None,
@@ -178,7 +177,7 @@ def gordan_decide(
     if part == 1 and gamma != 0.0:
         raise ValueError("part 1 is the zero-threshold statement; use gamma = 0")
     if report is None:
-        report = margin_report(instance, budget)
+        report = margin_report(instance)
     rho = report.rho_affine
     pivot = gamma if part in (1, 2) else -gamma
     if abs(rho - pivot) <= ZERO_BAND:
@@ -260,7 +259,6 @@ def hoffman_dual(
     instance: ProblemInstance,
     b: np.ndarray,
     x: np.ndarray,
-    budget: int = 14,
     compute_exact: bool = True,
     report: MarginReport | None = None,
 ) -> HoffmanReport:
@@ -272,7 +270,7 @@ def hoffman_dual(
     target set (checked by a phase-1 solve).
     """
     if report is None:
-        report = margin_report(instance, budget)
+        report = margin_report(instance)
     rho = _require_negative_margin(report)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -331,7 +329,6 @@ def hoffman_dual(
 def hoffman_simplex(
     instance: ProblemInstance,
     p: SimplexPoint,
-    budget: int = 14,
     compute_exact: bool = True,
     report: MarginReport | None = None,
 ) -> HoffmanReport:
@@ -342,7 +339,7 @@ def hoffman_simplex(
     representation of the reflected, inradius-scaled hull point.
     """
     if report is None:
-        report = margin_report(instance, budget)
+        report = margin_report(instance)
     rho = _require_negative_margin(report)
     image = combine(instance, p)
     r = float(np.linalg.norm(image))
@@ -392,7 +389,6 @@ def hoffman_primal(
     instance: ProblemInstance,
     c: np.ndarray,
     w: np.ndarray,
-    budget: int = 14,
     compute_exact: bool = True,
     report: MarginReport | None = None,
 ) -> HoffmanReport:
@@ -403,7 +399,7 @@ def hoffman_primal(
     enumeration projection onto the constraint polyhedron.
     """
     if report is None:
-        report = margin_report(instance, budget)
+        report = margin_report(instance)
     if report.rho_affine <= ZERO_BAND:
         raise InapplicableError(
             f"statement needs a strictly positive margin, instance has {report.rho_affine:.3e}"

@@ -253,5 +253,3 @@ def test_config_validation():
         AlgorithmConfig(target_eps=-1.0)
     with pytest.raises(ValueError):
         AlgorithmConfig(mode="warp")
-    with pytest.raises(ValueError):
-        AlgorithmConfig(tie_break="random")

@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import linfeas.margins
 from linfeas.cli import main
 from linfeas.instance import ingest, save_instance
 
@@ -218,7 +220,11 @@ def test_batch_forwards_rank_tolerance(tmp_path, capsys):
         assert oracle["rank_tolerance"] == 0.001
 
 
-@pytest.mark.parametrize("payload", ["[1, 2]", '{"columns": "abc"}'])
+@pytest.mark.parametrize(
+    "payload",
+    ["[1, 2]", '{"columns": "abc"}', '{"columns": [["1", "0"], ["0", "1"]]}',
+     '{"columns": [[true, false], [false, true]]}', '{"columns": "123"}', '{"columns": [[]]}'],
+)
 def test_malformed_instance_json_is_usage_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(payload)
@@ -227,3 +233,50 @@ def test_malformed_instance_json_is_usage_error(tmp_path, capsys, payload):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: cannot read instance")
     assert "Traceback" not in err
+
+
+def test_certify_forwards_rank_tolerance(tmp_path, capsys):
+    path = tmp_path / "rd.json"
+    run_cli(
+        "gen", "--kind", "rank-deficient", "--d", "3", "--n", "6",
+        "--target", "-0.3", "--seed", "4", "--out", path,
+    )
+    capsys.readouterr()
+    code = run_cli("certify", path, "--theorem", "gordan2", "--gamma", "0.1", "--tol-rank", "1e-3")
+    assert code == 0
+    assert read_json(capsys)["margin"]["rank_tolerance"] == 0.001
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count the entries into the two exact enumerations behind margin_report."""
+    calls = Counter()
+    for name in ("positive_margin_exact", "_negative_margin_details"):
+        original = getattr(linfeas.margins, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(linfeas.margins, name, counted)
+    return calls
+
+
+def test_exact_oracle_runs_once_per_command(tmp_path, oracle_calls, axes_unit_path, triangle_path):
+    commands = {
+        "gen planted-negative": (
+            "gen", "--kind", "planted-negative", "--d", "3", "--n", "6", "--target", "-0.3",
+            "--out", tmp_path / "neg.json",
+        ),
+        "run np on a feasible instance": (
+            "run", axes_unit_path, "--algorithm", "np", "--mode", "margin-maximization",
+            "--max-iters", "50", "--out-dir", tmp_path / "runs",
+        ),
+        "certify meb, feasible": ("certify", axes_unit_path, "--theorem", "meb"),
+        "certify meb, infeasible": ("certify", triangle_path, "--theorem", "meb"),
+    }
+    for label, command in commands.items():
+        oracle_calls.clear()
+        assert run_cli(*command) == 0, label
+        assert oracle_calls["positive_margin_exact"] == 1, (label, oracle_calls)
+        assert oracle_calls["_negative_margin_details"] <= 1, (label, oracle_calls)

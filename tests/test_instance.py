@@ -9,7 +9,6 @@ from linfeas.instance import (
     SimplexPoint,
     column_space_basis,
     combine,
-    gram,
     gram_norm,
     ingest,
     instance_from_dict,
@@ -47,19 +46,33 @@ def test_ingest_nonfinite_rejected():
         ingest([[np.nan, 0.0]], normalize=False)
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ([["1", "0"], ["0", "1"]], "numeric vectors"),  # digit strings are not numbers
+        ([[True, False], [False, True]], "numeric vectors.*bool"),
+        ("123", "0-D"),
+        ([[]], "dimension at least 1"),
+    ],
+)
+def test_ingest_rejects_non_numeric_columns(columns, message):
+    with pytest.raises(IngestError, match=message):
+        instance_from_dict({"columns": columns})
+
+
 def test_gram_orthonormal(axes):
-    assert np.allclose(gram(axes), np.eye(2))
+    assert np.allclose(axes.gram, np.eye(2))
 
 
 def test_gram_antipodal(segment):
-    assert np.allclose(gram(segment), [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(segment.gram, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_gram_oblique_pair():
     oblique = np.array([1.0, 1.0]) / np.sqrt(2.0)
     inst = ingest([[1.0, 0.0], oblique.tolist()], normalize=False)
     expected = float(np.array([1.0, 0.0]) @ oblique)  # direct dot product
-    assert gram(inst)[0, 1] == pytest.approx(expected, abs=1e-15)
+    assert inst.gram[0, 1] == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(1.0 / np.sqrt(2.0))
 
 
@@ -225,4 +238,4 @@ def test_projection_idempotent_and_nonexpansive(data):
 @settings(max_examples=40, deadline=None)
 def test_normalized_instances_have_unit_gram_diagonal(inst):
     if inst.normalized:
-        assert np.max(np.abs(np.diag(gram(inst)) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.diag(inst.gram) - 1.0)) <= 1e-12

@@ -11,7 +11,6 @@ from linfeas.margins import (
     margin_grid_estimate,
     margin_report,
     minimum_enclosing_ball,
-    negative_margin_exact,
     positive_margin_exact,
     representable,
 )
@@ -44,29 +43,26 @@ def test_positive_margin_budget():
     cols = np.eye(15)[:, :15]
     inst = ingest(cols.T.tolist(), normalize=False)
     with pytest.raises(BudgetExceededError, match="iterative"):
-        positive_margin_exact(inst, budget=14)
+        positive_margin_exact(inst)
 
 
 def test_negative_margin_segment(segment):
-    value, direction = negative_margin_exact(segment)
+    report = margin_report(segment)
+    value, direction = -report.rho_minus, -report.witness_direction.vector  # the facet normal
     assert value == pytest.approx(1.0, abs=1e-12)
-    assert abs(abs(direction.vector[0]) - 1.0) <= 1e-12
-    assert abs(direction.vector[1]) <= 1e-12
+    assert abs(abs(direction[0]) - 1.0) <= 1e-12
+    assert abs(direction[1]) <= 1e-12
 
 
 def test_negative_margin_triangle_vs_angular_grid(triangle):
-    value, direction = negative_margin_exact(triangle)
+    report = margin_report(triangle)
+    value, direction = -report.rho_minus, -report.witness_direction.vector  # the facet normal
     assert value == pytest.approx(0.5, abs=1e-12)
     # independent check: dense sweep of directions in the plane
     grid_sup = angular_margin(triangle.columns)
     assert -value == pytest.approx(grid_sup, abs=1e-8)
     # the minimizing direction supports the hull at distance 1/2
-    assert (direction.vector @ triangle.columns).max() == pytest.approx(0.5, abs=1e-12)
-
-
-def test_negative_margin_requires_origin_in_hull(axes):
-    with pytest.raises(ValueError, match="positive-margin"):
-        negative_margin_exact(axes)
+    assert (direction @ triangle.columns).max() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_margin_report_axes(axes):
@@ -122,9 +118,10 @@ def test_negative_margin_tie_break_is_lexicographic():
     diamond = ingest(
         [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], normalize=False
     )
-    value, direction = negative_margin_exact(diamond)
+    report = margin_report(diamond)
+    value, direction = -report.rho_minus, -report.witness_direction.vector  # the facet normal
     assert value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-    assert np.allclose(direction.vector, np.ones(2) / np.sqrt(2.0), atol=1e-12)
+    assert np.allclose(direction, np.ones(2) / np.sqrt(2.0), atol=1e-12)
 
 
 def test_witness_weights_certify_dual_side(triangle):
