@@ -27,6 +27,7 @@ from .generators import GenerationError, GeneratorSpec, generate
 from .instance import IngestError, ProblemInstance, SimplexPoint, load_instance, save_instance
 from .margins import (
     BudgetExceededError,
+    MinNormPointError,
     ZERO_BAND,
     MarginReport,
     margin_grid_estimate,
@@ -77,10 +78,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol-rank", type=float, default=None, help="rank cutoff override")
+    common.add_argument("--tol-rank", type=_positive_float, default=None, help="rank cutoff override")
     common.add_argument("--out-dir", type=Path, default=Path("out"))
     common.add_argument("--max-iters", type=int, default=10_000)
     common.add_argument("--eps", type=float, default=0.1)
@@ -184,7 +192,7 @@ def cmd_margin(args) -> int:
     if args.method == "exact":
         try:
             report = margin_report(instance, rank_tol=args.tol_rank)
-        except BudgetExceededError as exc:
+        except (BudgetExceededError, MinNormPointError) as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_INAPPLICABLE
         _emit(report.as_dict())
@@ -227,7 +235,7 @@ def _run_one(
     certificate, trace = ALGORITHMS[algorithm](instance, config)
     try:
         report = margin_report(instance, rank_tol=rank_tol)
-    except BudgetExceededError:
+    except (BudgetExceededError, MinNormPointError):
         report = None  # summary still written, oracle checks skipped
     summary = build_run_summary(instance, report, algorithm, mode, certificate, trace)
     digest = hashlib.sha1(
@@ -347,7 +355,7 @@ def cmd_certify(args) -> int:
             return _certify_meb(instance, report)
         else:
             return _certify_radius(instance, report, args.samples, args.seed)
-    except (IllPosedError, InapplicableError, BudgetExceededError) as exc:
+    except (IllPosedError, InapplicableError, BudgetExceededError, MinNormPointError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
     except CertificateConstructionError as exc:

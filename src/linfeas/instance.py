@@ -207,8 +207,8 @@ class ProblemInstance:
 
 def _compute_basis(columns: np.ndarray, tol: float) -> ColumnSpaceBasis:
     """Rank-revealing orthogonalization with greedy pivoting on residual norms."""
-    if tol <= 0.0:
-        raise ValueError("rank tolerance must be positive")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("rank tolerance must be finite and positive")
     d, n = columns.shape
     work = columns.copy()
     vectors: list[np.ndarray] = []

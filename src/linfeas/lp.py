@@ -36,7 +36,7 @@ class LpSizeError(ValueError):
 
 
 class DegenerateFaceError(RuntimeError):
-    """Raised when the bordered system of a face subproblem is singular."""
+    """Raised when the points of a face subproblem are affinely dependent."""
 
 
 @dataclass(frozen=True)
@@ -316,41 +316,42 @@ def dist_l1_to_polyhedron(
 
 
 def min_norm_on_face(columns: np.ndarray) -> tuple[float, np.ndarray]:
-    """min ||columns @ q|| subject to sum(q) = 1, via the bordered Gram system.
+    """min ||columns @ q|| subject to sum(q) = 1, by least squares on the face's edges.
 
-    The returned weights may carry negative entries; callers filter. Raises
-    DegenerateFaceError when the face is affinely dependent (singular system).
+    Householder QR of the edges a_i - a_0 in the columns' own precision; the
+    Gram matrix, whose squared conditioning loses the distance near the origin,
+    is never formed. The weights may be negative; callers filter. Raises
+    DegenerateFaceError when the face is affinely dependent.
     """
-    columns = np.asarray(columns, dtype=float)
+    columns = np.asarray(columns)
+    columns = columns.astype(np.promote_types(columns.dtype, float))
     if columns.ndim != 2 or columns.shape[1] == 0:
         raise ValueError("columns must form a (d, k) array with k >= 1")
-    k = columns.shape[1]
-    G = columns.T @ columns
-    system = np.zeros((k + 1, k + 1))
-    system[:k, :k] = 2.0 * G
-    system[:k, k] = 1.0
-    system[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFaceError("affinely dependent face") from exc
-    if not np.all(np.isfinite(sol)) or np.max(np.abs(system @ sol - rhs)) > 1e-8:
-        raise DegenerateFaceError("bordered system is numerically singular")
-    q = sol[:k]
-    return float(np.linalg.norm(columns @ q)), q
+    d, k = columns.shape
+    edges, rhs = columns[:, 1:] - columns[:, :1], -columns[:, 0]
+    for c in range(min(k - 1, d)):
+        v = edges[c:, c].copy()
+        v[0] += np.copysign(np.sqrt(v @ v), v[0])
+        if v.any():
+            v /= np.sqrt(v @ v)
+            edges[c:, c:] -= 2.0 * np.outer(v, v @ edges[c:, c:])
+            rhs[c:] -= 2.0 * v * (v @ rhs[c:])
+    diag = np.abs(np.diagonal(edges))
+    if k - 1 > d or (k > 1 and diag.min() <= np.finfo(edges.dtype).eps * d * np.abs(edges).max()):
+        raise DegenerateFaceError("affinely dependent face")
+    z = np.zeros(k - 1, dtype=edges.dtype)
+    for c in reversed(range(k - 1)):  # back substitution on the triangular factor
+        z[c] = (rhs[c] - edges[c, c + 1 :] @ z[c + 1 :]) / edges[c, c]
+    q = np.concatenate([[1.0 - z.sum()], z])
+    point = columns @ q
+    return float(np.sqrt(point @ point)), q
 
 
-def batched_solve(
-    systems: np.ndarray,
-    rhs: np.ndarray,
-    residual_tol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
+def batched_solve(systems: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve a stack of small square systems, flagging unreliable members.
 
-    Returns (solutions, ok). Singular or ill-conditioned members get ok=False
-    instead of raising, so enumeration loops can skip degenerate subsets.
+    Returns (solutions, ok). Singular members, and those whose residual exceeds
+    1e-8, get ok=False instead of raising, so enumeration loops can skip them.
     """
     count = systems.shape[0]
     solutions = np.zeros(rhs.shape)
@@ -365,17 +366,12 @@ def batched_solve(
                 ok[i] = False
     residual = np.einsum("mij,mj->mi", systems, solutions) - rhs
     ok &= np.all(np.isfinite(solutions), axis=1)
-    ok &= np.max(np.abs(residual), axis=1) <= residual_tol
+    ok &= np.max(np.abs(residual), axis=1) <= 1e-8
     solutions[~ok] = 0.0
     return solutions, ok
 
 
-def dist_l2_to_halfspaces(
-    point: np.ndarray,
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    feas_tol: float = 1e-9,
-) -> tuple[float, np.ndarray]:
+def dist_l2_to_halfspaces(point: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
     """Euclidean distance from point to {y | normals[:, i] @ y >= offsets[i]}.
 
     Exhaustive active-set enumeration: project onto every equality subsystem,
@@ -388,7 +384,7 @@ def dist_l2_to_halfspaces(
     offsets = np.asarray(offsets, dtype=float)
     d, m = normals.shape
     slack = normals.T @ point - offsets
-    if slack.min() >= -feas_tol:
+    if slack.min() >= -1e-9:  # feasibility tolerance, here and for the candidates below
         return 0.0, point
 
     best_dist = np.inf
@@ -404,7 +400,7 @@ def dist_l2_to_halfspaces(
             continue
         candidates = point[None, :] + np.einsum("cdk,ck->cd", sub, coeffs)
         feasibility = np.einsum("dm,cd->cm", normals, candidates) - offsets[None, :]
-        valid &= feasibility.min(axis=1) >= -feas_tol
+        valid &= feasibility.min(axis=1) >= -1e-9
         if not valid.any():
             continue
         dists = np.linalg.norm(candidates - point[None, :], axis=1)

@@ -1,13 +1,12 @@
 """Exact desk-scale margin oracles with certifying witnesses.
 
-Two exponential-but-exact enumerations do the work: the positive margin is
-the distance from the origin to the convex hull of the columns, found by
-solving the least-norm subproblem on every affinely independent support set;
-the negative margin is the inradius of the hull about the origin inside the
-column span, found by enumerating supporting hyperplanes through column
-subsets. A quasi-uniform direction grid provides an independent low-rank
-cross-check, and the minimum enclosing ball comes out of the positive-margin
-witness in closed form.
+The positive margin is the distance from the origin to the convex hull of
+the columns, found by Wolfe's finite min-norm-point method, each cycle of
+which is polynomial. Only the negative margin enumerates: it is the inradius
+of the hull about the origin inside the column span, found by enumerating
+supporting hyperplanes through column subsets. A quasi-uniform direction
+grid provides an independent low-rank cross-check, and the minimum enclosing
+ball comes out of the positive-margin witness in closed form.
 """
 
 from __future__ import annotations
@@ -25,10 +24,11 @@ from .instance import (
     column_space_basis,
     combine,
 )
-from .lp import LinearProgram, batched_solve, solve
+from .lp import DegenerateFaceError, LinearProgram, min_norm_on_face, solve
 
 __all__ = [
     "BudgetExceededError",
+    "MinNormPointError",
     "MarginReport",
     "BallReport",
     "positive_margin_exact",
@@ -48,9 +48,15 @@ ENUMERATION_BUDGET = 14
 
 SIDE_TOL = 1e-9  # supporting-hyperplane side test (absolute)
 
+WOLFE_TOL = 1e-12  # min-norm-point stop: excess of ||x|| over the distance, relative to the largest column norm
+
 
 class BudgetExceededError(ValueError):
     """Raised when an exact oracle is asked for more columns than it enumerates."""
+
+
+class MinNormPointError(ValueError):
+    """Raised when the min-norm-point method does not reach a point that passes its check."""
 
 
 @dataclass(eq=False)
@@ -117,58 +123,67 @@ def _check_budget(instance: ProblemInstance) -> None:
 def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoint]:
     """Distance from the origin to the convex hull, with a minimizing weight vector.
 
-    Enumerates every affinely independent support set, solves the bordered
-    least-norm system on its face, keeps candidates with nonnegative weights,
-    and returns the global minimum. Exactly 0 when the origin lies in the hull.
+    Wolfe's finite min-norm-point method (Math. Programming 11, 1976), run in
+    column space in longdouble: near the origin, double precision leaves the
+    direction of x too coarse to pick columns by. It stops once the bound
+    ||x|| - a_j . x / ||x|| on ||x|| minus the distance is at most WOLFE_TOL times
+    the largest column norm, or when ||x|| stops falling. A witness failing
+    ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2 raises MinNormPointError.
+    Exactly 0 when the origin lies in the hull.
     """
     _check_budget(instance)
-    n = instance.n
-    cols = instance.columns
-    G = instance.gram
-    max_size = min(n, instance.rank + 1)
+    cols = instance.columns.astype(np.longdouble)
+    lengths = np.sqrt(np.einsum("ij,ij->j", cols, cols))
+    reach, corral, q = lengths.max(), [int(np.argmin(lengths))], np.ones(1, dtype=np.longdouble)
+    x = cols[:, corral[0]]
+    for _ in range(50 * instance.n):  # a guard: Wolfe needs a few major cycles per column
+        dots = x @ cols  # a_i . x for every column
+        dots[corral] = np.inf  # in exact arithmetic the corral's dots all equal ||x||^2
+        j = int(np.argmin(dots))
+        if min(x @ x, x @ x - dots[j]) <= WOLFE_TOL * reach * np.sqrt(x @ x):  # x = 0 passes too
+            break
+        try:
+            grown, weights = _minor_cycles(cols, corral + [j], np.append(q, 0.0))
+        except DegenerateFaceError:  # a_j lies in the corral's affine hull: x cannot be lowered
+            break
+        lowered = cols[:, grown] @ weights
+        if lowered @ lowered >= x @ x:  # in exact arithmetic every cycle lowers ||x||
+            break
+        corral, q, x = grown, weights, lowered
+    else:
+        raise MinNormPointError(f"min-norm point: no convergence in {50 * instance.n} major cycles")
 
-    best_norm = np.inf
-    candidates: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for k in range(1, max_size + 1):
-        combos = np.array(list(itertools.combinations(range(n), k)))
-        count = combos.shape[0]
-        sub_gram = G[combos[:, :, None], combos[:, None, :]]
-        system = np.zeros((count, k + 1, k + 1))
-        system[:, :k, :k] = 2.0 * sub_gram
-        system[:, :k, k] = 1.0
-        system[:, k, :k] = 1.0
-        rhs = np.zeros((count, k + 1))
-        rhs[:, k] = 1.0
-        sols, ok = batched_solve(system, rhs)
-        weights = sols[:, :k]
-        ok &= np.all(weights >= -1e-12, axis=1)
-        if not ok.any():
-            continue
-        # evaluate norms directly in column space: far better conditioned near 0
-        points = np.einsum("dmk,mk->md", cols[:, combos], weights)
-        norms = np.linalg.norm(points, axis=1)
-        norms[~ok] = np.inf
-        batch_best = norms.min()
-        if batch_best < best_norm - 1e-12:
-            best_norm = float(batch_best)
-            candidates = []
-        if batch_best <= best_norm + 1e-12:
-            for idx in np.nonzero(norms <= best_norm + 1e-12)[0]:
-                candidates.append((tuple(int(i) for i in combos[idx]), weights[idx]))
+    point = SimplexPoint.from_approximate(np.bincount(corral, weights=q.astype(float), minlength=instance.n))
+    witness = combine(instance, point)
+    gap = float(witness @ witness - (witness @ instance.columns).min())
+    if gap > 1e-9 * float(reach) ** 2:
+        raise MinNormPointError(f"min-norm point failed its optimality check: gap {gap:.3e}")
+    norm = float(np.sqrt(x @ x))
+    if norm <= 1e-12:  # numerically zero: the origin is a hull point
+        norm = 0.0
+    return norm, point
 
-    support, q = min(candidates, key=lambda item: item[0])
-    full = np.zeros(n)
-    full[list(support)] = np.clip(q, 0.0, None)
-    if best_norm <= 1e-12:  # numerically zero: the origin is a hull point
-        best_norm = 0.0
-    return best_norm, SimplexPoint.from_approximate(full)
+
+def _minor_cycles(columns: np.ndarray, corral: list[int], q: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Move the corral weights q to the corral's affine minimiser, dropping columns on the way."""
+    while True:
+        _, y = min_norm_on_face(columns[:, corral])
+        if np.all(y > 0.0):
+            return corral, y
+        # step until the first weight reaches 0: at once for an entering column (q = 0) at y <= 0
+        shrink = y <= 0.0
+        ratios = np.where(shrink, 0.0, np.inf).astype(q.dtype)
+        np.divide(q, q - y, out=ratios, where=shrink & (q > 0.0))
+        drop = int(np.argmin(ratios))
+        q = q + ratios[drop] * (y - q)
+        q[drop] = 0.0
+        corral, q = [i for i, w in zip(corral, q) if w > 0.0], q[q > 0.0]
 
 
 def _negative_margin_details(
     instance: ProblemInstance,
     basis: ColumnSpaceBasis,
-    side_tol: float = SIDE_TOL,
-) -> tuple[float, PrimalDirection, bool, tuple[int, ...]]:
+) -> tuple[float, PrimalDirection, bool]:
     """Inradius of the hull about the origin within the span, with the nearest facet's normal."""
     _check_budget(instance)
     r = basis.rank
@@ -177,23 +192,14 @@ def _negative_margin_details(
     coords = basis.coordinates(instance.columns)  # (r, n)
     n = instance.n
 
-    normals: list[np.ndarray] = []
-    dists: list[float] = []
-    violations: list[float] = []
-    supports: list[tuple[int, ...]] = []
-
+    # candidates come in lexicographic order of support, so the first near-minimum is the lowest
     if r == 1:
+        # each column supports the segment in one orientation or both, + before -
         line = coords[0]
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                values = sign * line
-                beta = float(values[i])
-                worst = float(values.max()) - beta
-                if worst <= side_tol:
-                    normals.append(np.array([sign]))
-                    dists.append(max(beta, 0.0))
-                    violations.append(max(worst, 0.0))
-                    supports.append((i,))
+        sign = np.tile([1.0, -1.0], n)
+        candidate_normals, beta = np.ones((2 * n, 1)), np.repeat(line, 2)
+        violations = np.where(sign > 0.0, line.max() - beta, beta - line.min())
+        keep = violations <= SIDE_TOL
     else:
         combos = np.array(list(itertools.combinations(range(n), r)))
         pts = np.moveaxis(coords[:, combos], 0, 2)  # (count, r, r): rows are points
@@ -205,35 +211,28 @@ def _negative_margin_details(
         beta = np.einsum("cr,cr->c", candidate_normals, pts[:, 0, :])
         over = values.max(axis=1) - beta
         under = beta - values.min(axis=1)
-        for idx in np.nonzero(independent)[0]:
-            if over[idx] <= side_tol:
-                h, b, viol = candidate_normals[idx], beta[idx], over[idx]
-            elif under[idx] <= side_tol:
-                h, b, viol = -candidate_normals[idx], -beta[idx], under[idx]
-            else:
-                continue
-            normals.append(h)
-            dists.append(max(float(b), 0.0))
-            violations.append(max(float(viol), 0.0))
-            supports.append(tuple(int(i) for i in combos[idx]))
+        outward = over <= SIDE_TOL  # else only the flipped normal can support the hull
+        keep = independent & (outward | (under <= SIDE_TOL))
+        sign = np.where(outward, 1.0, -1.0)
+        violations = np.where(outward, over, under)
+    normals = (sign[:, None] * candidate_normals)[keep]
+    dists = np.maximum(sign * beta, 0.0)[keep]
+    violations = np.maximum(violations, 0.0)[keep]
 
-    if not dists:
+    if dists.size == 0:
         raise ValueError(
             "no supporting hyperplane found; the hull is degenerate at this rank tolerance"
         )
-    dist_array = np.asarray(dists)
-    best = dist_array.min()
-    tied = [i for i in range(len(dists)) if dist_array[i] <= best + 1e-12]
-    winner = min(tied, key=lambda i: supports[i])
+    winner = int(np.argmax(dists <= dists.min() + 1e-12))
     direction = PrimalDirection(basis.lift(normals[winner]), in_column_space=True)
-    flagged = bool(0.0 < violations[winner] <= side_tol)
-    return float(dist_array[winner]), direction, flagged, supports[winner]
+    flagged = bool(0.0 < violations[winner] <= SIDE_TOL)
+    return float(dists[winner]), direction, flagged
 
 
 def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> MarginReport:
     """Exact classical and span-restricted margins with both witnesses attached.
 
-    This is the single entry into the exact enumeration: every consumer
+    This is the single entry into the exact oracles: every consumer
     (generators, run summaries, certifiers, the enclosing ball) computes one
     report per instance and reads its margins and witnesses from it. The
     witness direction is the unit margin maximizer; on the negative side it is
@@ -245,11 +244,9 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
     flagged = False
     if rho_plus_val > ZERO_BAND:
         rho_affine = float(rho_plus_val)
-        direction = PrimalDirection(
-            combine(instance, weights) / rho_plus_val, in_column_space=True
-        )
+        direction = PrimalDirection(combine(instance, weights), in_column_space=True).unit()
     else:
-        inradius, facet_normal, flagged, _ = _negative_margin_details(instance, basis)
+        inradius, facet_normal, flagged = _negative_margin_details(instance, basis)
         rho_affine = -float(inradius)
         direction = PrimalDirection(-facet_normal.vector, in_column_space=True)
     rho_classical = rho_affine if rank == instance.d else max(0.0, rho_affine)
@@ -260,7 +257,7 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
         rho_minus=min(0.0, rho_affine),
         witness_direction=direction,
         witness_weights=weights,
-        method="enumeration",
+        method="min-norm-point" if rho_affine > ZERO_BAND else "enumeration",
         rank=rank,
         rank_tolerance=basis.tolerance,
         ill_posed=abs(rho_affine) <= ZERO_BAND,
@@ -328,15 +325,11 @@ def minimum_enclosing_ball(instance: ProblemInstance, report: MarginReport | Non
     return BallReport(center=combine(instance, weights), radius=radius, support_weights=weights)
 
 
-def representable(
-    instance: ProblemInstance,
-    v: np.ndarray,
-    residual_tol: float = 1e-9,
-) -> SimplexPoint | None:
+def representable(instance: ProblemInstance, v: np.ndarray) -> SimplexPoint | None:
     """Weights p with columns @ p = v when v lies in the hull, else None.
 
     Solved as a phase-1 feasibility program; the emptiness answer is the
-    simplex status, double-checked against the residual tolerance.
+    simplex status, double-checked against a residual of 1e-9.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (instance.d,):
@@ -348,6 +341,6 @@ def representable(
     if sol.status != "optimal":
         return None
     point = SimplexPoint.from_approximate(sol.x)
-    if np.linalg.norm(combine(instance, point) - v) > residual_tol:
+    if np.linalg.norm(combine(instance, point) - v) > 1e-9:
         return None
     return point

@@ -2,12 +2,16 @@
 
 Nothing here shares code with the library paths it checks: distances come
 from dense parameter grids, LP answers from exhaustive basic-solution
-enumeration. Slow and exact at tiny sizes, which is the point.
+enumeration, min-norm points from exhaustive support-set enumeration or
+from exact rational arithmetic. Slow and exact at tiny sizes, which is the
+point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,3 +108,98 @@ def halfplane_projection_grid(
     if not feasible.any():
         return np.inf
     return float(np.linalg.norm(pts[feasible] - point[None, :], axis=1).min())
+
+
+def min_norm_point_enumeration(columns: np.ndarray) -> tuple[float, np.ndarray]:
+    """Distance from the origin to the convex hull of the columns, with weights.
+
+    Solves the bordered least-norm system [2 G_S, 1; 1', 0] on every subset S
+    of at most rank + 1 columns and keeps the nearest candidate whose weights
+    are nonnegative. Every kept candidate is a hull point, and the optimal face
+    has an affinely independent support among the subsets, so the minimum is
+    exact up to the double-precision solves. Those leave errors of about 1e-9
+    when the hull is a sliver within 1e-8 of the origin; use
+    min_norm_point_rational there. Exponential in the column count.
+    """
+    columns = np.asarray(columns, dtype=float)
+    n = columns.shape[1]
+    gram = columns.T @ columns
+    best_norm, best_weights = np.inf, None
+    for k in range(1, min(n, np.linalg.matrix_rank(columns) + 1) + 1):
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        systems = np.ones((len(subsets), k + 1, k + 1))
+        systems[:, :k, :k] = 2.0 * gram[subsets[:, :, None], subsets[:, None, :]]
+        systems[:, k, k] = 0.0
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        try:
+            sols = np.linalg.solve(systems, np.broadcast_to(rhs, (len(subsets), k + 1))[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # a singular member: solve one by one, skip the singular
+            sols = np.full((len(subsets), k + 1), np.nan)
+            for i, system in enumerate(systems):
+                try:
+                    sols[i] = np.linalg.solve(system, rhs)
+                except np.linalg.LinAlgError:
+                    pass
+        residual = np.abs(np.einsum("mij,mj->mi", systems, sols) - rhs).max(axis=1)
+        ok = np.all(np.isfinite(sols), axis=1) & (residual <= 1e-8) & np.all(sols[:, :k] >= -1e-12, axis=1)
+        if not ok.any():
+            continue
+        q = np.clip(sols[ok, :k], 0.0, None)
+        q /= q.sum(axis=1, keepdims=True)
+        norms = np.linalg.norm(np.einsum("dmk,mk->md", columns[:, subsets[ok]], q), axis=1)
+        i = int(np.argmin(norms))
+        if norms[i] < best_norm:
+            best_norm = float(norms[i])
+            best_weights = np.zeros(n)
+            best_weights[subsets[ok][i]] = q[i]
+    return best_norm, best_weights
+
+
+def min_norm_point_rational(columns: np.ndarray) -> tuple[float, np.ndarray]:
+    """Distance from the origin to the convex hull of the columns, with weights, exactly.
+
+    Wolfe's min-norm-point method in rational arithmetic on the double inputs,
+    each of which is a rational. The loop ends only when ||x||^2 <= a_i . x holds
+    exactly for every column, which is the optimality condition itself, so the
+    distance is exact up to its final square root. In exact arithmetic every
+    corral is affinely independent and every cycle lowers ||x||, so no
+    tolerance or guard is needed.
+    """
+    cols = [[Fraction(v) for v in col] for col in np.asarray(columns, dtype=float).T.tolist()]
+    n = len(cols)
+    gram = [[sum(u * v for u, v in zip(a, b)) for b in cols] for a in cols]
+    corral, weights = [min(range(n), key=lambda i: gram[i][i])], [Fraction(1)]
+    while True:
+        dots = [sum(w * gram[c][i] for w, c in zip(weights, corral)) for i in range(n)]
+        norm_sq = sum(w * dots[c] for w, c in zip(weights, corral))
+        j = min(range(n), key=lambda i: dots[i])
+        if dots[j] >= norm_sq:
+            break
+        corral, weights = corral + [j], weights + [Fraction(0)]
+        while True:
+            y = _rational_affine_minimizer(gram, corral)
+            if all(v > 0 for v in y):
+                weights = y
+                break
+            theta = min(w / (w - v) for w, v in zip(weights, y) if v <= 0)
+            weights = [w + theta * (v - w) for w, v in zip(weights, y)]
+            corral, weights = [c for c, w in zip(corral, weights) if w > 0], [w for w in weights if w > 0]
+    full = np.zeros(n)
+    full[corral] = [float(w) for w in weights]
+    return math.sqrt(norm_sq), full
+
+
+def _rational_affine_minimizer(gram: list[list[Fraction]], corral: list[int]) -> list[Fraction]:
+    """Solve [G_S, 1; 1', 0] [y; mu] = [0; 1] by Gauss-Jordan elimination over the rationals."""
+    k = len(corral)
+    rows = [[gram[a][b] for b in corral] + [Fraction(1), Fraction(0)] for a in corral]
+    rows.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
+    for c in range(k + 1):
+        pivot = next(r for r in range(c, k + 1) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(k + 1):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c] / rows[c][c]
+                rows[r] = [u - factor * v for u, v in zip(rows[r], rows[c])]
+    return [rows[i][k + 1] / rows[i][i] for i in range(k)]

@@ -235,6 +235,43 @@ def test_malformed_instance_json_is_usage_error(tmp_path, capsys, payload):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["margin", "run", "batch", "certify"])
+def test_bad_rank_tolerance_is_usage_error(tmp_path, triangle_path, capsys, command, value):
+    out_dir = tmp_path / "out"
+    args = {
+        "margin": ("margin", triangle_path),
+        "run": ("run", triangle_path, "--algorithm", "np"),
+        "batch": ("batch", "--instances", triangle_path.parent),
+        "certify": ("certify", triangle_path, "--theorem", "meb"),
+    }[command]
+    assert run_cli(*args, "--tol-rank", value, "--out-dir", out_dir) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: argument --tol-rank: must be a finite positive number, got '{value}'"
+    ]
+    assert not out_dir.exists()  # refused before any work
+
+
+@pytest.mark.parametrize(
+    "args", [("margin",), ("certify", "--theorem", "meb"), ("run", "--algorithm", "np")]
+)
+def test_min_norm_point_failure_is_inapplicable(tmp_path, triangle_path, capsys, monkeypatch, args):
+    def fail(instance):
+        raise linfeas.margins.MinNormPointError("min-norm point failed its optimality check: gap 1.000e-03")
+
+    monkeypatch.setattr(linfeas.margins, "positive_margin_exact", fail)
+    code = run_cli(args[0], triangle_path, *args[1:], "--out-dir", tmp_path / "out")
+    captured = capsys.readouterr()
+    if args[0] == "run":  # the summary is still written, with the oracle checks skipped
+        assert json.loads(captured.out)["oracle"] is None
+        assert "Traceback" not in captured.err
+    else:
+        assert code == 3
+        assert captured.err.splitlines() == ["min-norm point failed its optimality check: gap 1.000e-03"]
+
+
 def test_certify_forwards_rank_tolerance(tmp_path, capsys):
     path = tmp_path / "rd.json"
     run_cli(

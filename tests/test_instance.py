@@ -104,6 +104,12 @@ def test_basis_custom_tol_raises_rank():
     assert column_space_basis(inst, tol=1e-13).rank == 2
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_basis_rejects_bad_tol(axes, tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        column_space_basis(axes, tol=tol)
+
+
 def test_basis_reconstructs_columns():
     rng = np.random.default_rng(5)
     cols = rng.standard_normal((6, 3))

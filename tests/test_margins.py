@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import angular_margin, segment_min_norm
+from oracles import angular_margin, min_norm_point_enumeration, min_norm_point_rational, segment_min_norm
 
 from batteries import negative_instances, positive_instances
 
+from linfeas.generators import GeneratorSpec, generate
 from linfeas.instance import SimplexPoint, combine, ingest
 from linfeas.margins import (
+    ZERO_BAND,
     BudgetExceededError,
     margin_grid_estimate,
     margin_report,
@@ -264,3 +268,94 @@ def test_grid_agrees_with_exact_low_rank_battery():
         exact = margin_report(inst).rho_affine
         grid = margin_grid_estimate(inst, resolution)
         assert exact - 2.0 * np.pi / resolution <= grid <= exact + 1e-9
+
+
+def _assert_min_norm_point(inst, reference):
+    """positive_margin_exact against a test-side reference, and its witness against optimality."""
+    value, point = positive_margin_exact(inst)
+    assert abs(value - reference(inst.columns)[0]) <= 1e-9
+    weights = point.weights
+    assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+    x = combine(inst, weights)
+    assert np.linalg.norm(x) == pytest.approx(value, abs=1e-12)
+    assert x @ x - (x @ inst.columns).min() <= 1e-9
+
+
+def _desk_shapes():
+    """One instance of every desk-pipeline shape, d 3-8 by n 10-14, cycling the four kinds."""
+    kinds = ("planted-positive", "planted-negative", "near-ill-posed", "rank-deficient")
+    for i, (d, n) in enumerate((d, n) for d in range(3, 9) for n in range(10, 15)):
+        kind = kinds[i % 4]
+        target = {"planted-positive": 0.2, "planted-negative": -0.5 / d, "near-ill-posed": 0.0,
+                  "rank-deficient": -0.4 / (d - 1)}[kind]
+        yield generate(GeneratorSpec(kind, d, n, target, seed=i, jitter=0.03))[0]
+
+
+def test_min_norm_point_matches_enumeration():
+    rng = np.random.default_rng(31)
+    non_unit = [
+        ingest((rng.standard_normal((n, d)) * rng.uniform(0.2, 5.0, (n, 1)) + shift).tolist(), normalize=False)
+        for d, n, shift in [(2, 5, 0.0), (3, 8, 1.0), (4, 10, 0.5), (5, 11, 2.0), (3, 12, 0.0), (6, 9, 0.3)]
+    ]
+    batteries = (
+        [inst for inst, _ in positive_instances(20, seed=41)]
+        + [inst for inst, _ in negative_instances(20, seed=42)]
+        + non_unit
+        + list(_desk_shapes())
+    )
+    for inst in batteries:
+        _assert_min_norm_point(inst, min_norm_point_enumeration)
+
+
+@st.composite
+def degenerate_columns(draw):
+    """Columns with many ties: integer grids, duplicates, near-collinear sets, the origin on the boundary."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 11))
+    grid = st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=n, max_size=n)
+    family = draw(st.sampled_from(["grid", "duplicates", "near-collinear", "boundary"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "grid":
+        cols = np.array(draw(grid), dtype=float)
+    elif family == "duplicates":
+        base = np.array(draw(grid), dtype=float)[: max(1, n // 3)]
+        cols = base[rng.integers(0, len(base), size=n)]
+    elif family == "near-collinear":
+        direction = rng.standard_normal(d)
+        lengths = rng.uniform(0.5, 2.0, n)
+        if draw(st.booleans()):  # on both sides of the origin: a sliver around it
+            lengths *= rng.choice([-1.0, 1.0], n)
+        noise = 10.0 ** draw(st.integers(-7, -1))
+        cols = np.outer(lengths, direction) + noise * rng.standard_normal((n, d))
+    else:  # the origin on the hull boundary: a segment through it, the rest on one side
+        cols = np.array(draw(grid), dtype=float)
+        cols[:, -1] = np.abs(cols[:, -1]) + (d > 1)
+        axis = np.eye(d)[0]
+        cols[0] = axis
+        if n > 1:
+            cols[1] = -draw(st.integers(1, 3)) * axis
+    return cols
+
+
+@given(cols=degenerate_columns())
+@example(cols=np.array([[2.0, -1.0]]))  # n = 1
+@example(cols=np.array([[1.0], [-3.0], [0.5]]))  # d = 1
+@example(cols=np.array([[0.0, 0.0], [1.0, 0.0]]))  # a zero column: the origin is a vertex
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_min_norm_point_on_degenerate_inputs(cols):
+    _assert_min_norm_point(ingest(cols.tolist(), normalize=False), min_norm_point_rational)
+
+
+def test_min_norm_point_on_slivers_through_the_origin():
+    # Near-collinear unit columns on both sides of the origin with noise 1e-7:
+    # the hull is a sliver within about 1e-8 of the origin, where double
+    # precision alone resolves the distance only to about 1e-8.
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        d, n = int(rng.integers(2, 6)), int(rng.integers(3, 12))
+        lengths = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        cols = np.outer(lengths, rng.standard_normal(d)) + 1e-7 * rng.standard_normal((n, d))
+        inst = ingest(cols.tolist(), normalize=True)
+        _assert_min_norm_point(inst, min_norm_point_rational)
+        exact, _ = min_norm_point_rational(inst.columns)
+        assert (margin_report(inst).rho_affine > ZERO_BAND) == (exact > ZERO_BAND)
