@@ -1,8 +1,8 @@
 """Command-line entry point: generate, measure, run, certify, batch, report.
 
 Exit codes: 0 success or statement verified, 1 usage error, 2 a bound or
-certificate check failed (a genuine finding), 3 statement inapplicable or
-instance ill-posed.
+certificate check failed (a genuine finding), 3 statement inapplicable,
+instance ill-posed, or a run to which no check applied.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_INAPPLICABLE = 3
+
+VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_VIOLATION, "unchecked": EXIT_INAPPLICABLE}
 
 ALGORITHMS = {
     "classic": perceptron_classic,
@@ -179,6 +181,9 @@ def cmd_gen(args) -> int:
             jitter=args.jitter,
         )
         instance, metadata = generate(spec)
+    except (BudgetExceededError, MinNormPointError) as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INAPPLICABLE
     except (ValueError, GenerationError) as exc:
         raise _UsageError(str(exc)) from exc
     out = args.out if args.out is not None else args.out_dir / f"{spec.default_name}.json"
@@ -265,7 +270,7 @@ def cmd_run(args) -> int:
     )
     _emit(summary.as_dict())
     print(f"summary: {summary_path}", file=sys.stderr)
-    return EXIT_OK if summary.all_passed else EXIT_VIOLATION
+    return VERDICT_EXIT[summary.verdict]
 
 
 def _certify_meb(instance: ProblemInstance, report: MarginReport) -> int:
@@ -367,10 +372,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK if hreport.verified else EXIT_VIOLATION
 
 
-def _batch_worker(task) -> tuple[str, str, bool]:
+def _batch_worker(task) -> tuple[str, str, str]:
     path, algorithm, mode, eps, max_iters, out_dir, dump_alpha, rank_tol = task
     summary, _ = _run_one(Path(path), algorithm, mode, eps, max_iters, Path(out_dir), dump_alpha, rank_tol)
-    return summary.instance_name, algorithm, summary.all_passed
+    return summary.instance_name, algorithm, summary.verdict
 
 
 def cmd_batch(args) -> int:
@@ -388,16 +393,15 @@ def cmd_batch(args) -> int:
         for path in paths
         for algo in algorithms
     ]
-    all_ok = True
     if args.workers <= 1:
         results = [_batch_worker(task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_batch_worker, tasks))
-    for name, algo, ok in results:
-        all_ok &= ok
-        print(f"{name},{algo},{'pass' if ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_VIOLATION
+    for name, algo, verdict in results:
+        print(f"{name},{algo},{verdict}")
+    verdicts = {verdict for _, _, verdict in results}
+    return VERDICT_EXIT[next(v for v in ("fail", "unchecked", "pass") if v in verdicts)]
 
 
 def cmd_report(args) -> int:

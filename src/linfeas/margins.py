@@ -4,13 +4,18 @@ The positive margin is the distance from the origin to the convex hull of
 the columns, found by Wolfe's finite min-norm-point method, each cycle of
 which is polynomial. Only the negative margin enumerates: it is the inradius
 of the hull about the origin inside the column span, found by enumerating
-supporting hyperplanes through column subsets. A quasi-uniform direction
-grid provides an independent low-rank cross-check, and the minimum enclosing
-ball comes out of the positive-margin witness in closed form.
+supporting hyperplanes through column r-subsets. A screen with batched LU
+solves drops the subsets whose hyperplane cannot support the hull, and an
+SVD per surviving subset decides the rest. The invariant: the screen never
+drops a subset the SVD step would keep, so the result is that of the SVD
+step over every subset. A quasi-uniform direction grid provides an
+independent low-rank cross-check, and the minimum enclosing ball comes out
+of the positive-margin witness in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -49,6 +54,11 @@ ENUMERATION_BUDGET = 14
 SIDE_TOL = 1e-9  # supporting-hyperplane side test (absolute)
 
 WOLFE_TOL = 1e-12  # min-norm-point stop: excess of ||x|| over the distance, relative to the largest column norm
+
+# first-order relative error of the screen's LU solve and the SVD step's normal, per unit
+# condition number and r^2 (partial pivoting with growth at most r, r <= ENUMERATION_BUDGET)
+SCREEN_ROUNDING = 64.0 * np.finfo(float).eps
+SCREEN_TRUST = 1e-3  # subsets with a larger error bound are kept for the SVD step
 
 
 class BudgetExceededError(ValueError):
@@ -120,8 +130,8 @@ def _check_budget(instance: ProblemInstance) -> None:
         )
 
 
-def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoint]:
-    """Distance from the origin to the convex hull, with a minimizing weight vector.
+def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoint, PrimalDirection | None]:
+    """Distance from the origin to the convex hull, with a minimizing weight vector and direction.
 
     Wolfe's finite min-norm-point method (Math. Programming 11, 1976), run in
     column space in longdouble: near the origin, double precision leaves the
@@ -129,7 +139,10 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     ||x|| - a_j . x / ||x|| on ||x|| minus the distance is at most WOLFE_TOL times
     the largest column norm, or when ||x|| stops falling. A witness failing
     ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2 raises MinNormPointError.
-    Exactly 0 when the origin lies in the hull.
+    Exactly 0 when the origin lies in the hull, and then the direction is None;
+    otherwise it is x / ||x||, formed in longdouble before rounding: on hulls
+    within 1e-8 of the origin it attains the distance on every column to well
+    within ZERO_BAND, where the unit vector of the rounded witness does not.
     """
     _check_budget(instance)
     cols = instance.columns.astype(np.longdouble)
@@ -160,8 +173,8 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
         raise MinNormPointError(f"min-norm point failed its optimality check: gap {gap:.3e}")
     norm = float(np.sqrt(x @ x))
     if norm <= 1e-12:  # numerically zero: the origin is a hull point
-        norm = 0.0
-    return norm, point
+        return 0.0, point, None
+    return norm, point, PrimalDirection((x / np.sqrt(x @ x)).astype(float), in_column_space=True)
 
 
 def _minor_cycles(columns: np.ndarray, corral: list[int], q: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -178,6 +191,41 @@ def _minor_cycles(columns: np.ndarray, corral: list[int], q: np.ndarray) -> tupl
         q = q + ratios[drop] * (y - q)
         q[drop] = 0.0
         corral, q = [i for i, w in zip(corral, q) if w > 0.0], q[q > 0.0]
+
+
+@functools.lru_cache(maxsize=None)  # n <= ENUMERATION_BUDGET bounds the entries
+def _subsets(n: int, r: int) -> np.ndarray:
+    """All r-subsets of range(n) as rows, in lexicographic order; read-only, as it is shared."""
+    combos = np.array(list(itertools.combinations(range(n), r)))
+    combos.setflags(write=False)
+    return combos
+
+
+def _screen(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """False for the r-subsets whose hyperplane cannot support the hull; the SVD step decides the rest.
+
+    With the points shifted to a fixed interior point z, (P - z) y = 1 gives the hyperplane
+    y . (x - z) = 1, and a column a lies (t_a - 1) / ||y|| beyond it, t_a = y . (a - z). A subset
+    is dropped when columns lie beyond it on both sides by more than SIDE_TOL plus rounding, which
+    is bounded through cond(P - z) <= ||P - z||_F^r / |det|; ill-conditioned subsets are kept.
+    """
+    count, r, _ = pts.shape
+    n = coords.shape[1]
+    weights = np.arange(n, 2.0 * n)  # not uniform: the centroid of +/- pairs is the origin
+    z = coords @ weights / weights.sum()
+    shifted = pts - z
+    det = np.linalg.det(shifted)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        err = SCREEN_ROUNDING * r * r * np.einsum("cij,cij->c", shifted, shifted) ** (r / 2) / np.abs(det)
+    trusted = err <= SCREEN_TRUST  # false where singular: err is inf or nan
+    shifted[~trusted] = np.eye(r)  # any regular matrix: these subsets are kept whatever y is
+    y = np.linalg.solve(shifted, np.ones((count, r, 1)))[..., 0]
+    t = y @ (coords - z[:, None])  # (count, n)
+    reach = np.sqrt(r) * np.abs(coords).max()  # at least every column norm
+    # rounding: err * ||y|| * ||a - z|| in t from the solve, as much again from the SVD normal
+    slack = (1.0 + err) * np.sqrt(np.einsum("ci,ci->c", y, y)) * (SIDE_TOL + 4.0 * err * reach)
+    beyond = (t.max(axis=1) > 1.0 + slack) & (t.min(axis=1) < 1.0 - slack)
+    return ~(trusted & beyond)
 
 
 def _negative_margin_details(
@@ -201,8 +249,8 @@ def _negative_margin_details(
         violations = np.where(sign > 0.0, line.max() - beta, beta - line.min())
         keep = violations <= SIDE_TOL
     else:
-        combos = np.array(list(itertools.combinations(range(n), r)))
-        pts = np.moveaxis(coords[:, combos], 0, 2)  # (count, r, r): rows are points
+        pts = np.moveaxis(coords[:, _subsets(n, r)], 0, 2)  # (count, r, r): rows are points
+        pts = pts[_screen(coords, pts)]  # order kept; the SVD below decides the survivors
         diffs = pts[:, 1:, :] - pts[:, :1, :]  # (count, r-1, r)
         _, sing, vt = np.linalg.svd(diffs)
         candidate_normals = vt[:, -1, :]  # unit by construction
@@ -240,11 +288,10 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
     """
     basis = column_space_basis(instance, rank_tol)
     rank = basis.rank
-    rho_plus_val, weights = positive_margin_exact(instance)
+    rho_plus_val, weights, direction = positive_margin_exact(instance)
     flagged = False
     if rho_plus_val > ZERO_BAND:
         rho_affine = float(rho_plus_val)
-        direction = PrimalDirection(combine(instance, weights), in_column_space=True).unit()
     else:
         inradius, facet_normal, flagged = _negative_margin_details(instance, basis)
         rho_affine = -float(inradius)

@@ -58,7 +58,15 @@ class RunSummary:
 
     @property
     def all_passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        """True only when at least one check ran and every check passed."""
+        return bool(self.checks) and all(check.passed for check in self.checks)
+
+    @property
+    def verdict(self) -> str:
+        """pass, fail, or unchecked when no check applied (the oracle was skipped, or none covers the run)."""
+        if not self.checks:
+            return "unchecked"
+        return "pass" if self.all_passed else "fail"
 
     def as_dict(self) -> dict:
         return {
@@ -71,6 +79,7 @@ class RunSummary:
             "oracle": self.oracle,
             "checks": [check.as_dict() for check in self.checks],
             "all_passed": self.all_passed,
+            "verdict": self.verdict,
         }
 
     def save(self, path: str | Path) -> Path:

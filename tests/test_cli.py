@@ -188,6 +188,38 @@ def test_batch_parallel_workers(tmp_path, capsys):
     assert len(list((tmp_path / "runs").glob("*.summary.json"))) == 2
 
 
+def test_run_without_oracle_is_unchecked(tmp_path, capsys):
+    # 20 columns is above the oracle's budget: the run applies no check and must not pass
+    rng = np.random.default_rng(5)
+    path = save_instance(ingest(rng.standard_normal((20, 3)).tolist(), normalize=True), tmp_path / "wide.json")
+    code = run_cli("run", path, "--algorithm", "np", "--max-iters", "50", "--out-dir", tmp_path / "runs")
+    assert code == 3
+    summary = read_json(capsys)
+    assert summary["oracle"] is None and summary["checks"] == []
+    assert summary["verdict"] == "unchecked"
+    assert not summary["all_passed"]
+
+
+def test_batch_reports_unchecked_runs(tmp_path, capsys):
+    # classic ignores --mode and no check covers it outside primal-feasibility
+    inst_dir = tmp_path / "instances"
+    for kind, target in (("planted-positive", "0.3"), ("planted-negative", "-0.3")):
+        assert run_cli(
+            "gen", "--kind", kind, "--d", "3", "--n", "6", "--target", target, "--out", inst_dir / f"{kind}.json"
+        ) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "batch", "--instances", inst_dir, "--algorithms", "classic", "--mode", "margin-maximization",
+        "--max-iters", "50", "--out-dir", tmp_path / "runs",
+    )
+    assert code == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2 and all(line.endswith(",classic,unchecked") for line in lines)
+    for path in (tmp_path / "runs").glob("*.summary.json"):
+        summary = json.loads(path.read_text())
+        assert summary["verdict"] == "unchecked" and not summary["all_passed"]
+
+
 def test_batch_requires_instances(tmp_path):
     assert run_cli("batch", "--instances", tmp_path / "nowhere") == 1
 
@@ -255,14 +287,22 @@ def test_bad_rank_tolerance_is_usage_error(tmp_path, triangle_path, capsys, comm
 
 
 @pytest.mark.parametrize(
-    "args", [("margin",), ("certify", "--theorem", "meb"), ("run", "--algorithm", "np")]
+    "args",
+    [
+        ("margin",),
+        ("certify", "--theorem", "meb"),
+        ("run", "--algorithm", "np"),
+        ("gen", "--kind", "planted-negative", "--d", "2", "--n", "3", "--target", "-0.5"),
+    ],
 )
 def test_min_norm_point_failure_is_inapplicable(tmp_path, triangle_path, capsys, monkeypatch, args):
     def fail(instance):
         raise linfeas.margins.MinNormPointError("min-norm point failed its optimality check: gap 1.000e-03")
 
     monkeypatch.setattr(linfeas.margins, "positive_margin_exact", fail)
-    code = run_cli(args[0], triangle_path, *args[1:], "--out-dir", tmp_path / "out")
+    if args[0] != "gen":  # gen takes no instance path
+        args = (args[0], triangle_path, *args[1:])
+    code = run_cli(*args, "--out-dir", tmp_path / "out")
     captured = capsys.readouterr()
     if args[0] == "run":  # the summary is still written, with the oracle checks skipped
         assert json.loads(captured.out)["oracle"] is None

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from batteries import negative_instances, positive_instances
 from linfeas.generators import GeneratorSpec, generate
 from linfeas.instance import SimplexPoint, combine, ingest
 from linfeas.margins import (
+    SIDE_TOL,
     ZERO_BAND,
     BudgetExceededError,
     margin_grid_estimate,
@@ -21,13 +24,13 @@ from linfeas.margins import (
 
 
 def test_positive_margin_axes(axes):
-    value, point = positive_margin_exact(axes)
+    value, point, _ = positive_margin_exact(axes)
     assert value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
     assert np.allclose(point.weights, [0.5, 0.5], atol=1e-12)
 
 
 def test_positive_margin_origin_in_hull(segment):
-    value, point = positive_margin_exact(segment)
+    value, point, _ = positive_margin_exact(segment)
     assert value <= 1e-12
     assert np.allclose(point.weights, [0.5, 0.5], atol=1e-12)
 
@@ -36,7 +39,7 @@ def test_positive_margin_sixty_degrees_vs_grid():
     a = np.array([1.0, 0.0])
     b = np.array([np.cos(np.pi / 3.0), np.sin(np.pi / 3.0)])
     inst = ingest([a.tolist(), b.tolist()], normalize=False)
-    value, point = positive_margin_exact(inst)
+    value, point, _ = positive_margin_exact(inst)
     grid = segment_min_norm(a, b, step=1e-6)
     assert value == pytest.approx(grid, abs=2e-6)
     assert value == pytest.approx(0.8660254037844386, abs=1e-12)  # frozen from the grid oracle
@@ -217,7 +220,7 @@ def test_optimal_face_subproblem_matches_global_margin():
     from linfeas.lp import min_norm_on_face
 
     for inst, meta in positive_instances(10, seed=300):
-        value, point = positive_margin_exact(inst)
+        value, point, _ = positive_margin_exact(inst)
         support = list(point.support)
         face_norm, q = min_norm_on_face(inst.columns[:, support])
         assert np.all(q >= -1e-9)
@@ -272,7 +275,7 @@ def test_grid_agrees_with_exact_low_rank_battery():
 
 def _assert_min_norm_point(inst, reference):
     """positive_margin_exact against a test-side reference, and its witness against optimality."""
-    value, point = positive_margin_exact(inst)
+    value, point, _ = positive_margin_exact(inst)
     assert abs(value - reference(inst.columns)[0]) <= 1e-9
     weights = point.weights
     assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
@@ -359,3 +362,96 @@ def test_min_norm_point_on_slivers_through_the_origin():
         _assert_min_norm_point(inst, min_norm_point_rational)
         exact, _ = min_norm_point_rational(inst.columns)
         assert (margin_report(inst).rho_affine > ZERO_BAND) == (exact > ZERO_BAND)
+
+
+def test_witness_direction_certifies_rho_plus_on_slivers():
+    # drawn like the sliver test above: the direction must attain the reported
+    # margin on every column, to within the ill-posed band
+    rng = np.random.default_rng(61)
+    feasible = 0
+    for _ in range(200):
+        d, n = int(rng.integers(2, 6)), int(rng.integers(3, 12))
+        lengths = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        cols = np.outer(lengths, rng.standard_normal(d)) + 1e-7 * rng.standard_normal((n, d))
+        inst = ingest(cols.tolist(), normalize=True)
+        report = margin_report(inst)
+        if report.rho_plus > ZERO_BAND:
+            feasible += 1
+            assert (report.witness_direction.vector @ inst.columns).min() >= report.rho_plus - ZERO_BAND
+    assert feasible >= 90  # about half the slivers miss the origin
+
+
+def _report_json(inst) -> str:
+    """margin_report as JSON text, or the error it raises."""
+    try:
+        return json.dumps(margin_report(inst).as_dict(), sort_keys=True)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_screen_changes_nothing(inst) -> bool:
+    """The report is byte-identical with the subset screen replaced by keep-all; True on the negative side."""
+    screened = _report_json(inst)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("linfeas.margins._screen", lambda coords, pts: np.ones(len(pts), dtype=bool))
+        assert _report_json(inst) == screened
+    return '"method": "enumeration"' in screened
+
+
+def _cross_polytopes_with_extra_columns():
+    rng = np.random.default_rng(62)
+    for d in range(2, 6):
+        for extra in range(0, 14 - 2 * d + 1, 2):
+            cols = np.vstack([np.eye(d), -np.eye(d), rng.standard_normal((extra, d))])
+            yield ingest(cols.tolist(), normalize=True)
+
+
+def _scaled_columns():
+    # column norms from 1e-3 to 1e3, and whole instances at 1e-3 and 1e3
+    rng = np.random.default_rng(63)
+    for _ in range(24):
+        d = int(rng.integers(2, 7))
+        n = int(rng.integers(2 * d + 1, 14))
+        cols = rng.standard_normal((n, d))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1)) if rng.random() < 0.5 else 10.0 ** rng.choice([-3.0, 3.0])
+        yield ingest((cols * scale).tolist(), normalize=False)
+
+
+def test_screen_keeps_every_subset_the_svd_step_needs():
+    # a hull flat to within the side tolerance: the x-axis pair has a column
+    # beyond it on the far side from the screen's interior point, but supports
+    # the hull, within tolerance, in the other orientation
+    flat = ingest([[-1e-4, 0.0], [1e-4, 0.0], [3e-5, 9e-10], [-3e-5, 9e-10], [1e-5, 9e-10], [0.0, -1.5e-9]],
+                  normalize=False)
+    batteries = {
+        "negative": [inst for inst, _ in negative_instances(40, seed=64)],
+        "desk shapes": list(_desk_shapes()),
+        "cross-polytopes": list(_cross_polytopes_with_extra_columns()),
+        "scaled": list(_scaled_columns()),
+        "flat": [flat],
+    }
+    for label, battery in batteries.items():
+        negative = sum(_assert_screen_changes_nothing(inst) for inst in battery)
+        assert negative >= len(battery) // 3, (label, negative, len(battery))
+
+
+@given(cols=degenerate_columns())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_screen_keeps_every_subset_on_degenerate_inputs(cols):
+    _assert_screen_changes_nothing(ingest(cols.tolist(), normalize=False))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4])
+def test_boundary_pass_on_a_facet_within_side_tol(scale):
+    # the diamond with a fifth column half of SIDE_TOL beyond the midpoint of
+    # {e1, e2}: that subset still ties for the nearest facet and comes first,
+    # but passes the side test only within the tolerance, which is absolute
+    lift = 0.5 * SIDE_TOL / np.sqrt(2.0)
+    cols = scale * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.5, 0.5]])
+    cols[4] += lift
+    inst = ingest(cols.tolist(), normalize=False)
+    report = margin_report(inst)
+    assert report.boundary_pass
+    assert report.rho_minus == pytest.approx(-scale / np.sqrt(2.0), abs=1e-12)
+    assert np.allclose(-report.witness_direction.vector, np.ones(2) / np.sqrt(2.0), atol=1e-12)
+    assert _assert_screen_changes_nothing(inst)
