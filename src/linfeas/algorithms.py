@@ -3,10 +3,16 @@
 Three iterations over unit columns: the classical additive perceptron, the
 averaged variant that tracks a convex combination of columns (a subgradient
 step on the margin loss), and the furthest-point line-search iteration that
-is Frank-Wolfe on the minimum-norm-point problem. Each loop keeps w . a_j for
-every column and updates it from one row of the instance's cached Gram matrix,
-so a step costs O(d + n). Ties break on the lowest column index, up to the
-rounding of those dots, and every trace is reproducible bit for bit.
+is Frank-Wolfe on the minimum-norm-point problem. Each loop keeps one state
+vector s = [w | alpha | w . A] of length d + 2n, of which w, alpha and the dots
+w . a_j are views, and one update table U = [A' | I | G] of shape (n, d + 2n),
+built per call from the columns and the instance's cached Gram matrix. A step
+toward column i is s += U[i] (classic) or s *= keep; s += step * U[i] (averaged),
+so it costs O(d + n) in a few numpy calls and does elementwise what separate
+updates of w, alpha and the dots would do: the other entries of alpha gain
+step * 0.0, which is exact since alpha >= 0. The trace stores [w | alpha] as one
+row per step. Ties break on the lowest column index, up to the rounding of the
+dots, and every trace is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -112,39 +118,31 @@ class IterateTrace:
         return path
 
 
-class _TraceBuilder:
-    def __init__(self, algorithm: str, instance: ProblemInstance, capacity: int):
-        self.algorithm = algorithm
-        self.ts = np.zeros(capacity + 1, dtype=int)
-        self.iterates = np.zeros((capacity + 1, instance.d))
-        self.coefficients = np.zeros((capacity + 1, instance.n))
-        self.norms = np.zeros(capacity + 1)
-        self.margins = np.zeros(capacity + 1)
-        self.losses = np.zeros(capacity + 1)
-        self.chosen = np.full(capacity + 1, -1, dtype=int)
-        self.rows = 0
+def _trace_buffers(capacity: int, width: int) -> tuple[np.ndarray, ...]:
+    """Rows for update 0 to capacity: the state [w | alpha], then norm, margin, loss and chosen column."""
+    rows = capacity + 1
+    return np.zeros((rows, width)), np.zeros(rows), np.zeros(rows), np.zeros(rows), np.full(rows, -1, dtype=int)
 
-    def record(self, t: int, w: np.ndarray, coeff: np.ndarray, norm: float, worst: float, chosen: int) -> None:
-        """Append the state after update t; ``worst`` is min_i w . a_i."""
-        i = self.rows
-        self.ts[i] = t
-        self.iterates[i] = w
-        self.coefficients[i] = coeff
-        self.norms[i] = norm
-        self.margins[i] = worst / norm if norm > 0.0 else np.nan
-        self.losses[i] = 0.5 * norm * norm - worst
-        self.chosen[i] = chosen
-        self.rows += 1
 
-    def freeze(self, termination: str) -> IterateTrace:
-        # a full buffer is handed over as is; a partial one is trimmed, freeing its unused tail
-        r = self.rows
-        buffers = {name: b for name, b in vars(self).items() if isinstance(b, np.ndarray)}
-        return IterateTrace(
-            algorithm=self.algorithm,
-            termination=termination,
-            **{name: b if b.shape[0] == r else b[:r].copy() for name, b in buffers.items()},
-        )
+def _freeze(algorithm: str, d: int, rows: int, termination: str, buffers: tuple[np.ndarray, ...]) -> IterateTrace:
+    # a full buffer is handed over as is; a partial one is trimmed, freeing its unused tail
+    states, norms, margins, losses, chosen = (b if b.shape[0] == rows else b[:rows].copy() for b in buffers)
+    return IterateTrace(
+        algorithm=algorithm,
+        ts=np.arange(rows),
+        iterates=states[:, :d],
+        coefficients=states[:, d:],
+        norms=norms,
+        margins=margins,
+        losses=losses,
+        chosen=chosen,
+        termination=termination,
+    )
+
+
+def _update_table(instance: ProblemInstance) -> np.ndarray:
+    """Row i is [a_i | e_i | G_i]: what a unit step toward column i adds to [w | alpha | w . A]."""
+    return np.hstack([instance.columns.T, np.eye(instance.n), instance.gram])
 
 
 def _require_unit_columns(instance: ProblemInstance) -> None:
@@ -191,32 +189,34 @@ def perceptron_classic(
     feasibility certificate) or the iteration budget runs out.
     """
     _require_unit_columns(instance)
-    cols = instance.columns
-    gram = instance.gram
-    trace = _TraceBuilder("classic", instance, config.max_iters)
-    w = cols[:, 0].copy()
-    counts = np.zeros(instance.n)
-    counts[0] = 1.0
-    dots = gram[0].copy()  # w . a_j for every column j
-    trace.record(0, w, counts, math.sqrt(float(w @ w)), float(dots[dots.argmin()]), -1)
+    d, n, cols = instance.d, instance.n, instance.columns
+    table = _update_table(instance)
+    s = table[0].copy()  # [w | update counts | w . a_j for every column j] at the first column
+    w, state, dots = s[:d], s[: d + n], s[d + n :]
+    buffers = _trace_buffers(config.max_iters, d + n)
+    states, norms, margins, losses, chosen = buffers
     certificate: Certificate | None = None
-    for t in range(1, config.max_iters + 2):  # the last pass only checks the final state
+    for t in range(config.max_iters + 1):  # row t: the state after update t, then its stop test
+        if t > 0:
+            s += table[i]
+            chosen[t] = i
+        norm, worst = math.sqrt(float(w @ w)), float(dots[dots.argmin()])
+        states[t] = state
+        norms[t] = norm
+        margins[t] = worst / norm if norm > 0.0 else np.nan
+        losses[t] = 0.5 * norm * norm - worst
         mistakes = dots <= 0.0  # exact sign test, no slack
         i = int(mistakes.argmax())  # the lowest-index mistake, if there is one
         if not mistakes[i]:
-            certificate = _primal_certificate(cols, w, dots, t - 1)
+            certificate = _primal_certificate(cols, w, dots, t)
             if certificate is not None:
                 break
             mistakes = dots <= 0.0
             i = int(mistakes.argmax())
-        if t > config.max_iters:
+        if t == config.max_iters:
             break
-        w += cols[:, i]
-        counts[i] += 1.0
-        dots += gram[i]
-        trace.record(t, w, counts, math.sqrt(float(w @ w)), float(dots[dots.argmin()]), i)
     reason = "primal-feasible" if certificate is not None else "exhausted"
-    return certificate, trace.freeze(reason)
+    return certificate, _freeze("classic", d, t + 1, reason, buffers)
 
 
 def _averaged_run(
@@ -224,46 +224,53 @@ def _averaged_run(
     config: AlgorithmConfig,
     step_rule: str,
 ) -> tuple[Certificate | None, IterateTrace]:
-    cols = instance.columns
-    gram = instance.gram
-    half_diag = 0.5 * gram.diagonal()
-    trace = _TraceBuilder(step_rule, instance, config.max_iters)
-    w = cols[:, 0].copy()
-    alpha = np.zeros(instance.n)
-    alpha[0] = 1.0
-    dots = gram[0].copy()  # w . a_j for every column j
-    sq = float(w @ w)
-    norm = math.sqrt(sq)
-    worst_index = int(dots.argmin())  # a most violated column
-    worst = float(dots[worst_index])
-    trace.record(0, w, alpha, norm, worst, -1)
+    d, n, cols = instance.d, instance.n, instance.columns
+    table = _update_table(instance)
+    g_diag = instance.gram.diagonal()
+    half_diag = 0.5 * g_diag
+    s = table[0].copy()  # [w | alpha | w . a_j for every column j] at the first column
+    w, alpha, state, dots = s[:d], s[d : d + n], s[: d + n], s[d + n :]
+    buffers = _trace_buffers(config.max_iters, d + n)
+    states, norms, margins, losses, chosen = buffers
+    primal, dual = config.mode == "primal-feasibility", config.mode == "dual-certificate"
     certificate: Certificate | None = None
     reason = "completed"
-    for t in range(1, config.max_iters + 2):  # the last pass only checks the final state
-        if config.mode == "primal-feasibility" and worst > 0.0:
-            certificate = _primal_certificate(cols, w, dots, t - 1)
+    for t in range(config.max_iters + 1):  # row t: the state after update t, then its stop tests
+        if t > 0:  # both rules move to w <- keep * w + step * a_i and differ only in (keep, step)
+            s *= keep
+            s += step * table[i]
+            chosen[t] = i
+        sq = float(w @ w)
+        norm = math.sqrt(sq)
+        worst_index = int(dots.argmin())  # a most violated column
+        worst = float(dots[worst_index])
+        states[t] = state
+        norms[t] = norm
+        margins[t] = worst / norm if norm > 0.0 else np.nan
+        losses[t] = 0.5 * norm * norm - worst
+        if primal and worst > 0.0:
+            certificate = _primal_certificate(cols, w, dots, t)
             if certificate is not None:
                 reason = "primal-feasible"
                 break
-        if config.mode == "dual-certificate" and norm <= config.target_eps:
-            certificate = _dual_certificate(alpha, norm, t - 1)
+        if dual and norm <= config.target_eps:
+            certificate = _dual_certificate(alpha, norm, t)
             reason = "dual-epsilon"
             break
-        if t > config.max_iters:
+        if t == config.max_iters:
             if config.mode != "margin-maximization":
                 reason = "exhausted"
             elif worst > 0.0:
-                certificate = _primal_certificate(cols, w, dots, t - 1)
+                certificate = _primal_certificate(cols, w, dots, t)
             break
 
-        # both rules move to w <- keep * w + step * a_i and differ only in (keep, step)
         if step_rule == "np":
             i = worst_index
-            step = 1.0 / t
+            step = 1.0 / (t + 1)
             keep = 1.0 - step
         else:  # vng: furthest point, exact line search on the connecting segment
             i = int((dots - half_diag).argmin())  # furthest: ||w - a_j||^2 = ||w||^2 - 2 w.a_j + G_jj
-            dot_i, g_ii = float(dots[i]), float(gram[i, i])
+            dot_i, g_ii = float(dots[i]), float(g_diag[i])
             gap = sq - dot_i  # Frank-Wolfe gap, zero at the minimum-norm point
             denom = gap + g_ii - dot_i  # ||w - a_i||^2
             keep = (g_ii - dot_i) / denom if denom > 1e-30 else 1.0
@@ -272,18 +279,7 @@ def _averaged_run(
                 break
             keep = max(keep, 0.0)
             step = 1.0 - keep
-        w *= keep
-        w += step * cols[:, i]
-        alpha *= keep
-        alpha[i] += step
-        dots *= keep
-        dots += step * gram[i]
-        sq = float(w @ w)
-        norm = math.sqrt(sq)
-        worst_index = int(dots.argmin())
-        worst = float(dots[worst_index])
-        trace.record(t, w, alpha, norm, worst, i)
-    return certificate, trace.freeze(reason)
+    return certificate, _freeze(step_rule, d, t + 1, reason, buffers)
 
 
 def perceptron_normalized(

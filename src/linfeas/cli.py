@@ -75,6 +75,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Inapplicable(Exception):
+    """A run refused for its instance; raised in batch workers too, so it must pickle."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit code 2 reserved for bound violations
         raise _UsageError(message)
@@ -215,7 +219,13 @@ def cmd_margin(args) -> int:
             "gap_bound": 2.0 * np.pi / args.resolution,
         })
         return EXIT_OK
-    lower, upper = margin_estimate_np(instance, args.eps)
+    if not (np.isfinite(args.eps) and args.eps > 0.0):
+        raise _UsageError(f"--eps must be a finite positive number for --method iterative, got {args.eps}")
+    try:
+        lower, upper = margin_estimate_np(instance, args.eps)
+    except ValueError as exc:  # with eps valid, the solvers' one precondition: unit columns
+        print(str(exc), file=sys.stderr)
+        return EXIT_INAPPLICABLE
     _emit({
         "method": "iterative",
         "eps": args.eps,
@@ -236,8 +246,14 @@ def _run_one(
     rank_tol: float | None = None,
 ) -> tuple[RunSummary, Path]:
     instance = _load(instance_path)
-    config = AlgorithmConfig(max_iters=max_iters, target_eps=eps, mode=mode)
-    certificate, trace = ALGORITHMS[algorithm](instance, config)
+    try:
+        config = AlgorithmConfig(max_iters=max_iters, target_eps=eps, mode=mode)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    try:
+        certificate, trace = ALGORITHMS[algorithm](instance, config)
+    except ValueError as exc:  # the solvers' one precondition: unit columns
+        raise _Inapplicable(f"{instance_path}: {exc}") from exc
     try:
         report = margin_report(instance, rank_tol=rank_tol)
     except (BudgetExceededError, MinNormPointError):
@@ -440,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Inapplicable as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INAPPLICABLE
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_OK

@@ -243,7 +243,8 @@ def ingest(
 
     With ``normalize`` set (the default), every column is rescaled to unit
     Euclidean norm; zero columns are rejected by index since they cannot be
-    rescaled.
+    rescaled. Without it, a nonzero column whose squared norm is not a finite
+    normal double is rejected.
     """
     if len(raw_columns) == 0:
         raise IngestError("need at least one column")
@@ -259,13 +260,27 @@ def ingest(
     cols = cols.astype(float).T  # outer list indexes columns
     if not np.all(np.isfinite(cols)):
         raise IngestError("columns must have finite entries")
+    # scale each column by the power of two that puts its largest entry in [0.5, 1): exact, so
+    # its norm neither overflows nor underflows to zero, and is bit for bit the raw columns'
+    # norm wherever that one does neither
+    exponents = np.frexp(np.abs(cols).max(axis=0))[1]
+    scaled = np.ldexp(cols, -exponents)
+    norms = np.linalg.norm(scaled, axis=0)  # times 2**exponents
     if normalize:
-        norms = np.linalg.norm(cols, axis=0)
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
             raise IngestError(f"cannot normalize zero column at index {int(zero[0])}")
-        cols = cols / norms
-    return ProblemInstance(columns=cols, name=name, normalized=normalize)
+        return ProblemInstance(columns=scaled / norms, name=name, normalized=True)
+    # the Gram matrix and the rank cutoff are formed from the raw columns: their squared norms must be normal
+    with np.errstate(over="ignore", under="ignore"):
+        squares = np.ldexp(norms * norms, 2 * exponents)
+    info = np.finfo(float)
+    bad = np.nonzero((norms > 0.0) & ~((squares >= info.tiny) & (squares <= info.max)))[0]
+    if bad.size:
+        raise IngestError(
+            f"column {int(bad[0])} has a squared norm outside the normal double range; ingest with normalize=True"
+        )
+    return ProblemInstance(columns=cols, name=name, normalized=False)
 
 
 def column_space_basis(instance: ProblemInstance, tol: float | None = None) -> ColumnSpaceBasis:
@@ -319,7 +334,7 @@ def instance_from_dict(payload: dict) -> ProblemInstance:
     except KeyError as exc:
         raise IngestError("instance payload is missing 'columns'") from exc
     try:
-        return ingest(
+        instance = ingest(
             columns,
             normalize=bool(payload.get("normalize", True)),
             name=str(payload.get("name", "instance")),
@@ -328,6 +343,10 @@ def instance_from_dict(payload: dict) -> ProblemInstance:
         raise
     except (TypeError, ValueError) as exc:
         raise IngestError(f"'columns' must hold numeric vectors: {exc}") from exc
+    # no margin, rank cutoff or solver start exists for these; ingest keeps them for the library
+    if not instance.columns.any():
+        raise IngestError("columns are all zero")
+    return instance
 
 
 def load_instance(path: str | Path) -> ProblemInstance:

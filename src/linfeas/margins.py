@@ -56,7 +56,8 @@ SIDE_TOL = 1e-9  # supporting-hyperplane side test (absolute)
 WOLFE_TOL = 1e-12  # min-norm-point stop: excess of ||x|| over the distance, relative to the largest column norm
 
 # first-order relative error of the screen's LU solve and the SVD step's normal, per unit
-# condition number and r^2 (partial pivoting with growth at most r, r <= ENUMERATION_BUDGET)
+# condition number and r^2 (partial pivoting with growth at most r, r <= ENUMERATION_BUDGET);
+# times the reach of the columns it also bounds the rounding in the SVD step's side test
 SCREEN_ROUNDING = 64.0 * np.finfo(float).eps
 SCREEN_TRUST = 1e-3  # subsets with a larger error bound are kept for the SVD step
 
@@ -83,7 +84,7 @@ class MarginReport:
     rank: int
     rank_tolerance: float
     ill_posed: bool
-    boundary_pass: bool = False  # winning hyperplane passed its side test only within tolerance
+    boundary_pass: bool = False  # a column lies beyond the winning hyperplane by more than rounding, within SIDE_TOL
 
     def as_dict(self) -> dict:
         return {
@@ -239,6 +240,7 @@ def _negative_margin_details(
         raise ValueError("instance has rank 0; margins are undefined")
     coords = basis.coordinates(instance.columns)  # (r, n)
     n = instance.n
+    reach = np.sqrt(r) * np.abs(coords).max()  # at least every column norm
 
     # candidates come in lexicographic order of support, so the first near-minimum is the lowest
     if r == 1:
@@ -248,6 +250,7 @@ def _negative_margin_details(
         candidate_normals, beta = np.ones((2 * n, 1)), np.repeat(line, 2)
         violations = np.where(sign > 0.0, line.max() - beta, beta - line.min())
         keep = violations <= SIDE_TOL
+        cond = np.ones(2 * n)
     else:
         pts = np.moveaxis(coords[:, _subsets(n, r)], 0, 2)  # (count, r, r): rows are points
         pts = pts[_screen(coords, pts)]  # order kept; the SVD below decides the survivors
@@ -255,6 +258,8 @@ def _negative_margin_details(
         _, sing, vt = np.linalg.svd(diffs)
         candidate_normals = vt[:, -1, :]  # unit by construction
         independent = sing[:, -1] > 1e-12 * np.maximum(1.0, sing[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = sing[:, 0] / sing[:, -1]  # of the edges; only the independent subsets' are read
         values = candidate_normals @ coords  # (count, n)
         beta = np.einsum("cr,cr->c", candidate_normals, pts[:, 0, :])
         over = values.max(axis=1) - beta
@@ -266,6 +271,9 @@ def _negative_margin_details(
     normals = (sign[:, None] * candidate_normals)[keep]
     dists = np.maximum(sign * beta, 0.0)[keep]
     violations = np.maximum(violations, 0.0)[keep]
+    # the side test's excess of a_j . normal over the facet's offset carries rounding from the
+    # dots and from the normal: at most this much, so an excess below it is no near-miss
+    rounding = (SCREEN_ROUNDING * r * r * reach * cond)[keep]
 
     if dists.size == 0:
         raise ValueError(
@@ -273,7 +281,7 @@ def _negative_margin_details(
         )
     winner = int(np.argmax(dists <= dists.min() + 1e-12))
     direction = PrimalDirection(basis.lift(normals[winner]), in_column_space=True)
-    flagged = bool(0.0 < violations[winner] <= SIDE_TOL)
+    flagged = bool(rounding[winner] < violations[winner] <= SIDE_TOL)
     return float(dists[winner]), direction, flagged
 
 

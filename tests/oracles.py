@@ -4,7 +4,9 @@ Nothing here shares code with the library paths it checks: distances come
 from dense parameter grids, LP answers from exhaustive basic-solution
 enumeration, min-norm points from exhaustive support-set enumeration or
 from exact rational arithmetic. Slow and exact at tiny sizes, which is the
-point.
+point. The solver loops at the end are the one reference that is not brute
+force: the iterations with one numpy update per array (w, alpha, w . A),
+which the library's single-state-vector kernel must match byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from linfeas.algorithms import STALL_GAP, AlgorithmConfig, Certificate, IterateTrace
+from linfeas.instance import ProblemInstance, SimplexPoint
 
 
 def segment_min_norm(a: np.ndarray, b: np.ndarray, step: float = 1e-6) -> float:
@@ -203,3 +208,171 @@ def _rational_affine_minimizer(gram: list[list[Fraction]], corral: list[int]) ->
                 factor = rows[r][c] / rows[c][c]
                 rows[r] = [u - factor * v for u, v in zip(rows[r], rows[c])]
     return [rows[i][k + 1] / rows[i][i] for i in range(k)]
+
+
+# --- solver reference: the per-array loops -------------------------------------------------------
+
+
+class _TraceBuilder:
+    def __init__(self, algorithm: str, instance: ProblemInstance, capacity: int):
+        self.algorithm = algorithm
+        self.ts = np.zeros(capacity + 1, dtype=int)
+        self.iterates = np.zeros((capacity + 1, instance.d))
+        self.coefficients = np.zeros((capacity + 1, instance.n))
+        self.norms = np.zeros(capacity + 1)
+        self.margins = np.zeros(capacity + 1)
+        self.losses = np.zeros(capacity + 1)
+        self.chosen = np.full(capacity + 1, -1, dtype=int)
+        self.rows = 0
+
+    def record(self, t: int, w: np.ndarray, coeff: np.ndarray, norm: float, worst: float, chosen: int) -> None:
+        """Append the state after update t; ``worst`` is min_i w . a_i."""
+        i = self.rows
+        self.ts[i] = t
+        self.iterates[i] = w
+        self.coefficients[i] = coeff
+        self.norms[i] = norm
+        self.margins[i] = worst / norm if norm > 0.0 else np.nan
+        self.losses[i] = 0.5 * norm * norm - worst
+        self.chosen[i] = chosen
+        self.rows += 1
+
+    def freeze(self, termination: str) -> IterateTrace:
+        # a full buffer is handed over as is; a partial one is trimmed, freeing its unused tail
+        r = self.rows
+        buffers = {name: b for name, b in vars(self).items() if isinstance(b, np.ndarray)}
+        return IterateTrace(
+            algorithm=self.algorithm,
+            termination=termination,
+            **{name: b if b.shape[0] == r else b[:r].copy() for name, b in buffers.items()},
+        )
+
+
+def _primal_certificate(cols: np.ndarray, w: np.ndarray, dots: np.ndarray, iterations: int) -> Certificate | None:
+    """Certify w if it strictly separates the columns, checked against them directly.
+
+    The loops update ``dots`` incrementally, so this resynchronises them with
+    w @ cols in place and returns None if rounding had carried one across zero.
+    """
+    dots[:] = w @ cols
+    worst = float(dots.min())
+    if worst <= 0.0:
+        return None
+    return Certificate(
+        kind="primal-feasible",
+        direction=w.copy(),
+        weights=None,
+        epsilon=worst / math.sqrt(float(w @ w)),
+        iterations=iterations,
+    )
+
+
+def _dual_certificate(alpha: np.ndarray, norm: float, iterations: int) -> Certificate:
+    return Certificate(
+        kind="dual-epsilon",
+        direction=None,
+        weights=SimplexPoint.from_approximate(alpha),
+        epsilon=float(norm),
+        iterations=iterations,
+    )
+
+
+def reference_classic(
+    instance: ProblemInstance,
+    config: AlgorithmConfig,
+) -> tuple[Certificate | None, IterateTrace]:
+    """The classical perceptron loop with one numpy update per array (w, counts, dots)."""
+    cols = instance.columns
+    gram = instance.gram
+    trace = _TraceBuilder("classic", instance, config.max_iters)
+    w = cols[:, 0].copy()
+    counts = np.zeros(instance.n)
+    counts[0] = 1.0
+    dots = gram[0].copy()  # w . a_j for every column j
+    trace.record(0, w, counts, math.sqrt(float(w @ w)), float(dots[dots.argmin()]), -1)
+    certificate: Certificate | None = None
+    for t in range(1, config.max_iters + 2):  # the last pass only checks the final state
+        mistakes = dots <= 0.0  # exact sign test, no slack
+        i = int(mistakes.argmax())  # the lowest-index mistake, if there is one
+        if not mistakes[i]:
+            certificate = _primal_certificate(cols, w, dots, t - 1)
+            if certificate is not None:
+                break
+            mistakes = dots <= 0.0
+            i = int(mistakes.argmax())
+        if t > config.max_iters:
+            break
+        w += cols[:, i]
+        counts[i] += 1.0
+        dots += gram[i]
+        trace.record(t, w, counts, math.sqrt(float(w @ w)), float(dots[dots.argmin()]), i)
+    reason = "primal-feasible" if certificate is not None else "exhausted"
+    return certificate, trace.freeze(reason)
+
+
+def reference_averaged(
+    instance: ProblemInstance,
+    config: AlgorithmConfig,
+    step_rule: str,
+) -> tuple[Certificate | None, IterateTrace]:
+    """The np / vng loop with one numpy update per array (w, alpha, dots)."""
+    cols = instance.columns
+    gram = instance.gram
+    half_diag = 0.5 * gram.diagonal()
+    trace = _TraceBuilder(step_rule, instance, config.max_iters)
+    w = cols[:, 0].copy()
+    alpha = np.zeros(instance.n)
+    alpha[0] = 1.0
+    dots = gram[0].copy()  # w . a_j for every column j
+    sq = float(w @ w)
+    norm = math.sqrt(sq)
+    worst_index = int(dots.argmin())  # a most violated column
+    worst = float(dots[worst_index])
+    trace.record(0, w, alpha, norm, worst, -1)
+    certificate: Certificate | None = None
+    reason = "completed"
+    for t in range(1, config.max_iters + 2):  # the last pass only checks the final state
+        if config.mode == "primal-feasibility" and worst > 0.0:
+            certificate = _primal_certificate(cols, w, dots, t - 1)
+            if certificate is not None:
+                reason = "primal-feasible"
+                break
+        if config.mode == "dual-certificate" and norm <= config.target_eps:
+            certificate = _dual_certificate(alpha, norm, t - 1)
+            reason = "dual-epsilon"
+            break
+        if t > config.max_iters:
+            if config.mode != "margin-maximization":
+                reason = "exhausted"
+            elif worst > 0.0:
+                certificate = _primal_certificate(cols, w, dots, t - 1)
+            break
+
+        # both rules move to w <- keep * w + step * a_i and differ only in (keep, step)
+        if step_rule == "np":
+            i = worst_index
+            step = 1.0 / t
+            keep = 1.0 - step
+        else:  # vng: furthest point, exact line search on the connecting segment
+            i = int((dots - half_diag).argmin())  # furthest: ||w - a_j||^2 = ||w||^2 - 2 w.a_j + G_jj
+            dot_i, g_ii = float(dots[i]), float(gram[i, i])
+            gap = sq - dot_i  # Frank-Wolfe gap, zero at the minimum-norm point
+            denom = gap + g_ii - dot_i  # ||w - a_i||^2
+            keep = (g_ii - dot_i) / denom if denom > 1e-30 else 1.0
+            if keep >= 1.0 or gap <= STALL_GAP * norm:
+                reason = "stalled"  # line search cannot shrink the norm beyond rounding
+                break
+            keep = max(keep, 0.0)
+            step = 1.0 - keep
+        w *= keep
+        w += step * cols[:, i]
+        alpha *= keep
+        alpha[i] += step
+        dots *= keep
+        dots += step * gram[i]
+        sq = float(w @ w)
+        norm = math.sqrt(sq)
+        worst_index = int(dots.argmin())
+        worst = float(dots[worst_index])
+        trace.record(t, w, alpha, norm, worst, i)
+    return certificate, trace.freeze(reason)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from batteries import negative_instances, positive_instances
+from oracles import reference_averaged, reference_classic
 
 from linfeas.algorithms import (
+    MODES,
     AlgorithmConfig,
     loss,
     margin_estimate_np,
@@ -253,3 +255,39 @@ def test_config_validation():
         AlgorithmConfig(target_eps=-1.0)
     with pytest.raises(ValueError):
         AlgorithmConfig(mode="warp")
+
+
+def _stall_instances():
+    """The rotated instances of the one-step vng stall test above."""
+    out = []
+    for seed in range(20):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        a0, a1, a2, a3 = q.T
+        out.append(ingest([a0, a1, a0 + a1, a0 + a1 + 0.5 * a2, a0 + a1 - 0.5 * a2 + 0.2 * a3]))
+    return out
+
+
+def test_kernel_matches_the_per_array_reference_byte_for_byte():
+    rng = np.random.default_rng(2200)
+    large = ingest(rng.standard_normal((200, 50)).tolist(), name="d50n200")
+    battery = [inst for inst, _ in positive_instances(8, seed=2000) + negative_instances(8, seed=2100)]
+    cases = [(inst, 300) for inst in battery + _stall_instances()] + [(large, 400)]
+    references = {
+        perceptron_classic: reference_classic,
+        perceptron_normalized: lambda inst, cfg: reference_averaged(inst, cfg, "np"),
+        vng: lambda inst, cfg: reference_averaged(inst, cfg, "vng"),
+    }
+    for inst, iters in cases:
+        for mode in MODES:
+            cfg = AlgorithmConfig(max_iters=iters, target_eps=0.05, mode=mode)
+            for runner, reference in references.items():
+                (cert, trace), (ref_cert, ref_trace) = runner(inst, cfg), reference(inst, cfg)
+                label = (inst.name, runner.__name__, mode)
+                assert (trace.algorithm, trace.termination) == (ref_trace.algorithm, ref_trace.termination), label
+                for name in ("ts", "iterates", "coefficients", "norms", "margins", "losses", "chosen"):
+                    got, want = getattr(trace, name), getattr(ref_trace, name)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (label, name)
+                    assert got.tobytes() == want.tobytes(), (label, name)
+                assert repr(None if cert is None else cert.as_dict()) == repr(
+                    None if ref_cert is None else ref_cert.as_dict()
+                ), label

@@ -357,3 +357,53 @@ def test_exact_oracle_runs_once_per_command(tmp_path, oracle_calls, axes_unit_pa
         assert run_cli(*command) == 0, label
         assert oracle_calls["positive_margin_exact"] == 1, (label, oracle_calls)
         assert oracle_calls["_negative_margin_details"] <= 1, (label, oracle_calls)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("run", "{path}", "--algorithm", "np"),
+        ("margin", "{path}", "--method", "iterative"),
+        ("batch", "--instances", "{dir}", "--workers", "1"),
+        ("batch", "--instances", "{dir}", "--workers", "2"),
+    ],
+)
+def test_solvers_on_non_unit_columns_are_inapplicable(tmp_path, capsys, command):
+    path = tmp_path / "instances" / "scaled.json"
+    path.parent.mkdir()
+    path.write_text('{"columns": [[2, 0], [0, 1]], "normalize": false}')
+    args = [a.format(path=path, dir=path.parent) for a in command]
+    assert run_cli(*args, "--out-dir", tmp_path / "runs") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.endswith("algorithm requires unit columns; ingest with normalize=True")
+
+
+@pytest.mark.parametrize(
+    "columns",
+    ["[[1e200, 0], [0, 1e200]]", "[[1e-200, 0], [0, 1e-200]]", "[[0, 0]]"],
+)
+def test_unmeasurable_columns_are_refused_on_ingest(tmp_path, capsys, columns):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"columns": {columns}, "normalize": false}}')
+    assert run_cli("margin", path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot read instance")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run", "{path}", "--algorithm", "np", "--max-iters", "0"),
+        ("margin", "{path}", "--method", "iterative", "--eps", "0"),
+        ("margin", "{path}", "--method", "iterative", "--eps", "inf"),
+    ],
+)
+def test_bad_solver_settings_are_usage_errors(tmp_path, axes_unit_path, capsys, args):
+    assert run_cli(*[a.format(path=axes_unit_path) for a in args], "--out-dir", tmp_path / "runs") == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+

@@ -36,6 +36,27 @@ def test_ingest_zero_column_named():
         ingest([[0.0, 0.0], [1.0, 0.0]], normalize=True)
 
 
+def test_ingest_normalizes_columns_whose_squares_leave_the_double_range():
+    # 1e200^2 overflows and 1e-200^2 underflows, yet both columns have a norm
+    with np.errstate(all="raise"):
+        inst = ingest([[1e200, 0.0], [0.0, 1e-200], [3e-320, 0.0]], normalize=True)
+    assert inst.columns.T.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ([[1e200, 0.0], [0.0, 1e200]], "column 0 has a squared norm outside"),
+        ([[1.0, 0.0], [0.0, 1e-200]], "column 1 has a squared norm outside"),
+        ([[0.0, 0.0], [0.0, 0.0]], "all zero"),
+    ],
+)
+def test_payload_without_normalizing_refuses_columns_it_cannot_measure(columns, message):
+    with pytest.raises(IngestError, match=message):
+        instance_from_dict({"columns": columns, "normalize": False})
+    assert instance_from_dict({"columns": [[0.0, 0.0], [1e-150, 1e150]], "normalize": False}).n == 2
+
+
 def test_ingest_ragged_rejected():
     with pytest.raises(IngestError, match="ragged"):
         ingest([[1.0, 0.0], [1.0]])

@@ -455,3 +455,14 @@ def test_boundary_pass_on_a_facet_within_side_tol(scale):
     assert report.rho_minus == pytest.approx(-scale / np.sqrt(2.0), abs=1e-12)
     assert np.allclose(-report.witness_direction.vector, np.ones(2) / np.sqrt(2.0), atol=1e-12)
     assert _assert_screen_changes_nothing(inst)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_boundary_pass_ignores_rounding_on_exact_facets(d):
+    # the diamond and the 3-D cross-polytope: no column lies beyond any facet, and
+    # the SVD normal's rounding alone must not raise the flag
+    cols = np.vstack([np.eye(d), -np.eye(d)])
+    report = margin_report(ingest(cols.tolist(), normalize=False))
+    assert report.rho_minus == pytest.approx(-1.0 / np.sqrt(d), abs=1e-15)
+    assert not report.boundary_pass
+
