@@ -54,8 +54,8 @@ class AlgorithmConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.target_eps < 0.0:
-            raise ValueError("target_eps must be nonnegative")
+        if not (self.target_eps >= 0.0):  # refuses nan, which no stop test would ever meet
+            raise ValueError(f"target_eps must be nonnegative, got {self.target_eps}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

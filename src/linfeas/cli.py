@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import sys
@@ -440,10 +441,15 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: building it costs far more than a parse."""
+    return _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         handler = {
             "gen": cmd_gen,
             "margin": cmd_margin,

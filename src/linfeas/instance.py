@@ -26,8 +26,6 @@ __all__ = [
     "ingest",
     "column_space_basis",
     "combine",
-    "project_to_column_space",
-    "gram_norm",
     "instance_to_dict",
     "instance_from_dict",
     "load_instance",
@@ -301,21 +299,6 @@ def combine(instance: ProblemInstance, p: SimplexPoint | np.ndarray) -> np.ndarr
     if w.shape != (instance.n,):
         raise ValueError(f"weights have shape {w.shape}, expected ({instance.n},)")
     return instance.columns @ w
-
-
-def project_to_column_space(instance: ProblemInstance, w: np.ndarray) -> PrimalDirection:
-    """Orthogonal projection of w onto the span of the columns."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (instance.d,):
-        raise ValueError(f"vector has shape {w.shape}, expected ({instance.d},)")
-    return PrimalDirection(instance.basis.project(w), in_column_space=True)
-
-
-def gram_norm(instance: ProblemInstance, alpha: np.ndarray) -> float:
-    """The seminorm sqrt(alpha' G alpha), equal to the norm of columns @ alpha."""
-    alpha = np.asarray(alpha, dtype=float)
-    value = float(alpha @ (instance.gram @ alpha))
-    return float(np.sqrt(max(value, 0.0)))
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

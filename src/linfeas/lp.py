@@ -1,34 +1,44 @@
-"""Dense two-phase simplex and the distance subroutines built on it.
+"""Dense two-phase simplex, and the distance subroutines built on it and on NNLS.
 
 Desk scale only: tableaus are small dense arrays and exactness of the
 reported status matters more than speed. The pivot loop starts with the
 most-negative-reduced-cost rule and falls back to Bland's rule once the
 count of degenerate pivots suggests stalling, which guarantees termination.
-All tolerances live in one record so callers (and tests) can tighten them.
+
+The Euclidean projections share one active-set kernel: a Householder
+least-squares solve, and the minor cycles that move a set of positive
+weights to the minimiser on its face. Wolfe's min-norm-point method (in
+the margins module) runs it on affine faces; Lawson and Hanson's NNLS runs
+it on linear ones, which gives the projection onto an intersection of
+halfspaces. Nothing here enumerates subsets.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "LpSizeError",
     "DegenerateFaceError",
-    "LpTolerances",
     "LinearProgram",
     "LpSolution",
     "solve",
     "dist_l1_to_polyhedron",
     "dist_l2_to_halfspaces",
     "min_norm_on_face",
-    "batched_solve",
     "DEFAULT_TOLERANCES",
 ]
 
 SIZE_BUDGET = 100  # max variables and max rows accepted by solve()
+
+MAX_PIVOTS = 1_000_000  # per simplex phase; Bland's rule terminates long before
+
+NNLS_TOL = 1e-12  # NNLS stop: gradient relative to the largest column norm times the residual norm
+
+EMPTY_TOL = 1e-20  # squared NNLS residual at or below this is rounding: the halfspaces meet nowhere
 
 
 class LpSizeError(ValueError):
@@ -36,7 +46,7 @@ class LpSizeError(ValueError):
 
 
 class DegenerateFaceError(RuntimeError):
-    """Raised when the points of a face subproblem are affinely dependent."""
+    """Raised when a least-squares subproblem's matrix is rank-deficient."""
 
 
 @dataclass(frozen=True)
@@ -154,24 +164,24 @@ def _pivot(tableau: np.ndarray, crow: np.ndarray, row: int, col: int) -> None:
     crow -= crow[col] * tableau[row]
 
 
-def _pivot_loop(tableau, basis, crow, ncols, tol, degenerate_threshold, max_pivots):
+def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
     """Run simplex pivots until optimal or unbounded. Returns (status, entering)."""
     m = tableau.shape[0]
     degenerate = 0
     bland = False
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         reduced = crow[:ncols]
         if bland:
-            eligible = np.nonzero(reduced < -tol.reduced_cost)[0]
+            eligible = np.nonzero(reduced < -DEFAULT_TOLERANCES.reduced_cost)[0]
             if eligible.size == 0:
                 return "optimal", -1
             col = int(eligible[0])
         else:
             col = int(np.argmin(reduced)) if ncols else 0
-            if ncols == 0 or reduced[col] >= -tol.reduced_cost:
+            if ncols == 0 or reduced[col] >= -DEFAULT_TOLERANCES.reduced_cost:
                 return "optimal", -1
         column = tableau[:, col]
-        positive = column > tol.pivot
+        positive = column > DEFAULT_TOLERANCES.pivot
         if not positive.any():
             return "unbounded", col
         ratios = np.full(m, np.inf)
@@ -180,7 +190,7 @@ def _pivot_loop(tableau, basis, crow, ncols, tol, degenerate_threshold, max_pivo
         ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
         # leaving-variable tie-break by smallest basis label (Bland-compatible)
         row = int(min(ties, key=lambda r: basis[r]))
-        if best <= tol.feasibility:
+        if best <= DEFAULT_TOLERANCES.feasibility:
             degenerate += 1
             if degenerate > degenerate_threshold:
                 bland = True
@@ -189,7 +199,7 @@ def _pivot_loop(tableau, basis, crow, ncols, tol, degenerate_threshold, max_pivo
     raise RuntimeError("simplex did not terminate within the pivot budget")
 
 
-def _two_phase(A, b, c, tol, max_pivots):
+def _two_phase(A, b, c):
     """Solve min c@y, A y = b, y >= 0. Returns (status, y, basis, ray)."""
     m, n = A.shape
     A = A.copy()
@@ -205,17 +215,17 @@ def _two_phase(A, b, c, tol, max_pivots):
     for i in range(m):
         crow -= tableau[i]  # basic artificial cost is 1
     threshold = 50 * (m + n + m)
-    status, _ = _pivot_loop(tableau, basis, crow, n + m, tol, threshold, max_pivots)
+    status, _ = _pivot_loop(tableau, basis, crow, n + m, threshold)
     if status != "optimal":
         raise RuntimeError("phase-1 subproblem cannot be unbounded")
-    if -crow[-1] > tol.feasibility:
+    if -crow[-1] > DEFAULT_TOLERANCES.feasibility:
         return "infeasible", None, None, None
 
     # drive leftover artificials out of the basis; all-zero rows are redundant
     drop_rows: list[int] = []
     for i in range(m):
         if basis[i] >= n:
-            candidates = np.nonzero(np.abs(tableau[i, :n]) > tol.pivot)[0]
+            candidates = np.nonzero(np.abs(tableau[i, :n]) > DEFAULT_TOLERANCES.pivot)[0]
             if candidates.size:
                 _pivot(tableau, crow, i, int(candidates[0]))
                 basis[i] = int(candidates[0])
@@ -233,7 +243,7 @@ def _two_phase(A, b, c, tol, max_pivots):
     for i in range(m):
         crow -= crow[basis[i]] * tableau[i]
     threshold = 50 * (m + n)
-    status, entering = _pivot_loop(tableau, basis, crow, n, tol, threshold, max_pivots)
+    status, entering = _pivot_loop(tableau, basis, crow, n, threshold)
     if status == "unbounded":
         ray = np.zeros(n)
         ray[entering] = 1.0
@@ -246,11 +256,7 @@ def _two_phase(A, b, c, tol, max_pivots):
     return "optimal", y, basis, None
 
 
-def solve(
-    lp: LinearProgram,
-    tolerances: LpTolerances = DEFAULT_TOLERANCES,
-    max_pivots: int = 1_000_000,
-) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex over the general-form program."""
     c = np.asarray(lp.objective, dtype=float)
     n = c.size
@@ -266,7 +272,7 @@ def solve(
     if packed is None:
         return LpSolution(status="infeasible")
     A, b, c_std, T, offsets, const, width = packed
-    status, y, basis, ray = _two_phase(A, b, c_std, tolerances, max_pivots)
+    status, y, basis, ray = _two_phase(A, b, c_std)
     if status == "infeasible":
         return LpSolution(status="infeasible")
     if status == "unbounded":
@@ -285,7 +291,6 @@ def dist_l1_to_polyhedron(
     eq_matrix: np.ndarray,
     eq_rhs: np.ndarray,
     nonneg: bool = True,
-    tolerances: LpTolerances = DEFAULT_TOLERANCES,
 ) -> tuple[float, np.ndarray]:
     """l1 distance from x0 to {x | eq_matrix x = eq_rhs (, x >= 0)}.
 
@@ -309,106 +314,135 @@ def dist_l1_to_polyhedron(
     x_bound: Bound = (0.0, None) if nonneg else (None, None)
     bounds = [x_bound] * n + [(0.0, None)] * (2 * n)
     lp = LinearProgram(objective=objective, eq_matrix=block, eq_rhs=rhs, bounds=bounds)
-    sol = solve(lp, tolerances)
+    sol = solve(lp)
     if sol.status != "optimal":
         raise ValueError(f"target polyhedron is empty (status {sol.status})")
     return float(sol.objective_value), sol.x[:n]
 
 
+def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """z minimising ||matrix @ z - rhs||, by Householder QR and back substitution.
+
+    Works in the arrays' own precision and overwrites both. The normal
+    equations, whose squared conditioning loses small residuals, are never
+    formed. Raises DegenerateFaceError when matrix is rank-deficient.
+    """
+    rows, cols = matrix.shape
+    if cols > rows:
+        raise DegenerateFaceError(f"{cols} columns in dimension {rows} are linearly dependent")
+    for c in range(cols):
+        v = matrix[c:, c].copy()
+        v[0] += np.copysign(np.sqrt(v @ v), v[0])
+        if v.any():
+            v /= np.sqrt(v @ v)
+            matrix[c:, c:] -= 2.0 * np.outer(v, v @ matrix[c:, c:])
+            rhs[c:] -= 2.0 * v * (v @ rhs[c:])
+    diag = np.abs(np.diagonal(matrix))
+    if cols and diag.min() <= np.finfo(matrix.dtype).eps * rows * np.abs(matrix).max():
+        raise DegenerateFaceError("linearly dependent columns")
+    z = np.zeros(cols, dtype=matrix.dtype)
+    for c in reversed(range(cols)):  # back substitution on the triangular factor
+        z[c] = (rhs[c] - matrix[c, c + 1 :] @ z[c + 1 :]) / matrix[c, c]
+    return z
+
+
+def _minor_cycles(
+    columns: np.ndarray, support: list[int], weights: np.ndarray, face_solve: Callable[[np.ndarray], np.ndarray]
+) -> tuple[list[int], np.ndarray]:
+    """Move the weights on support to the minimiser on its face, dropping columns on the way.
+
+    face_solve maps the support's columns to the unconstrained minimiser on
+    their face; the weights are positive but for an entering column's 0. The
+    loop is both Wolfe's minor cycle and Lawson and Hanson's inner loop.
+    """
+    while True:
+        y = face_solve(columns[:, support])
+        if np.all(y > 0.0):
+            return support, y
+        # step until the first weight reaches 0: at once for an entering column (weight 0) at y <= 0
+        shrink = y <= 0.0
+        ratios = np.where(shrink, 0.0, np.inf).astype(weights.dtype)
+        np.divide(weights, weights - y, out=ratios, where=shrink & (weights > 0.0))
+        drop = int(np.argmin(ratios))
+        weights = weights + ratios[drop] * (y - weights)
+        weights[drop] = 0.0
+        support, weights = [i for i, w in zip(support, weights) if w > 0.0], weights[weights > 0.0]
+
+
 def min_norm_on_face(columns: np.ndarray) -> tuple[float, np.ndarray]:
     """min ||columns @ q|| subject to sum(q) = 1, by least squares on the face's edges.
 
-    Householder QR of the edges a_i - a_0 in the columns' own precision; the
-    Gram matrix, whose squared conditioning loses the distance near the origin,
-    is never formed. The weights may be negative; callers filter. Raises
-    DegenerateFaceError when the face is affinely dependent.
+    The edges a_i - a_0 are solved against -a_0 in the columns' own precision.
+    The weights may be negative; callers filter. Raises DegenerateFaceError
+    when the face is affinely dependent.
     """
     columns = np.asarray(columns)
     columns = columns.astype(np.promote_types(columns.dtype, float))
     if columns.ndim != 2 or columns.shape[1] == 0:
         raise ValueError("columns must form a (d, k) array with k >= 1")
-    d, k = columns.shape
-    edges, rhs = columns[:, 1:] - columns[:, :1], -columns[:, 0]
-    for c in range(min(k - 1, d)):
-        v = edges[c:, c].copy()
-        v[0] += np.copysign(np.sqrt(v @ v), v[0])
-        if v.any():
-            v /= np.sqrt(v @ v)
-            edges[c:, c:] -= 2.0 * np.outer(v, v @ edges[c:, c:])
-            rhs[c:] -= 2.0 * v * (v @ rhs[c:])
-    diag = np.abs(np.diagonal(edges))
-    if k - 1 > d or (k > 1 and diag.min() <= np.finfo(edges.dtype).eps * d * np.abs(edges).max()):
-        raise DegenerateFaceError("affinely dependent face")
-    z = np.zeros(k - 1, dtype=edges.dtype)
-    for c in reversed(range(k - 1)):  # back substitution on the triangular factor
-        z[c] = (rhs[c] - edges[c, c + 1 :] @ z[c + 1 :]) / edges[c, c]
+    z = _least_squares(columns[:, 1:] - columns[:, :1], -columns[:, 0])
     q = np.concatenate([[1.0 - z.sum()], z])
     point = columns @ q
     return float(np.sqrt(point @ point)), q
 
 
-def batched_solve(systems: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of small square systems, flagging unreliable members.
+def _nnls(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Support and residual of the u >= 0 minimising ||matrix @ u - target||.
 
-    Returns (solutions, ok). Singular members, and those whose residual exceeds
-    1e-8, get ok=False instead of raising, so enumeration loops can skip them.
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23): a major cycle admits the column along which the residual
+    falls fastest, then the minor cycles solve least squares on the support.
+    It stops when no column's gradient beats NNLS_TOL, or the residual stops falling.
     """
-    count = systems.shape[0]
-    solutions = np.zeros(rhs.shape)
-    ok = np.ones(count, dtype=bool)
-    try:
-        solutions = np.linalg.solve(systems, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        for i in range(count):
-            try:
-                solutions[i] = np.linalg.solve(systems[i], rhs[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-    residual = np.einsum("mij,mj->mi", systems, solutions) - rhs
-    ok &= np.all(np.isfinite(solutions), axis=1)
-    ok &= np.max(np.abs(residual), axis=1) <= 1e-8
-    solutions[~ok] = 0.0
-    return solutions, ok
+    m = matrix.shape[1]
+    reach = np.sqrt(np.einsum("ij,ij->j", matrix, matrix)).max()
+    support, weights, residual = [], np.zeros(0), -target
+    for _ in range(50 * m):  # a guard: Lawson and Hanson need a few major cycles per column
+        gradient = residual @ matrix  # half the gradient of the squared residual
+        gradient[support] = np.inf  # in exact arithmetic 0 on the support
+        j = int(np.argmin(gradient))
+        if gradient[j] >= -NNLS_TOL * reach * np.sqrt(residual @ residual):
+            return support, residual
+        try:
+            grown, solved = _minor_cycles(
+                matrix, support + [j], np.append(weights, 0.0), lambda face: _least_squares(face, target.copy())
+            )
+        except DegenerateFaceError:  # column j lies in the support's span: the residual cannot fall
+            return support, residual
+        lowered = matrix[:, grown] @ solved - target
+        if lowered @ lowered >= residual @ residual:  # in exact arithmetic every cycle lowers it
+            return support, residual
+        support, weights, residual = grown, solved, lowered
+    raise ValueError(f"NNLS: no convergence in {50 * m} major cycles")
 
 
 def dist_l2_to_halfspaces(point: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Euclidean distance from point to {y | normals[:, i] @ y >= offsets[i]}.
+    """Euclidean distance from point to {y | normals[:, i] @ y >= offsets[i]}, with the nearest y.
 
-    Exhaustive active-set enumeration: project onto every equality subsystem,
-    keep feasible candidates, return the closest. Exact at desk scale because
-    the true projection's active set is always among the enumerated subsets.
-    Raises ValueError when no feasible candidate exists (empty polyhedron).
+    Least-distance programming reduced to one NNLS (Lawson and Hanson, ch. 23):
+    with b = offsets - normals.T @ point, the residual r of min ||[normals; b] u
+    - e_{d+1}|| over u >= 0 is 0 exactly when the intersection is empty.
+    Otherwise the support S of u is the active set, and the nearest point is
+    point + z for the least-norm z with normals[:, S].T @ z = b[S]: the same
+    point as point - r[:d] / r[d], without the cancellation in r[:d]. Raises
+    ValueError when the intersection is empty, or when the point misses a
+    halfspace by more than the feasibility tolerance 1e-9.
     """
     point = np.asarray(point, dtype=float)
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    d, m = normals.shape
+    d = normals.shape[0]
     slack = normals.T @ point - offsets
-    if slack.min() >= -1e-9:  # feasibility tolerance, here and for the candidates below
+    if slack.min() >= -1e-9:  # feasibility tolerance, here and for the projection below
         return 0.0, point
-
-    best_dist = np.inf
-    best_point: np.ndarray | None = None
-    for k in range(1, min(d, m) + 1):
-        combos = np.array(list(itertools.combinations(range(m), k)))
-        sub = normals[:, combos]  # (d, count, k)
-        sub = np.moveaxis(sub, 1, 0)  # (count, d, k)
-        gram_stack = np.einsum("cdk,cdl->ckl", sub, sub)
-        target = offsets[combos] - np.einsum("cdk,d->ck", sub, point)
-        coeffs, valid = batched_solve(gram_stack, target)
-        if not valid.any():
-            continue
-        candidates = point[None, :] + np.einsum("cdk,ck->cd", sub, coeffs)
-        feasibility = np.einsum("dm,cd->cm", normals, candidates) - offsets[None, :]
-        valid &= feasibility.min(axis=1) >= -1e-9
-        if not valid.any():
-            continue
-        dists = np.linalg.norm(candidates - point[None, :], axis=1)
-        dists[~valid] = np.inf
-        idx = int(np.argmin(dists))
-        if dists[idx] < best_dist - 1e-15:
-            best_dist = float(dists[idx])
-            best_point = candidates[idx]
-    if best_point is None:
+    system = np.vstack([normals, -slack])
+    target = np.zeros(d + 1)
+    target[d] = 1.0
+    active, residual = _nnls(system, target)
+    if residual[d] >= 0.0 or residual @ residual <= EMPTY_TOL:  # in exact arithmetic r[d] = -||r||^2
         raise ValueError("halfspace intersection appears empty")
-    return best_dist, best_point
+    step = np.linalg.lstsq(normals[:, active].T, -slack[active], rcond=None)[0]
+    nearest = point + step
+    if (normals.T @ nearest - offsets).min() < -1e-9:
+        raise ValueError("halfspace projection failed its feasibility check (tolerance 1e-9)")
+    return float(np.sqrt(step @ step)), nearest

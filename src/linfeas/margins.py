@@ -29,7 +29,7 @@ from .instance import (
     column_space_basis,
     combine,
 )
-from .lp import DegenerateFaceError, LinearProgram, min_norm_on_face, solve
+from .lp import DegenerateFaceError, LinearProgram, _minor_cycles, min_norm_on_face, solve
 
 __all__ = [
     "BudgetExceededError",
@@ -157,7 +157,9 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
         if min(x @ x, x @ x - dots[j]) <= WOLFE_TOL * reach * np.sqrt(x @ x):  # x = 0 passes too
             break
         try:
-            grown, weights = _minor_cycles(cols, corral + [j], np.append(q, 0.0))
+            grown, weights = _minor_cycles(
+                cols, corral + [j], np.append(q, 0.0), lambda face: min_norm_on_face(face)[1]
+            )
         except DegenerateFaceError:  # a_j lies in the corral's affine hull: x cannot be lowered
             break
         lowered = cols[:, grown] @ weights
@@ -176,22 +178,6 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     if norm <= 1e-12:  # numerically zero: the origin is a hull point
         return 0.0, point, None
     return norm, point, PrimalDirection((x / np.sqrt(x @ x)).astype(float), in_column_space=True)
-
-
-def _minor_cycles(columns: np.ndarray, corral: list[int], q: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Move the corral weights q to the corral's affine minimiser, dropping columns on the way."""
-    while True:
-        _, y = min_norm_on_face(columns[:, corral])
-        if np.all(y > 0.0):
-            return corral, y
-        # step until the first weight reaches 0: at once for an entering column (q = 0) at y <= 0
-        shrink = y <= 0.0
-        ratios = np.where(shrink, 0.0, np.inf).astype(q.dtype)
-        np.divide(q, q - y, out=ratios, where=shrink & (q > 0.0))
-        drop = int(np.argmin(ratios))
-        q = q + ratios[drop] * (y - q)
-        q[drop] = 0.0
-        corral, q = [i for i, w in zip(corral, q) if w > 0.0], q[q > 0.0]
 
 
 @functools.lru_cache(maxsize=None)  # n <= ENUMERATION_BUDGET bounds the entries

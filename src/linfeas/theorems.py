@@ -3,8 +3,8 @@
 Each verifier decides which side of its statement holds using the exact
 margin oracle, then actually constructs the witness object the statement
 promises and reports its residuals, so a claim never rests on the oracle
-alone. Distance bounds are cross-checked against exact l1/l2 distances from
-the LP module whenever requested.
+alone. Every distance bound is cross-checked against the exact l1 or l2
+distance from the LP module.
 """
 
 from __future__ import annotations
@@ -109,16 +109,15 @@ class HoffmanReport:
     constructed_witness: np.ndarray | SimplexPoint
     witness_residual: float
     witness_distance: float
-    exact_distance: float | None = None
-    slack: float | None = None
+    exact_distance: float
+    slack: float
     relaxed_bound: float | None = None
 
     @property
     def verified(self) -> bool:
         ok = self.witness_residual <= RESIDUAL_TOL
         ok &= self.witness_distance <= self.bound_value + RESIDUAL_TOL
-        if self.exact_distance is not None:
-            ok &= self.exact_distance <= self.bound_value + RESIDUAL_TOL
+        ok &= self.exact_distance <= self.bound_value + RESIDUAL_TOL
         return bool(ok)
 
     def as_dict(self) -> dict:
@@ -259,7 +258,6 @@ def hoffman_dual(
     instance: ProblemInstance,
     b: np.ndarray,
     x: np.ndarray,
-    compute_exact: bool = True,
     report: MarginReport | None = None,
 ) -> HoffmanReport:
     """Bound the l1 distance from x >= 0 to {x' >= 0 | A x' = b} by residual/inradius.
@@ -298,8 +296,8 @@ def hoffman_dual(
             constructed_witness=x,
             witness_residual=r,
             witness_distance=0.0,
-            exact_distance=0.0 if compute_exact else None,
-            slack=bound if compute_exact else None,
+            exact_distance=0.0,
+            slack=bound,
         )
     v = rho * (b - instance.columns @ x) / r
     p = representable(instance, v)
@@ -310,11 +308,7 @@ def hoffman_dual(
     repaired = x + p.weights * (r / rho)
     witness_residual = float(np.linalg.norm(instance.columns @ repaired - b))
     witness_distance = float(np.abs(repaired - x).sum())
-    exact = None
-    slack = None
-    if compute_exact:
-        exact, _ = dist_l1_to_polyhedron(x, instance.columns, b, nonneg=True)
-        slack = bound - exact
+    exact, _ = dist_l1_to_polyhedron(x, instance.columns, b, nonneg=True)
     return HoffmanReport(
         variant="dual-general",
         bound_value=bound,
@@ -322,14 +316,13 @@ def hoffman_dual(
         witness_residual=witness_residual,
         witness_distance=witness_distance,
         exact_distance=exact,
-        slack=slack,
+        slack=bound - exact,
     )
 
 
 def hoffman_simplex(
     instance: ProblemInstance,
     p: SimplexPoint,
-    compute_exact: bool = True,
     report: MarginReport | None = None,
 ) -> HoffmanReport:
     """Bound the l1 distance from weights p to the zero-combination weight set.
@@ -352,8 +345,8 @@ def hoffman_simplex(
             constructed_witness=p,
             witness_residual=r,
             witness_distance=0.0,
-            exact_distance=0.0 if compute_exact else None,
-            slack=sharp if compute_exact else None,
+            exact_distance=0.0,
+            slack=sharp,
             relaxed_bound=relaxed,
         )
     v = -(rho / r) * image
@@ -366,13 +359,9 @@ def hoffman_simplex(
     blended = SimplexPoint.from_approximate(lam * p_prime.weights + (1.0 - lam) * p.weights)
     witness_residual = float(np.linalg.norm(combine(instance, blended)))
     witness_distance = float(np.abs(p.weights - blended.weights).sum())
-    exact = None
-    slack = None
-    if compute_exact:
-        eq = np.vstack([instance.columns, np.ones((1, instance.n))])
-        rhs = np.concatenate([np.zeros(instance.d), [1.0]])
-        exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs, nonneg=True)
-        slack = sharp - exact
+    eq = np.vstack([instance.columns, np.ones((1, instance.n))])
+    rhs = np.concatenate([np.zeros(instance.d), [1.0]])
+    exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs, nonneg=True)
     return HoffmanReport(
         variant="dual-simplex",
         bound_value=sharp,
@@ -380,7 +369,7 @@ def hoffman_simplex(
         witness_residual=witness_residual,
         witness_distance=witness_distance,
         exact_distance=exact,
-        slack=slack,
+        slack=sharp - exact,
         relaxed_bound=relaxed,
     )
 
@@ -389,14 +378,13 @@ def hoffman_primal(
     instance: ProblemInstance,
     c: np.ndarray,
     w: np.ndarray,
-    compute_exact: bool = True,
     report: MarginReport | None = None,
 ) -> HoffmanReport:
     """Bound the Euclidean distance from w to {y | A^T y >= c} by violation/margin.
 
     The witness pushes w along the unit margin-maximizing direction far enough
     to clear the largest violation. The exact distance cross-check is the
-    enumeration projection onto the constraint polyhedron.
+    Euclidean projection onto the constraint polyhedron by NNLS.
     """
     if report is None:
         report = margin_report(instance)
@@ -419,19 +407,15 @@ def hoffman_primal(
             constructed_witness=w,
             witness_residual=0.0,
             witness_distance=0.0,
-            exact_distance=0.0 if compute_exact else None,
-            slack=bound if compute_exact else None,
+            exact_distance=0.0,
+            slack=bound,
         )
     direction = report.witness_direction
     assert direction is not None
     witness = w + bound * direction.vector
     witness_residual = float(np.clip(c - instance.columns.T @ witness, 0.0, None).max())
     witness_distance = float(np.linalg.norm(witness - w))
-    exact = None
-    slack = None
-    if compute_exact:
-        exact, _ = dist_l2_to_halfspaces(w, instance.columns, c)
-        slack = bound - exact
+    exact, _ = dist_l2_to_halfspaces(w, instance.columns, c)
     return HoffmanReport(
         variant="primal",
         bound_value=bound,
@@ -439,5 +423,5 @@ def hoffman_primal(
         witness_residual=witness_residual,
         witness_distance=witness_distance,
         exact_distance=exact,
-        slack=slack,
+        slack=bound - exact,
     )

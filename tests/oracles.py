@@ -2,6 +2,7 @@
 
 Nothing here shares code with the library paths it checks: distances come
 from dense parameter grids, LP answers from exhaustive basic-solution
+enumeration, Euclidean projections from exhaustive active-set
 enumeration, min-norm points from exhaustive support-set enumeration or
 from exact rational arithmetic. Slow and exact at tiny sizes, which is the
 point. The solver loops at the end are the one reference that is not brute
@@ -113,6 +114,54 @@ def halfplane_projection_grid(
     if not feasible.any():
         return np.inf
     return float(np.linalg.norm(pts[feasible] - point[None, :], axis=1).min())
+
+
+def halfspace_projection_enumeration(
+    point: np.ndarray, normals: np.ndarray, offsets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Euclidean distance from point to {y | normals[:, i] @ y >= offsets[i]}, with the nearest y.
+
+    Projects onto every equality subsystem of at most d rows, keeps the
+    candidates that satisfy every halfspace to within 1e-9, and returns the
+    closest. Exact up to the solves, because the projection's active set is
+    among the subsets. Subsystems whose solve is singular or leaves a residual
+    above 1e-8 are skipped. Raises ValueError when no candidate is feasible.
+    Exponential in the row count.
+    """
+    point = np.asarray(point, dtype=float)
+    normals = np.asarray(normals, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    d, m = normals.shape
+    if (normals.T @ point - offsets).min() >= -1e-9:
+        return 0.0, point
+    best_dist, best_point = np.inf, None
+    for k in range(1, min(d, m) + 1):
+        subsets = np.array(list(itertools.combinations(range(m), k)))
+        sub = np.moveaxis(normals[:, subsets], 1, 0)  # (count, d, k)
+        grams = np.einsum("cdk,cdl->ckl", sub, sub)
+        target = offsets[subsets] - np.einsum("cdk,d->ck", sub, point)
+        try:
+            coeffs = np.linalg.solve(grams, target[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # a singular member: solve one by one, skip the singular
+            coeffs = np.full(target.shape, np.nan)
+            for i, gram in enumerate(grams):
+                try:
+                    coeffs[i] = np.linalg.solve(gram, target[i])
+                except np.linalg.LinAlgError:
+                    pass
+        residual = np.abs(np.einsum("ckl,cl->ck", grams, coeffs) - target).max(axis=1)
+        ok = np.all(np.isfinite(coeffs), axis=1) & (residual <= 1e-8)
+        candidates = point + np.einsum("cdk,ck->cd", sub, np.where(ok[:, None], coeffs, 0.0))
+        ok &= (candidates @ normals - offsets).min(axis=1) >= -1e-9
+        if not ok.any():
+            continue
+        dists = np.where(ok, np.linalg.norm(candidates - point, axis=1), np.inf)
+        i = int(np.argmin(dists))
+        if dists[i] < best_dist - 1e-15:
+            best_dist, best_point = float(dists[i]), candidates[i]
+    if best_point is None:
+        raise ValueError("halfspace intersection appears empty")
+    return best_dist, best_point
 
 
 def min_norm_point_enumeration(columns: np.ndarray) -> tuple[float, np.ndarray]:

@@ -257,6 +257,12 @@ def test_config_validation():
         AlgorithmConfig(mode="warp")
 
 
+def test_config_refuses_nan_target_eps():
+    # nan >= 0 is false, so no stop test could ever meet it and the run would exhaust its budget
+    with pytest.raises(ValueError, match="target_eps"):
+        AlgorithmConfig(target_eps=float("nan"), mode="dual-certificate")
+
+
 def _stall_instances():
     """The rotated instances of the one-step vng stall test above."""
     out = []

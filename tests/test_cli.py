@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import linfeas.cli
 import linfeas.margins
 from linfeas.cli import main
 from linfeas.instance import ingest, save_instance
@@ -407,3 +408,48 @@ def test_bad_solver_settings_are_usage_errors(tmp_path, axes_unit_path, capsys, 
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
 
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("run", "{path}", "--algorithm", "np", "--mode", "dual-certificate"),
+        ("batch", "--instances", "{dir}", "--mode", "dual-certificate", "--workers", "1"),
+        ("batch", "--instances", "{dir}", "--mode", "dual-certificate", "--workers", "2"),
+    ],
+)
+def test_nan_eps_is_usage_error(tmp_path, axes_unit_path, capsys, command):
+    argv = [a.format(path=axes_unit_path, dir=axes_unit_path.parent) for a in command]
+    assert run_cli(*argv, "--eps", "nan", "--out-dir", tmp_path / "runs") == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "nan" in line
+    assert not (tmp_path / "runs").exists()
+
+
+def test_reused_parser_leaks_no_state_between_calls(tmp_path, axes_unit_path, triangle_path, capsys):
+    commands = [
+        ("margin", axes_unit_path, "--method", "grid", "--resolution", "64"),
+        ("margin", axes_unit_path),
+        ("margin", triangle_path, "--tol-rank", "1e-3"),
+        ("margin", triangle_path),
+        ("certify", axes_unit_path, "--theorem", "hoffman-primal", "--c", "[1, 2]", "--w", "[0.5, -1]"),
+        ("certify", axes_unit_path, "--theorem", "hoffman-primal"),
+        ("certify", triangle_path, "--theorem", "gordan3", "--gamma", "0.2", "--samples", "4", "--seed", "3"),
+        ("certify", triangle_path, "--theorem", "gordan3", "--gamma", "0.2"),
+        ("margin", axes_unit_path, "--method", "iterative", "--eps", "0.05"),
+        ("margin", axes_unit_path, "--method", "iterative"),
+        ("margin", axes_unit_path, "--method", "warp"),
+        ("gen", "--kind", "planted-positive", "--d", "2", "--n", "3", "--target", "0.2", "--out", tmp_path / "g.json"),
+    ]
+
+    def outcome(command):
+        code = run_cli(*command)
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for command in commands:
+        linfeas.cli._parser.cache_clear()
+        fresh.append(outcome(command))
+    assert linfeas.cli._parser() is linfeas.cli._parser()
+    for command, expected in zip(commands + commands[::-1], fresh + fresh[::-1]):
+        assert outcome(command) == expected, command

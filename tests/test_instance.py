@@ -9,12 +9,10 @@ from linfeas.instance import (
     SimplexPoint,
     column_space_basis,
     combine,
-    gram_norm,
     ingest,
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    project_to_column_space,
     save_instance,
 )
 
@@ -156,11 +154,9 @@ def test_combine_dimension_mismatch(axes):
 
 
 def test_project_examples(segment):
-    assert np.allclose(project_to_column_space(segment, np.array([0.0, 1.0])).vector, 0.0)
-    assert np.allclose(project_to_column_space(segment, np.array([3.0, 4.0])).vector, [3.0, 0.0])
-    inside = project_to_column_space(segment, np.array([0.25, 0.0]))
-    assert inside.in_column_space
-    assert np.allclose(inside.vector, [0.25, 0.0], atol=1e-12)
+    assert np.allclose(segment.basis.project(np.array([0.0, 1.0])), 0.0)
+    assert np.allclose(segment.basis.project(np.array([3.0, 4.0])), [3.0, 0.0])
+    assert np.allclose(segment.basis.project(np.array([0.25, 0.0])), [0.25, 0.0], atol=1e-12)
 
 
 def test_simplex_point_validation():
@@ -238,7 +234,7 @@ def test_image_norm_matches_gram_seminorm(data):
     inst = data.draw(small_instances())
     weights = data.draw(weight_vectors(inst.n))
     image = np.linalg.norm(combine(inst, weights))
-    seminorm = gram_norm(inst, weights)
+    seminorm = np.sqrt(max(weights @ inst.gram @ weights, 0.0))
     assert image == pytest.approx(seminorm, rel=1e-10, abs=1e-10)
 
 
@@ -255,8 +251,8 @@ def test_projection_idempotent_and_nonexpansive(data):
             )
         )
     )
-    once = project_to_column_space(inst, w).vector
-    twice = project_to_column_space(inst, once).vector
+    once = inst.basis.project(w)
+    twice = inst.basis.project(once)
     assert np.max(np.abs(once - twice)) <= 1e-10 * max(1.0, np.linalg.norm(once))
     assert np.linalg.norm(once) <= np.linalg.norm(w) + 1e-12
 

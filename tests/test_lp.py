@@ -1,8 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import enumerate_standard_form
+from batteries import positive_instances
+from oracles import enumerate_standard_form, halfspace_projection_enumeration
 
+import linfeas.lp
+from linfeas.instance import ingest
 from linfeas.lp import (
     DEFAULT_TOLERANCES,
     DegenerateFaceError,
@@ -13,6 +20,7 @@ from linfeas.lp import (
     min_norm_on_face,
     solve,
 )
+from linfeas.margins import margin_report
 
 
 def test_min_with_lower_bound():
@@ -244,3 +252,90 @@ def test_dist_l2_matches_grid_oracle():
         # grid pitch bounds the oracle error from above
         assert exact <= grid + 1e-9
         assert grid <= exact + 0.02
+
+
+def _assert_projection_matches_enumeration(point, normals, offsets):
+    """Same empty/non-empty status as the enumeration, and the distance to 1e-9 of max(1, dist)."""
+    try:
+        expected, _ = halfspace_projection_enumeration(point, normals, offsets)
+    except ValueError:
+        with pytest.raises(ValueError):
+            dist_l2_to_halfspaces(point, normals, offsets)
+        return False
+    dist, nearest = dist_l2_to_halfspaces(point, normals, offsets)
+    assert dist == pytest.approx(expected, abs=1e-9 * max(1.0, expected))
+    assert dist == pytest.approx(np.linalg.norm(nearest - point), abs=1e-12 * max(1.0, dist))
+    assert (normals.T @ nearest - offsets).min() >= -1e-9
+    return True
+
+
+def test_dist_l2_matches_the_enumeration_on_positive_instances():
+    rng = np.random.default_rng(31)
+    for inst, _ in positive_instances(30, seed=3100, d_max=6, n_max=12):
+        for _ in range(3):
+            c = rng.standard_normal(inst.n)
+            w = rng.standard_normal(inst.d)
+            _assert_projection_matches_enumeration(w, inst.columns, c)
+
+
+def test_dist_l2_matches_the_enumeration_on_gaussian_systems():
+    rng = np.random.default_rng(32)
+    outcomes = []
+    for _ in range(150):
+        d, m = int(rng.integers(1, 9)), int(rng.integers(1, 15))
+        normals = rng.standard_normal((d, m))
+        outcomes.append(
+            _assert_projection_matches_enumeration(rng.standard_normal(d), normals, rng.standard_normal(m))
+        )
+    assert 0 < sum(outcomes) < len(outcomes)  # both statuses occur
+
+
+@st.composite
+def integer_halfspace_systems(draw):
+    """Small integer systems with zero normals, duplicates and parallel pairs that meet nowhere."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 7))
+    entries = st.integers(-2, 2).map(float)
+    normals = np.array(draw(st.lists(entries, min_size=d * m, max_size=d * m))).reshape(d, m)
+    offsets = np.array(draw(st.lists(entries, min_size=m, max_size=m)))
+    point = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    extra = draw(st.sampled_from(["none", "duplicate", "empty pair", "zero"]))
+    j = draw(st.integers(0, m - 1))
+    if extra == "duplicate":
+        normals, offsets = np.column_stack([normals, normals[:, j]]), np.append(offsets, offsets[j])
+    elif extra == "empty pair":  # a . y >= o_j and -a . y >= 1 - o_j cannot both hold
+        normals, offsets = np.column_stack([normals, -normals[:, j]]), np.append(offsets, 1.0 - offsets[j])
+    elif extra == "zero":
+        normals, offsets = np.column_stack([normals, np.zeros(d)]), np.append(offsets, draw(entries))
+    return point, normals, offsets
+
+
+@given(system=integer_halfspace_systems())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_dist_l2_matches_the_enumeration_on_integer_grids(system):
+    _assert_projection_matches_enumeration(*system)
+
+
+def _near_ill_posed(rng, d: int, n: int, rho: float):
+    """Unit columns rho u + sqrt(1 - rho^2) v_i with the origin in the hull of the unit v_i ⊥ u: rho+ = rho."""
+    frame, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    spread = frame[:, 1:] @ rng.standard_normal((d - 1, n))
+    spread[:, -1] = -spread[:, :-1].sum(axis=1)
+    spread /= np.linalg.norm(spread, axis=0)
+    return ingest((rho * frame[:, :1] + np.sqrt(1.0 - rho * rho) * spread).T.tolist(), normalize=True)
+
+
+def test_dist_l2_from_the_origin_is_the_inverse_positive_margin():
+    # w = 0, c = 1: the nearest y is x* / ||x*||^2 for the min-norm point x*, so ||y|| = 1 / rho+
+    rng = np.random.default_rng(33)
+    near_ill_posed = [_near_ill_posed(rng, int(rng.integers(2, 7)), int(rng.integers(3, 13)), rho)
+                      for rho in (1e-4, 1e-3) for _ in range(10)]
+    for inst in [inst for inst, _ in positive_instances(40, seed=3300)] + near_ill_posed:
+        rho_plus = margin_report(inst).rho_plus
+        dist, _ = dist_l2_to_halfspaces(np.zeros(inst.d), inst.columns, np.ones(inst.n))
+        assert dist == pytest.approx(1.0 / rho_plus, rel=1e-9)
+
+
+def test_lp_enumerates_no_subsets():
+    source = inspect.getsource(linfeas.lp)
+    assert "itertools" not in source and "combinations" not in source

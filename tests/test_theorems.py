@@ -199,7 +199,7 @@ def test_hoffman_constant_independent_of_rhs(triangle):
         residual = np.linalg.norm(triangle.columns @ x - b)
         if residual <= 1e-12:
             continue
-        report = hoffman_dual(triangle, b, x, compute_exact=False, report=report0)
+        report = hoffman_dual(triangle, b, x, report=report0)
         assert report.bound_value / residual == pytest.approx(1.0 / rho, rel=1e-12)
 
 
