@@ -92,6 +92,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -130,13 +144,13 @@ def _build_parser() -> _Parser:
     certify = sub.add_parser("certify", parents=[common], help="verify a statement on an instance")
     certify.add_argument("instance", type=Path)
     certify.add_argument("--theorem", required=True, choices=THEOREMS)
-    certify.add_argument("--gamma", type=float, default=0.0)
+    certify.add_argument("--gamma", type=_nonnegative_float, default=0.0)
     certify.add_argument("--b", type=str, default=None, help="JSON vector, length d")
     certify.add_argument("--x", type=str, default=None, help="JSON nonnegative vector, length n")
     certify.add_argument("--p", type=str, default=None, help="JSON simplex weights, length n")
     certify.add_argument("--c", type=str, default=None, help="JSON vector, length n")
     certify.add_argument("--w", type=str, default=None, help="JSON vector, length d")
-    certify.add_argument("--samples", type=int, default=32)
+    certify.add_argument("--samples", type=_positive_int, default=32)
 
     batch = sub.add_parser("batch", parents=[common], help="fan runs out over instances x algorithms")
     batch.add_argument("--instances", type=Path, required=True, help="directory of instance JSON files")
@@ -158,9 +172,14 @@ def _parse_vector(text: str | None, length: int, label: str) -> np.ndarray | Non
         values = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"--{label} must be a JSON array: {exc}") from exc
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"--{label} must be an array of numbers: {exc}") from exc
     if arr.shape != (length,):
         raise _UsageError(f"--{label} must have length {length}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise _UsageError(f"--{label} must be finite, got {text}")
     return arr
 
 
@@ -322,16 +341,16 @@ def _certify_radius(instance: ProblemInstance, report: MarginReport, samples: in
     inradius = abs(report.rho_minus)
     rng = np.random.default_rng(seed)
     basis = instance.basis
-    failures = []
-    for k in range(samples):
+    points = []
+    for _ in range(samples):
         z = rng.standard_normal(basis.rank)
         z /= np.linalg.norm(z)
-        v = 0.99 * inradius * basis.lift(z)
-        if representable(instance, v) is None:
-            failures.append(f"interior sample {k} not representable")
+        points.append(0.99 * inradius * basis.lift(z))
     assert report.witness_direction is not None
-    outside = -(1.0 + 1e-3) * inradius * report.witness_direction.vector
-    if representable(instance, outside) is not None:
+    points.append(-(1.0 + 1e-3) * inradius * report.witness_direction.vector)
+    *inside, outside = representable(instance, np.array(points))
+    failures = [f"interior sample {k} not representable" for k, p in enumerate(inside) if p is None]
+    if outside is not None:
         failures.append("point beyond the nearest facet was representable")
     _emit({
         "statement": "radius",
@@ -347,6 +366,25 @@ def cmd_certify(args) -> int:
     instance = _load(args.instance)
     n, d = instance.n, instance.d
     try:
+        # the vector inputs are parsed first, so a malformed one costs no oracle call
+        if args.theorem == "hoffman-dual":
+            b = _parse_vector(args.b, d, "b")
+            x = _parse_vector(args.x, n, "x")
+            b = np.zeros(d) if b is None else b
+            if x is None:
+                x = np.zeros(n)
+                x[0] = 1.0
+            hoffman = functools.partial(hoffman_dual, instance, b, x)
+        elif args.theorem == "hoffman-simplex":
+            p = _parse_vector(args.p, n, "p")
+            point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
+            hoffman = functools.partial(hoffman_simplex, instance, point)
+        elif args.theorem == "hoffman-primal":
+            c = _parse_vector(args.c, n, "c")
+            w = _parse_vector(args.w, d, "w")
+            c = np.ones(n) if c is None else c
+            w = np.zeros(d) if w is None else w
+            hoffman = functools.partial(hoffman_primal, instance, c, w)
         report = margin_report(instance, rank_tol=args.tol_rank)
         if args.theorem in ("gordan1", "gordan2", "gordan3"):
             part = int(args.theorem[-1])
@@ -355,28 +393,11 @@ def cmd_certify(args) -> int:
             )
             _emit(verdict.as_dict())
             return EXIT_OK if verdict.verified else EXIT_VIOLATION
-        if args.theorem == "hoffman-dual":
-            b = _parse_vector(args.b, d, "b")
-            x = _parse_vector(args.x, n, "x")
-            b = np.zeros(d) if b is None else b
-            if x is None:
-                x = np.zeros(n)
-                x[0] = 1.0
-            hreport = hoffman_dual(instance, b, x, report=report)
-        elif args.theorem == "hoffman-simplex":
-            p = _parse_vector(args.p, n, "p")
-            point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
-            hreport = hoffman_simplex(instance, point, report=report)
-        elif args.theorem == "hoffman-primal":
-            c = _parse_vector(args.c, n, "c")
-            w = _parse_vector(args.w, d, "w")
-            c = np.ones(n) if c is None else c
-            w = np.zeros(d) if w is None else w
-            hreport = hoffman_primal(instance, c, w, report=report)
-        elif args.theorem == "meb":
+        if args.theorem == "meb":
             return _certify_meb(instance, report)
-        else:
+        if args.theorem == "radius":
             return _certify_radius(instance, report, args.samples, args.seed)
+        hreport = hoffman(report=report)
     except (IllPosedError, InapplicableError, BudgetExceededError, MinNormPointError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE

@@ -366,22 +366,53 @@ def minimum_enclosing_ball(instance: ProblemInstance, report: MarginReport | Non
     return BallReport(center=combine(instance, weights), radius=radius, support_weights=weights)
 
 
-def representable(instance: ProblemInstance, v: np.ndarray) -> SimplexPoint | None:
-    """Weights p with columns @ p = v when v lies in the hull, else None.
+def representable(instance: ProblemInstance, points: np.ndarray) -> list[SimplexPoint | None]:
+    """For each row v of a (k, d) stack, weights p with columns @ p = v when v lies in the hull, else None.
 
-    Solved as a phase-1 feasibility program; the emptiness answer is the
-    simplex status, double-checked against a residual of 1e-9.
+    The lowest open point runs a phase-1 feasibility program; its emptiness
+    answer is the simplex status, double-checked: weights below SimplexPoint's
+    repair tolerance or a residual above 1e-9 also give None.
+    When the simplex ends on d + 1 columns of [A; 1^T] (no artificial left, no
+    redundant row dropped), that square basis B is solved against every open
+    point's [v; 1] at once. A solution that is entrywise >= 0 is a basic
+    feasible solution of that point's program, found without pivoting
+    (Chvatal, Linear Programming, 1983, ch. 3); it answers the point if it
+    passes the same residual check. So only the simplex answers None, and a
+    one-row stack gets the simplex's answer alone. The bases live for one call.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (instance.d,):
-        raise ValueError(f"query vector has shape {v.shape}, expected ({instance.d},)")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != instance.d:
+        raise ValueError(f"query points have shape {points.shape}, expected (k, {instance.d})")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("query points must be finite")
     n = instance.n
     eq = np.vstack([instance.columns, np.ones((1, n))])
-    rhs = np.concatenate([v, [1.0]])
-    sol = solve(LinearProgram(objective=np.zeros(n), eq_matrix=eq, eq_rhs=rhs))
-    if sol.status != "optimal":
-        return None
-    point = SimplexPoint.from_approximate(sol.x)
-    if np.linalg.norm(combine(instance, point) - v) > 1e-9:
-        return None
-    return point
+    rhs = np.hstack([points, np.ones((len(points), 1))])
+
+    def checked(k: int, weights: np.ndarray) -> SimplexPoint | None:
+        try:
+            point = SimplexPoint.from_approximate(weights)
+        except ValueError:  # a weight below the repair tolerance: the simplex's 1e-9 admitted a miss
+            return None
+        return point if np.linalg.norm(combine(instance, point) - points[k]) <= 1e-9 else None
+
+    answers: list[SimplexPoint | None] = [None] * len(points)
+    is_open = np.ones(len(points), dtype=bool)
+    for k in range(len(points)):
+        if not is_open[k]:
+            continue
+        is_open[k] = False
+        sol = solve(LinearProgram(objective=np.zeros(n), eq_matrix=eq, eq_rhs=rhs[k]))
+        if sol.status != "optimal":
+            continue
+        answers[k] = checked(k, sol.x)
+        if len(sol.basis) != eq.shape[0] or not is_open.any():
+            continue
+        rest = np.flatnonzero(is_open)
+        solved = np.linalg.solve(eq[:, sol.basis], rhs[rest].T)
+        for j in np.flatnonzero(solved.min(axis=0) >= 0.0):
+            weights = np.zeros(n)
+            weights[sol.basis] = solved[:, j]
+            answers[rest[j]] = checked(rest[j], weights)
+            is_open[rest[j]] = answers[rest[j]] is None
+    return answers

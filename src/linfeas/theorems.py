@@ -167,10 +167,14 @@ def gordan_decide(
     origin. Part 3 splits on dot products above -gamma versus the gamma-ball
     being representable; the ball claim is certified by the exact inradius
     comparison and spot-checked on the scaled basis directions plus seeded
-    samples. A ``report`` computed earlier can be passed to skip the oracle.
+    samples, all passed to one batched ``representable`` call, so the
+    ``ball_samples`` weights are a basic feasible solution for each point but
+    not always the one a fresh simplex would pick. Gamma must satisfy
+    0 <= gamma < inf. A ``report`` computed earlier can be passed to skip the
+    oracle.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
     if part not in (1, 2, 3):
         raise ValueError("part must be 1, 2, or 3")
     if part == 1 and gamma != 0.0:
@@ -218,15 +222,14 @@ def gordan_decide(
         )
 
     # part 3, second alternative: every point of the gamma-ball in the span is
-    # representable; spot-check scaled directions, each via a feasibility LP
+    # representable; spot-check scaled directions in one batch of feasibility LPs
     if gamma == 0.0:
         directions = np.zeros((1, instance.d))
     else:
         directions = gamma * _span_directions(instance, samples, sample_seed)
     table: list[tuple[np.ndarray, SimplexPoint]] = []
     residuals = []
-    for v in directions:
-        p = representable(instance, v)
+    for v, p in zip(directions, representable(instance, directions)):
         if p is None:
             raise CertificateConstructionError(
                 f"ball point {v} is not representable although the inradius "
@@ -300,7 +303,7 @@ def hoffman_dual(
             slack=bound,
         )
     v = rho * (b - instance.columns @ x) / r
-    p = representable(instance, v)
+    (p,) = representable(instance, v[None])
     if p is None:
         raise CertificateConstructionError(
             "scaled residual direction is not representable despite the inradius guarantee"
@@ -350,7 +353,7 @@ def hoffman_simplex(
             relaxed_bound=relaxed,
         )
     v = -(rho / r) * image
-    p_prime = representable(instance, v)
+    (p_prime,) = representable(instance, v[None])
     if p_prime is None:
         raise CertificateConstructionError(
             "reflected hull point is not representable despite the inradius guarantee"

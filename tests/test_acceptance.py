@@ -256,9 +256,9 @@ def test_criterion_9_geometry_oracles(criterion, negative_battery):
                 z = rng.standard_normal(basis.rank)
                 z /= np.linalg.norm(z)
                 v = 0.99 * inradius * basis.lift(z)
-                assert representable(inst, v) is not None, inst.name
+                assert representable(inst, v[None])[0] is not None, inst.name
             outside = -(1.0 + 1e-3) * inradius * report.witness_direction.vector
-            assert representable(inst, outside) is None, inst.name
+            assert representable(inst, outside[None])[0] is None, inst.name
 
         resolution = 1024
         for rank, count in ((1, 5), (2, 10), (3, 10)):

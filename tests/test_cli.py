@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,3 +454,55 @@ def test_reused_parser_leaks_no_state_between_calls(tmp_path, axes_unit_path, tr
     assert linfeas.cli._parser() is linfeas.cli._parser()
     for command, expected in zip(commands + commands[::-1], fresh + fresh[::-1]):
         assert outcome(command) == expected, command
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("{axes}", "--theorem", "hoffman-primal", "--c", "[NaN, 1]"),
+        ("{axes}", "--theorem", "hoffman-primal", "--w", "[NaN, 0]"),
+        ("{triangle}", "--theorem", "gordan2", "--gamma", "nan"),
+        ("{triangle}", "--theorem", "gordan3", "--gamma", "nan"),
+        ("{triangle}", "--theorem", "gordan3", "--gamma", "inf"),
+        ("{triangle}", "--theorem", "hoffman-dual", "--x", "[1, 0, NaN]"),
+        ("{triangle}", "--theorem", "hoffman-dual", "--b", "[Infinity, 0]"),
+        ("{triangle}", "--theorem", "hoffman-simplex", "--p", "[NaN, 0.5, 0.5]"),
+        ("{triangle}", "--theorem", "hoffman-dual", "--b", "[null, 0]"),
+    ],
+)
+def test_non_finite_certify_input_is_usage_error(
+    axes_unit_path, triangle_path, capsys, recwarn, oracle_calls, args
+):
+    argv = [a.format(axes=axes_unit_path, triangle=triangle_path) for a in args]
+    assert run_cli("certify", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert not oracle_calls  # refused before any work
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("value", ["-3", "0"])
+@pytest.mark.parametrize("theorem", [("radius",), ("gordan3", "--gamma", "0.4")])
+def test_non_positive_samples_is_usage_error(triangle_path, capsys, oracle_calls, theorem, value):
+    assert run_cli("certify", triangle_path, "--theorem", *theorem, "--samples", value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: argument --samples: must be a positive integer, got '{value}'"
+    ]
+    assert not oracle_calls
+
+
+def test_certify_output_is_byte_identical_to_the_recorded_round(tmp_path, capsys):
+    # certify radius, hoffman-dual and hoffman-simplex on one certify-lp round, as
+    # printed before representable answered batches; their output must not move
+    recorded = json.loads((Path(__file__).parent / "data" / "certify_lp_seed7.json").read_text())
+    assert len(recorded["cases"]) == 28
+    for case in recorded["cases"]:
+        path = tmp_path / f"{case['name']}.json"
+        path.write_text(json.dumps(case["instance"]))
+        for theorem, expected in case["certify"].items():
+            assert run_cli("certify", path, "--theorem", theorem, "--seed", "7") == expected["exit"]
+            assert capsys.readouterr().out == expected["stdout"], (case["name"], theorem)

@@ -197,19 +197,19 @@ def test_meb_rejects_unnormalized():
 
 
 def test_representable_segment(segment):
-    point = representable(segment, np.array([0.3, 0.0]))
+    (point,) = representable(segment, np.array([[0.3, 0.0]]))
     assert point is not None
     assert np.allclose(point.weights, [0.65, 0.35], atol=1e-9)
     assert np.allclose(combine(segment, point), [0.3, 0.0], atol=1e-9)
 
 
 def test_representable_negative_answer(axes):
-    assert representable(axes, np.zeros(2)) is None
+    assert representable(axes, np.zeros((1, 2)))[0] is None
 
 
 def test_representable_column_itself(triangle):
     target = triangle.column(0)
-    point = representable(triangle, target)
+    (point,) = representable(triangle, target[None])
     assert point is not None
     assert np.allclose(combine(triangle, point), target, atol=1e-9)
 
@@ -246,9 +246,9 @@ def test_radius_property_on_infeasible_battery():
             z = rng.standard_normal(basis.rank)
             z /= np.linalg.norm(z)
             v = 0.99 * inradius * basis.lift(z)
-            assert representable(inst, v) is not None
+            assert representable(inst, v[None])[0] is not None
         outside = -(1.0 + 1e-3) * inradius * report.witness_direction.vector
-        assert representable(inst, outside) is None
+        assert representable(inst, outside[None])[0] is None
 
 
 def test_meb_identity_on_feasible_battery():
@@ -466,3 +466,138 @@ def test_boundary_pass_ignores_rounding_on_exact_facets(d):
     assert report.rho_minus == pytest.approx(-1.0 / np.sqrt(d), abs=1e-15)
     assert not report.boundary_pass
 
+
+
+# --- batched membership queries ----------------------------------------------------
+
+
+def _membership_queries(inst, rng, report=None) -> np.ndarray:
+    """Hull vertices, points inside, points just beyond each column and, on the negative side, ball points; shuffled."""
+    cols = inst.columns
+    d, n = cols.shape
+    centre = cols.mean(axis=1)
+    blocks = [cols.T, rng.dirichlet(np.ones(n), 8) @ cols.T, cols.T + 1e-6 * (cols.T - centre)]
+    if report is not None and report.rho_affine < -ZERO_BAND:
+        inradius = abs(report.rho_minus)
+        z = rng.standard_normal((12, inst.basis.rank))
+        z /= np.linalg.norm(z, axis=1)[:, None]
+        blocks.append(inradius * np.array([0.5, 0.99] * 6)[:, None] * (z @ inst.basis.basis.T))
+        blocks.append(-(1.0 + 1e-3) * inradius * report.witness_direction.vector[None])
+    points = np.vstack(blocks)
+    return points[rng.permutation(len(points))]
+
+
+def _simplex_alone(inst, v) -> SimplexPoint | None:
+    """The phase-1 program of one query, solved on its own; None unless its weights pass the checks."""
+    from linfeas.lp import LinearProgram, solve
+
+    eq = np.vstack([inst.columns, np.ones((1, inst.n))])
+    sol = solve(LinearProgram(objective=np.zeros(inst.n), eq_matrix=eq, eq_rhs=np.append(v, 1.0)))
+    if sol.status == "infeasible" or sol.x.min() < -1e-9:
+        return None
+    point = SimplexPoint.from_approximate(sol.x)
+    return point if np.linalg.norm(inst.columns @ point.weights - v) <= 1e-9 else None
+
+
+def _assert_batch_answers(inst, points) -> list:
+    """None exactly where the simplex alone finds no checked point; otherwise a basic feasible solution."""
+    answers = representable(inst, points)
+    assert len(answers) == len(points)
+    eq = np.vstack([inst.columns, np.ones((1, inst.n))])
+    for k, (v, p) in enumerate(zip(points, answers)):
+        assert (p is None) == (_simplex_alone(inst, v) is None), (inst.name, k)
+        if p is None:
+            continue
+        w = p.weights
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+        assert np.linalg.norm(inst.columns @ w - v) <= 1e-9
+        support = np.flatnonzero(w)
+        assert np.linalg.matrix_rank(eq[:, support]) == support.size, (inst.name, k)
+    # the first row always runs the simplex, so it gets the one-row answer byte for byte
+    (first,) = representable(inst, points[:1])
+    assert (answers[0] is None) == (first is None)
+    if first is not None:
+        assert answers[0].weights.tobytes() == first.weights.tobytes()
+    return answers
+
+
+def _certify_lp_instances():
+    """Planted instances at the certify-lp shapes: d 2-4, n 5-9."""
+    for d in (2, 3, 4):
+        for n in range(d + 2, 10):
+            for kind, target in (("planted-negative", -0.5 / d), ("planted-positive", 0.2)):
+                yield generate(GeneratorSpec(kind=kind, d=d, n=n, target_margin=target, seed=100 * d + n))[0]
+
+
+def test_batched_representable_matches_the_simplex_on_batteries():
+    from batteries import mixed_instances
+
+    rng = np.random.default_rng(71)
+    instances = (
+        [inst for inst, _ in negative_instances(20, seed=72)]
+        + [inst for inst, _ in mixed_instances(24, seed=73)]  # a quarter are rank-deficient
+        + list(_certify_lp_instances())
+    )
+    answered = refused = 0
+    for inst in instances:
+        answers = _assert_batch_answers(inst, _membership_queries(inst, rng, margin_report(inst)))
+        refused += sum(p is None for p in answers)
+        answered += sum(p is not None for p in answers)
+    assert answered > 1000 and refused > 200  # both answers are exercised
+
+
+@given(cols=degenerate_columns(), seed=st.integers(0, 2**32 - 1))
+@example(cols=np.array([[2.0, -1.0]]), seed=0)  # n = 1
+@example(cols=np.array([[1.0], [-3.0], [0.5]]), seed=0)  # d = 1
+@example(cols=np.array([[0.0, 0.0], [1.0, 0.0]]), seed=0)  # a zero column
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_batched_representable_on_degenerate_inputs(cols, seed):
+    inst = ingest(cols.tolist(), normalize=False)
+    _assert_batch_answers(inst, _membership_queries(inst, np.random.default_rng(seed)))
+
+
+def test_one_row_call_is_the_simplex_alone():
+    rng = np.random.default_rng(74)
+    for inst, _ in negative_instances(10, seed=75):
+        for v in _membership_queries(inst, rng, margin_report(inst)):
+            (p,) = representable(inst, v[None])
+            alone = _simplex_alone(inst, v)
+            assert (p is None) == (alone is None)
+            if p is not None:
+                assert p.weights.tobytes() == alone.weights.tobytes()
+
+
+def test_batch_reuses_bases_only_on_full_row_rank(monkeypatch):
+    from batteries import infeasible_instances
+
+    import linfeas.margins
+
+    calls = []
+    original = linfeas.margins.solve
+    monkeypatch.setattr(linfeas.margins, "solve", lambda lp: calls.append(1) or original(lp))
+    rng = np.random.default_rng(76)
+    runs = {True: 0, False: 0}
+    points = {True: 0, False: 0}
+    for inst, _ in infeasible_instances(24, seed=77):  # every third is rank-deficient
+        inradius = abs(margin_report(inst).rho_minus)
+        z = rng.standard_normal((38, inst.basis.rank))
+        ball = 0.5 * inradius * (z / np.linalg.norm(z, axis=1)[:, None]) @ inst.basis.basis.T
+        calls.clear()
+        assert all(p is not None for p in representable(inst, ball))
+        full = np.linalg.matrix_rank(np.vstack([inst.columns, np.ones((1, inst.n))])) == inst.d + 1
+        runs[full] += len(calls)
+        points[full] += len(ball)
+        if not full:  # the simplex drops a redundant row, so no basis is square
+            assert len(calls) == len(ball)
+    assert points[True] and points[False]
+    assert runs[True] <= 0.25 * points[True]
+
+
+def test_representable_refuses_bad_queries(triangle):
+    with pytest.raises(ValueError, match="finite"):
+        representable(triangle, np.array([[0.0, 0.0], [np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        representable(triangle, np.array([[np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="shape"):
+        representable(triangle, np.zeros(2))
+    assert representable(triangle, np.zeros((0, 2))) == []

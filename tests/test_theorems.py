@@ -79,6 +79,13 @@ def test_gordan_rejects_negative_gamma(axes):
         gordan_decide(axes, -0.1, 2)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+@pytest.mark.parametrize("part", [2, 3])
+def test_gordan_rejects_non_finite_gamma(triangle, gamma, part):
+    with pytest.raises(ValueError, match="finite"):
+        gordan_decide(triangle, gamma, part, report=margin_report(triangle))
+
+
 def test_gordan_gamma_zero_parts_agree():
     for inst, meta in mixed_instances(24, seed=2100):
         report = margin_report(inst)
