@@ -111,10 +111,10 @@ class IterateTrace:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(TRACE_HEADER + "\n")
             columns = (self.ts, self.norms, self.margins, self.losses, self.chosen)
-            fh.write("".join(
-                f"{t},{norm:.17g},{margin:.17g},{loss_t:.17g},{i}\n"
-                for t, norm, margin, loss_t, i in zip(*(c.tolist() for c in columns))
-            ))
+            cells = [None] * (5 * len(self.ts))  # row-major: the columns interleaved
+            for k, column in enumerate(columns):
+                cells[k::5] = column.tolist()
+            fh.write(("%d,%.17g,%.17g,%.17g,%d\n" * len(self.ts)) % tuple(cells))
         return path
 
 

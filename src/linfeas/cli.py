@@ -257,46 +257,49 @@ def cmd_margin(args) -> int:
 
 def _run_one(
     instance_path: Path,
-    algorithm: str,
+    algorithms: list[str],
     mode: str,
     eps: float,
     max_iters: int,
     out_dir: Path,
     dump_alpha: bool,
     rank_tol: float | None = None,
-) -> tuple[RunSummary, Path]:
+) -> list[tuple[RunSummary, Path]]:
+    """Run each algorithm on one instance, loaded and measured by the exact oracle once."""
     instance = _load(instance_path)
     try:
         config = AlgorithmConfig(max_iters=max_iters, target_eps=eps, mode=mode)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     try:
-        certificate, trace = ALGORITHMS[algorithm](instance, config)
-    except ValueError as exc:  # the solvers' one precondition: unit columns
-        raise _Inapplicable(f"{instance_path}: {exc}") from exc
-    try:
         report = margin_report(instance, rank_tol=rank_tol)
     except (BudgetExceededError, MinNormPointError):
-        report = None  # summary still written, oracle checks skipped
-    summary = build_run_summary(instance, report, algorithm, mode, certificate, trace)
-    digest = hashlib.sha1(
-        f"{instance_path}|{algorithm}|{mode}|{eps}|{max_iters}".encode()
-    ).hexdigest()[:10]
-    stem = f"{instance_path.stem}__{algorithm}__{digest}"
-    trace.write_csv(out_dir / f"{stem}.trace.csv")
-    if dump_alpha:
-        alpha_path = out_dir / f"{stem}.alpha.json"
-        alpha_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(alpha_path, "w", encoding="utf-8") as fh:
-            json.dump({"alpha": trace.coefficients.tolist()}, fh)
-    summary_path = summary.save(out_dir / f"{stem}.summary.json")
-    return summary, summary_path
+        report = None  # summaries still written, oracle checks skipped
+    runs = []
+    for algorithm in algorithms:
+        try:
+            certificate, trace = ALGORITHMS[algorithm](instance, config)
+        except ValueError as exc:  # the solvers' one precondition: unit columns
+            raise _Inapplicable(f"{instance_path}: {exc}") from exc
+        summary = build_run_summary(instance, report, algorithm, mode, certificate, trace)
+        digest = hashlib.sha1(
+            f"{instance_path}|{algorithm}|{mode}|{eps}|{max_iters}".encode()
+        ).hexdigest()[:10]
+        stem = f"{instance_path.stem}__{algorithm}__{digest}"
+        trace.write_csv(out_dir / f"{stem}.trace.csv")
+        if dump_alpha:
+            alpha_path = out_dir / f"{stem}.alpha.json"
+            alpha_path.parent.mkdir(parents=True, exist_ok=True)
+            with open(alpha_path, "w", encoding="utf-8") as fh:
+                json.dump({"alpha": trace.coefficients.tolist()}, fh)
+        runs.append((summary, summary.save(out_dir / f"{stem}.summary.json")))
+    return runs
 
 
 def cmd_run(args) -> int:
-    summary, summary_path = _run_one(
+    ((summary, summary_path),) = _run_one(
         args.instance,
-        args.algorithm,
+        [args.algorithm],
         args.mode,
         args.eps,
         args.max_iters,
@@ -365,8 +368,21 @@ def _certify_radius(instance: ProblemInstance, report: MarginReport, samples: in
 def cmd_certify(args) -> int:
     instance = _load(args.instance)
     n, d = instance.n, instance.d
+    # each statement checks its inputs before it asks for the report, so a malformed
+    # input costs no oracle call
+    oracle = functools.partial(margin_report, instance, rank_tol=args.tol_rank)
     try:
-        # the vector inputs are parsed first, so a malformed one costs no oracle call
+        if args.theorem in ("gordan1", "gordan2", "gordan3"):
+            part = int(args.theorem[-1])
+            verdict = gordan_decide(
+                instance, args.gamma, part, sample_seed=args.seed, samples=args.samples, report=oracle
+            )
+            _emit(verdict.as_dict())
+            return EXIT_OK if verdict.verified else EXIT_VIOLATION
+        if args.theorem == "meb":
+            return _certify_meb(instance, oracle())
+        if args.theorem == "radius":
+            return _certify_radius(instance, oracle(), args.samples, args.seed)
         if args.theorem == "hoffman-dual":
             b = _parse_vector(args.b, d, "b")
             x = _parse_vector(args.x, n, "x")
@@ -374,30 +390,17 @@ def cmd_certify(args) -> int:
             if x is None:
                 x = np.zeros(n)
                 x[0] = 1.0
-            hoffman = functools.partial(hoffman_dual, instance, b, x)
+            hreport = hoffman_dual(instance, b, x, report=oracle)
         elif args.theorem == "hoffman-simplex":
             p = _parse_vector(args.p, n, "p")
             point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
-            hoffman = functools.partial(hoffman_simplex, instance, point)
-        elif args.theorem == "hoffman-primal":
+            hreport = hoffman_simplex(instance, point, report=oracle)
+        else:
             c = _parse_vector(args.c, n, "c")
             w = _parse_vector(args.w, d, "w")
             c = np.ones(n) if c is None else c
             w = np.zeros(d) if w is None else w
-            hoffman = functools.partial(hoffman_primal, instance, c, w)
-        report = margin_report(instance, rank_tol=args.tol_rank)
-        if args.theorem in ("gordan1", "gordan2", "gordan3"):
-            part = int(args.theorem[-1])
-            verdict = gordan_decide(
-                instance, args.gamma, part, sample_seed=args.seed, samples=args.samples, report=report
-            )
-            _emit(verdict.as_dict())
-            return EXIT_OK if verdict.verified else EXIT_VIOLATION
-        if args.theorem == "meb":
-            return _certify_meb(instance, report)
-        if args.theorem == "radius":
-            return _certify_radius(instance, report, args.samples, args.seed)
-        hreport = hoffman(report=report)
+            hreport = hoffman_primal(instance, c, w, report=oracle)
     except (IllPosedError, InapplicableError, BudgetExceededError, MinNormPointError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
@@ -410,10 +413,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK if hreport.verified else EXIT_VIOLATION
 
 
-def _batch_worker(task) -> tuple[str, str, str]:
-    path, algorithm, mode, eps, max_iters, out_dir, dump_alpha, rank_tol = task
-    summary, _ = _run_one(Path(path), algorithm, mode, eps, max_iters, Path(out_dir), dump_alpha, rank_tol)
-    return summary.instance_name, algorithm, summary.verdict
+def _batch_worker(task) -> list[tuple[str, str, str]]:
+    path, algorithms, mode, eps, max_iters, out_dir, dump_alpha, rank_tol = task
+    runs = _run_one(Path(path), algorithms, mode, eps, max_iters, Path(out_dir), dump_alpha, rank_tol)
+    return [(summary.instance_name, summary.algorithm, summary.verdict) for summary, _ in runs]
 
 
 def cmd_batch(args) -> int:
@@ -425,17 +428,18 @@ def cmd_batch(args) -> int:
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise _UsageError(f"unknown algorithms: {unknown}")
+    # one task per instance: a worker loads and measures its instance once for all algorithms
     tasks = [
-        (str(path), algo, args.mode, args.eps, args.max_iters, str(args.out_dir), args.dump_alpha,
+        (str(path), algorithms, args.mode, args.eps, args.max_iters, str(args.out_dir), args.dump_alpha,
          args.tol_rank)
         for path in paths
-        for algo in algorithms
     ]
     if args.workers <= 1:
-        results = [_batch_worker(task) for task in tasks]
+        per_instance = [_batch_worker(task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_batch_worker, tasks))
+            per_instance = list(pool.map(_batch_worker, tasks))
+    results = [row for rows in per_instance for row in rows]
     for name, algo, verdict in results:
         print(f"{name},{algo},{verdict}")
     verdicts = {verdict for _, _, verdict in results}

@@ -1,8 +1,10 @@
 """Seeded instance generators with oracle-verified planted margins.
 
 Planted values are lower bounds on the true margin magnitude, never the exact
-value; every generated instance is re-measured by the exact oracle before it
-leaves this module and the measured margins ride along as metadata.
+value; every generated instance is measured by the exact oracle before it
+leaves this module and the measured margins ride along as metadata. Each
+candidate is measured once, in its final form: a rank-deficient one in its
+padded, rotated embedding.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class GeneratorSpec:
             raise ValueError("d and n must be at least 1")
         if self.kind == "planted-positive" and not 0.0 < self.target_margin < 1.0:
             raise ValueError("planted-positive needs target_margin in (0, 1)")
-        if self.kind == "planted-negative" and not -1.0 < self.target_margin < 0.0:
+        negative = self.kind == "planted-negative" or (self.kind == "rank-deficient" and self.target_margin < 0.0)
+        if negative and not -1.0 < self.target_margin < 0.0:
             raise ValueError("planted-negative needs target_margin in (-1, 0)")
         if self.jitter < 0.0:
             raise ValueError("jitter must be nonnegative")
@@ -131,9 +134,18 @@ def _negative_template(rng, d, n, radius):
 
 
 def _planted_negative(spec: GeneratorSpec, rng, target: float) -> tuple[ProblemInstance, MarginReport]:
-    radius = abs(target)
-    base = _negative_template(rng, spec.d, spec.n, radius)
+    flat = spec.kind == "rank-deficient"  # plant in d - 1 dimensions, then pad and rotate
+    base = _negative_template(rng, spec.d - 1 if flat else spec.d, spec.n, abs(target))
     perturbation = rng.standard_normal(base.shape)
+    rotation = _random_rotation(rng, spec.d) if flat else None
+
+    def measured(columns: np.ndarray) -> tuple[ProblemInstance, MarginReport]:
+        instance = ingest(columns, normalize=True, name=spec.default_name)
+        if rotation is not None:
+            padded = np.vstack([instance.columns, np.zeros((1, spec.n))])
+            instance = ingest((rotation @ padded).T, normalize=True, name=spec.default_name)
+        return instance, margin_report(instance)
+
     jitter = spec.jitter
     for _ in range(7):
         if jitter > 0.0:
@@ -145,15 +157,13 @@ def _planted_negative(spec: GeneratorSpec, rng, target: float) -> tuple[ProblemI
             candidate = jittered / norms[:, None]
         else:
             candidate = base
-        instance = ingest(candidate, normalize=True, name=spec.default_name)
-        report = margin_report(instance)
+        instance, report = measured(candidate)
         if report.rho_affine <= target + 1e-9:
             return instance, report
         if jitter == 0.0:
             raise GenerationError("template failed its own oracle verification")
         jitter *= 0.5  # shrink until containment of the planted ball survives
-    instance = ingest(base, normalize=True, name=spec.default_name)
-    return instance, margin_report(instance)
+    return measured(base)
 
 
 def _random_rotation(rng, d: int) -> np.ndarray:
@@ -172,26 +182,11 @@ def generate(spec: GeneratorSpec) -> tuple[ProblemInstance, dict]:
         columns = _sample_positive_columns(rng, spec.d, spec.n, target)
         instance = ingest(columns, normalize=True, name=spec.default_name)
         report = margin_report(instance)
-    elif spec.kind == "planted-negative":
-        target = spec.target_margin
-        instance, report = _planted_negative(spec, rng, target)
-    else:  # rank-deficient: embed a flat negative-margin instance and rotate
-        if spec.d < 2:
+    else:  # planted-negative, or rank-deficient: a flat negative-margin instance embedded and rotated
+        if spec.kind == "rank-deficient" and spec.d < 2:
             raise GenerationError("rank-deficient requires d >= 2")
         target = spec.target_margin if spec.target_margin < 0.0 else -0.5
-        inner_spec = GeneratorSpec(
-            kind="planted-negative",
-            d=spec.d - 1,
-            n=spec.n,
-            target_margin=target,
-            seed=spec.seed,
-            jitter=spec.jitter,
-        )
-        inner, _ = _planted_negative(inner_spec, rng, target)
-        padded = np.vstack([inner.columns, np.zeros((1, spec.n))])
-        rotated = _random_rotation(rng, spec.d) @ padded
-        instance = ingest(rotated.T, normalize=True, name=spec.default_name)
-        report = margin_report(instance)  # the embedding has its own rank and span
+        instance, report = _planted_negative(spec, rng, target)
 
     if spec.kind in ("planted-positive", "near-ill-posed"):
         if report.rho_affine < target - 1e-9:

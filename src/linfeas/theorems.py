@@ -9,6 +9,7 @@ distance from the LP module.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,15 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
+
+ReportSource = MarginReport | Callable[[], MarginReport] | None
+
+
+def _measured(instance: ProblemInstance, report: ReportSource) -> MarginReport:
+    """The report passed, the one a passed callable computes, or a fresh one; asked for after the input checks."""
+    if report is None:
+        return margin_report(instance)
+    return report() if callable(report) else report
 
 
 class IllPosedError(RuntimeError):
@@ -158,7 +168,7 @@ def gordan_decide(
     part: int,
     sample_seed: int = 0,
     samples: int = 32,
-    report: MarginReport | None = None,
+    report: ReportSource = None,
 ) -> GordanVerdict:
     """Decide which alternative holds at threshold gamma and construct its witness.
 
@@ -171,7 +181,8 @@ def gordan_decide(
     ``ball_samples`` weights are a basic feasible solution for each point but
     not always the one a fresh simplex would pick. Gamma must satisfy
     0 <= gamma < inf. A ``report`` computed earlier can be passed to skip the
-    oracle.
+    oracle, or a callable that computes it, called only once the inputs pass
+    their checks.
     """
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
@@ -179,8 +190,7 @@ def gordan_decide(
         raise ValueError("part must be 1, 2, or 3")
     if part == 1 and gamma != 0.0:
         raise ValueError("part 1 is the zero-threshold statement; use gamma = 0")
-    if report is None:
-        report = margin_report(instance)
+    report = _measured(instance, report)
     rho = report.rho_affine
     pivot = gamma if part in (1, 2) else -gamma
     if abs(rho - pivot) <= ZERO_BAND:
@@ -261,7 +271,7 @@ def hoffman_dual(
     instance: ProblemInstance,
     b: np.ndarray,
     x: np.ndarray,
-    report: MarginReport | None = None,
+    report: ReportSource = None,
 ) -> HoffmanReport:
     """Bound the l1 distance from x >= 0 to {x' >= 0 | A x' = b} by residual/inradius.
 
@@ -270,15 +280,13 @@ def hoffman_dual(
     lands in the target set. Requires b in the column span with a nonempty
     target set (checked by a phase-1 solve).
     """
-    if report is None:
-        report = margin_report(instance)
-    rho = _require_negative_margin(report)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
     if b.shape != (instance.d,) or x.shape != (instance.n,):
         raise ValueError("b must have length d and x length n")
     if np.any(x < -1e-12):
         raise ValueError("x must be entrywise nonnegative")
+    rho = _require_negative_margin(_measured(instance, report))
     x = np.clip(x, 0.0, None)
     span_gap = float(np.linalg.norm(b - instance.basis.project(b)))
     if span_gap > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
@@ -326,7 +334,7 @@ def hoffman_dual(
 def hoffman_simplex(
     instance: ProblemInstance,
     p: SimplexPoint,
-    report: MarginReport | None = None,
+    report: ReportSource = None,
 ) -> HoffmanReport:
     """Bound the l1 distance from weights p to the zero-combination weight set.
 
@@ -334,9 +342,7 @@ def hoffman_simplex(
     the first addend of the denominator. The witness blends p with a
     representation of the reflected, inradius-scaled hull point.
     """
-    if report is None:
-        report = margin_report(instance)
-    rho = _require_negative_margin(report)
+    rho = _require_negative_margin(_measured(instance, report))
     image = combine(instance, p)
     r = float(np.linalg.norm(image))
     relaxed = 2.0 * r / rho
@@ -381,7 +387,7 @@ def hoffman_primal(
     instance: ProblemInstance,
     c: np.ndarray,
     w: np.ndarray,
-    report: MarginReport | None = None,
+    report: ReportSource = None,
 ) -> HoffmanReport:
     """Bound the Euclidean distance from w to {y | A^T y >= c} by violation/margin.
 
@@ -389,17 +395,16 @@ def hoffman_primal(
     to clear the largest violation. The exact distance cross-check is the
     Euclidean projection onto the constraint polyhedron by NNLS.
     """
-    if report is None:
-        report = margin_report(instance)
+    c = np.asarray(c, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if c.shape != (instance.n,) or w.shape != (instance.d,):
+        raise ValueError("c must have length n and w length d")
+    report = _measured(instance, report)
     if report.rho_affine <= ZERO_BAND:
         raise InapplicableError(
             f"statement needs a strictly positive margin, instance has {report.rho_affine:.3e}"
         )
     rho_plus = report.rho_plus
-    c = np.asarray(c, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if c.shape != (instance.n,) or w.shape != (instance.d,):
-        raise ValueError("c must have length n and w length d")
     violation = np.clip(c - instance.columns.T @ w, 0.0, None)
     worst = float(violation.max())
     bound = worst / rho_plus

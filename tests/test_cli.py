@@ -254,6 +254,88 @@ def test_batch_forwards_rank_tolerance(tmp_path, capsys):
         assert oracle["rank_tolerance"] == 0.001
 
 
+@pytest.fixture
+def mixed_dir(tmp_path):
+    """Positive, negative and rank-deficient instances, and one above the oracle's budget."""
+    inst_dir = tmp_path / "instances"
+    for kind, target in (("planted-positive", "0.3"), ("planted-negative", "-0.3"), ("rank-deficient", "-0.3")):
+        assert run_cli(
+            "gen", "--kind", kind, "--d", "3", "--n", "6", "--target", target, "--seed", "4",
+            "--out", inst_dir / f"{kind}.json",
+        ) == 0
+    rng = np.random.default_rng(8)
+    save_instance(ingest(rng.standard_normal((16, 3)).tolist(), normalize=True, name="wide"), inst_dir / "wide.json")
+    return inst_dir
+
+
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_matches_the_runs_it_fans_out(tmp_path, capsys, mixed_dir, workers):
+    algorithms = ["np", "vng", "classic"]
+    flags = ["--mode", "margin-maximization", "--max-iters", "200", "--dump-alpha"]
+    expected_lines, codes = [], []
+    for path in sorted(mixed_dir.glob("*.json")):
+        for algorithm in algorithms:
+            capsys.readouterr()
+            codes.append(run_cli("run", path, "--algorithm", algorithm, *flags, "--out-dir", tmp_path / "run"))
+            summary = read_json(capsys)
+            expected_lines.append(f"{summary['instance']},{algorithm},{summary['verdict']}")
+    assert set(codes) == {0, 3}
+    assert [line for line in expected_lines if line.startswith("wide,")] == [
+        f"wide,{algorithm},unchecked" for algorithm in algorithms
+    ]  # above the oracle's budget
+    code = run_cli(
+        "batch", "--instances", mixed_dir, "--algorithms", ",".join(algorithms), "--workers", workers,
+        *flags, "--out-dir", tmp_path / "batch",
+    )
+    assert code == max(codes)
+    assert capsys.readouterr().out.splitlines() == expected_lines
+    run_tree, batch_tree = _tree(tmp_path / "run"), _tree(tmp_path / "batch")
+    assert len(run_tree) == 3 * len(expected_lines)  # trace, alpha dump and summary of every run
+    assert batch_tree == run_tree
+
+
+def test_batch_measures_each_instance_once(tmp_path, capsys, monkeypatch, mixed_dir):
+    measured = Counter()
+    original = linfeas.cli.margin_report
+
+    def counted(instance, *args, **kwargs):
+        measured[instance.name] += 1
+        return original(instance, *args, **kwargs)
+
+    monkeypatch.setattr(linfeas.cli, "margin_report", counted)
+    capsys.readouterr()
+    code = run_cli(
+        "batch", "--instances", mixed_dir, "--algorithms", "np,vng,classic", "--workers", "1",
+        "--max-iters", "100", "--out-dir", tmp_path / "runs",
+    )
+    assert code == 3
+    assert len(capsys.readouterr().out.splitlines()) == 12
+    assert len(measured) == 4 and set(measured.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--theorem", "hoffman-dual", "--x", "[1, -1, 0]"),
+        ("--theorem", "gordan1", "--gamma", "0.5"),
+    ],
+)
+def test_certify_refuses_bad_statement_inputs_before_the_oracle(triangle_path, capsys, monkeypatch, args):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle ran for a malformed input")
+
+    monkeypatch.setattr(linfeas.cli, "margin_report", refuse)
+    assert run_cli("certify", triangle_path, *args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "payload",
     ["[1, 2]", '{"columns": "abc"}', '{"columns": [["1", "0"], ["0", "1"]]}',

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linfeas.generators
 from linfeas.generators import GenerationError, GeneratorSpec, generate
 from linfeas.instance import save_instance
 from linfeas.margins import margin_report
@@ -59,6 +61,36 @@ def test_rank_deficient_embedding():
     assert meta["rank"] == 1
     assert meta["rho_affine"] == pytest.approx(-1.0, abs=1e-9)
     assert meta["rho_classical"] == 0.0
+
+
+def test_rank_deficient_measures_each_candidate_once_in_its_embedding(tmp_path, monkeypatch):
+    # the expected bytes were written when the flat template was measured before its embedding
+    measured = []
+
+    def counted(instance, *args, **kwargs):
+        measured.append(instance)
+        return margin_report(instance, *args, **kwargs)
+
+    monkeypatch.setattr(linfeas.generators, "margin_report", counted)
+    cases = json.loads((Path(__file__).parent / "data" / "rank_deficient_generate_seed1.json").read_text())["cases"]
+    assert len(cases) == 48 and {c["spec"]["jitter"] for c in cases} == {0.0, 0.04}
+    for case in cases:
+        measured.clear()
+        spec = GeneratorSpec(**case["spec"])
+        if "error" in case:
+            with pytest.raises(GenerationError) as caught:
+                generate(spec)
+            assert str(caught.value) == case["error"]
+            assert not measured
+            continue
+        inst, meta = generate(spec)
+        assert save_instance(inst, tmp_path / "inst.json", metadata=meta).read_text() == case["file"], spec
+        assert all(m.d == spec.d and m.rank == spec.d - 1 for m in measured), spec
+        assert measured[-1] is inst
+        # each candidate is measured once, and candidates differ in their jitter
+        assert len({m.columns.tobytes() for m in measured}) == len(measured), spec
+        if spec.jitter == 0.0:
+            assert len(measured) == 1, spec
 
 
 def test_near_ill_posed_uses_small_target():
