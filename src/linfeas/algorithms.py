@@ -10,9 +10,12 @@ built per call from the columns and the instance's cached Gram matrix. A step
 toward column i is s += U[i] (classic) or s *= keep; s += step * U[i] (averaged),
 so it costs O(d + n) in a few numpy calls and does elementwise what separate
 updates of w, alpha and the dots would do: the other entries of alpha gain
-step * 0.0, which is exact since alpha >= 0. The trace stores [w | alpha] as one
-row per step. Ties break on the lowest column index, up to the rounding of the
-dots, and every trace is reproducible bit for bit.
+step * 0.0, which is exact since alpha >= 0. The loop holds only the update, the
+column choice and the stop tests, and records [w | alpha], min_j w . a_j and the
+chosen column per step; norms, margins and losses are derived from those rows
+after the loop (||w||^2 is formed inside it only for vng and the dual stop).
+Ties break on the lowest column index, up to the rounding of the dots, and
+every trace is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "Certificate",
     "perceptron_classic",
     "perceptron_normalized",
+    "require_unit_columns",
     "vng",
     "loss",
     "margin_estimate_np",
@@ -119,14 +123,18 @@ class IterateTrace:
 
 
 def _trace_buffers(capacity: int, width: int) -> tuple[np.ndarray, ...]:
-    """Rows for update 0 to capacity: the state [w | alpha], then norm, margin, loss and chosen column."""
+    """Rows for update 0 to capacity: the state [w | alpha], min_j w . a_j and the chosen column."""
     rows = capacity + 1
-    return np.zeros((rows, width)), np.zeros(rows), np.zeros(rows), np.zeros(rows), np.full(rows, -1, dtype=int)
+    return np.zeros((rows, width)), np.zeros(rows), np.full(rows, -1, dtype=int)
 
 
 def _freeze(algorithm: str, d: int, rows: int, termination: str, buffers: tuple[np.ndarray, ...]) -> IterateTrace:
     # a full buffer is handed over as is; a partial one is trimmed, freeing its unused tail
-    states, norms, margins, losses, chosen = (b if b.shape[0] == rows else b[:rows].copy() for b in buffers)
+    states, worsts, chosen = (b if b.shape[0] == rows else b[:rows].copy() for b in buffers)
+    # vecdot reduces each row by the same ddot as w @ w, so these are the per-step bytes
+    norms = np.sqrt(np.vecdot(states[:, :d], states[:, :d]))
+    margins = np.divide(worsts, norms, out=np.full(rows, np.nan), where=norms > 0.0)
+    losses = 0.5 * norms * norms - worsts
     return IterateTrace(
         algorithm=algorithm,
         ts=np.arange(rows),
@@ -145,7 +153,7 @@ def _update_table(instance: ProblemInstance) -> np.ndarray:
     return np.hstack([instance.columns.T, np.eye(instance.n), instance.gram])
 
 
-def _require_unit_columns(instance: ProblemInstance) -> None:
+def require_unit_columns(instance: ProblemInstance) -> None:
     if not instance.has_unit_columns():
         raise ValueError("algorithm requires unit columns; ingest with normalize=True")
 
@@ -188,33 +196,27 @@ def perceptron_classic(
     Starts at the first column; stops when no mistake remains (strict
     feasibility certificate) or the iteration budget runs out.
     """
-    _require_unit_columns(instance)
+    require_unit_columns(instance)
     d, n, cols = instance.d, instance.n, instance.columns
     table = _update_table(instance)
     s = table[0].copy()  # [w | update counts | w . a_j for every column j] at the first column
     w, state, dots = s[:d], s[: d + n], s[d + n :]
     buffers = _trace_buffers(config.max_iters, d + n)
-    states, norms, margins, losses, chosen = buffers
+    states, worsts, chosen = buffers
     certificate: Certificate | None = None
     for t in range(config.max_iters + 1):  # row t: the state after update t, then its stop test
         if t > 0:
             s += table[i]
             chosen[t] = i
-        norm, worst = math.sqrt(float(w @ w)), float(dots[dots.argmin()])
         states[t] = state
-        norms[t] = norm
-        margins[t] = worst / norm if norm > 0.0 else np.nan
-        losses[t] = 0.5 * norm * norm - worst
-        mistakes = dots <= 0.0  # exact sign test, no slack
-        i = int(mistakes.argmax())  # the lowest-index mistake, if there is one
-        if not mistakes[i]:
+        worsts[t] = worst = dots[dots.argmin()]
+        if worst > 0.0:  # no mistake: every dot is positive
             certificate = _primal_certificate(cols, w, dots, t)
             if certificate is not None:
                 break
-            mistakes = dots <= 0.0
-            i = int(mistakes.argmax())
         if t == config.max_iters:
             break
+        i = int((dots <= 0.0).argmax())  # the lowest-index mistake; exact sign test, no slack
     reason = "primal-feasible" if certificate is not None else "exhausted"
     return certificate, _freeze("classic", d, t + 1, reason, buffers)
 
@@ -231,23 +233,23 @@ def _averaged_run(
     s = table[0].copy()  # [w | alpha | w . a_j for every column j] at the first column
     w, alpha, state, dots = s[:d], s[d : d + n], s[: d + n], s[d + n :]
     buffers = _trace_buffers(config.max_iters, d + n)
-    states, norms, margins, losses, chosen = buffers
+    states, worsts, chosen = buffers
+    scaled, reach = np.empty_like(s), np.empty(n)  # scratch for step * U[i] and vng's dots - G_jj / 2
     primal, dual = config.mode == "primal-feasibility", config.mode == "dual-certificate"
+    reads_norm = dual or step_rule == "vng"
     certificate: Certificate | None = None
     reason = "completed"
     for t in range(config.max_iters + 1):  # row t: the state after update t, then its stop tests
         if t > 0:  # both rules move to w <- keep * w + step * a_i and differ only in (keep, step)
             s *= keep
-            s += step * table[i]
+            s += np.multiply(table[i], step, out=scaled)
             chosen[t] = i
-        sq = float(w @ w)
-        norm = math.sqrt(sq)
+        if reads_norm:
+            sq = float(w.dot(w))
+            norm = math.sqrt(sq)
         worst_index = int(dots.argmin())  # a most violated column
-        worst = float(dots[worst_index])
         states[t] = state
-        norms[t] = norm
-        margins[t] = worst / norm if norm > 0.0 else np.nan
-        losses[t] = 0.5 * norm * norm - worst
+        worsts[t] = worst = dots[worst_index]
         if primal and worst > 0.0:
             certificate = _primal_certificate(cols, w, dots, t)
             if certificate is not None:
@@ -269,7 +271,8 @@ def _averaged_run(
             step = 1.0 / (t + 1)
             keep = 1.0 - step
         else:  # vng: furthest point, exact line search on the connecting segment
-            i = int((dots - half_diag).argmin())  # furthest: ||w - a_j||^2 = ||w||^2 - 2 w.a_j + G_jj
+            # furthest: ||w - a_j||^2 = ||w||^2 - 2 w.a_j + G_jj
+            i = int(np.subtract(dots, half_diag, out=reach).argmin())
             dot_i, g_ii = float(dots[i]), float(g_diag[i])
             gap = sq - dot_i  # Frank-Wolfe gap, zero at the minimum-norm point
             denom = gap + g_ii - dot_i  # ||w - a_i||^2
@@ -293,7 +296,7 @@ def perceptron_normalized(
     Termination depends on the mode: strict feasibility, iterate norm at most
     target_eps, or run the full budget while maximizing the margin.
     """
-    _require_unit_columns(instance)
+    require_unit_columns(instance)
     return _averaged_run(instance, config, "np")
 
 
@@ -309,7 +312,7 @@ def vng(
     run stops with a stall flag. This is Frank-Wolfe on the minimum-norm
     point of the hull, so the iterate norm never increases.
     """
-    _require_unit_columns(instance)
+    require_unit_columns(instance)
     return _averaged_run(instance, config, "vng")
 
 

@@ -22,10 +22,11 @@ from .algorithms import (
     margin_estimate_np,
     perceptron_classic,
     perceptron_normalized,
+    require_unit_columns,
     vng,
 )
 from .generators import GenerationError, GeneratorSpec, generate
-from .instance import IngestError, ProblemInstance, SimplexPoint, load_instance, save_instance
+from .instance import ProblemInstance, SimplexPoint, load_instance, save_instance
 from .margins import (
     BudgetExceededError,
     MinNormPointError,
@@ -170,7 +171,7 @@ def _parse_vector(text: str | None, length: int, label: str) -> np.ndarray | Non
         return None
     try:
         values = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"--{label} must be a JSON array: {exc}") from exc
     try:
         arr = np.asarray(values, dtype=float)
@@ -186,7 +187,7 @@ def _parse_vector(text: str | None, length: int, label: str) -> np.ndarray | Non
 def _load(path: Path) -> ProblemInstance:
     try:
         return load_instance(path)
-    except (OSError, json.JSONDecodeError, IngestError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, JSON or columns
         raise _UsageError(f"cannot read instance {path}: {exc}") from exc
 
 
@@ -272,15 +273,16 @@ def _run_one(
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     try:
+        require_unit_columns(instance)  # the solvers' one precondition, checked before the oracle runs
+    except ValueError as exc:
+        raise _Inapplicable(f"{instance_path}: {exc}") from exc
+    try:
         report = margin_report(instance, rank_tol=rank_tol)
     except (BudgetExceededError, MinNormPointError):
         report = None  # summaries still written, oracle checks skipped
     runs = []
     for algorithm in algorithms:
-        try:
-            certificate, trace = ALGORITHMS[algorithm](instance, config)
-        except ValueError as exc:  # the solvers' one precondition: unit columns
-            raise _Inapplicable(f"{instance_path}: {exc}") from exc
+        certificate, trace = ALGORITHMS[algorithm](instance, config)
         summary = build_run_summary(instance, report, algorithm, mode, certificate, trace)
         digest = hashlib.sha1(
             f"{instance_path}|{algorithm}|{mode}|{eps}|{max_iters}".encode()

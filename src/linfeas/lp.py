@@ -29,7 +29,6 @@ __all__ = [
     "dist_l1_to_polyhedron",
     "dist_l2_to_halfspaces",
     "min_norm_on_face",
-    "DEFAULT_TOLERANCES",
 ]
 
 SIZE_BUDGET = 100  # max variables and max rows accepted by solve()
@@ -40,6 +39,10 @@ NNLS_TOL = 1e-12  # NNLS stop: gradient relative to the largest column norm time
 
 EMPTY_TOL = 1e-20  # squared NNLS residual at or below this is rounding: the halfspaces meet nowhere
 
+FEASIBILITY_TOL = 1e-9  # phase-1 infeasibility above this is real; a ratio step at or below it is degenerate
+REDUCED_COST_TOL = 1e-9  # a column enters only if its reduced cost is below minus this
+PIVOT_TOL = 1e-11  # a pivot entry must exceed this
+
 
 class LpSizeError(ValueError):
     """Raised when a program exceeds the desk-scale size budget."""
@@ -48,15 +51,6 @@ class LpSizeError(ValueError):
 class DegenerateFaceError(RuntimeError):
     """Raised when a least-squares subproblem's matrix is rank-deficient."""
 
-
-@dataclass(frozen=True)
-class LpTolerances:
-    feasibility: float = 1e-9
-    reduced_cost: float = 1e-9
-    pivot: float = 1e-11
-
-
-DEFAULT_TOLERANCES = LpTolerances()
 
 Bound = tuple[float | None, float | None]
 
@@ -172,16 +166,16 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
     for _ in range(MAX_PIVOTS):
         reduced = crow[:ncols]
         if bland:
-            eligible = np.nonzero(reduced < -DEFAULT_TOLERANCES.reduced_cost)[0]
+            eligible = np.nonzero(reduced < -REDUCED_COST_TOL)[0]
             if eligible.size == 0:
                 return "optimal", -1
             col = int(eligible[0])
         else:
             col = int(np.argmin(reduced)) if ncols else 0
-            if ncols == 0 or reduced[col] >= -DEFAULT_TOLERANCES.reduced_cost:
+            if ncols == 0 or reduced[col] >= -REDUCED_COST_TOL:
                 return "optimal", -1
         column = tableau[:, col]
-        positive = column > DEFAULT_TOLERANCES.pivot
+        positive = column > PIVOT_TOL
         if not positive.any():
             return "unbounded", col
         ratios = np.full(m, np.inf)
@@ -190,7 +184,7 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
         ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
         # leaving-variable tie-break by smallest basis label (Bland-compatible)
         row = int(min(ties, key=lambda r: basis[r]))
-        if best <= DEFAULT_TOLERANCES.feasibility:
+        if best <= FEASIBILITY_TOL:
             degenerate += 1
             if degenerate > degenerate_threshold:
                 bland = True
@@ -218,14 +212,14 @@ def _two_phase(A, b, c):
     status, _ = _pivot_loop(tableau, basis, crow, n + m, threshold)
     if status != "optimal":
         raise RuntimeError("phase-1 subproblem cannot be unbounded")
-    if -crow[-1] > DEFAULT_TOLERANCES.feasibility:
+    if -crow[-1] > FEASIBILITY_TOL:
         return "infeasible", None, None, None
 
     # drive leftover artificials out of the basis; all-zero rows are redundant
     drop_rows: list[int] = []
     for i in range(m):
         if basis[i] >= n:
-            candidates = np.nonzero(np.abs(tableau[i, :n]) > DEFAULT_TOLERANCES.pivot)[0]
+            candidates = np.nonzero(np.abs(tableau[i, :n]) > PIVOT_TOL)[0]
             if candidates.size:
                 _pivot(tableau, crow, i, int(candidates[0]))
                 basis[i] = int(candidates[0])

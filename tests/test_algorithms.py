@@ -297,3 +297,25 @@ def test_kernel_matches_the_per_array_reference_byte_for_byte():
                 assert repr(None if cert is None else cert.as_dict()) == repr(
                     None if ref_cert is None else ref_cert.as_dict()
                 ), label
+
+
+def test_an_iterate_on_the_origin_has_norm_zero_and_no_margin():
+    # np steps from a to -a, then averages them to exactly 0
+    a = np.random.default_rng(2300).standard_normal(5)
+    inst = ingest([a, -a], name="antipodes")
+    cfg = AlgorithmConfig(max_iters=4, mode="margin-maximization")
+    (_, trace), (_, ref_trace) = perceptron_normalized(inst, cfg), reference_averaged(inst, cfg, "np")
+    assert not trace.iterates[2].any()
+    assert trace.norms[2] == 0.0 and np.isnan(trace.margins[2])
+    for name in ("norms", "margins", "losses"):
+        assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
+
+
+def test_trace_norms_are_the_per_row_dot_bit_for_bit():
+    # the norms come from one row-wise reduction after the loop; it must round like w @ w
+    rng = np.random.default_rng(2400)
+    inst = ingest(rng.standard_normal((200, 50)).tolist(), name="d50n200")
+    _, trace = perceptron_normalized(inst, AlgorithmConfig(max_iters=10_000, mode="margin-maximization"))
+    assert trace.steps == 10_000
+    expected = np.array([math.sqrt(float(w @ w)) for w in trace.iterates])
+    assert trace.norms.tobytes() == expected.tobytes()

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linfeas.cli
 import linfeas.margins
 from linfeas.cli import main
-from linfeas.instance import ingest, save_instance
+from linfeas.instance import IngestError, ingest, instance_from_dict, save_instance
 
 
 @pytest.fixture
@@ -338,17 +342,48 @@ def test_certify_refuses_bad_statement_inputs_before_the_oracle(triangle_path, c
 
 @pytest.mark.parametrize(
     "payload",
-    ["[1, 2]", '{"columns": "abc"}', '{"columns": [["1", "0"], ["0", "1"]]}',
-     '{"columns": [[true, false], [false, true]]}', '{"columns": "123"}', '{"columns": [[]]}'],
+    [b"[1, 2]", b'{"columns": "abc"}', b'{"columns": [["1", "0"], ["0", "1"]]}',
+     b'{"columns": [[true, false], [false, true]]}', b'{"columns": "123"}', b'{"columns": [[]]}',
+     pytest.param(b'{"columns": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="nested-too-deep"),
+     pytest.param(b"\xff\xfe{}", id="not-utf-8")],
 )
 def test_malformed_instance_json_is_usage_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
-    path.write_text(payload)
+    path.write_bytes(payload)
     assert run_cli("margin", path) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: cannot read instance")
     assert "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_ENTRIES = st.integers(-2, 2) | st.floats(-2.0, 2.0) | st.sampled_from([1e-300, 1e300, 2**64, 10**400])
+_PAYLOADS = _JSON | st.fixed_dictionaries(
+    {"columns": st.lists(st.lists(_ENTRIES, max_size=4), max_size=6) | _JSON},
+    optional={"normalize": _JSON, "name": _JSON},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=_PAYLOADS, method=st.sampled_from(["exact", "grid", "iterative"]))
+def test_arbitrary_instance_json_exits_with_one_line_and_no_traceback(tmp_path_factory, payload, method):
+    try:
+        instance_from_dict(payload)
+    except IngestError:
+        pass
+    path = tmp_path_factory.mktemp("fuzz") / "instance.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli("margin", path, "--method", method, "--eps", "0.5")
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -462,6 +497,23 @@ def test_solvers_on_non_unit_columns_are_inapplicable(tmp_path, capsys, command)
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.endswith("algorithm requires unit columns; ingest with normalize=True")
+
+
+def test_non_unit_columns_are_refused_before_the_oracle(tmp_path, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle ran for an instance the solvers refuse")
+
+    monkeypatch.setattr(linfeas.cli, "margin_report", refuse)
+    path = tmp_path / "instances" / "scaled.json"
+    path.parent.mkdir()
+    path.write_text('{"columns": [[2, 0], [0, 1]], "normalize": false}')
+    lines = []
+    for command in (("run", path, "--algorithm", "np"), ("batch", "--instances", path.parent, "--workers", "1")):
+        assert run_cli(*command, "--out-dir", tmp_path / "runs") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.append(captured.err)
+    assert lines[0] == lines[1] == f"{path}: algorithm requires unit columns; ingest with normalize=True\n"
 
 
 @pytest.mark.parametrize(

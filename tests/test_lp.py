@@ -11,7 +11,7 @@ from oracles import enumerate_standard_form, halfspace_projection_enumeration
 import linfeas.lp
 from linfeas.instance import ingest
 from linfeas.lp import (
-    DEFAULT_TOLERANCES,
+    FEASIBILITY_TOL,
     DegenerateFaceError,
     LinearProgram,
     LpSizeError,
@@ -128,8 +128,8 @@ def test_optimal_solutions_satisfy_constraints():
         )
         sol = solve(lp)
         assert sol.status == "optimal"
-        assert np.max(np.abs(A @ sol.x - b)) <= DEFAULT_TOLERANCES.feasibility * 10
-        assert sol.x.min() >= -DEFAULT_TOLERANCES.feasibility
+        assert np.max(np.abs(A @ sol.x - b)) <= FEASIBILITY_TOL * 10
+        assert sol.x.min() >= -FEASIBILITY_TOL
 
 
 def test_random_battery_matches_enumeration():
