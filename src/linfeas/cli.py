@@ -27,21 +27,14 @@ from .algorithms import (
 )
 from .generators import GenerationError, GeneratorSpec, generate
 from .instance import ProblemInstance, SimplexPoint, load_instance, save_instance
-from .margins import (
-    BudgetExceededError,
-    MinNormPointError,
-    ZERO_BAND,
-    MarginReport,
-    margin_grid_estimate,
-    margin_report,
-    minimum_enclosing_ball,
-    representable,
-)
+from .margins import BudgetExceededError, MinNormPointError, margin_grid_estimate, margin_report
 from .reporting import RunSummary, build_run_summary
 from .theorems import (
     CertificateConstructionError,
     IllPosedError,
     InapplicableError,
+    certify_meb,
+    certify_radius,
     gordan_decide,
     hoffman_dual,
     hoffman_primal,
@@ -75,10 +68,6 @@ THEOREMS = (
 
 class _UsageError(Exception):
     pass
-
-
-class _Inapplicable(Exception):
-    """A run refused for its instance; raised in batch workers too, so it must pickle."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,7 +169,7 @@ def _parse_vector(text: str | None, length: int, label: str) -> np.ndarray | Non
     if arr.shape != (length,):
         raise _UsageError(f"--{label} must have length {length}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise _UsageError(f"--{label} must be finite, got {text}")
+        raise _UsageError(f"--{label} must be finite, got {text!r}")
     return arr
 
 
@@ -275,7 +264,7 @@ def _run_one(
     try:
         require_unit_columns(instance)  # the solvers' one precondition, checked before the oracle runs
     except ValueError as exc:
-        raise _Inapplicable(f"{instance_path}: {exc}") from exc
+        raise InapplicableError(f"{instance_path}: {exc}") from exc
     try:
         report = margin_report(instance, rank_tol=rank_tol)
     except (BudgetExceededError, MinNormPointError):
@@ -314,95 +303,38 @@ def cmd_run(args) -> int:
     return VERDICT_EXIT[summary.verdict]
 
 
-def _certify_meb(instance: ProblemInstance, report: MarginReport) -> int:
-    try:
-        ball = minimum_enclosing_ball(instance, report)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    radius_sq_gap = abs(ball.radius**2 + report.rho_plus**2 - 1.0)
-    overshoot = float(
-        np.linalg.norm(instance.columns - ball.center[:, None], axis=0).max() - ball.radius
-    )
-    center_gap = float(
-        np.linalg.norm(instance.columns @ ball.support_weights.weights - ball.center)
-    )
-    ok = radius_sq_gap <= 1e-9 and overshoot <= 1e-9 and center_gap <= 1e-9
-    _emit({
-        "statement": "meb",
-        "ball": ball.as_dict(),
-        "radius_identity_gap": radius_sq_gap,
-        "containment_overshoot": max(overshoot, 0.0),
-        "center_gap": center_gap,
-        "verified": ok,
-    })
-    return EXIT_OK if ok else EXIT_VIOLATION
-
-
-def _certify_radius(instance: ProblemInstance, report: MarginReport, samples: int, seed: int) -> int:
-    if report.rho_affine >= -ZERO_BAND:
-        print("radius statement needs a strictly negative margin", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    inradius = abs(report.rho_minus)
-    rng = np.random.default_rng(seed)
-    basis = instance.basis
-    points = []
-    for _ in range(samples):
-        z = rng.standard_normal(basis.rank)
-        z /= np.linalg.norm(z)
-        points.append(0.99 * inradius * basis.lift(z))
-    assert report.witness_direction is not None
-    points.append(-(1.0 + 1e-3) * inradius * report.witness_direction.vector)
-    *inside, outside = representable(instance, np.array(points))
-    failures = [f"interior sample {k} not representable" for k, p in enumerate(inside) if p is None]
-    if outside is not None:
-        failures.append("point beyond the nearest facet was representable")
-    _emit({
-        "statement": "radius",
-        "inradius": inradius,
-        "interior_samples": samples,
-        "failures": failures,
-        "verified": not failures,
-    })
-    return EXIT_OK if not failures else EXIT_VIOLATION
-
-
 def cmd_certify(args) -> int:
     instance = _load(args.instance)
     n, d = instance.n, instance.d
     # each statement checks its inputs before it asks for the report, so a malformed
     # input costs no oracle call
     oracle = functools.partial(margin_report, instance, rank_tol=args.tol_rank)
+    theorem = args.theorem
     try:
-        if args.theorem in ("gordan1", "gordan2", "gordan3"):
-            part = int(args.theorem[-1])
-            verdict = gordan_decide(
-                instance, args.gamma, part, sample_seed=args.seed, samples=args.samples, report=oracle
+        if theorem.startswith("gordan"):
+            result = gordan_decide(
+                instance, args.gamma, int(theorem[-1]), sample_seed=args.seed, samples=args.samples, report=oracle
             )
-            _emit(verdict.as_dict())
-            return EXIT_OK if verdict.verified else EXIT_VIOLATION
-        if args.theorem == "meb":
-            return _certify_meb(instance, oracle())
-        if args.theorem == "radius":
-            return _certify_radius(instance, oracle(), args.samples, args.seed)
-        if args.theorem == "hoffman-dual":
+        elif theorem == "meb":
+            result = certify_meb(instance, report=oracle)
+        elif theorem == "radius":
+            result = certify_radius(instance, sample_seed=args.seed, samples=args.samples, report=oracle)
+        elif theorem == "hoffman-dual":
             b = _parse_vector(args.b, d, "b")
             x = _parse_vector(args.x, n, "x")
-            b = np.zeros(d) if b is None else b
-            if x is None:
-                x = np.zeros(n)
-                x[0] = 1.0
-            hreport = hoffman_dual(instance, b, x, report=oracle)
-        elif args.theorem == "hoffman-simplex":
+            result = hoffman_dual(
+                instance, np.zeros(d) if b is None else b, np.eye(n)[0] if x is None else x, report=oracle
+            )
+        elif theorem == "hoffman-simplex":
             p = _parse_vector(args.p, n, "p")
             point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
-            hreport = hoffman_simplex(instance, point, report=oracle)
+            result = hoffman_simplex(instance, point, report=oracle)
         else:
             c = _parse_vector(args.c, n, "c")
             w = _parse_vector(args.w, d, "w")
-            c = np.ones(n) if c is None else c
-            w = np.zeros(d) if w is None else w
-            hreport = hoffman_primal(instance, c, w, report=oracle)
+            result = hoffman_primal(
+                instance, np.ones(n) if c is None else c, np.zeros(d) if w is None else w, report=oracle
+            )
     except (IllPosedError, InapplicableError, BudgetExceededError, MinNormPointError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
@@ -411,8 +343,8 @@ def cmd_certify(args) -> int:
         return EXIT_VIOLATION
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    _emit(hreport.as_dict())
-    return EXIT_OK if hreport.verified else EXIT_VIOLATION
+    _emit(result.as_dict())
+    return EXIT_OK if result.verified else EXIT_VIOLATION
 
 
 def _batch_worker(task) -> list[tuple[str, str, str]]:
@@ -451,13 +383,13 @@ def cmd_batch(args) -> int:
 def cmd_report(args) -> int:
     rows = ["instance,algorithm,mode,check,passed,violation"]
     for path in sorted(args.out_dir.glob("*.summary.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        for check in payload.get("checks", []):
-            rows.append(
-                f"{payload['instance']},{payload['algorithm']},{payload['mode']},"
-                f"{check['name']},{check['passed']},{check['violation']:.17g}"
-            )
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            run = f"{payload['instance']},{payload['algorithm']},{payload['mode']}"
+            checks = [f"{c['name']},{c['passed']},{c['violation']:.17g}" for c in payload.get("checks", [])]
+        except (OSError, ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:
+            raise _UsageError(f"cannot read summary {path}: {exc!r}") from exc
+        rows += [f"{run},{check}" for check in checks or [",unchecked,"]]  # a run no check applied to
     text = "\n".join(rows) + "\n"
     if args.csv is not None:
         args.csv.parent.mkdir(parents=True, exist_ok=True)
@@ -489,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _Inapplicable as exc:
+    except InapplicableError as exc:  # a run refused for its instance, in batch workers too
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
     except SystemExit as exc:  # argparse --help

@@ -1,10 +1,15 @@
-"""Constructive certifiers for the margin-quantified alternative and error bounds.
+"""Constructive certifiers for the margin-quantified alternative, error bounds and balls.
 
-Each verifier decides which side of its statement holds using the exact
-margin oracle, then actually constructs the witness object the statement
-promises and reports its residuals, so a claim never rests on the oracle
-alone. Every distance bound is cross-checked against the exact l1 or l2
-distance from the LP module.
+The eight statements ``linfeas certify`` checks all live here: Gordan's
+alternative in parts 1-3 (``gordan_decide``), the Hoffman-type bounds
+``hoffman_dual``, ``hoffman_simplex`` and ``hoffman_primal``, the enclosing
+ball identity radius^2 + rho_plus^2 = 1 (``certify_meb``) and the inradius
+ball lying in the hull (``certify_radius``). Each verifier checks its inputs,
+then decides which side of its statement holds using the exact margin oracle,
+constructs the witness object the statement promises and reports its
+residuals, so a claim never rests on the oracle alone. Every result has
+``verified`` and ``as_dict()``. Every distance bound is cross-checked against
+the exact l1 or l2 distance from the LP module.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .instance import PrimalDirection, ProblemInstance, SimplexPoint, combine
 from .lp import LinearProgram, dist_l1_to_polyhedron, dist_l2_to_halfspaces, solve
-from .margins import ZERO_BAND, MarginReport, margin_report, representable
+from .margins import ZERO_BAND, BallReport, MarginReport, margin_report, minimum_enclosing_ball, representable
 
 __all__ = [
     "IllPosedError",
@@ -24,10 +29,14 @@ __all__ = [
     "CertificateConstructionError",
     "GordanVerdict",
     "HoffmanReport",
+    "BallVerdict",
+    "RadiusVerdict",
     "gordan_decide",
     "hoffman_dual",
     "hoffman_simplex",
     "hoffman_primal",
+    "certify_meb",
+    "certify_radius",
 ]
 
 RESIDUAL_TOL = 1e-9
@@ -40,6 +49,10 @@ def _measured(instance: ProblemInstance, report: ReportSource) -> MarginReport:
     if report is None:
         return margin_report(instance)
     return report() if callable(report) else report
+
+
+def _floats(values: np.ndarray) -> list[float]:
+    return list(map(float, values))
 
 
 class IllPosedError(RuntimeError):
@@ -61,11 +74,11 @@ class GordanVerdict:
     gamma: float
     part: int
     alternative_held: str  # "first" | "second"
-    witness_direction: PrimalDirection | None
-    witness_weights: SimplexPoint | None
-    ball_samples: list[tuple[np.ndarray, SimplexPoint]] | None
     residuals: np.ndarray
     margin: MarginReport
+    witness_direction: PrimalDirection | None = None
+    witness_weights: SimplexPoint | None = None
+    ball_samples: list[tuple[np.ndarray, SimplexPoint]] | None = None
 
     @property
     def min_slack(self) -> float:
@@ -86,25 +99,12 @@ class GordanVerdict:
             "gamma": self.gamma,
             "part": self.part,
             "alternative_held": self.alternative_held,
-            "witness_direction": (
-                None
-                if self.witness_direction is None
-                else list(map(float, self.witness_direction.vector))
-            ),
-            "witness_weights": (
-                None
-                if self.witness_weights is None
-                else list(map(float, self.witness_weights.weights))
-            ),
-            "ball_samples": (
-                None
-                if self.ball_samples is None
-                else [
-                    {"v": list(map(float, v)), "weights": list(map(float, p.weights))}
-                    for v, p in self.ball_samples
-                ]
-            ),
-            "residuals": list(map(float, self.residuals)),
+            "witness_direction": None if self.witness_direction is None else _floats(self.witness_direction.vector),
+            "witness_weights": None if self.witness_weights is None else _floats(self.witness_weights.weights),
+            "ball_samples": None if self.ball_samples is None else [
+                {"v": _floats(v), "weights": _floats(p.weights)} for v, p in self.ball_samples
+            ],
+            "residuals": _floats(self.residuals),
             "verified": self.verified,
             "margin": self.margin.as_dict(),
         }
@@ -137,7 +137,7 @@ class HoffmanReport:
         return {
             "variant": self.variant,
             "bound_value": self.bound_value,
-            "constructed_witness": list(map(float, witness)),
+            "constructed_witness": _floats(witness),
             "witness_residual": self.witness_residual,
             "witness_distance": self.witness_distance,
             "exact_distance": self.exact_distance,
@@ -145,6 +145,49 @@ class HoffmanReport:
             "relaxed_bound": self.relaxed_bound,
             "verified": self.verified,
         }
+
+
+@dataclass(eq=False)
+class BallVerdict:
+    """The enclosing ball with its radius-identity, containment and centre residuals."""
+
+    ball: BallReport
+    radius_identity_gap: float
+    containment_overshoot: float
+    center_gap: float
+
+    @property
+    def verified(self) -> bool:
+        gaps = (self.radius_identity_gap, self.containment_overshoot, self.center_gap)
+        return all(gap <= RESIDUAL_TOL for gap in gaps)
+
+    def as_dict(self) -> dict:
+        return {"statement": "meb", **vars(self), "ball": self.ball.as_dict(), "verified": self.verified}
+
+
+@dataclass(eq=False)
+class RadiusVerdict:
+    """The inradius with the spot checks of its ball that failed."""
+
+    inradius: float
+    interior_samples: int
+    failures: list[str]
+
+    @property
+    def verified(self) -> bool:
+        return not self.failures
+
+    def as_dict(self) -> dict:
+        return {"statement": "radius", **vars(self), "verified": self.verified}
+
+
+def _in_target(
+    variant: str, bound: float, point: np.ndarray | SimplexPoint, residual: float, relaxed: float | None = None
+) -> HoffmanReport:
+    """The report for a point already in its target set: it is its own witness, at distance 0."""
+    return HoffmanReport(
+        variant, bound, point, residual, witness_distance=0.0, exact_distance=0.0, slack=bound, relaxed_bound=relaxed
+    )
 
 
 def _span_directions(instance: ProblemInstance, count: int, seed: int) -> np.ndarray:
@@ -204,14 +247,7 @@ def gordan_decide(
         assert w is not None
         slacks = w.vector @ instance.columns - pivot
         return GordanVerdict(
-            gamma=gamma,
-            part=part,
-            alternative_held="first",
-            witness_direction=w,
-            witness_weights=None,
-            ball_samples=None,
-            residuals=slacks,
-            margin=report,
+            gamma=gamma, part=part, alternative_held="first", residuals=slacks, margin=report, witness_direction=w
         )
 
     if part in (1, 2):
@@ -221,14 +257,8 @@ def gordan_decide(
         # second alternative: a hull point within gamma of the origin
         residuals = np.array([max(norm - gamma, 0.0)])
         return GordanVerdict(
-            gamma=gamma,
-            part=part,
-            alternative_held="second",
-            witness_direction=None,
+            gamma=gamma, part=part, alternative_held="second", residuals=residuals, margin=report,
             witness_weights=weights,
-            ball_samples=None,
-            residuals=residuals,
-            margin=report,
         )
 
     # part 3, second alternative: every point of the gamma-ball in the span is
@@ -248,14 +278,8 @@ def gordan_decide(
         table.append((v, p))
         residuals.append(float(np.linalg.norm(combine(instance, p) - v)))
     return GordanVerdict(
-        gamma=gamma,
-        part=part,
-        alternative_held="second",
-        witness_direction=None,
-        witness_weights=None,
+        gamma=gamma, part=part, alternative_held="second", residuals=np.array(residuals), margin=report,
         ball_samples=table,
-        residuals=np.array(residuals),
-        margin=report,
     )
 
 
@@ -301,15 +325,7 @@ def hoffman_dual(
     r = float(np.linalg.norm(residual_vec))
     bound = r / rho
     if r <= 1e-12:
-        return HoffmanReport(
-            variant="dual-general",
-            bound_value=bound,
-            constructed_witness=x,
-            witness_residual=r,
-            witness_distance=0.0,
-            exact_distance=0.0,
-            slack=bound,
-        )
+        return _in_target("dual-general", bound, x, r)
     v = rho * (b - instance.columns @ x) / r
     (p,) = representable(instance, v[None])
     if p is None:
@@ -348,16 +364,7 @@ def hoffman_simplex(
     relaxed = 2.0 * r / rho
     sharp = 2.0 * r / (r + rho)
     if r <= 1e-12:
-        return HoffmanReport(
-            variant="dual-simplex",
-            bound_value=sharp,
-            constructed_witness=p,
-            witness_residual=r,
-            witness_distance=0.0,
-            exact_distance=0.0,
-            slack=sharp,
-            relaxed_bound=relaxed,
-        )
+        return _in_target("dual-simplex", sharp, p, r, relaxed)
     v = -(rho / r) * image
     (p_prime,) = representable(instance, v[None])
     if p_prime is None:
@@ -409,15 +416,7 @@ def hoffman_primal(
     worst = float(violation.max())
     bound = worst / rho_plus
     if worst <= 1e-12:
-        return HoffmanReport(
-            variant="primal",
-            bound_value=bound,
-            constructed_witness=w,
-            witness_residual=0.0,
-            witness_distance=0.0,
-            exact_distance=0.0,
-            slack=bound,
-        )
+        return _in_target("primal", bound, w, 0.0)
     direction = report.witness_direction
     assert direction is not None
     witness = w + bound * direction.vector
@@ -433,3 +432,51 @@ def hoffman_primal(
         exact_distance=exact,
         slack=bound - exact,
     )
+
+
+def certify_meb(instance: ProblemInstance, report: ReportSource = None) -> BallVerdict:
+    """Check the smallest enclosing ball of the unit columns against radius^2 + rho_plus^2 = 1.
+
+    Also checks that the ball contains every column and that its centre is the
+    combination its support weights give. Unit columns are checked before the
+    oracle runs.
+    """
+    if not instance.has_unit_columns():
+        raise InapplicableError("minimum_enclosing_ball requires unit columns (ingest with normalize=True)")
+    report = _measured(instance, report)
+    ball = minimum_enclosing_ball(instance, report)
+    cols = instance.columns
+    overshoot = float(np.linalg.norm(cols - ball.center[:, None], axis=0).max() - ball.radius)
+    return BallVerdict(
+        ball=ball,
+        radius_identity_gap=abs(ball.radius**2 + report.rho_plus**2 - 1.0),
+        containment_overshoot=max(overshoot, 0.0),
+        center_gap=float(np.linalg.norm(cols @ ball.support_weights.weights - ball.center)),
+    )
+
+
+def certify_radius(
+    instance: ProblemInstance,
+    sample_seed: int = 0,
+    samples: int = 32,
+    report: ReportSource = None,
+) -> RadiusVerdict:
+    """Spot-check that the ball of the inradius lies in the hull and reaches its nearest facet.
+
+    The interior points are 0.99 times the inradius along the seeded sample
+    directions of Gordan part 3; each must be representable. The point 1.001
+    times the inradius past the nearest facet must not be. Needs a strictly
+    negative margin.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    report = _measured(instance, report)
+    inradius = _require_negative_margin(report)
+    assert report.witness_direction is not None
+    inside = 0.99 * inradius * _span_directions(instance, samples, sample_seed)[2 * instance.basis.rank :]
+    beyond = -(1.0 + 1e-3) * inradius * report.witness_direction.vector
+    *answers, outside = representable(instance, np.vstack([inside, beyond]))
+    failures = [f"interior sample {k} not representable" for k, p in enumerate(answers) if p is None]
+    if outside is not None:
+        failures.append("point beyond the nearest facet was representable")
+    return RadiusVerdict(inradius=inradius, interior_samples=samples, failures=failures)

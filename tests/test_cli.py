@@ -617,6 +617,14 @@ def test_non_finite_certify_input_is_usage_error(
     assert not recwarn.list
 
 
+def test_non_finite_vector_with_a_newline_is_one_error_line(triangle_path, capsys, oracle_calls):
+    assert run_cli("certify", triangle_path, "--theorem", "hoffman-dual", "--b", "[NaN\n, 1]") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --b must be finite, got '[NaN\\n, 1]'"]
+    assert not oracle_calls
+
+
 @pytest.mark.parametrize("value", ["-3", "0"])
 @pytest.mark.parametrize("theorem", [("radius",), ("gordan3", "--gamma", "0.4")])
 def test_non_positive_samples_is_usage_error(triangle_path, capsys, oracle_calls, theorem, value):
@@ -640,3 +648,110 @@ def test_certify_output_is_byte_identical_to_the_recorded_round(tmp_path, capsys
         for theorem, expected in case["certify"].items():
             assert run_cli("certify", path, "--theorem", theorem, "--seed", "7") == expected["exit"]
             assert capsys.readouterr().out == expected["stdout"], (case["name"], theorem)
+
+
+@pytest.mark.parametrize("payload", ['{"instance": "x"', '{"checks": [{}]}'], ids=["truncated", "missing-fields"])
+def test_report_refuses_a_malformed_summary(tmp_path, capsys, payload):
+    (tmp_path / "a.summary.json").write_text(payload)
+    assert run_cli("report", "--out-dir", tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot read summary {tmp_path / 'a.summary.json'}: ")
+
+
+def test_report_lists_an_unchecked_run(tmp_path, capsys):
+    # the 20-column instance of test_run_without_oracle_is_unchecked: no check applies to its run
+    rng = np.random.default_rng(5)
+    path = save_instance(ingest(rng.standard_normal((20, 3)).tolist(), normalize=True), tmp_path / "wide.json")
+    assert run_cli("run", path, "--algorithm", "np", "--max-iters", "50", "--out-dir", tmp_path / "runs") == 3
+    name = read_json(capsys)["instance"]
+    assert run_cli("report", "--out-dir", tmp_path / "runs") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "instance,algorithm,mode,check,passed,violation",
+        f"{name},np,primal-feasibility,,unchecked,",
+    ]
+
+
+def _skewed_oracle(monkeypatch, **shift):
+    """Make certify's oracle return its exact report with the named fields mapped through the given functions."""
+    original = linfeas.cli.margin_report
+
+    def skewed(instance, *args, **kwargs):
+        report = original(instance, *args, **kwargs)
+        for field, change in shift.items():
+            setattr(report, field, change(getattr(report, field)))
+        return report
+
+    monkeypatch.setattr(linfeas.cli, "margin_report", skewed)
+
+
+def test_certify_meb_fails_on_a_moved_rho_plus(axes_unit_path, capsys, monkeypatch):
+    _skewed_oracle(monkeypatch, rho_plus=lambda rho: rho + 1e-6)
+    assert run_cli("certify", axes_unit_path, "--theorem", "meb") == 2
+    out = read_json(capsys)
+    assert out["statement"] == "meb" and out["verified"] is False
+    assert out["containment_overshoot"] > 1e-9
+
+
+def test_certify_radius_fails_on_an_inflated_inradius(triangle_path, capsys, monkeypatch):
+    _skewed_oracle(monkeypatch, rho_minus=lambda rho: 1.1 * rho)
+    assert run_cli("certify", triangle_path, "--theorem", "radius") == 2
+    out = read_json(capsys)
+    assert out["statement"] == "radius" and out["verified"] is False
+    assert out["inradius"] == pytest.approx(0.55)
+    assert out["failures"] and all(f.startswith("interior sample ") for f in out["failures"])
+
+
+def test_certify_meb_refuses_non_unit_columns_before_the_oracle(tmp_path, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle ran for an instance meb refuses")
+
+    monkeypatch.setattr(linfeas.cli, "margin_report", refuse)
+    path = tmp_path / "scaled.json"
+    path.write_text('{"columns": [[2, 0], [0, 1]], "normalize": false}')
+    assert run_cli("certify", path, "--theorem", "meb") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["minimum_enclosing_ball requires unit columns (ingest with normalize=True)"]
+
+
+def test_certify_radius_refusal_is_the_shared_negative_margin_line(axes_unit_path, capsys):
+    assert run_cli("certify", axes_unit_path, "--theorem", "radius") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["statement needs a strictly negative margin, instance has 7.071e-01"]
+
+
+@pytest.fixture(scope="module")
+def certify_fuzz_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("certify-fuzz")
+    angles = np.deg2rad([90.0, 210.0, 330.0])
+    triangle = ingest(np.column_stack([np.cos(angles), np.sin(angles)]).tolist(), normalize=True, name="triangle")
+    axes = ingest([[1.0, 0.0], [0.0, 1.0]], normalize=True, name="axes")
+    return {"triangle": save_instance(triangle, folder / "triangle.json"), "axes": save_instance(axes, folder / "axes.json")}
+
+
+_VECTOR_TEXT = st.none() | st.text(max_size=12) | st.lists(st.floats(), max_size=4).map(json.dumps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theorem=st.sampled_from(linfeas.cli.THEOREMS),
+    fixture=st.sampled_from(["triangle", "axes"]),
+    gamma=st.none() | st.floats(),
+    vectors=st.fixed_dictionaries({flag: _VECTOR_TEXT for flag in ("b", "x", "p", "c", "w")}),
+)
+def test_arbitrary_certify_input_exits_with_one_line_and_no_traceback(
+    certify_fuzz_paths, theorem, fixture, gamma, vectors
+):
+    argv = ["certify", certify_fuzz_paths[fixture], "--theorem", theorem]
+    if gamma is not None:
+        argv.append(f"--gamma={gamma!r}")
+    argv += [f"--{flag}={text}" for flag, text in vectors.items() if text is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()

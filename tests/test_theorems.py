@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from batteries import mixed_instances, negative_instances, positive_instances
+import linfeas.theorems
+
+from batteries import infeasible_instances, mixed_instances, negative_instances, positive_instances
 
 from linfeas.instance import SimplexPoint, combine, ingest
 from linfeas.lp import dist_l1_to_polyhedron
-from linfeas.margins import margin_report
+from linfeas.margins import ZERO_BAND, margin_report
 from linfeas.theorems import (
     IllPosedError,
     InapplicableError,
+    certify_meb,
+    certify_radius,
     gordan_decide,
     hoffman_dual,
     hoffman_primal,
@@ -227,3 +231,57 @@ def test_hoffman_witnesses_on_batteries():
             inst, rng.standard_normal(inst.n), rng.standard_normal(inst.d), report=report
         )
         assert primal.verified
+
+
+def test_certify_meb_on_both_sides(axes, triangle):
+    verdict = certify_meb(axes)
+    assert verdict.verified
+    assert verdict.ball.radius == pytest.approx(np.sqrt(0.5))
+    assert np.allclose(verdict.ball.center, [0.5, 0.5])
+    unit = certify_meb(triangle)  # the origin is in the hull: the unit ball about it
+    assert unit.verified and unit.ball.radius == 1.0
+
+
+def test_certify_meb_and_radius_check_inputs_before_the_oracle(axes):
+    def refuse():
+        raise AssertionError("the oracle ran for an input the statement refuses")
+
+    scaled = ingest([[2.0, 0.0], [0.0, 1.0]], normalize=False)
+    with pytest.raises(InapplicableError, match="requires unit columns"):
+        certify_meb(scaled, report=refuse)
+    with pytest.raises(ValueError, match="samples"):
+        certify_radius(axes, samples=0, report=refuse)
+    with pytest.raises(InapplicableError, match="strictly negative margin"):
+        certify_radius(axes)
+
+
+def test_certify_radius_queries_the_seeded_ball_points(monkeypatch):
+    # the points of the per-sample loop radius drew before it shared Gordan part 3's
+    # directions, bit for bit, then the point past the nearest facet
+    queried = []
+    original = linfeas.theorems.representable
+
+    def recorded(instance, points):
+        queried.append(np.array(points))
+        return original(instance, points)
+
+    monkeypatch.setattr(linfeas.theorems, "representable", recorded)
+    checked = 0
+    for k, (inst, _) in enumerate(infeasible_instances(12)):
+        report = margin_report(inst)
+        if report.rho_affine >= -ZERO_BAND:
+            continue
+        samples, seed = 3 + k, 7 * k
+        verdict = certify_radius(inst, sample_seed=seed, samples=samples, report=report)
+        assert verdict.verified and verdict.interior_samples == samples
+        inradius = abs(report.rho_minus)
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(samples):
+            z = rng.standard_normal(inst.basis.rank)
+            z /= np.linalg.norm(z)
+            expected.append(0.99 * inradius * inst.basis.lift(z))
+        expected.append(-(1.0 + 1e-3) * inradius * report.witness_direction.vector)
+        assert np.array_equal(queried.pop(), np.array(expected))
+        checked += 1
+    assert checked >= 10
