@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import functools
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -311,30 +313,31 @@ def cmd_certify(args) -> int:
     oracle = functools.partial(margin_report, instance, rank_tol=args.tol_rank)
     theorem = args.theorem
     try:
-        if theorem.startswith("gordan"):
-            result = gordan_decide(
-                instance, args.gamma, int(theorem[-1]), sample_seed=args.seed, samples=args.samples, report=oracle
-            )
-        elif theorem == "meb":
-            result = certify_meb(instance, report=oracle)
-        elif theorem == "radius":
-            result = certify_radius(instance, sample_seed=args.seed, samples=args.samples, report=oracle)
-        elif theorem == "hoffman-dual":
-            b = _parse_vector(args.b, d, "b")
-            x = _parse_vector(args.x, n, "x")
-            result = hoffman_dual(
-                instance, np.zeros(d) if b is None else b, np.eye(n)[0] if x is None else x, report=oracle
-            )
-        elif theorem == "hoffman-simplex":
-            p = _parse_vector(args.p, n, "p")
-            point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
-            result = hoffman_simplex(instance, point, report=oracle)
-        else:
-            c = _parse_vector(args.c, n, "c")
-            w = _parse_vector(args.w, d, "w")
-            result = hoffman_primal(
-                instance, np.ones(n) if c is None else c, np.zeros(d) if w is None else w, report=oracle
-            )
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if theorem.startswith("gordan"):
+                result = gordan_decide(
+                    instance, args.gamma, int(theorem[-1]), sample_seed=args.seed, samples=args.samples, report=oracle
+                )
+            elif theorem == "meb":
+                result = certify_meb(instance, report=oracle)
+            elif theorem == "radius":
+                result = certify_radius(instance, sample_seed=args.seed, samples=args.samples, report=oracle)
+            elif theorem == "hoffman-dual":
+                b = _parse_vector(args.b, d, "b")
+                x = _parse_vector(args.x, n, "x")
+                result = hoffman_dual(
+                    instance, np.zeros(d) if b is None else b, np.eye(n)[0] if x is None else x, report=oracle
+                )
+            elif theorem == "hoffman-simplex":
+                p = _parse_vector(args.p, n, "p")
+                point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
+                result = hoffman_simplex(instance, point, report=oracle)
+            else:
+                c = _parse_vector(args.c, n, "c")
+                w = _parse_vector(args.w, d, "w")
+                result = hoffman_primal(
+                    instance, np.ones(n) if c is None else c, np.zeros(d) if w is None else w, report=oracle
+                )
     except (IllPosedError, InapplicableError, BudgetExceededError, MinNormPointError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
@@ -343,6 +346,8 @@ def cmd_certify(args) -> int:
         return EXIT_VIOLATION
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    except FloatingPointError as exc:  # finite inputs whose statement leaves the float range
+        raise _UsageError(f"{theorem}: the statement overflows on these inputs ({exc})") from exc
     _emit(result.as_dict())
     return EXIT_OK if result.verified else EXIT_VIOLATION
 
@@ -381,16 +386,20 @@ def cmd_batch(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = ["instance,algorithm,mode,check,passed,violation"]
+    buffer = io.StringIO()
+    plain = csv.writer(buffer, lineterminator="\n")  # quotes a cell holding a comma, a quote or a newline
+    quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)  # for a carriage return too
+    plain.writerow(["instance", "algorithm", "mode", "check", "passed", "violation"])
     for path in sorted(args.out_dir.glob("*.summary.json")):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            run = f"{payload['instance']},{payload['algorithm']},{payload['mode']}"
-            checks = [f"{c['name']},{c['passed']},{c['violation']:.17g}" for c in payload.get("checks", [])]
+            run = [str(payload[key]) for key in ("instance", "algorithm", "mode")]
+            checks = [[str(c["name"]), str(c["passed"]), f"{c['violation']:.17g}"] for c in payload.get("checks", [])]
         except (OSError, ValueError, RecursionError, LookupError, TypeError, AttributeError) as exc:
             raise _UsageError(f"cannot read summary {path}: {exc!r}") from exc
-        rows += [f"{run},{check}" for check in checks or [",unchecked,"]]  # a run no check applied to
-    text = "\n".join(rows) + "\n"
+        for check in checks or [["", "unchecked", ""]]:  # a run no check applied to gets one row
+            (quoted if any("\r" in cell for cell in run + check) else plain).writerow(run + check)
+    text = buffer.getvalue()
     if args.csv is not None:
         args.csv.parent.mkdir(parents=True, exist_ok=True)
         args.csv.write_text(text, encoding="utf-8")

@@ -2,20 +2,19 @@
 
 The positive margin is the distance from the origin to the convex hull of
 the columns, found by Wolfe's finite min-norm-point method, each cycle of
-which is polynomial. Only the negative margin enumerates: it is the inradius
-of the hull about the origin inside the column span, found by enumerating
-supporting hyperplanes through column r-subsets. A screen with batched LU
-solves drops the subsets whose hyperplane cannot support the hull, and an
-SVD per surviving subset decides the rest. The invariant: the screen never
-drops a subset the SVD step would keep, so the result is that of the SVD
-step over every subset. A quasi-uniform direction grid provides an
-independent low-rank cross-check, and the minimum enclosing ball comes out
-of the positive-margin witness in closed form.
+which is polynomial. The negative margin is the inradius of the hull about
+the origin inside the column span. Its facets come from the polar, by double
+description, so the cost follows the facet count and not C(n, r); an SVD
+side test on the column r-subsets near the nearest facets then gives the
+value, the normal and the tie-break that the same test gives over every
+r-subset (the reference enumeration in tests/oracles.py). A quasi-uniform
+direction grid provides an independent low-rank cross-check, and the
+minimum enclosing ball comes out of the positive-margin witness in closed
+form.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -55,11 +54,11 @@ SIDE_TOL = 1e-9  # supporting-hyperplane side test (absolute)
 
 WOLFE_TOL = 1e-12  # min-norm-point stop: excess of ||x|| over the distance, relative to the largest column norm
 
-# first-order relative error of the screen's LU solve and the SVD step's normal, per unit
-# condition number and r^2 (partial pivoting with growth at most r, r <= ENUMERATION_BUDGET);
-# times the reach of the columns it also bounds the rounding in the SVD step's side test
-SCREEN_ROUNDING = 64.0 * np.finfo(float).eps
-SCREEN_TRUST = 1e-3  # subsets with a larger error bound are kept for the SVD step
+# first-order relative error of the SVD step's normal, per unit condition number and r^2;
+# times the reach of the columns it bounds the rounding in the SVD step's side test
+NORMAL_ROUNDING = 64.0 * np.finfo(float).eps
+POLAR_TOL = 1e-10  # double description: a row is tight on a ray within this share of the dot's magnitude
+POLAR_RANK_TOL = 1e-9  # rows tight on two rays span r - 1 dimensions when their (r-1)-th singular value exceeds it
 
 
 class BudgetExceededError(ValueError):
@@ -180,46 +179,90 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     return norm, point, PrimalDirection((x / np.sqrt(x @ x)).astype(float), in_column_space=True)
 
 
-@functools.lru_cache(maxsize=None)  # n <= ENUMERATION_BUDGET bounds the entries
-def _subsets(n: int, r: int) -> np.ndarray:
-    """All r-subsets of range(n) as rows, in lexicographic order; read-only, as it is shared."""
-    combos = np.array(list(itertools.combinations(range(n), r)))
-    combos.setflags(write=False)
-    return combos
+def _polar_rays(coords: np.ndarray) -> np.ndarray:
+    """Extreme rays (y, s) of the cone {a_j . y <= s for every column, s >= 0}, by double description.
 
-
-def _screen(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """False for the r-subsets whose hyperplane cannot support the hull; the SVD step decides the rest.
-
-    With the points shifted to a fixed interior point z, (P - z) y = 1 gives the hyperplane
-    y . (x - z) = 1, and a column a lies (t_a - 1) / ||y|| beyond it, t_a = y . (a - z). A subset
-    is dropped when columns lie beyond it on both sides by more than SIDE_TOL plus rounding, which
-    is bounded through cond(P - z) <= ||P - z||_F^r / |det|; ill-conditioned subsets are kept.
+    Motzkin, Raiffa, Thompson and Thrall (1953), as revisited by Fukuda and Prodon
+    (1996). The start is the cone of s >= 0 and r columns picked by one pivoted
+    Gram-Schmidt pass over the unit rows; the other columns cut it one at a time.
+    A cut keeps the rays on its side and joins each pair it separates that is
+    adjacent. Two rays are adjacent when the rows tight on both, at least r - 1
+    of them, have rank r - 1. A ray tight on exactly r rows has them independent,
+    so the count decides; between two rays tight on more, the shared unit rows
+    need an (r - 1)-th singular value above POLAR_RANK_TOL. (The combinatorial
+    test, no third ray tight on the shared rows, is not used: a ray counted tight
+    on a row it only nearly meets can hide a true edge.) A row is tight on a ray
+    within POLAR_TOL of the magnitude of its dot, which keeps the test
+    scale-invariant. The cone is pointed, as the columns span r dimensions. The
+    tight rows of a ray are the bits of one int64 (n <= ENUMERATION_BUDGET).
     """
-    count, r, _ = pts.shape
-    n = coords.shape[1]
-    weights = np.arange(n, 2.0 * n)  # not uniform: the centroid of +/- pairs is the origin
-    z = coords @ weights / weights.sum()
-    shifted = pts - z
-    det = np.linalg.det(shifted)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        err = SCREEN_ROUNDING * r * r * np.einsum("cij,cij->c", shifted, shifted) ** (r / 2) / np.abs(det)
-    trusted = err <= SCREEN_TRUST  # false where singular: err is inf or nan
-    shifted[~trusted] = np.eye(r)  # any regular matrix: these subsets are kept whatever y is
-    y = np.linalg.solve(shifted, np.ones((count, r, 1)))[..., 0]
-    t = y @ (coords - z[:, None])  # (count, n)
-    reach = np.sqrt(r) * np.abs(coords).max()  # at least every column norm
-    # rounding: err * ||y|| * ||a - z|| in t from the solve, as much again from the SVD normal
-    slack = (1.0 + err) * np.sqrt(np.einsum("ci,ci->c", y, y)) * (SIDE_TOL + 4.0 * err * reach)
-    beyond = (t.max(axis=1) > 1.0 + slack) & (t.min(axis=1) < 1.0 - slack)
-    return ~(trusted & beyond)
+    r, n = coords.shape
+    rows = np.empty((n + 1, r + 1))
+    rows[:n, :r], rows[:, r], rows[n, :r] = coords.T, -1.0, 0.0  # the last row is s >= 0
+    size = POLAR_TOL * np.abs(rows)
+    unit = rows / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    residual, order = unit.copy(), [n]
+    for _ in range(r):  # pivoted Gram-Schmidt on the unit rows, from s >= 0
+        residual -= (residual @ residual[order[-1]])[:, None] * residual[order[-1]]
+        weight = np.einsum("ij,ij->i", residual, residual)
+        order.append(int(np.argmax(weight)))
+        residual[order[-1]] /= np.sqrt(weight[order[-1]])
+    rays = -np.linalg.inv(rows[order]).T  # ray i is tight on every start row but order[i]
+    start = 1 << np.array(order, dtype=np.int64)
+    tight = start.sum() - start
+    for j in sorted(set(range(n)) - set(order)):
+        values = rays @ rows[j]
+        margin = np.abs(rays) @ size[j]
+        tight |= (np.abs(values) <= margin) * (1 << j)
+        cut, kept = (values > margin).nonzero()[0], (values < -margin).nonzero()[0]
+        if cut.size == 0:
+            continue
+        shared = tight[cut, None] & tight[kept]
+        p, q = np.nonzero(np.bitwise_count(shared) >= r - 1)
+        p, q, shared = cut[p], kept[q], shared[p, q]
+        crowded = (np.bitwise_count(tight[p]) > r) & (np.bitwise_count(tight[q]) > r)
+        if crowded.any():
+            held = (shared[crowded, None] >> np.arange(n + 1)) & 1  # (pairs, rows)
+            adjacent = ~crowded
+            adjacent[crowded] = np.linalg.svd(held[:, :, None] * unit, compute_uv=False)[:, r - 2] > POLAR_RANK_TOL
+            p, q, shared = p[adjacent], q[adjacent], shared[adjacent]
+        share = values[p] / (values[p] - values[q])  # in (0, 1): where the segment meets the row
+        survivors = values <= margin
+        rays = np.concatenate((rays[survivors], rays[p] + share[:, None] * (rays[q] - rays[p])))
+        tight = np.concatenate((tight[survivors], shared | (1 << j)))
+    return rays
 
 
 def _negative_margin_details(
     instance: ProblemInstance,
     basis: ColumnSpaceBasis,
 ) -> tuple[float, PrimalDirection, bool]:
-    """Inradius of the hull about the origin within the span, with the nearest facet's normal."""
+    """Inradius of the hull about the origin within the span, with the nearest facet's normal.
+
+    The judge is an SVD side test on column r-subsets in lexicographic order:
+    a subset's hyperplane is kept when it supports the hull within SIDE_TOL,
+    and the first kept subset within 1e-12 of the least distance wins. Rank 1
+    judges every column. Rank >= 2 judges only the subsets near the nearest
+    facets, which come from the polar: a ray (y, s) of the cone
+    {a_j . y <= s, s >= 0} (_polar_rays) with s > 0 is the facet y . x = s at
+    distance s / ||y||; one with s = 0 is a supporting hyperplane through the
+    origin, at distance 0 (the origin on the boundary, or beyond it by at most
+    ZERO_BAND, as margin_report asks only then). The judged subsets are the
+    r-subsets of the columns whose slack to one facet, plus that facet's
+    excess over the least facet distance, is at most (r + 1)(SIDE_TOL +
+    ZERO_BAND) and the polar's rounding.
+
+    No near-minimum is lost: the rays (u_k, d_k), ||u_k|| = 1, generate the
+    point (v, h(v)) of the cone, where v is a kept subset's unit normal and
+    h(v) the hull's support in v, so v = sum_k c_k u_k with c >= 0 and
+    sum_k c_k >= 1. The subset's columns lie within SIDE_TOL of h(v), and h(v)
+    exceeds the least facet distance by at most SIDE_TOL and the 1e-12 (or
+    the subset's offset lies at most ZERO_BAND + SIDE_TOL below 0). Weighted by
+    c_k, the facets' excesses plus the slacks of the r columns sum to at most
+    the bound above, so one facet carries no more. The judge thus sees every
+    subset it keeps as a near-minimum over all C(n, r): same value, winner,
+    tie-break and boundary_pass.
+    """
     _check_budget(instance)
     r = basis.rank
     if r < 1:
@@ -238,8 +281,20 @@ def _negative_margin_details(
         keep = violations <= SIDE_TOL
         cond = np.ones(2 * n)
     else:
-        pts = np.moveaxis(coords[:, _subsets(n, r)], 0, 2)  # (count, r, r): rows are points
-        pts = pts[_screen(coords, pts)]  # order kept; the SVD below decides the survivors
+        rays = _polar_rays(coords)
+        rays /= np.sqrt(np.einsum("ij,ij->i", rays[:, :r], rays[:, :r]))[:, None]  # unit facet normals
+        facet_dist = np.maximum(rays[:, r], 0.0)
+        slack = facet_dist[:, None] - rays[:, :r] @ coords  # (facets, n), >= 0 up to rounding
+        excess = facet_dist - facet_dist.min()
+        near = excess[:, None] + slack <= (r + 1) * (SIDE_TOL + ZERO_BAND) + POLAR_TOL * reach
+        count = near.sum(axis=1)
+        subsets = [np.nonzero(near[count == r])[1].reshape(-1, r)]  # a simplicial facet is one subset
+        for row in {tuple(np.flatnonzero(row)) for row in near[count > r]}:
+            subsets.append(np.array(list(itertools.combinations(row, r))))
+        subsets = np.vstack(subsets)
+        _, first = np.unique(subsets @ n ** np.arange(r - 1, -1, -1), return_index=True)  # lexicographic
+        subsets = subsets[first]
+        pts = np.moveaxis(coords[:, subsets], 0, 2)  # (count, r, r): rows are points
         diffs = pts[:, 1:, :] - pts[:, :1, :]  # (count, r-1, r)
         _, sing, vt = np.linalg.svd(diffs)
         candidate_normals = vt[:, -1, :]  # unit by construction
@@ -259,7 +314,7 @@ def _negative_margin_details(
     violations = np.maximum(violations, 0.0)[keep]
     # the side test's excess of a_j . normal over the facet's offset carries rounding from the
     # dots and from the normal: at most this much, so an excess below it is no near-miss
-    rounding = (SCREEN_ROUNDING * r * r * reach * cond)[keep]
+    rounding = (NORMAL_ROUNDING * r * r * reach * cond)[keep]
 
     if dists.size == 0:
         raise ValueError(

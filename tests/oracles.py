@@ -4,8 +4,9 @@ Nothing here shares code with the library paths it checks: distances come
 from dense parameter grids, LP answers from exhaustive basic-solution
 enumeration, Euclidean projections from exhaustive active-set
 enumeration, min-norm points from exhaustive support-set enumeration or
-from exact rational arithmetic. Slow and exact at tiny sizes, which is the
-point. The solver loops at the end are the one reference that is not brute
+from exact rational arithmetic, the negative margin from the supporting
+hyperplanes of every column r-subset. Slow and exact at tiny sizes, which
+is the point. The solver loops at the end are the one reference that is not brute
 force: the iterations with one numpy update per array (w, alpha, w . A),
 which the library's single-state-vector kernel must match byte for byte.
 """
@@ -19,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from linfeas.algorithms import STALL_GAP, AlgorithmConfig, Certificate, IterateTrace
-from linfeas.instance import ProblemInstance, SimplexPoint
+from linfeas.instance import ColumnSpaceBasis, PrimalDirection, ProblemInstance, SimplexPoint
+from linfeas.margins import NORMAL_ROUNDING, SIDE_TOL
 
 
 def segment_min_norm(a: np.ndarray, b: np.ndarray, step: float = 1e-6) -> float:
@@ -208,6 +210,58 @@ def min_norm_point_enumeration(columns: np.ndarray) -> tuple[float, np.ndarray]:
             best_weights = np.zeros(n)
             best_weights[subsets[ok][i]] = q[i]
     return best_norm, best_weights
+
+
+def negative_margin_enumeration(
+    instance: ProblemInstance, basis: ColumnSpaceBasis
+) -> tuple[float, PrimalDirection, bool]:
+    """Inradius of the hull about the origin by the hyperplane of every column r-subset.
+
+    The reference for margins._negative_margin_details, with its signature and
+    its side test (SIDE_TOL), near-tie rule and boundary_pass flag: every
+    r-subset of the columns, in lexicographic order, gets an SVD normal; the
+    subsets whose hyperplane supports the hull within SIDE_TOL are kept, and the
+    first kept subset within 1e-12 of the least distance wins. C(n, r) subsets.
+    """
+    r = basis.rank
+    if r < 1:
+        raise ValueError("instance has rank 0; margins are undefined")
+    coords = basis.coordinates(instance.columns)  # (r, n)
+    n = instance.n
+    reach = np.sqrt(r) * np.abs(coords).max()
+    if r == 1:
+        line = coords[0]
+        sign = np.tile([1.0, -1.0], n)
+        candidate_normals, beta = np.ones((2 * n, 1)), np.repeat(line, 2)
+        violations = np.where(sign > 0.0, line.max() - beta, beta - line.min())
+        keep = violations <= SIDE_TOL
+        cond = np.ones(2 * n)
+    else:
+        subsets = np.array(list(itertools.combinations(range(n), r)))
+        pts = np.moveaxis(coords[:, subsets], 0, 2)  # (count, r, r): rows are points
+        diffs = pts[:, 1:, :] - pts[:, :1, :]
+        _, sing, vt = np.linalg.svd(diffs)
+        candidate_normals = vt[:, -1, :]
+        independent = sing[:, -1] > 1e-12 * np.maximum(1.0, sing[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = sing[:, 0] / sing[:, -1]
+        values = candidate_normals @ coords
+        beta = np.einsum("cr,cr->c", candidate_normals, pts[:, 0, :])
+        over = values.max(axis=1) - beta
+        under = beta - values.min(axis=1)
+        outward = over <= SIDE_TOL
+        keep = independent & (outward | (under <= SIDE_TOL))
+        sign = np.where(outward, 1.0, -1.0)
+        violations = np.where(outward, over, under)
+    normals = (sign[:, None] * candidate_normals)[keep]
+    dists = np.maximum(sign * beta, 0.0)[keep]
+    violations = np.maximum(violations, 0.0)[keep]
+    rounding = (NORMAL_ROUNDING * r * r * reach * cond)[keep]
+    if dists.size == 0:
+        raise ValueError("no supporting hyperplane found; the hull is degenerate at this rank tolerance")
+    winner = int(np.argmax(dists <= dists.min() + 1e-12))
+    direction = PrimalDirection(basis.lift(normals[winner]), in_column_space=True)
+    return float(dists[winner]), direction, bool(rounding[winner] < violations[winner] <= SIDE_TOL)
 
 
 def min_norm_point_rational(columns: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -749,6 +751,71 @@ def test_arbitrary_certify_input_exits_with_one_line_and_no_traceback(
     if gamma is not None:
         argv.append(f"--gamma={gamma!r}")
     argv += [f"--{flag}={text}" for flag, text in vectors.items() if text is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "fixture, theorem, vector",
+    [("triangle", "hoffman-dual", "--x=[1e308, 1e308, 1e308]"),
+     ("triangle", "hoffman-dual", "--b=[1e308, 1e308]"),
+     ("triangle", "hoffman-simplex", "--p=[1e308, 1e308, 1e308]"),
+     ("axes", "hoffman-primal", "--c=[1e308, 1e308]"),
+     ("axes", "hoffman-primal", "--w=[-1e308, 1e308]")],
+)
+def test_certify_overflow_is_one_usage_error(certify_fuzz_paths, capsys, fixture, theorem, vector):
+    # finite inputs whose statement leaves the float range: no numpy warning, no
+    # Infinity or NaN in the output, and no false violation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("certify", certify_fuzz_paths[fixture], "--theorem", theorem, vector) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {theorem}: the statement overflows on these inputs (")
+
+
+def test_report_quotes_names_that_hold_a_comma_or_a_line_break(tmp_path, capsys):
+    names = ["a,b", "two\nlines", 'say "hi"', "carriage\rreturn", "plain"]
+    for k, name in enumerate(names):
+        path = save_instance(ingest([[1.0, 0.0], [0.0, 1.0]], normalize=True, name=name), tmp_path / f"i{k}.json")
+        assert run_cli("run", path, "--algorithm", "np", "--max-iters", "20", "--out-dir", tmp_path / "runs") == 0
+    capsys.readouterr()
+    assert run_cli("report", "--out-dir", tmp_path / "runs") == 0
+    text = capsys.readouterr().out
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
+    per_run = Counter(row["instance"] for row in rows)
+    assert set(per_run) == set(names) and len(set(per_run.values())) == 1
+    assert {(row["algorithm"], row["mode"], row["passed"]) for row in rows} == {("np", "primal-feasibility", "True")}
+    # an ordinary row is written as before: its cells joined by commas, unquoted
+    plain = [",".join(row.values()) for row in rows if row["instance"] == "plain"]
+    assert [line for line in text.splitlines() if line.startswith("plain,")] == plain
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    payload=_PAYLOADS,
+    command=st.sampled_from(["run", "batch"]),
+    algorithms=st.sampled_from(["classic", "np", "vng", "np,vng"]),
+    mode=st.sampled_from(["primal-feasibility", "dual-certificate", "margin-maximization"]),
+    max_iters=st.integers(-1, 20),
+)
+def test_arbitrary_run_and_batch_input_exits_with_one_line_and_no_traceback(
+    tmp_path_factory, payload, command, algorithms, mode, max_iters
+):
+    folder = tmp_path_factory.mktemp("run-fuzz")
+    path = folder / "instances" / "instance.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(payload))
+    if command == "run":
+        argv = ["run", path, "--algorithm", algorithms.split(",")[0]]
+    else:
+        argv = ["batch", "--instances", path.parent, "--algorithms", algorithms, "--workers", "1"]
+    argv += ["--mode", mode, "--max-iters", max_iters, "--eps", "0.5", "--out-dir", folder / "out"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(*argv)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import angular_margin, min_norm_point_enumeration, min_norm_point_rational, segment_min_norm
+from oracles import (
+    angular_margin,
+    min_norm_point_enumeration,
+    min_norm_point_rational,
+    negative_margin_enumeration,
+    segment_min_norm,
+)
 
 from batteries import negative_instances, positive_instances
 
@@ -389,13 +395,13 @@ def _report_json(inst) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _assert_screen_changes_nothing(inst) -> bool:
-    """The report is byte-identical with the subset screen replaced by keep-all; True on the negative side."""
-    screened = _report_json(inst)
+def _assert_matches_the_enumeration(inst) -> bool:
+    """The report is byte-identical to the one built on the enumeration of every r-subset; True on the negative side."""
+    from_facets = _report_json(inst)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("linfeas.margins._screen", lambda coords, pts: np.ones(len(pts), dtype=bool))
-        assert _report_json(inst) == screened
-    return '"method": "enumeration"' in screened
+        mp.setattr("linfeas.margins._negative_margin_details", negative_margin_enumeration)
+        assert _report_json(inst) == from_facets
+    return '"method": "enumeration"' in from_facets
 
 
 def _cross_polytopes_with_extra_columns():
@@ -417,10 +423,37 @@ def _scaled_columns():
         yield ingest((cols * scale).tolist(), normalize=False)
 
 
-def test_screen_keeps_every_subset_the_svd_step_needs():
-    # a hull flat to within the side tolerance: the x-axis pair has a column
-    # beyond it on the far side from the screen's interior point, but supports
-    # the hull, within tolerance, in the other orientation
+def _non_simplicial_hulls():
+    """Hulls whose facets hold more than r columns: jitter-free cross-polytopes, and integer grids around the origin."""
+    rng = np.random.default_rng(65)
+    for d in range(2, 8):  # every facet of a cross-polytope ties, so the tie-break decides the winner
+        cols = np.vstack([np.eye(d), -np.eye(d)])[rng.permutation(2 * d)]
+        yield ingest((cols * rng.choice([1e-3, 1.0, 1e3])).tolist(), normalize=False)
+    for _ in range(30):
+        d = int(rng.integers(2, 6))
+        extra = int(rng.integers(0, 15 - 2 * d))
+        cols = np.vstack([np.eye(d), -np.eye(d), rng.integers(-1, 2, (extra, d))])[rng.permutation(2 * d + extra)]
+        yield ingest(cols.tolist(), normalize=False)
+    for _ in range(30):
+        d = int(rng.integers(2, 6))
+        yield ingest(rng.integers(-2, 3, (int(rng.integers(d + 2, 15)), d)).tolist(), normalize=False)
+
+
+def _near_degenerate_hulls():
+    """Rows tight to within the polar's tolerance: an integer grid moved by 1e-12, a diamond around a 3e-10 column."""
+    grid = np.array([[-1, 1, -1], [-1, 1, 1], [0, 0, 1], [1, 0, 1], [0, -1, 0], [0, 0, 1], [1, -1, 1],
+                     [-1, -1, -1], [-1, 0, 0], [1, 0, 0], [-1, 0, 1], [0, 1, 0], [0, -1, 0], [0, 0, -1]], dtype=float)
+    diamond = np.array([[0, -1], [1.5e-10, 2.4e-10], [0, 1], [-1, 1], [-1, -1], [-1, 0], [-1, 0], [1, 1], [1, 0]])
+    rng = np.random.default_rng(66)
+    for _ in range(10):
+        yield ingest((grid + 1e-12 * rng.standard_normal(grid.shape)).tolist(), normalize=True)
+        yield ingest((diamond + 1e-10 * rng.standard_normal(diamond.shape)).tolist(), normalize=False)
+
+
+def test_facets_feed_the_judge_every_subset_the_enumeration_keeps():
+    # a hull flat to within the side tolerance: the x-axis pair supports the
+    # hull only within SIDE_TOL, and is no facet, but the side test keeps it as
+    # the nearest supporting hyperplane, so it must reach the judge
     flat = ingest([[-1e-4, 0.0], [1e-4, 0.0], [3e-5, 9e-10], [-3e-5, 9e-10], [1e-5, 9e-10], [0.0, -1.5e-9]],
                   normalize=False)
     batteries = {
@@ -428,17 +461,19 @@ def test_screen_keeps_every_subset_the_svd_step_needs():
         "desk shapes": list(_desk_shapes()),
         "cross-polytopes": list(_cross_polytopes_with_extra_columns()),
         "scaled": list(_scaled_columns()),
+        "non-simplicial": list(_non_simplicial_hulls()),
+        "near-degenerate": list(_near_degenerate_hulls()),
         "flat": [flat],
     }
     for label, battery in batteries.items():
-        negative = sum(_assert_screen_changes_nothing(inst) for inst in battery)
+        negative = sum(_assert_matches_the_enumeration(inst) for inst in battery)
         assert negative >= len(battery) // 3, (label, negative, len(battery))
 
 
 @given(cols=degenerate_columns())
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-def test_screen_keeps_every_subset_on_degenerate_inputs(cols):
-    _assert_screen_changes_nothing(ingest(cols.tolist(), normalize=False))
+def test_facets_match_the_enumeration_on_degenerate_inputs(cols):
+    _assert_matches_the_enumeration(ingest(cols.tolist(), normalize=False))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-4])
@@ -454,7 +489,7 @@ def test_boundary_pass_on_a_facet_within_side_tol(scale):
     assert report.boundary_pass
     assert report.rho_minus == pytest.approx(-scale / np.sqrt(2.0), abs=1e-12)
     assert np.allclose(-report.witness_direction.vector, np.ones(2) / np.sqrt(2.0), atol=1e-12)
-    assert _assert_screen_changes_nothing(inst)
+    assert _assert_matches_the_enumeration(inst)
 
 
 @pytest.mark.parametrize("d", [2, 3])
