@@ -106,9 +106,6 @@ class IterateTrace:
     def steps(self) -> int:
         return int(self.ts[-1])
 
-    def alpha(self, t: int) -> SimplexPoint:
-        return SimplexPoint.from_approximate(self.coefficients[t])
-
     def write_csv(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -98,6 +98,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _grid_resolution(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
+    return value
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -125,7 +132,7 @@ def _build_parser() -> _Parser:
     margin = sub.add_parser("margin", parents=[common], help="margin report for an instance")
     margin.add_argument("instance", type=Path)
     margin.add_argument("--method", choices=("exact", "grid", "iterative"), default="exact")
-    margin.add_argument("--resolution", type=int, default=4096)
+    margin.add_argument("--resolution", type=_grid_resolution, default=4096)
 
     run = sub.add_parser("run", parents=[common], help="run an algorithm, write trace and summary")
     run.add_argument("instance", type=Path)
@@ -149,7 +156,7 @@ def _build_parser() -> _Parser:
     batch.add_argument("--algorithms", type=str, default="np,vng")
     batch.add_argument("--mode", default="margin-maximization",
                        choices=("primal-feasibility", "dual-certificate", "margin-maximization"))
-    batch.add_argument("--workers", type=int, default=1)
+    batch.add_argument("--workers", type=_positive_int, default=1)
 
     report = sub.add_parser("report", parents=[common], help="aggregate run summaries to CSV")
     report.add_argument("--csv", type=Path, default=None, help="write here instead of stdout")
@@ -373,10 +380,11 @@ def cmd_batch(args) -> int:
          args.tol_rank)
         for path in paths
     ]
-    if args.workers <= 1:
+    workers = min(args.workers, len(tasks))  # a fork pool starts all its workers at the first submit
+    if workers == 1:
         per_instance = [_batch_worker(task) for task in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_batch_worker, tasks))
     results = [row for rows in per_instance for row in rows]
     for name, algo, verdict in results:

@@ -96,17 +96,12 @@ class SimplexPoint:
     def n(self) -> int:
         return int(self.weights.size)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.weights)[0])
-
 
 @dataclass(eq=False)
 class PrimalDirection:
-    """A direction w in R^d, optionally certified to lie in the column span."""
+    """A direction w in R^d."""
 
     vector: np.ndarray
-    in_column_space: bool = False
 
     def __post_init__(self) -> None:
         v = np.array(self.vector, dtype=float)
@@ -115,16 +110,6 @@ class PrimalDirection:
         if not np.all(np.isfinite(v)):
             raise ValueError("direction must be finite")
         self.vector = _readonly(v)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-    def unit(self) -> "PrimalDirection":
-        nrm = self.norm
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero direction")
-        return PrimalDirection(self.vector / nrm, in_column_space=self.in_column_space)
 
 
 @dataclass(eq=False)
@@ -176,9 +161,6 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return int(self.columns.shape[1])
-
-    def column(self, i: int) -> np.ndarray:
-        return self.columns[:, i]
 
     @cached_property
     def gram(self) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Dense two-phase simplex, and the distance subroutines built on it and on NNLS.
 
-Desk scale only: tableaus are small dense arrays and exactness of the
-reported status matters more than speed. The pivot loop starts with the
-most-negative-reduced-cost rule and falls back to Bland's rule once the
-count of degenerate pivots suggests stalling, which guarantees termination.
+The simplex takes one form of program, min c @ x subject to A x = b and
+x >= 0: hull membership and the l1 distance to a witness set are both
+written that way. Desk scale only: tableaus are small dense arrays and
+exactness of the reported status matters more than speed. The pivot loop
+starts with the most-negative-reduced-cost rule and falls back to Bland's
+rule once the count of degenerate pivots suggests stalling, which
+guarantees termination.
 
 The Euclidean projections share one active-set kernel: a Householder
 least-squares solve, and the minor cycles that move a set of positive
@@ -23,7 +26,6 @@ import numpy as np
 __all__ = [
     "LpSizeError",
     "DegenerateFaceError",
-    "LinearProgram",
     "LpSolution",
     "solve",
     "dist_l1_to_polyhedron",
@@ -52,102 +54,12 @@ class DegenerateFaceError(RuntimeError):
     """Raised when a least-squares subproblem's matrix is rank-deficient."""
 
 
-Bound = tuple[float | None, float | None]
-
-
-@dataclass
-class LinearProgram:
-    """min objective @ x subject to equality rows, inequality rows (<=), and bounds.
-
-    Bounds default to (0, None) per variable; ``None`` means unbounded on
-    that side.
-    """
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray | None = None
-    eq_rhs: np.ndarray | None = None
-    ub_matrix: np.ndarray | None = None
-    ub_rhs: np.ndarray | None = None
-    bounds: list[Bound] | None = None
-
-
 @dataclass
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective_value: float | None = None
     basis: list[int] | None = None
-    ray: np.ndarray | None = None  # certificate direction when unbounded
-
-
-def _as_matrix(m, rhs, n, label):
-    if m is None:
-        return np.zeros((0, n)), np.zeros(0)
-    m = np.asarray(m, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if m.ndim != 2 or m.shape[1] != n or rhs.shape != (m.shape[0],):
-        raise ValueError(f"inconsistent {label} block: matrix {m.shape}, rhs {rhs.shape}")
-    return m, rhs
-
-
-def _standardize(lp: LinearProgram):
-    """Rewrite as min c@y, A y = b, y >= 0 plus an affine map back to x."""
-    c = np.asarray(lp.objective, dtype=float)
-    if c.ndim != 1 or not np.all(np.isfinite(c)):
-        raise ValueError("objective must be a finite vector")
-    n = c.size
-    eq, eq_rhs = _as_matrix(lp.eq_matrix, lp.eq_rhs, n, "equality")
-    ub, ub_rhs = _as_matrix(lp.ub_matrix, lp.ub_rhs, n, "inequality")
-    bounds = lp.bounds if lp.bounds is not None else [(0.0, None)] * n
-    if len(bounds) != n:
-        raise ValueError("bounds length must match the number of variables")
-
-    offsets = np.zeros(n)
-    var_map: list[tuple[int, float]] = []  # standard var -> (original var, sign)
-    caps: list[tuple[int, float]] = []  # (standard var, upper cap) rows
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            offsets[j] = lo
-            var_map.append((j, 1.0))
-            if hi is not None:
-                if hi < lo - 1e-15:
-                    return None  # contradictory bounds: trivially infeasible
-                caps.append((len(var_map) - 1, hi - lo))
-        elif hi is not None:
-            offsets[j] = hi
-            var_map.append((j, -1.0))
-        else:
-            var_map.append((j, 1.0))
-            var_map.append((j, -1.0))
-
-    width = len(var_map)
-    T = np.zeros((n, width))
-    for k, (j, sign) in enumerate(var_map):
-        T[j, k] = sign
-
-    eq_std = eq @ T
-    eq_rhs_std = eq_rhs - eq @ offsets
-    ub_rows = [ub @ T] if ub.shape[0] else []
-    ub_rhs_parts = [ub_rhs - ub @ offsets] if ub.shape[0] else []
-    if caps:
-        cap_rows = np.zeros((len(caps), width))
-        for r, (k, _) in enumerate(caps):
-            cap_rows[r, k] = 1.0
-        ub_rows.append(cap_rows)
-        ub_rhs_parts.append(np.array([cap for _, cap in caps]))
-    ub_std = np.vstack(ub_rows) if ub_rows else np.zeros((0, width))
-    ub_rhs_std = np.concatenate(ub_rhs_parts) if ub_rhs_parts else np.zeros(0)
-
-    m_eq, m_ub = eq_std.shape[0], ub_std.shape[0]
-    total = width + m_ub
-    A = np.zeros((m_eq + m_ub, total))
-    A[:m_eq, :width] = eq_std
-    A[m_eq:, :width] = ub_std
-    A[m_eq:, width:] = np.eye(m_ub)
-    b = np.concatenate([eq_rhs_std, ub_rhs_std])
-    c_std = np.concatenate([T.T @ c, np.zeros(m_ub)])
-    const = float(c @ offsets)
-    return A, b, c_std, T, offsets, const, width
 
 
 def _pivot(tableau: np.ndarray, crow: np.ndarray, row: int, col: int) -> None:
@@ -159,7 +71,7 @@ def _pivot(tableau: np.ndarray, crow: np.ndarray, row: int, col: int) -> None:
 
 
 def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
-    """Run simplex pivots until optimal or unbounded. Returns (status, entering)."""
+    """Run simplex pivots until optimal or unbounded. Returns the status."""
     m = tableau.shape[0]
     degenerate = 0
     bland = False
@@ -173,11 +85,11 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
         else:
             col = int(np.argmin(reduced)) if ncols else 0
             if ncols == 0 or reduced[col] >= -REDUCED_COST_TOL:
-                return "optimal", -1
+                return "optimal"
         column = tableau[:, col]
         positive = column > PIVOT_TOL
         if not positive.any():
-            return "unbounded", col
+            return "unbounded"
         ratios = np.full(m, np.inf)
         ratios[positive] = tableau[positive, -1] / column[positive]
         best = ratios.min()
@@ -194,7 +106,7 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
 
 
 def _two_phase(A, b, c):
-    """Solve min c@y, A y = b, y >= 0. Returns (status, y, basis, ray)."""
+    """Solve min c@y, A y = b, y >= 0. Returns (status, y, basis)."""
     m, n = A.shape
     A = A.copy()
     b = b.copy()
@@ -209,11 +121,10 @@ def _two_phase(A, b, c):
     for i in range(m):
         crow -= tableau[i]  # basic artificial cost is 1
     threshold = 50 * (m + n + m)
-    status, _ = _pivot_loop(tableau, basis, crow, n + m, threshold)
-    if status != "optimal":
+    if _pivot_loop(tableau, basis, crow, n + m, threshold) != "optimal":
         raise RuntimeError("phase-1 subproblem cannot be unbounded")
     if -crow[-1] > FEASIBILITY_TOL:
-        return "infeasible", None, None, None
+        return "infeasible", None, None
 
     # drive leftover artificials out of the basis; all-zero rows are redundant
     drop_rows: list[int] = []
@@ -237,60 +148,36 @@ def _two_phase(A, b, c):
     for i in range(m):
         crow -= crow[basis[i]] * tableau[i]
     threshold = 50 * (m + n)
-    status, entering = _pivot_loop(tableau, basis, crow, n, threshold)
-    if status == "unbounded":
-        ray = np.zeros(n)
-        ray[entering] = 1.0
-        for i in range(m):
-            ray[basis[i]] = -tableau[i, entering]
-        return "unbounded", None, basis, ray
+    if _pivot_loop(tableau, basis, crow, n, threshold) == "unbounded":
+        return "unbounded", None, basis
     y = np.zeros(n)
     for i in range(m):
         y[basis[i]] = tableau[i, -1]
-    return "optimal", y, basis, None
+    return "optimal", y, basis
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex over the general-form program."""
-    c = np.asarray(lp.objective, dtype=float)
-    n = c.size
-    rows = 0
-    if lp.eq_matrix is not None:
-        rows += np.asarray(lp.eq_matrix).shape[0]
-    if lp.ub_matrix is not None:
-        rows += np.asarray(lp.ub_matrix).shape[0]
-    if n > SIZE_BUDGET or rows > SIZE_BUDGET:
-        raise LpSizeError(f"program size {n} vars / {rows} rows exceeds budget {SIZE_BUDGET}")
-
-    packed = _standardize(lp)
-    if packed is None:
-        return LpSolution(status="infeasible")
-    A, b, c_std, T, offsets, const, width = packed
-    status, y, basis, ray = _two_phase(A, b, c_std)
-    if status == "infeasible":
-        return LpSolution(status="infeasible")
-    if status == "unbounded":
-        return LpSolution(status="unbounded", basis=basis, ray=T @ ray[:width])
-    x = offsets + T @ y[:width]
-    return LpSolution(
-        status="optimal",
-        x=x,
-        objective_value=float(c @ x),
-        basis=basis,
-    )
+def solve(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> LpSolution:
+    """min objective @ x subject to eq_matrix @ x = eq_rhs and x >= 0, by the two-phase dense simplex."""
+    c = np.asarray(objective, dtype=float)
+    A = np.asarray(eq_matrix, dtype=float)
+    b = np.asarray(eq_rhs, dtype=float)
+    if c.ndim != 1 or not np.all(np.isfinite(c)):
+        raise ValueError("objective must be a finite vector")
+    if A.ndim != 2 or A.shape[1] != c.size or b.shape != (A.shape[0],):
+        raise ValueError(f"inconsistent equality block: matrix {A.shape}, rhs {b.shape}")
+    if c.size > SIZE_BUDGET or b.size > SIZE_BUDGET:
+        raise LpSizeError(f"program size {c.size} vars / {b.size} rows exceeds budget {SIZE_BUDGET}")
+    status, x, basis = _two_phase(A, b, c)
+    if status != "optimal":
+        return LpSolution(status=status, basis=basis)
+    return LpSolution(status="optimal", x=x, objective_value=float(c @ x), basis=basis)
 
 
-def dist_l1_to_polyhedron(
-    x0: np.ndarray,
-    eq_matrix: np.ndarray,
-    eq_rhs: np.ndarray,
-    nonneg: bool = True,
-) -> tuple[float, np.ndarray]:
-    """l1 distance from x0 to {x | eq_matrix x = eq_rhs (, x >= 0)}.
+def dist_l1_to_polyhedron(x0: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> tuple[float, np.ndarray]:
+    """l1 distance from x0 to {x >= 0 | eq_matrix x = eq_rhs}, with the nearest x.
 
-    Uses the standard split-variable program over (x, u, v) with x - u + v = x0
-    and objective sum(u) + sum(v). Raises ValueError when the target set is
-    empty.
+    Solves the split program over (x, u, v) >= 0 with x - u + v = x0 and
+    objective sum(u) + sum(v). Raises ValueError when the target set is empty.
     """
     x0 = np.asarray(x0, dtype=float)
     A = np.asarray(eq_matrix, dtype=float)
@@ -304,11 +191,7 @@ def dist_l1_to_polyhedron(
     block[m:, :n] = np.eye(n)
     block[m:, n : 2 * n] = -np.eye(n)
     block[m:, 2 * n :] = np.eye(n)
-    rhs = np.concatenate([b, x0])
-    x_bound: Bound = (0.0, None) if nonneg else (None, None)
-    bounds = [x_bound] * n + [(0.0, None)] * (2 * n)
-    lp = LinearProgram(objective=objective, eq_matrix=block, eq_rhs=rhs, bounds=bounds)
-    sol = solve(lp)
+    sol = solve(objective, block, np.concatenate([b, x0]))
     if sol.status != "optimal":
         raise ValueError(f"target polyhedron is empty (status {sol.status})")
     return float(sol.objective_value), sol.x[:n]

@@ -16,7 +16,7 @@ form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .instance import (
     column_space_basis,
     combine,
 )
-from .lp import DegenerateFaceError, LinearProgram, _minor_cycles, min_norm_on_face, solve
+from .lp import DegenerateFaceError, _minor_cycles, min_norm_on_face, solve
 
 __all__ = [
     "BudgetExceededError",
@@ -176,7 +176,7 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     norm = float(np.sqrt(x @ x))
     if norm <= 1e-12:  # numerically zero: the origin is a hull point
         return 0.0, point, None
-    return norm, point, PrimalDirection((x / np.sqrt(x @ x)).astype(float), in_column_space=True)
+    return norm, point, PrimalDirection((x / np.sqrt(x @ x)).astype(float))
 
 
 def _polar_rays(coords: np.ndarray) -> np.ndarray:
@@ -321,7 +321,7 @@ def _negative_margin_details(
             "no supporting hyperplane found; the hull is degenerate at this rank tolerance"
         )
     winner = int(np.argmax(dists <= dists.min() + 1e-12))
-    direction = PrimalDirection(basis.lift(normals[winner]), in_column_space=True)
+    direction = PrimalDirection(basis.lift(normals[winner]))
     flagged = bool(rounding[winner] < violations[winner] <= SIDE_TOL)
     return float(dists[winner]), direction, flagged
 
@@ -344,7 +344,7 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
     else:
         inradius, facet_normal, flagged = _negative_margin_details(instance, basis)
         rho_affine = -float(inradius)
-        direction = PrimalDirection(-facet_normal.vector, in_column_space=True)
+        direction = PrimalDirection(-facet_normal.vector)
     rho_classical = rho_affine if rank == instance.d else max(0.0, rho_affine)
     return MarginReport(
         rho_classical=rho_classical,
@@ -457,7 +457,7 @@ def representable(instance: ProblemInstance, points: np.ndarray) -> list[Simplex
         if not is_open[k]:
             continue
         is_open[k] = False
-        sol = solve(LinearProgram(objective=np.zeros(n), eq_matrix=eq, eq_rhs=rhs[k]))
+        sol = solve(np.zeros(n), eq, rhs[k])
         if sol.status != "optimal":
             continue
         answers[k] = checked(k, sol.x)

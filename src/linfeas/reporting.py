@@ -112,7 +112,7 @@ def _mistake_bound(trace: IterateTrace, cert: Certificate | None, rho_plus: floa
     )
 
 
-def _dual_rate(trace: IterateTrace, rho_minus_abs: float) -> BoundCheck:
+def _dual_rate(trace: IterateTrace) -> BoundCheck:
     worst = 0.0
     details = []
     for eps in (0.5, 0.2, 0.1):
@@ -168,7 +168,7 @@ def _dual_witness_distance(
     for t in DUAL_DISTANCE_SAMPLES:
         if t >= trace.ts.size:
             continue
-        dist, _ = dist_l1_to_polyhedron(trace.coefficients[t], eq, rhs, nonneg=True)
+        dist, _ = dist_l1_to_polyhedron(trace.coefficients[t], eq, rhs)
         bound = 2.0 / (rho_minus_abs * math.sqrt(t))
         worst = max(worst, dist - bound)
         details.append(f"t={t}: dist={dist:.4g} vs bound={bound:.4g}")
@@ -223,7 +223,7 @@ def build_run_summary(
                 )
             )
         if infeasible and algorithm in ("np", "vng"):
-            checks.append(_dual_rate(trace, abs(report.rho_minus)))
+            checks.append(_dual_rate(trace))
             checks.append(_dual_witness_distance(instance, trace, abs(report.rho_minus)))
         if feasible and algorithm in ("np", "vng"):
             center = combine(instance, report.witness_weights)  # the enclosing ball's center

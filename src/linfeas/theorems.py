@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import PrimalDirection, ProblemInstance, SimplexPoint, combine
-from .lp import LinearProgram, dist_l1_to_polyhedron, dist_l2_to_halfspaces, solve
+from .lp import LpSizeError, dist_l1_to_polyhedron, dist_l2_to_halfspaces
 from .margins import ZERO_BAND, BallReport, MarginReport, margin_report, minimum_enclosing_ball, representable
 
 __all__ = [
@@ -302,7 +302,7 @@ def hoffman_dual(
     Constructs the repaired point x + p * ||Ax - b|| / inradius, where p
     represents the scaled residual direction inside the hull, and verifies it
     lands in the target set. Requires b in the column span with a nonempty
-    target set (checked by a phase-1 solve).
+    target set, which the exact distance's phase 1 checks.
     """
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -315,17 +315,17 @@ def hoffman_dual(
     span_gap = float(np.linalg.norm(b - instance.basis.project(b)))
     if span_gap > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
         raise InapplicableError("witness set is empty: rhs has a component outside the column span")
-    feasibility = solve(
-        LinearProgram(objective=np.zeros(instance.n), eq_matrix=instance.columns, eq_rhs=b)
-    )
-    if feasibility.status != "optimal":
-        raise InapplicableError("witness set {x >= 0 | Ax = b} is empty")
-
     residual_vec = instance.columns @ x - b
     r = float(np.linalg.norm(residual_vec))
     bound = r / rho
     if r <= 1e-12:
         return _in_target("dual-general", bound, x, r)
+    try:
+        exact, _ = dist_l1_to_polyhedron(x, instance.columns, b)
+    except LpSizeError:
+        raise
+    except ValueError as exc:  # the distance program's phase 1 found the target set empty
+        raise InapplicableError("witness set {x >= 0 | Ax = b} is empty") from exc
     v = rho * (b - instance.columns @ x) / r
     (p,) = representable(instance, v[None])
     if p is None:
@@ -335,7 +335,6 @@ def hoffman_dual(
     repaired = x + p.weights * (r / rho)
     witness_residual = float(np.linalg.norm(instance.columns @ repaired - b))
     witness_distance = float(np.abs(repaired - x).sum())
-    exact, _ = dist_l1_to_polyhedron(x, instance.columns, b, nonneg=True)
     return HoffmanReport(
         variant="dual-general",
         bound_value=bound,
@@ -377,7 +376,7 @@ def hoffman_simplex(
     witness_distance = float(np.abs(p.weights - blended.weights).sum())
     eq = np.vstack([instance.columns, np.ones((1, instance.n))])
     rhs = np.concatenate([np.zeros(instance.d), [1.0]])
-    exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs, nonneg=True)
+    exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs)
     return HoffmanReport(
         variant="dual-simplex",
         bound_value=sharp,

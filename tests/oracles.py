@@ -260,7 +260,7 @@ def negative_margin_enumeration(
     if dists.size == 0:
         raise ValueError("no supporting hyperplane found; the hull is degenerate at this rank tolerance")
     winner = int(np.argmax(dists <= dists.min() + 1e-12))
-    direction = PrimalDirection(basis.lift(normals[winner]), in_column_space=True)
+    direction = PrimalDirection(basis.lift(normals[winner]))
     return float(dists[winner]), direction, bool(rounding[winner] < violations[winner] <= SIDE_TOL)
 
 

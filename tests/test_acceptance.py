@@ -27,7 +27,7 @@ from linfeas.algorithms import (
     vng,
 )
 from linfeas.instance import SimplexPoint, combine, ingest
-from linfeas.lp import LinearProgram, dist_l1_to_polyhedron, solve
+from linfeas.lp import dist_l1_to_polyhedron, solve
 from linfeas.margins import (
     margin_grid_estimate,
     margin_report,
@@ -185,7 +185,7 @@ def test_criterion_6_dual_witness_distance(criterion, negative_battery):
             rows = np.vstack([inst.columns, np.ones(inst.n)])
             rhs = np.concatenate([np.zeros(inst.d), [1.0]])
             for t in (10, 100, 1000):
-                dist, _ = dist_l1_to_polyhedron(trace.coefficients[t], rows, rhs, nonneg=True)
+                dist, _ = dist_l1_to_polyhedron(trace.coefficients[t], rows, rhs)
                 bound = 2.0 / (rho * math.sqrt(t))
                 assert dist <= bound + 1e-9, (
                     f"{inst.name}: dist at t={t} is {dist:.6g} > {bound:.6g}"
@@ -302,7 +302,7 @@ def test_criterion_10_lp_oracle_soundness(criterion):
             b_ext = np.concatenate([b, [100.0]])
             c_ext = np.concatenate([c, [0.0]])
             status, value = enumerate_standard_form(A_ext, b_ext, c_ext)
-            sol = solve(LinearProgram(objective=c_ext, eq_matrix=A_ext, eq_rhs=b_ext))
+            sol = solve(c_ext, A_ext, b_ext)
             assert sol.status == status
             if status == "optimal":
                 assert abs(sol.objective_value - value) <= 1e-8

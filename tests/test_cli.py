@@ -232,6 +232,72 @@ def test_batch_requires_instances(tmp_path):
     assert run_cli("batch", "--instances", tmp_path / "nowhere") == 1
 
 
+def test_batch_pool_never_outnumbers_the_instances(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # stands in for the process pool, so no process starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(linfeas.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    one, three = tmp_path / "one", tmp_path / "three"
+    for seed in range(3):
+        assert run_cli(
+            "gen", "--kind", "planted-positive", "--d", "2", "--n", "4", "--target", "0.4",
+            "--seed", seed, "--out", three / f"pos{seed}.json",
+        ) == 0
+    one.mkdir()
+    (one / "pos0.json").write_bytes((three / "pos0.json").read_bytes())
+    capsys.readouterr()
+    outputs = {}
+    for folder, workers in ((one, "1"), (one, "100000"), (three, "1"), (three, "2"), (three, "100000")):
+        assert run_cli(
+            "batch", "--instances", folder, "--workers", workers, "--max-iters", "50", "--out-dir", tmp_path / "runs"
+        ) == 0
+        outputs[folder.name, workers] = capsys.readouterr().out
+    assert sizes == [2, 3]
+    assert outputs["one", "1"] == outputs["one", "100000"]
+    assert outputs["three", "1"] == outputs["three", "2"] == outputs["three", "100000"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_batch_without_workers_is_a_usage_error(tmp_path, capsys, workers):
+    path = save_instance(ingest([[1.0, 0.0], [0.0, 1.0]], normalize=True), tmp_path / "instances" / "axes.json")
+    assert run_cli("batch", "--instances", path.parent, "--workers", workers, "--out-dir", tmp_path / "runs") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "--workers" in line
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("resolution", ["1", "0", "-5"])
+def test_grid_resolution_below_two_is_a_usage_error(axes_unit_path, capsys, resolution):
+    assert run_cli("margin", axes_unit_path, "--method", "grid", "--resolution", resolution) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "--resolution" in line
+
+
+def test_grid_above_rank_three_is_inapplicable(tmp_path, capsys):
+    path = save_instance(ingest(np.eye(4).tolist(), normalize=True), tmp_path / "axes4.json")
+    assert run_cli("margin", path, "--method", "grid", "--resolution", "8") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "rank <= 3" in line
+
+
 def test_usage_error_exit_code():
     assert main(["margin"]) == 1  # missing positional
     assert main(["no-such-command"]) == 1
@@ -492,7 +558,8 @@ def test_exact_oracle_runs_once_per_command(tmp_path, oracle_calls, axes_unit_pa
 def test_solvers_on_non_unit_columns_are_inapplicable(tmp_path, capsys, command):
     path = tmp_path / "instances" / "scaled.json"
     path.parent.mkdir()
-    path.write_text('{"columns": [[2, 0], [0, 1]], "normalize": false}')
+    for name in ("scaled.json", "scaled2.json"):  # two files, so two workers start a pool
+        (path.parent / name).write_text('{"columns": [[2, 0], [0, 1]], "normalize": false}')
     args = [a.format(path=path, dir=path.parent) for a in command]
     assert run_cli(*args, "--out-dir", tmp_path / "runs") == 3
     captured = capsys.readouterr()
@@ -556,6 +623,7 @@ def test_bad_solver_settings_are_usage_errors(tmp_path, axes_unit_path, capsys, 
     ],
 )
 def test_nan_eps_is_usage_error(tmp_path, axes_unit_path, capsys, command):
+    (tmp_path / "axes2.json").write_bytes(axes_unit_path.read_bytes())  # two files, so two workers start a pool
     argv = [a.format(path=axes_unit_path, dir=axes_unit_path.parent) for a in command]
     assert run_cli(*argv, "--eps", "nan", "--out-dir", tmp_path / "runs") == 1
     (line,) = capsys.readouterr().err.splitlines()

@@ -144,7 +144,7 @@ def test_basis_reconstructs_columns():
 
 def test_combine_examples(axes, segment):
     assert np.allclose(combine(axes, SimplexPoint(np.array([0.5, 0.5]))), [0.5, 0.5])
-    assert np.allclose(combine(axes, SimplexPoint.unit_mass(2, 1)), axes.column(1))
+    assert np.allclose(combine(axes, SimplexPoint.unit_mass(2, 1)), axes.columns[:, 1])
     assert np.allclose(combine(segment, SimplexPoint(np.array([0.5, 0.5]))), [0.0, 0.0])
 
 
@@ -166,7 +166,7 @@ def test_simplex_point_validation():
         SimplexPoint(np.array([1.1, -0.1]))  # negative beyond tolerance
     clamped = SimplexPoint(np.array([1.0, -1e-13, 1e-13]))
     assert clamped.weights[1] == 0.0 and clamped.weights[2] == 0.0
-    assert clamped.support == (0,)
+    assert np.flatnonzero(clamped.weights).tolist() == [0]
 
 
 def test_simplex_point_from_approximate():
@@ -177,11 +177,12 @@ def test_simplex_point_from_approximate():
         SimplexPoint.from_approximate(np.array([1.0, -1e-3]))
 
 
-def test_primal_direction_unit():
-    direction = PrimalDirection(np.array([3.0, 4.0]))
-    assert direction.unit().norm == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        PrimalDirection(np.zeros(2)).unit()
+def test_primal_direction_validation():
+    direction = PrimalDirection([3.0, 4.0])
+    assert direction.vector.tolist() == [3.0, 4.0] and not direction.vector.flags.writeable
+    for bad in (np.zeros(0), np.zeros((2, 2)), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            PrimalDirection(bad)
 
 
 def test_json_round_trip(tmp_path, triangle):

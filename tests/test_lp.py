@@ -13,7 +13,6 @@ from linfeas.instance import ingest
 from linfeas.lp import (
     FEASIBILITY_TOL,
     DegenerateFaceError,
-    LinearProgram,
     LpSizeError,
     dist_l1_to_polyhedron,
     dist_l2_to_halfspaces,
@@ -23,91 +22,57 @@ from linfeas.lp import (
 from linfeas.margins import margin_report
 
 
+def _no_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros((0, n)), np.zeros(0)
+
+
 def test_min_with_lower_bound():
-    lp = LinearProgram(
-        objective=np.array([1.0]),
-        ub_matrix=np.array([[-1.0]]),
-        ub_rhs=np.array([-3.0]),
-    )
-    sol = solve(lp)
+    # min x subject to x >= 3, written x - s = 3 with the surplus s >= 0
+    sol = solve(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([3.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_contradictory_equalities_infeasible():
-    lp = LinearProgram(
-        objective=np.zeros(1),
-        eq_matrix=np.array([[1.0], [1.0]]),
-        eq_rhs=np.array([1.0, 2.0]),
-    )
-    assert solve(lp).status == "infeasible"
+    sol = solve(np.zeros(1), np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
+    assert sol.status == "infeasible"
 
 
 def test_unbounded_with_ray_certificate():
-    lp = LinearProgram(objective=np.array([-1.0]))
-    sol = solve(lp)
-    assert sol.status == "unbounded"
-    assert sol.ray is not None
-    assert float(np.array([-1.0]) @ sol.ray) < 0.0
+    assert solve(np.array([-1.0]), *_no_rows(1)).status == "unbounded"
 
 
-def test_free_variables_and_two_sided_bounds():
-    # min x + y with x free below (x <= y + 1), -2 <= y <= 5: unbounded
-    lp = LinearProgram(
-        objective=np.array([1.0, 1.0]),
-        ub_matrix=np.array([[1.0, -1.0]]),
-        ub_rhs=np.array([1.0]),
-        bounds=[(None, None), (-2.0, 5.0)],
-    )
-    sol = solve(lp)
-    assert sol.status == "unbounded"
-
-    lp2 = LinearProgram(
-        objective=np.array([1.0, 1.0]),
-        eq_matrix=np.array([[1.0, -1.0]]),
-        eq_rhs=np.array([-1.0]),
-        bounds=[(None, None), (-2.0, 5.0)],
-    )
-    sol2 = solve(lp2)
-    assert sol2.status == "optimal"
-    # x = y - 1 and both as small as possible: y = -2, x = -3
-    assert sol2.objective_value == pytest.approx(-5.0, abs=1e-9)
-    assert np.allclose(sol2.x, [-3.0, -2.0], atol=1e-9)
-
-
-def test_fixed_variable_bounds():
-    lp = LinearProgram(objective=np.array([2.0]), bounds=[(1.5, 1.5)])
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(3.0, abs=1e-12)
-
-
-def test_crossing_bounds_infeasible():
-    lp = LinearProgram(objective=np.array([1.0]), bounds=[(2.0, 1.0)])
-    assert solve(lp).status == "infeasible"
+def test_malformed_programs_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        solve(np.array([1.0, np.inf]), *_no_rows(2))
+    with pytest.raises(ValueError, match="finite"):
+        solve(np.zeros((1, 2)), *_no_rows(2))
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve(np.zeros(2), np.zeros((1, 3)), np.zeros(1))
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve(np.zeros(2), np.zeros((1, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve(np.zeros(2), np.zeros(2), np.zeros(1))
 
 
 def test_degenerate_program_terminates():
-    # Beale's cycling-prone program under naive pivoting
-    lp = LinearProgram(
-        objective=np.array([-0.75, 150.0, -0.02, 6.0]),
-        ub_matrix=np.array(
-            [
-                [0.25, -60.0, -0.04, 9.0],
-                [0.5, -90.0, -0.02, 3.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ]
-        ),
-        ub_rhs=np.array([0.0, 0.0, 1.0]),
+    # Beale's cycling-prone program under naive pivoting, with a slack column per row
+    rows = np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
     )
-    sol = solve(lp)
+    objective = np.concatenate([[-0.75, 150.0, -0.02, 6.0], np.zeros(3)])
+    sol = solve(objective, np.hstack([rows, np.eye(3)]), np.array([0.0, 0.0, 1.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
 
 def test_size_budget_enforced():
     with pytest.raises(LpSizeError):
-        solve(LinearProgram(objective=np.zeros(101)))
+        solve(np.zeros(101), *_no_rows(101))
 
 
 def test_optimal_solutions_satisfy_constraints():
@@ -118,17 +83,11 @@ def test_optimal_solutions_satisfy_constraints():
         x_feas = rng.uniform(0.0, 1.0, n)
         b = A @ x_feas
         c = rng.standard_normal(n)
-        cap = np.vstack([np.ones(n)])
-        lp = LinearProgram(
-            objective=c,
-            eq_matrix=A,
-            eq_rhs=b,
-            ub_matrix=cap,
-            ub_rhs=np.array([50.0]),
-        )
-        sol = solve(lp)
+        # the cap sum(x) <= 50 with its slack column keeps the program bounded
+        A_ext = np.vstack([np.hstack([A, np.zeros((m, 1))]), np.ones(n + 1)])
+        sol = solve(np.append(c, 0.0), A_ext, np.append(b, 50.0))
         assert sol.status == "optimal"
-        assert np.max(np.abs(A @ sol.x - b)) <= FEASIBILITY_TOL * 10
+        assert np.max(np.abs(A @ sol.x[:n] - b)) <= FEASIBILITY_TOL * 10
         assert sol.x.min() >= -FEASIBILITY_TOL
 
 
@@ -151,24 +110,20 @@ def test_random_battery_matches_enumeration():
         b_ext = np.concatenate([b, [100.0]])
         c_ext = np.concatenate([c, [0.0]])
         status, value = enumerate_standard_form(A_ext, b_ext, c_ext)
-        sol = solve(LinearProgram(objective=c_ext, eq_matrix=A_ext, eq_rhs=b_ext))
+        sol = solve(c_ext, A_ext, b_ext)
         assert sol.status == status
         if status == "optimal":
             assert sol.objective_value == pytest.approx(value, abs=1e-8)
 
 
 def test_dist_l1_already_inside(segment):
-    dist, nearest = dist_l1_to_polyhedron(
-        np.array([0.5, 0.5]), segment.columns, np.zeros(2), nonneg=True
-    )
+    dist, nearest = dist_l1_to_polyhedron(np.array([0.5, 0.5]), segment.columns, np.zeros(2))
     assert dist == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(nearest, [0.5, 0.5], atol=1e-9)
 
 
 def test_dist_l1_segment_example(segment):
-    dist, nearest = dist_l1_to_polyhedron(
-        np.array([1.0, 0.0]), segment.columns, np.zeros(2), nonneg=True
-    )
+    dist, nearest = dist_l1_to_polyhedron(np.array([1.0, 0.0]), segment.columns, np.zeros(2))
     assert dist == pytest.approx(1.0, abs=1e-9)
     assert nearest[0] == pytest.approx(nearest[1], abs=1e-9)
 
@@ -176,7 +131,7 @@ def test_dist_l1_segment_example(segment):
 def test_dist_l1_simplex_constrained(segment):
     rows = np.vstack([segment.columns, np.ones(2)])
     rhs = np.array([0.0, 0.0, 1.0])
-    dist, nearest = dist_l1_to_polyhedron(np.array([1.0, 0.0]), rows, rhs, nonneg=True)
+    dist, nearest = dist_l1_to_polyhedron(np.array([1.0, 0.0]), rows, rhs)
     assert dist == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(nearest, [0.5, 0.5], atol=1e-9)
 
@@ -188,7 +143,7 @@ def test_dist_l1_output_point_lies_in_target():
         A = rng.standard_normal((m, n))
         b = A @ rng.uniform(0.0, 1.0, n)
         x0 = rng.uniform(-1.0, 2.0, n)
-        dist, nearest = dist_l1_to_polyhedron(x0, A, b, nonneg=True)
+        dist, nearest = dist_l1_to_polyhedron(x0, A, b)
         assert np.max(np.abs(A @ nearest - b)) <= 1e-9
         assert nearest.min() >= -1e-9
         assert np.abs(nearest - x0).sum() == pytest.approx(dist, abs=1e-8)
@@ -196,9 +151,7 @@ def test_dist_l1_output_point_lies_in_target():
 
 def test_dist_l1_empty_target():
     with pytest.raises(ValueError, match="empty"):
-        dist_l1_to_polyhedron(
-            np.zeros(1), np.array([[1.0], [1.0]]), np.array([1.0, 2.0]), nonneg=True
-        )
+        dist_l1_to_polyhedron(np.zeros(1), np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
 
 
 def test_min_norm_on_face_examples():

@@ -214,7 +214,7 @@ def test_representable_negative_answer(axes):
 
 
 def test_representable_column_itself(triangle):
-    target = triangle.column(0)
+    target = triangle.columns[:, 0]
     (point,) = representable(triangle, target[None])
     assert point is not None
     assert np.allclose(combine(triangle, point), target, atol=1e-9)
@@ -227,7 +227,7 @@ def test_optimal_face_subproblem_matches_global_margin():
 
     for inst, meta in positive_instances(10, seed=300):
         value, point, _ = positive_margin_exact(inst)
-        support = list(point.support)
+        support = np.flatnonzero(point.weights)
         face_norm, q = min_norm_on_face(inst.columns[:, support])
         assert np.all(q >= -1e-9)
         assert face_norm == pytest.approx(value, abs=1e-9)
@@ -524,10 +524,10 @@ def _membership_queries(inst, rng, report=None) -> np.ndarray:
 
 def _simplex_alone(inst, v) -> SimplexPoint | None:
     """The phase-1 program of one query, solved on its own; None unless its weights pass the checks."""
-    from linfeas.lp import LinearProgram, solve
+    from linfeas.lp import solve
 
     eq = np.vstack([inst.columns, np.ones((1, inst.n))])
-    sol = solve(LinearProgram(objective=np.zeros(inst.n), eq_matrix=eq, eq_rhs=np.append(v, 1.0)))
+    sol = solve(np.zeros(inst.n), eq, np.append(v, 1.0))
     if sol.status == "infeasible" or sol.x.min() < -1e-9:
         return None
     point = SimplexPoint.from_approximate(sol.x)
@@ -609,7 +609,7 @@ def test_batch_reuses_bases_only_on_full_row_rank(monkeypatch):
 
     calls = []
     original = linfeas.margins.solve
-    monkeypatch.setattr(linfeas.margins, "solve", lambda lp: calls.append(1) or original(lp))
+    monkeypatch.setattr(linfeas.margins, "solve", lambda *program: calls.append(1) or original(*program))
     rng = np.random.default_rng(76)
     runs = {True: 0, False: 0}
     points = {True: 0, False: 0}

@@ -6,7 +6,7 @@ import linfeas.theorems
 from batteries import infeasible_instances, mixed_instances, negative_instances, positive_instances
 
 from linfeas.instance import SimplexPoint, combine, ingest
-from linfeas.lp import dist_l1_to_polyhedron
+from linfeas.lp import LpSizeError
 from linfeas.margins import ZERO_BAND, margin_report
 from linfeas.theorems import (
     IllPosedError,
@@ -149,6 +149,24 @@ def test_hoffman_dual_inapplicable(axes):
 def test_hoffman_dual_rhs_outside_span(segment):
     with pytest.raises(InapplicableError, match="span"):
         hoffman_dual(segment, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "error, expected, message",
+    [
+        (ValueError("target polyhedron is empty"), InapplicableError, r"^witness set \{x >= 0 \| Ax = b\} is empty$"),
+        (LpSizeError("over budget"), LpSizeError, "^over budget$"),
+    ],
+)
+def test_hoffman_dual_maps_only_an_empty_witness_set_to_inapplicable(triangle, monkeypatch, error, expected, message):
+    # under a negative margin the columns' cone is their span, so only rounding in the
+    # distance program's phase 1 can find the witness set empty: stand in for it
+    def failing(*_args):
+        raise error
+
+    monkeypatch.setattr(linfeas.theorems, "dist_l1_to_polyhedron", failing)
+    with pytest.raises(expected, match=message):
+        hoffman_dual(triangle, np.zeros(2), np.array([1.0, 0.0, 0.0]))
 
 
 def test_hoffman_simplex_tight_example(segment):
