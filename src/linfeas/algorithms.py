@@ -3,19 +3,20 @@
 Three iterations over unit columns: the classical additive perceptron, the
 averaged variant that tracks a convex combination of columns (a subgradient
 step on the margin loss), and the furthest-point line-search iteration that
-is Frank-Wolfe on the minimum-norm-point problem. Each loop keeps one state
-vector s = [w | alpha | w . A] of length d + 2n, of which w, alpha and the dots
-w . a_j are views, and one update table U = [A' | I | G] of shape (n, d + 2n),
-built per call from the columns and the instance's cached Gram matrix. A step
-toward column i is s += U[i] (classic) or s *= keep; s += step * U[i] (averaged),
-so it costs O(d + n) in a few numpy calls and does elementwise what separate
-updates of w, alpha and the dots would do: the other entries of alpha gain
-step * 0.0, which is exact since alpha >= 0. The loop holds only the update, the
-column choice and the stop tests, and records [w | alpha], min_j w . a_j and the
-chosen column per step; norms, margins and losses are derived from those rows
-after the loop (||w||^2 is formed inside it only for vng and the dual stop).
-Ties break on the lowest column index, up to the rounding of the dots, and
-every trace is reproducible bit for bit.
+is Frank-Wolfe on the minimum-norm-point problem. They are three step rules of
+one loop, which keeps one state vector s = [w | alpha | w . A] of length
+d + 2n, of which w, alpha and the dots w . a_j are views, and one update table
+U = [A' | I | G] of shape (n, d + 2n), built per call from the columns and the
+instance's cached Gram matrix. A step rule picks column i and the update: s +=
+U[i] (classic) or s *= keep; s += step * U[i] (averaged), so a step costs
+O(d + n) in a few numpy calls and does elementwise what separate updates of w,
+alpha and the dots would do: the other entries of alpha gain step * 0.0, which
+is exact since alpha >= 0. The loop holds only the update, the column choice
+and the stop tests, and records [w | alpha], min_j w . a_j and the chosen
+column per step; norms, margins and losses are derived from those rows after
+the loop (||w||^2 is formed inside it only for vng and the dual stop). Ties
+break on the lowest column index, up to the rounding of the dots, and every
+trace is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -184,45 +185,13 @@ def _dual_certificate(alpha: np.ndarray, norm: float, iterations: int) -> Certif
     )
 
 
-def perceptron_classic(
-    instance: ProblemInstance,
-    config: AlgorithmConfig,
-) -> tuple[Certificate | None, IterateTrace]:
-    """Additive perceptron: add the lowest-index column with nonpositive dot.
-
-    Starts at the first column; stops when no mistake remains (strict
-    feasibility certificate) or the iteration budget runs out.
-    """
-    require_unit_columns(instance)
-    d, n, cols = instance.d, instance.n, instance.columns
-    table = _update_table(instance)
-    s = table[0].copy()  # [w | update counts | w . a_j for every column j] at the first column
-    w, state, dots = s[:d], s[: d + n], s[d + n :]
-    buffers = _trace_buffers(config.max_iters, d + n)
-    states, worsts, chosen = buffers
-    certificate: Certificate | None = None
-    for t in range(config.max_iters + 1):  # row t: the state after update t, then its stop test
-        if t > 0:
-            s += table[i]
-            chosen[t] = i
-        states[t] = state
-        worsts[t] = worst = dots[dots.argmin()]
-        if worst > 0.0:  # no mistake: every dot is positive
-            certificate = _primal_certificate(cols, w, dots, t)
-            if certificate is not None:
-                break
-        if t == config.max_iters:
-            break
-        i = int((dots <= 0.0).argmax())  # the lowest-index mistake; exact sign test, no slack
-    reason = "primal-feasible" if certificate is not None else "exhausted"
-    return certificate, _freeze("classic", d, t + 1, reason, buffers)
-
-
-def _averaged_run(
+def _step_loop(
     instance: ProblemInstance,
     config: AlgorithmConfig,
     step_rule: str,
 ) -> tuple[Certificate | None, IterateTrace]:
+    """The one loop of all three iterations; ``step_rule`` is "classic", "np" or "vng"."""
+    require_unit_columns(instance)
     d, n, cols = instance.d, instance.n, instance.columns
     table = _update_table(instance)
     g_diag = instance.gram.diagonal()
@@ -232,14 +201,20 @@ def _averaged_run(
     buffers = _trace_buffers(config.max_iters, d + n)
     states, worsts, chosen = buffers
     scaled, reach = np.empty_like(s), np.empty(n)  # scratch for step * U[i] and vng's dots - G_jj / 2
-    primal, dual = config.mode == "primal-feasibility", config.mode == "dual-certificate"
+    classic = step_rule == "classic"  # ignores the mode: stops only on a primal certificate
+    primal = classic or config.mode == "primal-feasibility"
+    dual = not classic and config.mode == "dual-certificate"
+    certifies_at_budget = not classic and config.mode == "margin-maximization"
     reads_norm = dual or step_rule == "vng"
     certificate: Certificate | None = None
     reason = "completed"
     for t in range(config.max_iters + 1):  # row t: the state after update t, then its stop tests
-        if t > 0:  # both rules move to w <- keep * w + step * a_i and differ only in (keep, step)
-            s *= keep
-            s += np.multiply(table[i], step, out=scaled)
+        if t > 0:
+            if classic:
+                s += table[i]  # exact add: alpha holds raw update counts
+            else:  # w <- keep * w + step * a_i; np and vng differ only in (keep, step)
+                s *= keep
+                s += np.multiply(table[i], step, out=scaled)
             chosen[t] = i
         if reads_norm:
             sq = float(w.dot(w))
@@ -257,13 +232,15 @@ def _averaged_run(
             reason = "dual-epsilon"
             break
         if t == config.max_iters:
-            if config.mode != "margin-maximization":
+            if not certifies_at_budget:
                 reason = "exhausted"
             elif worst > 0.0:
                 certificate = _primal_certificate(cols, w, dots, t)
             break
 
-        if step_rule == "np":
+        if classic:
+            i = int((dots <= 0.0).argmax())  # the lowest-index mistake; exact sign test, no slack
+        elif step_rule == "np":
             i = worst_index
             step = 1.0 / (t + 1)
             keep = 1.0 - step
@@ -282,6 +259,18 @@ def _averaged_run(
     return certificate, _freeze(step_rule, d, t + 1, reason, buffers)
 
 
+def perceptron_classic(
+    instance: ProblemInstance,
+    config: AlgorithmConfig,
+) -> tuple[Certificate | None, IterateTrace]:
+    """Additive perceptron: add the lowest-index column with nonpositive dot.
+
+    Starts at the first column; stops when no mistake remains (strict
+    feasibility certificate) or the iteration budget runs out.
+    """
+    return _step_loop(instance, config, "classic")
+
+
 def perceptron_normalized(
     instance: ProblemInstance,
     config: AlgorithmConfig,
@@ -293,8 +282,7 @@ def perceptron_normalized(
     Termination depends on the mode: strict feasibility, iterate norm at most
     target_eps, or run the full budget while maximizing the margin.
     """
-    require_unit_columns(instance)
-    return _averaged_run(instance, config, "np")
+    return _step_loop(instance, config, "np")
 
 
 def vng(
@@ -309,8 +297,7 @@ def vng(
     run stops with a stall flag. This is Frank-Wolfe on the minimum-norm
     point of the hull, so the iterate norm never increases.
     """
-    require_unit_columns(instance)
-    return _averaged_run(instance, config, "vng")
+    return _step_loop(instance, config, "vng")
 
 
 def loss(instance: ProblemInstance, w: np.ndarray) -> float:

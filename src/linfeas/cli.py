@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import (
+    MODES,
     AlgorithmConfig,
     margin_estimate_np,
     perceptron_classic,
@@ -105,23 +106,30 @@ def _grid_resolution(text: str) -> int:
     return value
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol-rank", type=_positive_float, default=None, help="rank cutoff override")
-    common.add_argument("--out-dir", type=Path, default=Path("out"))
-    common.add_argument("--max-iters", type=int, default=10_000)
-    common.add_argument("--eps", type=float, default=0.1)
-    common.add_argument("--dump-alpha", action="store_true")
-    return common
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--tol-rank": dict(type=_positive_float, default=None, help="rank cutoff override"),
+    "--out-dir": dict(type=Path, default=Path("out")),
+    "--max-iters": dict(type=int, default=10_000),
+    "--eps": dict(type=float, default=0.1),
+    "--dump-alpha": dict(action="store_true"),
+}
+
+
+def _command(sub, name: str, about: str, shared: tuple[str, ...]) -> _Parser:
+    """A subcommand that accepts, of the shared flags, only the ones it reads."""
+    command = sub.add_parser(name, help=about)
+    for flag in shared:
+        command.add_argument(flag, **_SHARED_FLAGS[flag])
+    return command
 
 
 def _build_parser() -> _Parser:
-    common = _common_flags()
     parser = _Parser(prog="linfeas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    solver_flags = ("--tol-rank", "--out-dir", "--max-iters", "--eps", "--dump-alpha")
 
-    gen = sub.add_parser("gen", parents=[common], help="generate an instance with a planted margin")
+    gen = _command(sub, "gen", "generate an instance with a planted margin", ("--seed", "--out-dir"))
     gen.add_argument("--kind", required=True, choices=("planted-positive", "planted-negative", "near-ill-posed", "rank-deficient"))
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
@@ -129,18 +137,17 @@ def _build_parser() -> _Parser:
     gen.add_argument("--jitter", type=float, default=0.0)
     gen.add_argument("--out", type=Path, default=None, help="output path (default under --out-dir)")
 
-    margin = sub.add_parser("margin", parents=[common], help="margin report for an instance")
+    margin = _command(sub, "margin", "margin report for an instance", ("--tol-rank", "--eps"))
     margin.add_argument("instance", type=Path)
     margin.add_argument("--method", choices=("exact", "grid", "iterative"), default="exact")
     margin.add_argument("--resolution", type=_grid_resolution, default=4096)
 
-    run = sub.add_parser("run", parents=[common], help="run an algorithm, write trace and summary")
+    run = _command(sub, "run", "run an algorithm, write trace and summary", solver_flags)
     run.add_argument("instance", type=Path)
     run.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
-    run.add_argument("--mode", default="primal-feasibility",
-                     choices=("primal-feasibility", "dual-certificate", "margin-maximization"))
+    run.add_argument("--mode", default="primal-feasibility", choices=MODES)
 
-    certify = sub.add_parser("certify", parents=[common], help="verify a statement on an instance")
+    certify = _command(sub, "certify", "verify a statement on an instance", ("--seed", "--tol-rank"))
     certify.add_argument("instance", type=Path)
     certify.add_argument("--theorem", required=True, choices=THEOREMS)
     certify.add_argument("--gamma", type=_nonnegative_float, default=0.0)
@@ -151,14 +158,13 @@ def _build_parser() -> _Parser:
     certify.add_argument("--w", type=str, default=None, help="JSON vector, length d")
     certify.add_argument("--samples", type=_positive_int, default=32)
 
-    batch = sub.add_parser("batch", parents=[common], help="fan runs out over instances x algorithms")
+    batch = _command(sub, "batch", "fan runs out over instances x algorithms", solver_flags)
     batch.add_argument("--instances", type=Path, required=True, help="directory of instance JSON files")
     batch.add_argument("--algorithms", type=str, default="np,vng")
-    batch.add_argument("--mode", default="margin-maximization",
-                       choices=("primal-feasibility", "dual-certificate", "margin-maximization"))
+    batch.add_argument("--mode", default="margin-maximization", choices=MODES)
     batch.add_argument("--workers", type=_positive_int, default=1)
 
-    report = sub.add_parser("report", parents=[common], help="aggregate run summaries to CSV")
+    report = _command(sub, "report", "aggregate run summaries to CSV", ("--out-dir",))
     report.add_argument("--csv", type=Path, default=None, help="write here instead of stdout")
 
     return parser
@@ -371,6 +377,8 @@ def cmd_batch(args) -> int:
     if not paths:
         raise _UsageError(f"no instance JSON files under {instance_dir}")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise _UsageError(f"--algorithms names no algorithm, got {args.algorithms!r}")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise _UsageError(f"unknown algorithms: {unknown}")

@@ -80,7 +80,7 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
         if bland:
             eligible = np.nonzero(reduced < -REDUCED_COST_TOL)[0]
             if eligible.size == 0:
-                return "optimal", -1
+                return "optimal"
             col = int(eligible[0])
         else:
             col = int(np.argmin(reduced)) if ncols else 0

@@ -45,10 +45,11 @@ def test_classic_infeasible_exhausts(segment):
     assert trace.ts[-1] == 50
 
 
-def test_classic_rejects_unnormalized():
+@pytest.mark.parametrize("solver", [perceptron_classic, perceptron_normalized, vng], ids=["classic", "np", "vng"])
+def test_every_solver_rejects_unnormalized(solver):
     inst = ingest([[2.0, 0.0]], normalize=False)
     with pytest.raises(ValueError, match="unit columns"):
-        perceptron_classic(inst, primal_cfg())
+        solver(inst, primal_cfg())
 
 
 def test_np_axes_hand_stepped(axes):

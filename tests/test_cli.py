@@ -280,6 +280,21 @@ def test_batch_without_workers_is_a_usage_error(tmp_path, capsys, workers):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("algorithms", ["", ","])
+def test_batch_without_algorithms_is_a_usage_error(tmp_path, capsys, monkeypatch, algorithms):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a batch task ran with no algorithm to run")
+
+    monkeypatch.setattr(linfeas.cli, "_batch_worker", refuse)
+    path = save_instance(ingest([[1.0, 0.0], [0.0, 1.0]], normalize=True), tmp_path / "instances" / "axes.json")
+    assert run_cli("batch", "--instances", path.parent, "--algorithms", algorithms, "--out-dir", tmp_path / "runs") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "--algorithms" in line
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("resolution", ["1", "0", "-5"])
 def test_grid_resolution_below_two_is_a_usage_error(axes_unit_path, capsys, resolution):
     assert run_cli("margin", axes_unit_path, "--method", "grid", "--resolution", resolution) == 1
@@ -464,7 +479,9 @@ def test_bad_rank_tolerance_is_usage_error(tmp_path, triangle_path, capsys, comm
         "batch": ("batch", "--instances", triangle_path.parent),
         "certify": ("certify", triangle_path, "--theorem", "meb"),
     }[command]
-    assert run_cli(*args, "--tol-rank", value, "--out-dir", out_dir) == 1
+    if command in ("run", "batch"):  # margin and certify write nothing and take no --out-dir
+        args = (*args, "--out-dir", out_dir)
+    assert run_cli(*args, "--tol-rank", value) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
@@ -489,7 +506,9 @@ def test_min_norm_point_failure_is_inapplicable(tmp_path, triangle_path, capsys,
     monkeypatch.setattr(linfeas.margins, "positive_margin_exact", fail)
     if args[0] != "gen":  # gen takes no instance path
         args = (args[0], triangle_path, *args[1:])
-    code = run_cli(*args, "--out-dir", tmp_path / "out")
+    if args[0] in ("run", "gen"):  # margin and certify write nothing and take no --out-dir
+        args = (*args, "--out-dir", tmp_path / "out")
+    code = run_cli(*args)
     captured = capsys.readouterr()
     if args[0] == "run":  # the summary is still written, with the oracle checks skipped
         assert json.loads(captured.out)["oracle"] is None
@@ -561,7 +580,9 @@ def test_solvers_on_non_unit_columns_are_inapplicable(tmp_path, capsys, command)
     for name in ("scaled.json", "scaled2.json"):  # two files, so two workers start a pool
         (path.parent / name).write_text('{"columns": [[2, 0], [0, 1]], "normalize": false}')
     args = [a.format(path=path, dir=path.parent) for a in command]
-    assert run_cli(*args, "--out-dir", tmp_path / "runs") == 3
+    if command[0] != "margin":  # margin writes nothing and takes no --out-dir
+        args += ["--out-dir", tmp_path / "runs"]
+    assert run_cli(*args) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
@@ -608,7 +629,10 @@ def test_unmeasurable_columns_are_refused_on_ingest(tmp_path, capsys, columns):
     ],
 )
 def test_bad_solver_settings_are_usage_errors(tmp_path, axes_unit_path, capsys, args):
-    assert run_cli(*[a.format(path=axes_unit_path) for a in args], "--out-dir", tmp_path / "runs") == 1
+    argv = [a.format(path=axes_unit_path) for a in args]
+    if args[0] == "run":  # margin writes nothing and takes no --out-dir
+        argv += ["--out-dir", tmp_path / "runs"]
+    assert run_cli(*argv) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
 
@@ -629,6 +653,39 @@ def test_nan_eps_is_usage_error(tmp_path, axes_unit_path, capsys, command):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and "nan" in line
     assert not (tmp_path / "runs").exists()
+
+
+_UNREAD_FLAGS = {
+    "gen": ("--tol-rank", "--max-iters", "--eps", "--dump-alpha"),
+    "margin": ("--seed", "--out-dir", "--max-iters", "--dump-alpha"),
+    "certify": ("--out-dir", "--max-iters", "--eps", "--dump-alpha"),
+    "run": ("--seed",),
+    "batch": ("--seed",),
+    "report": ("--seed", "--tol-rank", "--max-iters", "--eps", "--dump-alpha"),
+}
+_FLAG_VALUES = {"--seed": "1", "--tol-rank": "1e-3", "--out-dir": "out", "--max-iters": "5", "--eps": "3"}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(command, flag) for command, flags in _UNREAD_FLAGS.items() for flag in flags]
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, axes_unit_path, capsys, command, flag):
+    args = {
+        "gen": ("gen", "--kind", "planted-positive", "--d", "2", "--n", "3", "--out", tmp_path / "g.json"),
+        "margin": ("margin", axes_unit_path),
+        "certify": ("certify", axes_unit_path, "--theorem", "meb"),
+        "run": ("run", axes_unit_path, "--algorithm", "np", "--out-dir", tmp_path / "runs"),
+        "batch": ("batch", "--instances", axes_unit_path.parent, "--out-dir", tmp_path / "runs"),
+        "report": ("report", "--out-dir", tmp_path),
+    }[command]
+    value = (_FLAG_VALUES[flag],) if flag in _FLAG_VALUES else ()
+    assert run_cli(*args, flag, *value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: unrecognized arguments: {' '.join((flag, *value))}"]
+    assert not (tmp_path / "g.json").exists() and not (tmp_path / "runs").exists()
+    assert run_cli(command, "--help") == 0
+    assert flag not in capsys.readouterr().out
 
 
 def test_reused_parser_leaks_no_state_between_calls(tmp_path, axes_unit_path, triangle_path, capsys):
@@ -868,7 +925,7 @@ def test_report_quotes_names_that_hold_a_comma_or_a_line_break(tmp_path, capsys)
 @given(
     payload=_PAYLOADS,
     command=st.sampled_from(["run", "batch"]),
-    algorithms=st.sampled_from(["classic", "np", "vng", "np,vng"]),
+    algorithms=st.sampled_from(["classic", "np", "vng", "np,vng", "", ","]),
     mode=st.sampled_from(["primal-feasibility", "dual-certificate", "margin-maximization"]),
     max_iters=st.integers(-1, 20),
 )

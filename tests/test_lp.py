@@ -70,6 +70,17 @@ def test_degenerate_program_terminates():
     assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
 
+def test_phase_one_finished_under_blands_rule_is_optimal(monkeypatch):
+    # a zero degenerate-pivot threshold hands phase 1 to Bland's rule after its first degenerate pivot
+    pivot_loop = linfeas.lp._pivot_loop
+    monkeypatch.setattr(
+        linfeas.lp, "_pivot_loop", lambda tableau, basis, crow, ncols, _threshold: pivot_loop(tableau, basis, crow, ncols, 0)
+    )
+    sol = solve(np.zeros(3), np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]), np.array([1.0, 0.0]))
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x.sum(), 1.0) and sol.x[0] == pytest.approx(sol.x[1], abs=1e-12)
+
+
 def test_size_budget_enforced():
     with pytest.raises(LpSizeError):
         solve(np.zeros(101), *_no_rows(101))
