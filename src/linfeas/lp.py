@@ -8,36 +8,32 @@ starts with the most-negative-reduced-cost rule and falls back to Bland's
 rule once the count of degenerate pivots suggests stalling, which
 guarantees termination.
 
-The Euclidean projections share one active-set kernel: a Householder
-least-squares solve, and the minor cycles that move a set of positive
-weights to the minimiser on its face. Wolfe's min-norm-point method (in
-the margins module) runs it on affine faces; Lawson and Hanson's NNLS runs
-it on linear ones, which gives the projection onto an intersection of
-halfspaces. Nothing here enumerates subsets.
+The Euclidean projections share one active-set solver, Lawson and
+Hanson's NNLS on a Householder least-squares solve: it gives the
+projection onto an intersection of halfspaces here, and the min-norm point
+of a hull in the margins module. It keeps the precision of the arrays it
+is given. Nothing here enumerates subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "LpSizeError",
-    "DegenerateFaceError",
     "LpSolution",
     "solve",
     "dist_l1_to_polyhedron",
     "dist_l2_to_halfspaces",
-    "min_norm_on_face",
 ]
 
 SIZE_BUDGET = 100  # max variables and max rows accepted by solve()
 
 MAX_PIVOTS = 1_000_000  # per simplex phase; Bland's rule terminates long before
 
-NNLS_TOL = 1e-12  # NNLS stop: gradient relative to the largest column norm times the residual norm
+NNLS_TOL = 1e-12  # NNLS stops: residual over target norm, or gradient over largest column norm times residual
 
 EMPTY_TOL = 1e-20  # squared NNLS residual at or below this is rounding: the halfspaces meet nowhere
 
@@ -210,9 +206,10 @@ def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for c in range(cols):
         v = matrix[c:, c].copy()
         v[0] += np.copysign(np.sqrt(v @ v), v[0])
-        if v.any():
-            v /= np.sqrt(v @ v)
-            matrix[c:, c:] -= 2.0 * np.outer(v, v @ matrix[c:, c:])
+        norm = np.sqrt(v @ v)
+        if norm:
+            v /= norm
+            matrix[c:, c:] -= 2.0 * v[:, None] * (v @ matrix[c:, c:])
             rhs[c:] -= 2.0 * v * (v @ rhs[c:])
     diag = np.abs(np.diagonal(matrix))
     if cols and diag.min() <= np.finfo(matrix.dtype).eps * rows * np.abs(matrix).max():
@@ -224,16 +221,15 @@ def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _minor_cycles(
-    columns: np.ndarray, support: list[int], weights: np.ndarray, face_solve: Callable[[np.ndarray], np.ndarray]
+    columns: np.ndarray, support: list[int], weights: np.ndarray, target: np.ndarray
 ) -> tuple[list[int], np.ndarray]:
-    """Move the weights on support to the minimiser on its face, dropping columns on the way.
+    """Move the weights on support to the least-squares minimiser on its span, dropping columns on the way.
 
-    face_solve maps the support's columns to the unconstrained minimiser on
-    their face; the weights are positive but for an entering column's 0. The
-    loop is both Wolfe's minor cycle and Lawson and Hanson's inner loop.
+    The weights are positive but for an entering column's 0: Lawson and
+    Hanson's inner loop.
     """
     while True:
-        y = face_solve(columns[:, support])
+        y = _least_squares(columns[:, support], target.copy())
         if np.all(y > 0.0):
             return support, y
         # step until the first weight reaches 0: at once for an entering column (weight 0) at y <= 0
@@ -246,49 +242,37 @@ def _minor_cycles(
         support, weights = [i for i, w in zip(support, weights) if w > 0.0], weights[weights > 0.0]
 
 
-def min_norm_on_face(columns: np.ndarray) -> tuple[float, np.ndarray]:
-    """min ||columns @ q|| subject to sum(q) = 1, by least squares on the face's edges.
-
-    The edges a_i - a_0 are solved against -a_0 in the columns' own precision.
-    The weights may be negative; callers filter. Raises DegenerateFaceError
-    when the face is affinely dependent.
-    """
-    columns = np.asarray(columns)
-    columns = columns.astype(np.promote_types(columns.dtype, float))
-    if columns.ndim != 2 or columns.shape[1] == 0:
-        raise ValueError("columns must form a (d, k) array with k >= 1")
-    z = _least_squares(columns[:, 1:] - columns[:, :1], -columns[:, 0])
-    q = np.concatenate([[1.0 - z.sum()], z])
-    point = columns @ q
-    return float(np.sqrt(point @ point)), q
-
-
-def _nnls(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Support and residual of the u >= 0 minimising ||matrix @ u - target||.
+def _nnls(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Support, positive weights and residual of the u >= 0 minimising ||matrix @ u - target||.
 
     Lawson and Hanson's active-set method (Solving Least Squares Problems,
-    1974, ch. 23): a major cycle admits the column along which the residual
-    falls fastest, then the minor cycles solve least squares on the support.
-    It stops when no column's gradient beats NNLS_TOL, or the residual stops falling.
+    1974, ch. 23), in the arrays' own precision: a major cycle admits the
+    column along which the residual falls fastest, then the minor cycles
+    solve least squares on the support. It stops when the residual is at
+    most NNLS_TOL times the target's norm (the target is met), when no
+    column's gradient beats NNLS_TOL, or when the residual stops falling.
+    The residual is
+    matrix[:, support] @ weights - target. Raises ValueError when it runs
+    out of major cycles.
     """
     m = matrix.shape[1]
     reach = np.sqrt(np.einsum("ij,ij->j", matrix, matrix)).max()
+    scale = np.sqrt(target @ target)
     support, weights, residual = [], np.zeros(0), -target
     for _ in range(50 * m):  # a guard: Lawson and Hanson need a few major cycles per column
         gradient = residual @ matrix  # half the gradient of the squared residual
         gradient[support] = np.inf  # in exact arithmetic 0 on the support
         j = int(np.argmin(gradient))
-        if gradient[j] >= -NNLS_TOL * reach * np.sqrt(residual @ residual):
-            return support, residual
+        norm = np.sqrt(residual @ residual)
+        if norm <= NNLS_TOL * scale or gradient[j] >= -NNLS_TOL * reach * norm:
+            return support, weights, residual
         try:
-            grown, solved = _minor_cycles(
-                matrix, support + [j], np.append(weights, 0.0), lambda face: _least_squares(face, target.copy())
-            )
+            grown, solved = _minor_cycles(matrix, support + [j], np.append(weights, 0.0), target)
         except DegenerateFaceError:  # column j lies in the support's span: the residual cannot fall
-            return support, residual
+            return support, weights, residual
         lowered = matrix[:, grown] @ solved - target
         if lowered @ lowered >= residual @ residual:  # in exact arithmetic every cycle lowers it
-            return support, residual
+            return support, weights, residual
         support, weights, residual = grown, solved, lowered
     raise ValueError(f"NNLS: no convergence in {50 * m} major cycles")
 
@@ -315,7 +299,7 @@ def dist_l2_to_halfspaces(point: np.ndarray, normals: np.ndarray, offsets: np.nd
     system = np.vstack([normals, -slack])
     target = np.zeros(d + 1)
     target[d] = 1.0
-    active, residual = _nnls(system, target)
+    active, _, residual = _nnls(system, target)
     if residual[d] >= 0.0 or residual @ residual <= EMPTY_TOL:  # in exact arithmetic r[d] = -||r||^2
         raise ValueError("halfspace intersection appears empty")
     step = np.linalg.lstsq(normals[:, active].T, -slack[active], rcond=None)[0]

@@ -1,16 +1,16 @@
 """Exact desk-scale margin oracles with certifying witnesses.
 
 The positive margin is the distance from the origin to the convex hull of
-the columns, found by Wolfe's finite min-norm-point method, each cycle of
-which is polynomial. The negative margin is the inradius of the hull about
-the origin inside the column span. Its facets come from the polar, by double
-description, so the cost follows the facet count and not C(n, r); an SVD
-side test on the column r-subsets near the nearest facets then gives the
-value, the normal and the tie-break that the same test gives over every
-r-subset (the reference enumeration in tests/oracles.py). A quasi-uniform
-direction grid provides an independent low-rank cross-check, and the
-minimum enclosing ball comes out of the positive-margin witness in closed
-form.
+the columns, found by one nonnegative least-squares program on [A; 1^T],
+each cycle of which is polynomial. The negative margin is the inradius of
+the hull about the origin inside the column span. Its facets come from the
+polar, by double description, so the cost follows the facet count and not
+C(n, r); an SVD side test on the column r-subsets near the nearest facets
+then gives the value, the normal and the tie-break that the same test gives
+over every r-subset (the reference enumeration in tests/oracles.py). A
+quasi-uniform direction grid provides an independent low-rank cross-check,
+and the minimum enclosing ball comes out of the positive-margin witness in
+closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .instance import (
     column_space_basis,
     combine,
 )
-from .lp import DegenerateFaceError, _minor_cycles, min_norm_on_face, solve
+from .lp import _nnls, solve
 
 __all__ = [
     "BudgetExceededError",
@@ -51,8 +51,6 @@ ZERO_BAND = 1e-9
 ENUMERATION_BUDGET = 14
 
 SIDE_TOL = 1e-9  # supporting-hyperplane side test (absolute)
-
-WOLFE_TOL = 1e-12  # min-norm-point stop: excess of ||x|| over the distance, relative to the largest column norm
 
 # first-order relative error of the SVD step's normal, per unit condition number and r^2;
 # times the reach of the columns it bounds the rounding in the SVD step's side test
@@ -133,12 +131,18 @@ def _check_budget(instance: ProblemInstance) -> None:
 def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoint, PrimalDirection | None]:
     """Distance from the origin to the convex hull, with a minimizing weight vector and direction.
 
-    Wolfe's finite min-norm-point method (Math. Programming 11, 1976), run in
-    column space in longdouble: near the origin, double precision leaves the
-    direction of x too coarse to pick columns by. It stops once the bound
-    ||x|| - a_j . x / ||x|| on ||x|| minus the distance is at most WOLFE_TOL times
-    the largest column norm, or when ||x|| stops falling. A witness failing
-    ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2 raises MinNormPointError.
+    One nonnegative least-squares program (Lawson and Hanson, Solving Least
+    Squares Problems, 1974, ch. 23), run in longdouble: near the origin,
+    double precision leaves the hull point too coarse to pick columns by.
+    Take the u >= 0 minimizing ||[A; 1^T] u - e_{d+1}||. Writing u = t p with
+    p on the simplex, the objective is t^2 ||A p||^2 + (t - 1)^2, whose
+    minimum over t, ||A p||^2 / (1 + ||A p||^2), increases with ||A p||; so
+    p = u / sum(u) is a min-norm point of the hull, and x = A p the hull
+    point. The program weighs A against the row of ones, so A is first
+    scaled by the power of two that brings its longest column to a length in
+    [1/sqrt(2), sqrt(2)): that rounds nothing and does not move p, and the
+    result does not depend on the columns' scale. A witness failing ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2,
+    or a least-squares loop that does not converge, raises MinNormPointError.
     Exactly 0 when the origin lies in the hull, and then the direction is None;
     otherwise it is x / ||x||, formed in longdouble before rounding: on hulls
     within 1e-8 of the origin it attains the distance on every column to well
@@ -146,29 +150,18 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     """
     _check_budget(instance)
     cols = instance.columns.astype(np.longdouble)
-    lengths = np.sqrt(np.einsum("ij,ij->j", cols, cols))
-    reach, corral, q = lengths.max(), [int(np.argmin(lengths))], np.ones(1, dtype=np.longdouble)
-    x = cols[:, corral[0]]
-    for _ in range(50 * instance.n):  # a guard: Wolfe needs a few major cycles per column
-        dots = x @ cols  # a_i . x for every column
-        dots[corral] = np.inf  # in exact arithmetic the corral's dots all equal ||x||^2
-        j = int(np.argmin(dots))
-        if min(x @ x, x @ x - dots[j]) <= WOLFE_TOL * reach * np.sqrt(x @ x):  # x = 0 passes too
-            break
-        try:
-            grown, weights = _minor_cycles(
-                cols, corral + [j], np.append(q, 0.0), lambda face: min_norm_on_face(face)[1]
-            )
-        except DegenerateFaceError:  # a_j lies in the corral's affine hull: x cannot be lowered
-            break
-        lowered = cols[:, grown] @ weights
-        if lowered @ lowered >= x @ x:  # in exact arithmetic every cycle lowers ||x||
-            break
-        corral, q, x = grown, weights, lowered
-    else:
-        raise MinNormPointError(f"min-norm point: no convergence in {50 * instance.n} major cycles")
-
-    point = SimplexPoint.from_approximate(np.bincount(corral, weights=q.astype(float), minlength=instance.n))
+    reach = np.sqrt(np.einsum("ij,ij->j", cols, cols)).max()
+    shift = np.frexp(reach * np.sqrt(2.0))[1] - 1  # reach / 2**shift lies in [1/sqrt(2), sqrt(2))
+    system = np.vstack([np.ldexp(cols, -shift), np.ones((1, instance.n), dtype=np.longdouble)])
+    target = np.zeros(instance.d + 1, dtype=np.longdouble)
+    target[-1] = 1.0
+    try:
+        support, u, _ = _nnls(system, target)
+    except ValueError as exc:
+        raise MinNormPointError(f"min-norm point: {exc}") from exc
+    q = u / u.sum()
+    x = cols[:, support] @ q
+    point = SimplexPoint.from_approximate(np.bincount(support, weights=q.astype(float), minlength=instance.n))
     witness = combine(instance, point)
     gap = float(witness @ witness - (witness @ instance.columns).min())
     if gap > 1e-9 * float(reach) ** 2:

@@ -518,6 +518,17 @@ def test_min_norm_point_failure_is_inapplicable(tmp_path, triangle_path, capsys,
         assert captured.err.splitlines() == ["min-norm point failed its optimality check: gap 1.000e-03"]
 
 
+def test_nnls_non_convergence_is_a_min_norm_point_failure(triangle_path, triangle, capsys, monkeypatch):
+    def fail(matrix, target):
+        raise ValueError("NNLS: no convergence in 150 major cycles")
+
+    monkeypatch.setattr(linfeas.margins, "_nnls", fail)
+    with pytest.raises(linfeas.margins.MinNormPointError):
+        linfeas.margins.positive_margin_exact(triangle)
+    assert run_cli("margin", triangle_path) == 3
+    assert capsys.readouterr().err.splitlines() == ["min-norm point: NNLS: no convergence in 150 major cycles"]
+
+
 def test_certify_forwards_rank_tolerance(tmp_path, capsys):
     path = tmp_path / "rd.json"
     run_cli(

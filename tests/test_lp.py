@@ -9,14 +9,16 @@ from batteries import positive_instances
 from oracles import enumerate_standard_form, halfspace_projection_enumeration
 
 import linfeas.lp
+from linfeas.generators import GeneratorSpec, generate
 from linfeas.instance import ingest
 from linfeas.lp import (
     FEASIBILITY_TOL,
     DegenerateFaceError,
     LpSizeError,
+    _least_squares,
+    _nnls,
     dist_l1_to_polyhedron,
     dist_l2_to_halfspaces,
-    min_norm_on_face,
     solve,
 )
 from linfeas.margins import margin_report
@@ -165,23 +167,37 @@ def test_dist_l1_empty_target():
         dist_l1_to_polyhedron(np.zeros(1), np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
 
 
-def test_min_norm_on_face_examples():
-    norm, q = min_norm_on_face(np.eye(2))
-    assert norm == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-    assert np.allclose(q, [0.5, 0.5], atol=1e-12)
-
-    norm, q = min_norm_on_face(np.array([[1.0], [0.0]]))
-    assert norm == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(q, [1.0])
-
-    cols = np.column_stack([[1.0, 0.0], [np.cos(np.pi / 3), np.sin(np.pi / 3)]])
-    norm, q = min_norm_on_face(cols)
-    assert norm == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-12)
-
-
-def test_min_norm_on_face_degenerate():
+def test_least_squares_degenerate():
     with pytest.raises(DegenerateFaceError):
-        min_norm_on_face(np.array([[1.0, 1.0], [0.0, 0.0]]))  # duplicate points
+        _least_squares(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]), np.ones(3))  # duplicate columns
+
+
+def test_nnls_returns_support_weights_and_residual():
+    # the least-distance systems that dist_l2_to_halfspaces builds for its examples
+    for point, normals, offsets in [
+        (np.zeros(2), np.eye(2), np.ones(2)),
+        (np.array([2.0, 3.0]), np.eye(2), np.ones(2)),
+        (np.zeros(2), np.array([[3.0 / 5.0], [4.0 / 5.0]]), np.array([2.0])),
+    ]:
+        matrix = np.vstack([normals, offsets - normals.T @ point])
+        target = np.zeros(3)
+        target[2] = 1.0
+        support, weights, residual = _nnls(matrix, target)
+        assert len(weights) == len(support)
+        assert np.all(weights > 0.0)
+        assert np.max(np.abs(matrix[:, support] @ weights - target - residual)) <= 1e-12
+
+
+def test_nnls_stops_once_the_target_is_met():
+    # columns 0 and 5 are antipodal to double rounding, so the row of ones meets the
+    # target at u = (1/2, 1/2); further columns would only trim a residual of 7e-17
+    inst = generate(GeneratorSpec("rank-deficient", 3, 10, -0.2, seed=1))[0]
+    system = np.vstack([inst.columns, np.ones((1, inst.n))]).astype(np.longdouble)
+    target = np.array([0.0, 0.0, 0.0, 1.0], dtype=np.longdouble)
+    support, weights, residual = _nnls(system, target)
+    assert support == [0, 5]
+    assert np.allclose(weights.astype(float), [0.5, 0.5], atol=1e-12)
+    assert np.sqrt(residual @ residual) <= 1e-12
 
 
 def test_dist_l2_to_halfspaces_examples():

@@ -35,6 +35,26 @@ def test_positive_margin_axes(axes):
     assert np.allclose(point.weights, [0.5, 0.5], atol=1e-12)
 
 
+def test_positive_margin_on_a_point_and_an_edge():
+    # the axes case is test_positive_margin_axes
+    value, point, _ = positive_margin_exact(ingest([[1.0, 0.0]], normalize=False))
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(point.weights, [1.0])
+
+    value, point, _ = positive_margin_exact(ingest([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]], normalize=False))
+    assert value == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-12)
+    assert np.allclose(point.weights, [0.5, 0.5], atol=1e-12)
+
+
+def test_positive_margin_scales_with_the_columns():
+    # the least-squares program weighs the columns against a row of ones; the margin must not see their scale
+    for inst, _ in positive_instances(10, seed=41):
+        value, _, _ = positive_margin_exact(inst)
+        for scale in (1e-6, 1e12):
+            scaled, _, _ = positive_margin_exact(ingest((scale * inst.columns).T.tolist(), normalize=False))
+            assert scaled == pytest.approx(scale * value, rel=1e-12)
+
+
 def test_positive_margin_origin_in_hull(segment):
     value, point, _ = positive_margin_exact(segment)
     assert value <= 1e-12
@@ -221,16 +241,15 @@ def test_representable_column_itself(triangle):
 
 
 def test_optimal_face_subproblem_matches_global_margin():
-    # when the minimizing support is all of S, the face subproblem and the
-    # global enumeration must agree
-    from linfeas.lp import min_norm_on_face
-
+    # the affine least-squares minimizer on the support S of the min-norm
+    # point must have nonnegative weights and attain the global margin
     for inst, meta in positive_instances(10, seed=300):
         value, point, _ = positive_margin_exact(inst)
-        support = np.flatnonzero(point.weights)
-        face_norm, q = min_norm_on_face(inst.columns[:, support])
+        face = inst.columns[:, np.flatnonzero(point.weights)]
+        z = np.linalg.lstsq(face[:, 1:] - face[:, :1], -face[:, 0], rcond=None)[0]
+        q = np.concatenate([[1.0 - z.sum()], z])
         assert np.all(q >= -1e-9)
-        assert face_norm == pytest.approx(value, abs=1e-9)
+        assert np.linalg.norm(face @ q) == pytest.approx(value, abs=1e-9)
 
 
 def test_minimax_duality_on_feasible_battery():
