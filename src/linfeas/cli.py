@@ -2,18 +2,21 @@
 
 Exit codes: 0 success or statement verified, 1 usage error, 2 a bound or
 certificate check failed (a genuine finding), 3 statement inapplicable,
-instance ill-posed, or a run to which no check applied.
+instance ill-posed, or a run to which no check applied, 4 a batch worker
+process ended without reporting its share.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import hashlib
 import io
 import json
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from .algorithms import (
 )
 from .generators import GenerationError, GeneratorSpec, generate
 from .instance import ProblemInstance, SimplexPoint, load_instance, save_instance
-from .margins import BudgetExceededError, MinNormPointError, margin_grid_estimate, margin_report
+from .margins import OracleError, margin_grid_estimate, margin_report
 from .reporting import RunSummary, build_run_summary
 from .theorems import (
     CertificateConstructionError,
@@ -48,6 +51,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_INAPPLICABLE = 3
+EXIT_WORKER = 4
 
 VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_VIOLATION, "unchecked": EXIT_INAPPLICABLE}
 
@@ -210,7 +214,7 @@ def cmd_gen(args) -> int:
             jitter=args.jitter,
         )
         instance, metadata = generate(spec)
-    except (BudgetExceededError, MinNormPointError) as exc:
+    except OracleError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
     except (ValueError, GenerationError) as exc:
@@ -226,7 +230,7 @@ def cmd_margin(args) -> int:
     if args.method == "exact":
         try:
             report = margin_report(instance, rank_tol=args.tol_rank)
-        except (BudgetExceededError, MinNormPointError) as exc:
+        except OracleError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_INAPPLICABLE
         _emit(report.as_dict())
@@ -282,7 +286,7 @@ def _run_one(
         raise InapplicableError(f"{instance_path}: {exc}") from exc
     try:
         report = margin_report(instance, rank_tol=rank_tol)
-    except (BudgetExceededError, MinNormPointError):
+    except OracleError:
         report = None  # summaries still written, oracle checks skipped
     runs = []
     for algorithm in algorithms:
@@ -351,7 +355,7 @@ def cmd_certify(args) -> int:
                 result = hoffman_primal(
                     instance, np.ones(n) if c is None else c, np.zeros(d) if w is None else w, report=oracle
                 )
-    except (IllPosedError, InapplicableError, BudgetExceededError, MinNormPointError) as exc:
+    except (IllPosedError, InapplicableError, OracleError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
     except CertificateConstructionError as exc:
@@ -365,10 +369,88 @@ def cmd_certify(args) -> int:
     return EXIT_OK if result.verified else EXIT_VIOLATION
 
 
+class _WorkerDied(Exception):
+    """A batch worker process ended without reporting its share's outcomes."""
+
+
 def _batch_worker(task) -> list[tuple[str, str, str]]:
     path, algorithms, mode, eps, max_iters, out_dir, dump_alpha, rank_tol = task
-    runs = _run_one(Path(path), algorithms, mode, eps, max_iters, Path(out_dir), dump_alpha, rank_tol)
+    runs = _run_one(path, algorithms, mode, eps, max_iters, out_dir, dump_alpha, rank_tol)
     return [(summary.instance_name, summary.algorithm, summary.verdict) for summary, _ in runs]
+
+
+def _share_outcomes(tasks: list) -> list:
+    """Run tasks in turn; each outcome is the task's result or the exception it raised."""
+    outcomes = []
+    for task in tasks:
+        try:
+            outcomes.append(_batch_worker(task))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _fork_share(tasks: list):
+    """Start a child that runs tasks and writes their pickled outcomes to a pipe; (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_share_outcomes(tasks)))
+            code = 0
+        finally:
+            os._exit(code)  # flushes none of the parent's buffered output and runs no exit handler
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _share_report(share: int, payload: bytes, status: int, size: int) -> list:
+    """A child's outcomes from what it wrote; a child that reported nothing fails each of its tasks."""
+    try:
+        return pickle.loads(payload)
+    except Exception:  # an empty or cut-off payload: the child died before it finished writing
+        code = os.waitstatus_to_exitcode(status)
+        ended = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        return [_WorkerDied(f"batch share {share}: its worker process {ended} before reporting")] * size
+
+
+def _run_shares(tasks: list, workers: int) -> list:
+    """Results of tasks in task order, task k run by process k mod workers.
+
+    This process runs share 0 after forking one child per other share; where
+    os.fork does not exist it runs every share in turn. The first failing
+    task's exception is raised once every child is reaped.
+    """
+    shares = [tasks[k::workers] for k in range(workers)]
+    children = {}
+    try:
+        if hasattr(os, "fork"):
+            for k in range(1, workers):
+                children[k] = _fork_share(shares[k])
+        outcomes = [_share_outcomes(shares[0])]
+        for k in range(1, workers):
+            if k not in children:
+                outcomes.append(_share_outcomes(shares[k]))
+                continue
+            pid, pipe = children[k]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[k]
+            outcomes.append(_share_report(k, payload, status, len(shares[k])))
+    finally:
+        for pid, pipe in children.values():  # left only when this process's own work was interrupted
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [outcomes[k % workers][k // workers] for k in range(len(tasks))]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def cmd_batch(args) -> int:
@@ -382,18 +464,12 @@ def cmd_batch(args) -> int:
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise _UsageError(f"unknown algorithms: {unknown}")
-    # one task per instance: a worker loads and measures its instance once for all algorithms
+    # one task per instance: a process loads and measures its instance once for all algorithms
     tasks = [
-        (str(path), algorithms, args.mode, args.eps, args.max_iters, str(args.out_dir), args.dump_alpha,
-         args.tol_rank)
+        (path, algorithms, args.mode, args.eps, args.max_iters, args.out_dir, args.dump_alpha, args.tol_rank)
         for path in paths
     ]
-    workers = min(args.workers, len(tasks))  # a fork pool starts all its workers at the first submit
-    if workers == 1:
-        per_instance = [_batch_worker(task) for task in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(_batch_worker, tasks))
+    per_instance = _run_shares(tasks, min(args.workers, len(tasks)))
     results = [row for rows in per_instance for row in rows]
     for name, algo, verdict in results:
         print(f"{name},{algo},{verdict}")
@@ -449,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     except InapplicableError as exc:  # a run refused for its instance, in batch workers too
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
+    except _WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_OK

@@ -31,8 +31,10 @@ from .instance import (
 from .lp import _nnls, solve
 
 __all__ = [
+    "OracleError",
     "BudgetExceededError",
     "MinNormPointError",
+    "NegativeMarginError",
     "MarginReport",
     "BallReport",
     "positive_margin_exact",
@@ -59,12 +61,20 @@ POLAR_TOL = 1e-10  # double description: a row is tight on a ray within this sha
 POLAR_RANK_TOL = 1e-9  # rows tight on two rays span r - 1 dimensions when their (r-1)-th singular value exceeds it
 
 
-class BudgetExceededError(ValueError):
+class OracleError(ValueError):
+    """Raised when an exact oracle gives no margin for an instance; callers skip or refuse it."""
+
+
+class BudgetExceededError(OracleError):
     """Raised when an exact oracle is asked for more columns than it enumerates."""
 
 
-class MinNormPointError(ValueError):
+class MinNormPointError(OracleError):
     """Raised when the min-norm-point method does not reach a point that passes its check."""
+
+
+class NegativeMarginError(OracleError):
+    """Raised when the negative side finds no facet to measure: rank 0, or no supporting hyperplane."""
 
 
 @dataclass(eq=False)
@@ -143,7 +153,8 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     [1/sqrt(2), sqrt(2)): that rounds nothing and does not move p, and the
     result does not depend on the columns' scale. A witness failing ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2,
     or a least-squares loop that does not converge, raises MinNormPointError.
-    Exactly 0 when the origin lies in the hull, and then the direction is None;
+    Exactly 0 when the origin lies in the hull, judged by ||x|| <= 1e-12
+    max_i ||a_i||, and then the direction is None;
     otherwise it is x / ||x||, formed in longdouble before rounding: on hulls
     within 1e-8 of the origin it attains the distance on every column to well
     within ZERO_BAND, where the unit vector of the rounded witness does not.
@@ -167,7 +178,7 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     if gap > 1e-9 * float(reach) ** 2:
         raise MinNormPointError(f"min-norm point failed its optimality check: gap {gap:.3e}")
     norm = float(np.sqrt(x @ x))
-    if norm <= 1e-12:  # numerically zero: the origin is a hull point
+    if norm <= 1e-12 * reach:  # numerically zero at the columns' scale: the origin is a hull point
         return 0.0, point, None
     return norm, point, PrimalDirection((x / np.sqrt(x @ x)).astype(float))
 
@@ -259,7 +270,7 @@ def _negative_margin_details(
     _check_budget(instance)
     r = basis.rank
     if r < 1:
-        raise ValueError("instance has rank 0; margins are undefined")
+        raise NegativeMarginError("instance has rank 0; margins are undefined")
     coords = basis.coordinates(instance.columns)  # (r, n)
     n = instance.n
     reach = np.sqrt(r) * np.abs(coords).max()  # at least every column norm
@@ -310,7 +321,7 @@ def _negative_margin_details(
     rounding = (NORMAL_ROUNDING * r * r * reach * cond)[keep]
 
     if dists.size == 0:
-        raise ValueError(
+        raise NegativeMarginError(
             "no supporting hyperplane found; the hull is degenerate at this rank tolerance"
         )
     winner = int(np.argmax(dists <= dists.min() + 1e-12))

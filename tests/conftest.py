@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,18 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from linfeas.instance import ingest
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process of the test run alive; reap any that ended."""
+    yield
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no child at all
+            return
+        assert pid != 0, "a child process of the test run is still alive after the test"
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import linfeas.cli
 import linfeas.margins
 from linfeas.cli import main
-from linfeas.instance import IngestError, ingest, instance_from_dict, save_instance
+from linfeas.instance import IngestError, ingest, instance_from_dict, load_instance, save_instance
 
 
 @pytest.fixture
@@ -232,41 +234,103 @@ def test_batch_requires_instances(tmp_path):
     assert run_cli("batch", "--instances", tmp_path / "nowhere") == 1
 
 
-def test_batch_pool_never_outnumbers_the_instances(tmp_path, capsys, monkeypatch):
-    sizes = []
-
-    class RecordingPool:  # stands in for the process pool, so no process starts
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(linfeas.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    one, three = tmp_path / "one", tmp_path / "three"
+def _three_instances(folder):
     for seed in range(3):
         assert run_cli(
             "gen", "--kind", "planted-positive", "--d", "2", "--n", "4", "--target", "0.4",
-            "--seed", seed, "--out", three / f"pos{seed}.json",
+            "--seed", seed, "--out", folder / f"pos{seed}.json",
         ) == 0
+    return folder
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):  # none alive and none left unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_never_forks_more_processes_than_instances(tmp_path, capsys, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(linfeas.cli.os, "fork", recording_fork)
+    one, three = tmp_path / "one", _three_instances(tmp_path / "three")
     one.mkdir()
     (one / "pos0.json").write_bytes((three / "pos0.json").read_bytes())
     capsys.readouterr()
-    outputs = {}
+    outputs, counts = {}, {}
     for folder, workers in ((one, "1"), (one, "100000"), (three, "1"), (three, "2"), (three, "100000")):
+        forks.clear()
         assert run_cli(
             "batch", "--instances", folder, "--workers", workers, "--max-iters", "50", "--out-dir", tmp_path / "runs"
         ) == 0
         outputs[folder.name, workers] = capsys.readouterr().out
-    assert sizes == [2, 3]
+        counts[folder.name, workers] = len(forks)
+        _assert_no_child_process()
+    assert counts == {("one", "1"): 0, ("one", "100000"): 0, ("three", "1"): 0, ("three", "2"): 1, ("three", "100000"): 2}
     assert outputs["one", "1"] == outputs["one", "100000"]
     assert outputs["three", "1"] == outputs["three", "2"] == outputs["three", "100000"]
+
+
+def test_batch_without_fork_runs_every_share_in_turn(tmp_path, capsys, monkeypatch):
+    folder = _three_instances(tmp_path / "three")
+    capsys.readouterr()
+    expected = {}
+    for workers in ("1", "2"):
+        assert run_cli("batch", "--instances", folder, "--workers", workers, "--out-dir", tmp_path / "forked") == 0
+        expected[workers] = capsys.readouterr().out
+    monkeypatch.delattr(os, "fork")
+    assert run_cli("batch", "--instances", folder, "--workers", "2", "--out-dir", tmp_path / "in-turn") == 0
+    assert capsys.readouterr().out == expected["1"] == expected["2"]
+    assert _tree(tmp_path / "in-turn") == _tree(tmp_path / "forked")
+
+
+@pytest.mark.parametrize(
+    ("death", "ended"),
+    [(lambda: os._exit(7), "exited with code 7"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9")],
+)
+def test_a_dead_batch_worker_is_a_one_line_error(tmp_path, capsys, monkeypatch, death, ended):
+    folder = _three_instances(tmp_path / "three")
+    test_pid, worker = os.getpid(), linfeas.cli._batch_worker
+
+    def dies_in_a_child(task):
+        if os.getpid() != test_pid:
+            death()
+        return worker(task)
+
+    monkeypatch.setattr(linfeas.cli, "_batch_worker", dies_in_a_child)
+    capsys.readouterr()
+    assert run_cli("batch", "--instances", folder, "--workers", "2", "--out-dir", tmp_path / "runs") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: batch share 1: its worker process {ended} before reporting"]
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("failing", [(0, 1), (1, 2)])
+def test_batch_reports_the_earliest_failing_task(tmp_path, capsys, monkeypatch, failing):
+    # with two processes, tasks 0 and 2 run in this process and task 1 in the child
+    folder = _three_instances(tmp_path / "three")
+    worker = linfeas.cli._batch_worker
+
+    def refuse_some(task):
+        index = int(task[0].stem[-1])
+        if index in failing:
+            raise linfeas.cli.InapplicableError(f"task {index} refused in process {os.getpid()}")
+        return worker(task)
+
+    monkeypatch.setattr(linfeas.cli, "_batch_worker", refuse_some)
+    capsys.readouterr()
+    assert run_cli("batch", "--instances", folder, "--workers", "2", "--out-dir", tmp_path / "runs") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"task {failing[0]} refused in process ")
+    assert line.endswith(f" {os.getpid()}") == (failing[0] % 2 == 0)
+    _assert_no_child_process()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -527,6 +591,55 @@ def test_nnls_non_convergence_is_a_min_norm_point_failure(triangle_path, triangl
         linfeas.margins.positive_margin_exact(triangle)
     assert run_cli("margin", triangle_path) == 3
     assert capsys.readouterr().err.splitlines() == ["min-norm point: NNLS: no convergence in 150 major cycles"]
+
+
+# the columns of planted-negative-d2-n3-s7029 (tests/batteries.py) times 1e9: at that scale the
+# negative side's absolute tolerances find no supporting hyperplane
+SCALED_TRIANGLE = [
+    [-25962384.671750962, 999662920.4797766],
+    [-894685325.410827, -446696953.75558893],
+    [895272337.2073903, -445519295.0156222],
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("margin",), ("certify", "--theorem", "radius"), ("batch",)],
+)
+def test_negative_side_failure_is_one_line(tmp_path, capsys, args):
+    path = save_instance(ingest(SCALED_TRIANGLE, normalize=False, name="scaled"), tmp_path / "in" / "scaled.json")
+    with pytest.raises(linfeas.margins.NegativeMarginError):
+        linfeas.margins.margin_report(load_instance(path))
+    if args[0] == "batch":  # the solvers refuse the columns before the oracle runs
+        args = ("batch", "--instances", path.parent, "--out-dir", tmp_path / "runs")
+        expected = f"{path}: algorithm requires unit columns; ingest with normalize=True"
+    else:
+        args = (args[0], path, *args[1:])
+        expected = "no supporting hyperplane found; the hull is degenerate at this rank tolerance"
+    assert run_cli(*args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [expected]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_negative_side_failure_leaves_runs_unchecked(tmp_path, triangle_path, capsys, monkeypatch, workers):
+    def fail(instance, basis):
+        raise linfeas.margins.NegativeMarginError("instance has rank 0; margins are undefined")
+
+    monkeypatch.setattr(linfeas.margins, "_negative_margin_details", fail)
+    save_instance(load_instance(triangle_path), triangle_path.parent / "copy.json")
+    code = run_cli(
+        "batch", "--instances", triangle_path.parent, "--workers", workers, "--max-iters", "50",
+        "--out-dir", tmp_path / "runs",
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [f"triangle,{a},unchecked" for _ in range(2) for a in ("np", "vng")]
+    summaries = sorted((tmp_path / "runs").glob("*.summary.json"))
+    assert len(summaries) == 4
+    assert all(json.loads(path.read_text())["oracle"] is None for path in summaries)
 
 
 def test_certify_forwards_rank_tolerance(tmp_path, capsys):

@@ -13,7 +13,7 @@ from oracles import (
     segment_min_norm,
 )
 
-from batteries import negative_instances, positive_instances
+from batteries import mixed_instances, negative_instances, positive_instances
 
 from linfeas.generators import GeneratorSpec, generate
 from linfeas.instance import SimplexPoint, combine, ingest
@@ -21,6 +21,7 @@ from linfeas.margins import (
     SIDE_TOL,
     ZERO_BAND,
     BudgetExceededError,
+    NegativeMarginError,
     margin_grid_estimate,
     margin_report,
     minimum_enclosing_ball,
@@ -53,6 +54,24 @@ def test_positive_margin_scales_with_the_columns():
         for scale in (1e-6, 1e12):
             scaled, _, _ = positive_margin_exact(ingest((scale * inst.columns).T.tolist(), normalize=False))
             assert scaled == pytest.approx(scale * value, rel=1e-12)
+
+
+def test_zero_margin_reads_zero_at_any_column_scale():
+    # zero is judged against the columns' reach: scaled up, no zero-margin instance turns feasible
+    zero = [
+        inst for inst, _ in negative_instances(100) + mixed_instances(100, seed=42)
+        if positive_margin_exact(inst)[0] == 0.0
+    ]
+    assert len(zero) == 150
+    for scale in (1e6, 1e9, 1e12):
+        for inst in zero:
+            scaled = ingest((scale * inst.columns).T.tolist(), normalize=False, name=inst.name)
+            assert positive_margin_exact(scaled)[0] == 0.0
+            try:
+                report = margin_report(scaled)
+            except NegativeMarginError:  # the negative side's tolerances are absolute
+                continue
+            assert report.rho_plus == 0.0 and report.rho_affine <= ZERO_BAND
 
 
 def test_positive_margin_origin_in_hull(segment):
@@ -584,8 +603,6 @@ def _certify_lp_instances():
 
 
 def test_batched_representable_matches_the_simplex_on_batteries():
-    from batteries import mixed_instances
-
     rng = np.random.default_rng(71)
     instances = (
         [inst for inst, _ in negative_instances(20, seed=72)]
