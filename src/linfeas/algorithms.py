@@ -8,15 +8,24 @@ one loop, which keeps one state vector s = [w | alpha | w . A] of length
 d + 2n, of which w, alpha and the dots w . a_j are views, and one update table
 U = [A' | I | G] of shape (n, d + 2n), built per call from the columns and the
 instance's cached Gram matrix. A step rule picks column i and the update: s +=
-U[i] (classic) or s *= keep; s += step * U[i] (averaged), so a step costs
-O(d + n) in a few numpy calls and does elementwise what separate updates of w,
-alpha and the dots would do: the other entries of alpha gain step * 0.0, which
-is exact since alpha >= 0. The loop holds only the update, the column choice
-and the stop tests, and records [w | alpha], min_j w . a_j and the chosen
-column per step; norms, margins and losses are derived from those rows after
-the loop (||w||^2 is formed inside it only for vng and the dual stop). Ties
-break on the lowest column index, up to the rounding of the dots, and every
-trace is reproducible bit for bit.
+U[i] (classic) or s *= keep; s += step * U[i] (averaged), which does
+elementwise what separate updates of w, alpha and the dots would do: the other
+entries of alpha gain step * 0.0, which is exact since alpha >= 0. A step
+costs O(d + n) in these numpy calls, with keep and step passed as 0-d arrays
+and every output buffer preallocated:
+
+- all rules: argmin of the dots, and the copies of [w | alpha] and of the
+  smallest dot into the trace rows;
+- classic: dots <= 0 into a bool buffer, its argmax, and one add;
+- np: one multiply, one multiply into a scratch row, and one add;
+- vng: those three, plus w . w, dots - G_jj / 2 and its argmin;
+- the dual-certificate stop: w . w.
+
+The loop holds only the update, the column choice and the stop tests, and
+records [w | alpha], min_j w . a_j and the chosen column per step; norms,
+margins and losses are derived from those rows after the loop. Ties break on
+the lowest column index, up to the rounding of the dots, and every trace is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -193,33 +202,32 @@ def _step_loop(
     """The one loop of all three iterations; ``step_rule`` is "classic", "np" or "vng"."""
     require_unit_columns(instance)
     d, n, cols = instance.d, instance.n, instance.columns
+    max_iters, target_eps = config.max_iters, config.target_eps
     table = _update_table(instance)
+    updates = list(table)  # the row views U[i], made once
     g_diag = instance.gram.diagonal()
-    half_diag = 0.5 * g_diag
+    half_diag, g_list = 0.5 * g_diag, g_diag.tolist()
     s = table[0].copy()  # [w | alpha | w . a_j for every column j] at the first column
     w, alpha, state, dots = s[:d], s[d : d + n], s[: d + n], s[d + n :]
-    buffers = _trace_buffers(config.max_iters, d + n)
+    buffers = _trace_buffers(max_iters, d + n)
     states, worsts, chosen = buffers
-    scaled, reach = np.empty_like(s), np.empty(n)  # scratch for step * U[i] and vng's dots - G_jj / 2
+    # scratch for step * U[i], vng's dots - G_jj / 2 and classic's mistakes
+    scaled, reach, mistakes = np.empty_like(s), np.empty(n), np.empty(n, dtype=bool)
+    keep, step, zero = np.empty(()), np.empty(()), np.zeros(())  # 0-d operands: ufuncs take them faster than floats
+    add, multiply, subtract, less_equal = np.add, np.multiply, np.subtract, np.less_equal
     classic = step_rule == "classic"  # ignores the mode: stops only on a primal certificate
+    averaged = step_rule == "np"
     primal = classic or config.mode == "primal-feasibility"
     dual = not classic and config.mode == "dual-certificate"
     certifies_at_budget = not classic and config.mode == "margin-maximization"
     reads_norm = dual or step_rule == "vng"
     certificate: Certificate | None = None
     reason = "completed"
-    for t in range(config.max_iters + 1):  # row t: the state after update t, then its stop tests
-        if t > 0:
-            if classic:
-                s += table[i]  # exact add: alpha holds raw update counts
-            else:  # w <- keep * w + step * a_i; np and vng differ only in (keep, step)
-                s *= keep
-                s += np.multiply(table[i], step, out=scaled)
-            chosen[t] = i
+    for t in range(max_iters + 1):  # row t: the state after update t, its stop tests, then update t + 1
         if reads_norm:
             sq = float(w.dot(w))
             norm = math.sqrt(sq)
-        worst_index = int(dots.argmin())  # a most violated column
+        worst_index = dots.argmin()  # a most violated column
         states[t] = state
         worsts[t] = worst = dots[worst_index]
         if primal and worst > 0.0:
@@ -227,11 +235,11 @@ def _step_loop(
             if certificate is not None:
                 reason = "primal-feasible"
                 break
-        if dual and norm <= config.target_eps:
+        if dual and norm <= target_eps:
             certificate = _dual_certificate(alpha, norm, t)
             reason = "dual-epsilon"
             break
-        if t == config.max_iters:
+        if t == max_iters:
             if not certifies_at_budget:
                 reason = "exhausted"
             elif worst > 0.0:
@@ -239,23 +247,30 @@ def _step_loop(
             break
 
         if classic:
-            i = int((dots <= 0.0).argmax())  # the lowest-index mistake; exact sign test, no slack
-        elif step_rule == "np":
-            i = worst_index
-            step = 1.0 / (t + 1)
-            keep = 1.0 - step
-        else:  # vng: furthest point, exact line search on the connecting segment
-            # furthest: ||w - a_j||^2 = ||w||^2 - 2 w.a_j + G_jj
-            i = int(np.subtract(dots, half_diag, out=reach).argmin())
-            dot_i, g_ii = float(dots[i]), float(g_diag[i])
-            gap = sq - dot_i  # Frank-Wolfe gap, zero at the minimum-norm point
-            denom = gap + g_ii - dot_i  # ||w - a_i||^2
-            keep = (g_ii - dot_i) / denom if denom > 1e-30 else 1.0
-            if keep >= 1.0 or gap <= STALL_GAP * norm:
-                reason = "stalled"  # line search cannot shrink the norm beyond rounding
-                break
-            keep = max(keep, 0.0)
-            step = 1.0 - keep
+            i = less_equal(dots, zero, mistakes).argmax()  # the lowest-index mistake; exact sign test, no slack
+            add(s, updates[i], s)  # exact add: alpha holds raw update counts
+        else:  # w <- keep * w + step * a_i; np and vng differ only in (keep, step)
+            if averaged:
+                i = worst_index
+                weight = 1.0 / (t + 1)  # of the new column
+                step[()] = weight
+                keep[()] = 1.0 - weight
+            else:  # vng: furthest point, exact line search on the connecting segment
+                # furthest: ||w - a_j||^2 = ||w||^2 - 2 w.a_j + G_jj
+                i = subtract(dots, half_diag, reach).argmin()
+                dot_i, g_ii = dots.item(i), g_list[i]
+                gap = sq - dot_i  # Frank-Wolfe gap, zero at the minimum-norm point
+                denom = gap + g_ii - dot_i  # ||w - a_i||^2
+                kept = (g_ii - dot_i) / denom if denom > 1e-30 else 1.0  # the weight left on w
+                if kept >= 1.0 or gap <= STALL_GAP * norm:
+                    reason = "stalled"  # line search cannot shrink the norm beyond rounding
+                    break
+                kept = max(kept, 0.0)
+                keep[()] = kept
+                step[()] = 1.0 - kept
+            multiply(s, keep, s)
+            add(s, multiply(updates[i], step, scaled), s)
+        chosen[t + 1] = i
     return certificate, _freeze(step_rule, d, t + 1, reason, buffers)
 
 

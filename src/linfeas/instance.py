@@ -202,7 +202,7 @@ def _compute_basis(columns: np.ndarray, tol: float) -> ColumnSpaceBasis:
         for b in vectors:
             q = q - (b @ q) * b
         qn = np.linalg.norm(q)
-        if qn <= tol:
+        if qn * norms[j] <= tol:  # the new direction's length in the columns' units, as tol is
             break
         q /= qn
         vectors.append(q)

@@ -9,10 +9,11 @@ rule once the count of degenerate pivots suggests stalling, which
 guarantees termination.
 
 The Euclidean projections share one active-set solver, Lawson and
-Hanson's NNLS on a Householder least-squares solve: it gives the
-projection onto an intersection of halfspaces here, and the min-norm point
-of a hull in the margins module. It keeps the precision of the arrays it
-is given. Nothing here enumerates subsets.
+Hanson's NNLS on a Householder least-squares solve whose factor is kept
+across its cycles: it gives the projection onto an intersection of
+halfspaces here, and the min-norm point of a hull in the margins module. It
+keeps the precision of the arrays it is given. Nothing here enumerates
+subsets.
 """
 
 from __future__ import annotations
@@ -193,43 +194,86 @@ def dist_l1_to_polyhedron(x0: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndar
     return float(sol.objective_value), sol.x[:n]
 
 
-def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """z minimising ||matrix @ z - rhs||, by Householder QR and back substitution.
+def _reflect(vector: np.ndarray, c: int, reflector: tuple[np.ndarray, np.ndarray] | None) -> None:
+    """Apply Householder reflector c, held as (2 v, v), to vector[c:] in place."""
+    if reflector is not None:
+        twice, v = reflector
+        vector[c:] -= twice * (v @ vector[c:])
 
-    Works in the arrays' own precision and overwrites both. The normal
-    equations, whose squared conditioning loses small residuals, are never
-    formed. Raises DegenerateFaceError when matrix is rank-deficient.
+
+class _HouseholderQR:
+    """Householder QR of matrix[:, support] and the reflected target, for a support that keeps its prefix.
+
+    Works in the arrays' own precision. Column c is reflected by reflectors 0
+    to c - 1 and then yields reflector c, which depends only on the support's
+    first c + 1 columns. So a new support keeps the reflectors of the prefix
+    it shares with the last one and factors only the columns after it: the
+    same operations, in the same order, as a factorization from an empty
+    prefix. The normal equations, whose squared conditioning loses small
+    residuals, are never formed.
     """
-    rows, cols = matrix.shape
-    if cols > rows:
-        raise DegenerateFaceError(f"{cols} columns in dimension {rows} are linearly dependent")
-    for c in range(cols):
-        v = matrix[c:, c].copy()
-        v[0] += np.copysign(np.sqrt(v @ v), v[0])
-        norm = np.sqrt(v @ v)
-        if norm:
-            v /= norm
-            matrix[c:, c:] -= 2.0 * v[:, None] * (v @ matrix[c:, c:])
-            rhs[c:] -= 2.0 * v * (v @ rhs[c:])
-    diag = np.abs(np.diagonal(matrix))
-    if cols and diag.min() <= np.finfo(matrix.dtype).eps * rows * np.abs(matrix).max():
-        raise DegenerateFaceError("linearly dependent columns")
-    z = np.zeros(cols, dtype=matrix.dtype)
-    for c in reversed(range(cols)):  # back substitution on the triangular factor
-        z[c] = (rhs[c] - matrix[c, c + 1 :] @ z[c + 1 :]) / matrix[c, c]
-    return z
+
+    def __init__(self, matrix: np.ndarray, target: np.ndarray) -> None:
+        rows = matrix.shape[0]
+        self.matrix = matrix
+        self.support: list[int] = []
+        self.reflectors: list[tuple[np.ndarray, np.ndarray] | None] = []  # None: column c was 0 from row c down
+        self.factor = np.empty((rows, rows), dtype=matrix.dtype)  # column c: support[c] after reflectors 0 to c
+        self.peaks: list = []  # the largest magnitude in each column of the factor
+        self.rhs = [target]  # rhs[c]: the target after reflectors 0 to c - 1
+
+    def solve(self, support: list[int]) -> np.ndarray:
+        """z minimising ||matrix[:, support] @ z - target||; raises DegenerateFaceError when rank-deficient."""
+        rows, cols = self.matrix.shape[0], len(support)
+        if cols > rows:
+            raise DegenerateFaceError(f"{cols} columns in dimension {rows} are linearly dependent")
+        kept = 0
+        while kept < min(cols, len(self.support)) and support[kept] == self.support[kept]:
+            kept += 1
+        del self.support[kept:], self.reflectors[kept:], self.peaks[kept:], self.rhs[kept + 1 :]
+        for c in range(kept, cols):
+            column = self.matrix[:, support[c]].copy()
+            for k, reflector in enumerate(self.reflectors):
+                _reflect(column, k, reflector)
+            v = column[c:].copy()
+            v[0] += np.copysign(np.sqrt(v @ v), v[0])
+            norm = np.sqrt(v @ v)
+            reflector = None
+            if norm:
+                v = v / norm
+                reflector = (2.0 * v, v)
+            _reflect(column, c, reflector)
+            rhs = self.rhs[c].copy()
+            _reflect(rhs, c, reflector)
+            self.support.append(support[c])
+            self.reflectors.append(reflector)
+            self.factor[:, c] = column
+            self.peaks.append(np.abs(column).max())
+            self.rhs.append(rhs)
+        z = np.zeros(cols, dtype=self.matrix.dtype)
+        if not cols:
+            return z
+        factor, rhs = self.factor, self.rhs[cols]
+        if np.abs(factor.diagonal()[:cols]).min() <= np.finfo(factor.dtype).eps * rows * max(self.peaks):
+            raise DegenerateFaceError("linearly dependent columns")
+        for c in reversed(range(cols)):  # back substitution on the triangular factor
+            z[c] = (rhs[c] - factor[c, c + 1 : cols] @ z[c + 1 :]) / factor[c, c]
+        return z
 
 
-def _minor_cycles(
-    columns: np.ndarray, support: list[int], weights: np.ndarray, target: np.ndarray
-) -> tuple[list[int], np.ndarray]:
+def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """z minimising ||matrix @ z - rhs||: the Householder factor built from an empty prefix."""
+    return _HouseholderQR(matrix, rhs).solve(list(range(matrix.shape[1])))
+
+
+def _minor_cycles(qr: _HouseholderQR, support: list[int], weights: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Move the weights on support to the least-squares minimiser on its span, dropping columns on the way.
 
     The weights are positive but for an entering column's 0: Lawson and
     Hanson's inner loop.
     """
     while True:
-        y = _least_squares(columns[:, support], target.copy())
+        y = qr.solve(support)
         if np.all(y > 0.0):
             return support, y
         # step until the first weight reaches 0: at once for an entering column (weight 0) at y <= 0
@@ -258,6 +302,7 @@ def _nnls(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray
     m = matrix.shape[1]
     reach = np.sqrt(np.einsum("ij,ij->j", matrix, matrix)).max()
     scale = np.sqrt(target @ target)
+    qr = _HouseholderQR(matrix, target)  # one factor for every cycle: each solve re-factors only past the kept prefix
     support, weights, residual = [], np.zeros(0), -target
     for _ in range(50 * m):  # a guard: Lawson and Hanson need a few major cycles per column
         gradient = residual @ matrix  # half the gradient of the squared residual
@@ -267,7 +312,7 @@ def _nnls(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray
         if norm <= NNLS_TOL * scale or gradient[j] >= -NNLS_TOL * reach * norm:
             return support, weights, residual
         try:
-            grown, solved = _minor_cycles(matrix, support + [j], np.append(weights, 0.0), target)
+            grown, solved = _minor_cycles(qr, support + [j], np.append(weights, 0.0))
         except DegenerateFaceError:  # column j lies in the support's span: the residual cannot fall
             return support, weights, residual
         lowered = matrix[:, grown] @ solved - target

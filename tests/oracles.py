@@ -6,9 +6,12 @@ enumeration, Euclidean projections from exhaustive active-set
 enumeration, min-norm points from exhaustive support-set enumeration or
 from exact rational arithmetic, the negative margin from the supporting
 hyperplanes of every column r-subset. Slow and exact at tiny sizes, which
-is the point. The solver loops at the end are the one reference that is not brute
-force: the iterations with one numpy update per array (w, alpha, w . A),
+is the point. Two references are not brute force. The solver loops at the
+end are the iterations with one numpy update per array (w, alpha, w . A),
 which the library's single-state-vector kernel must match byte for byte.
+``nnls_fresh_factorization`` is Lawson and Hanson's NNLS with the QR factor
+built afresh, by the library's own ``_least_squares``, in every minor cycle:
+it checks the library's reuse of the factor, not the QR arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from linfeas.algorithms import STALL_GAP, AlgorithmConfig, Certificate, IterateTrace
 from linfeas.instance import ColumnSpaceBasis, PrimalDirection, ProblemInstance, SimplexPoint
+from linfeas.lp import NNLS_TOL, DegenerateFaceError, _least_squares
 from linfeas.margins import NORMAL_ROUNDING, SIDE_TOL
 
 
@@ -311,6 +315,45 @@ def _rational_affine_minimizer(gram: list[list[Fraction]], corral: list[int]) ->
                 factor = rows[r][c] / rows[c][c]
                 rows[r] = [u - factor * v for u, v in zip(rows[r], rows[c])]
     return [rows[i][k + 1] / rows[i][i] for i in range(k)]
+
+
+def nnls_fresh_factorization(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Support, weights and residual of the u >= 0 minimising ||matrix @ u - target||, factoring every support afresh.
+
+    The cycles, stops and tie-breaks of ``lp._nnls``, written out again; each
+    least-squares solve is ``_least_squares`` on a copy of matrix[:, support].
+    """
+    reach = np.sqrt(np.einsum("ij,ij->j", matrix, matrix)).max()
+    scale = np.sqrt(target @ target)
+    support, weights, residual = [], np.zeros(0), -target
+    for _ in range(50 * matrix.shape[1]):
+        gradient = residual @ matrix
+        gradient[support] = np.inf
+        j = int(np.argmin(gradient))
+        norm = np.sqrt(residual @ residual)
+        if norm <= NNLS_TOL * scale or gradient[j] >= -NNLS_TOL * reach * norm:
+            return support, weights, residual
+        trial, trial_weights = support + [j], np.append(weights, 0.0)
+        try:
+            while True:  # minor cycles
+                y = _least_squares(matrix[:, trial].copy(), target.copy())
+                if np.all(y > 0.0):
+                    break
+                shrink = y <= 0.0
+                ratios = np.where(shrink, 0.0, np.inf).astype(trial_weights.dtype)
+                np.divide(trial_weights, trial_weights - y, out=ratios, where=shrink & (trial_weights > 0.0))
+                drop = int(np.argmin(ratios))
+                trial_weights = trial_weights + ratios[drop] * (y - trial_weights)
+                trial_weights[drop] = 0.0
+                trial = [i for i, w in zip(trial, trial_weights) if w > 0.0]
+                trial_weights = trial_weights[trial_weights > 0.0]
+        except DegenerateFaceError:
+            return support, weights, residual
+        lowered = matrix[:, trial] @ y - target
+        if lowered @ lowered >= residual @ residual:
+            return support, weights, residual
+        support, weights, residual = trial, y, lowered
+    raise ValueError("NNLS reference: no convergence")
 
 
 # --- solver reference: the per-array loops -------------------------------------------------------

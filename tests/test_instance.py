@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batteries import mixed_instances
 from linfeas.instance import (
     IngestError,
     PrimalDirection,
@@ -121,6 +122,14 @@ def test_basis_custom_tol_raises_rank():
     inst = ingest([u.tolist(), v.tolist()], normalize=False)
     assert inst.rank == 1
     assert column_space_basis(inst, tol=1e-13).rank == 2
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e12])
+def test_rank_does_not_depend_on_the_columns_scale(triangle, scale):
+    # the default cutoff scales with the longest column, so the rank test must compare in the columns' units
+    for inst in [triangle] + [inst for inst, _ in mixed_instances(40, seed=1700, d_max=6, n_max=12)]:
+        scaled = ingest((inst.columns * scale).T.tolist(), normalize=False)
+        assert scaled.rank == inst.rank, inst.name
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

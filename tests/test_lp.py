@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batteries import positive_instances
-from oracles import enumerate_standard_form, halfspace_projection_enumeration
+from batteries import mixed_instances, positive_instances
+from oracles import enumerate_standard_form, halfspace_projection_enumeration, nnls_fresh_factorization
 
 import linfeas.lp
 from linfeas.generators import GeneratorSpec, generate
@@ -198,6 +198,45 @@ def test_nnls_stops_once_the_target_is_met():
     assert support == [0, 5]
     assert np.allclose(weights.astype(float), [0.5, 0.5], atol=1e-12)
     assert np.sqrt(residual @ residual) <= 1e-12
+
+
+def _value_bytes(a: np.ndarray) -> bytes:
+    """The bytes that hold a's values: x87 extended precision pads its 10 bytes to 12 or 16."""
+    width = 10 if a.dtype == np.longdouble and np.finfo(np.longdouble).nmant == 63 else a.itemsize
+    return np.ascontiguousarray(a).view(np.uint8).reshape(-1, a.itemsize)[:, :width].tobytes()
+
+
+def test_nnls_reusing_its_factor_matches_a_fresh_factorization_byte_for_byte(monkeypatch):
+    asked = []  # (factor, support) of every solve, to show that prefixes are kept and cut
+    solve = linfeas.lp._HouseholderQR.solve
+    monkeypatch.setattr(linfeas.lp._HouseholderQR, "solve", lambda qr, s: (asked.append((qr, list(s))), solve(qr, s))[1])
+    systems = []
+    for inst, _ in positive_instances(40, seed=1800, d_max=8, n_max=14) + mixed_instances(40, seed=1900):
+        for dtype in (np.float64, np.longdouble):  # the ρ⁺ program, as margins builds it, in both precisions
+            cols = inst.columns.astype(dtype)
+            shift = np.frexp(np.sqrt((cols * cols).sum(axis=0)).max() * np.sqrt(2.0))[1] - 1
+            system = np.vstack([np.ldexp(cols, -shift), np.ones((1, inst.n), dtype=dtype)])
+            target = np.zeros(inst.d + 1, dtype=dtype)
+            target[-1] = 1.0
+            systems.append((system, target))
+    rng = np.random.default_rng(1950)
+    for _ in range(40):  # least-distance systems, as dist_l2_to_halfspaces builds them
+        d, m = int(rng.integers(2, 7)), int(rng.integers(1, 12))
+        normals = rng.standard_normal((d, m))
+        target = np.zeros(d + 1)
+        target[d] = 1.0
+        systems.append((np.vstack([normals, rng.standard_normal(m)]), target))
+    for system, target in systems:
+        support, weights, residual = _nnls(system, target)
+        want_support, want_weights, want_residual = nnls_fresh_factorization(system, target)
+        assert support == want_support
+        assert (weights.dtype, residual.dtype) == (want_weights.dtype, want_residual.dtype)
+        assert _value_bytes(weights) == _value_bytes(want_weights)
+        assert _value_bytes(residual) == _value_bytes(want_residual)
+    pairs = [(a, b) for (qa, a), (qb, b) in zip(asked, asked[1:]) if qa is qb]  # consecutive solves on one factor
+    extended = sum(b[: len(a)] == a for a, b in pairs)
+    cut = sum(b[: len(a)] != a for a, b in pairs)
+    assert extended >= 400 and cut >= 50  # factors were extended and cut back, not only built afresh
 
 
 def test_dist_l2_to_halfspaces_examples():
