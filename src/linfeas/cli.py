@@ -1,9 +1,11 @@
 """Command-line entry point: generate, measure, run, certify, batch, report.
 
-Exit codes: 0 success or statement verified, 1 usage error, 2 a bound or
-certificate check failed (a genuine finding), 3 statement inapplicable,
-instance ill-posed, or a run to which no check applied, 4 a batch worker
-process ended without reporting its share.
+Exit codes: 0 success or statement verified, 1 usage error, or standard
+output closed before the output was written (a reader such as head exited
+early; no traceback is printed), 2 a bound or certificate check failed (a
+genuine finding), 3 statement inapplicable, instance ill-posed, or a run to
+which no check applied, 4 a batch worker process ended without reporting its
+share.
 """
 
 from __future__ import annotations
@@ -507,6 +509,17 @@ def _parser() -> _Parser:
     return _build_parser()
 
 
+def _drop_stdout() -> None:
+    """Point standard output's descriptor at the null device, so the exit flush of a closed pipe is silent."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # in-process callers pass a StringIO, which has none
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -518,7 +531,12 @@ def main(argv: list[str] | None = None) -> int:
             "batch": cmd_batch,
             "report": cmd_report,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a reader gone early shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_USAGE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

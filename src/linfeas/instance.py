@@ -9,7 +9,9 @@ threads without locking.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -20,6 +22,7 @@ import numpy as np
 __all__ = [
     "IngestError",
     "SimplexPoint",
+    "simplex_rows",
     "PrimalDirection",
     "ColumnSpaceBasis",
     "ProblemInstance",
@@ -49,6 +52,50 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def simplex_rows(weights: np.ndarray, repair: float | None = None) -> tuple[np.ndarray, dict[int, str]]:
+    """SimplexPoint's rules applied to each row of a (k, n) block at once.
+
+    Without ``repair``, the constructor's rules: entries must be finite and at
+    least -WEIGHT_CLAMP. With it, SimplexPoint.from_approximate's instead: a
+    row with an entry below -repair is refused, negative entries become 0, and
+    the row is divided by its total, which must be finite and positive; a row
+    that passes is then finite and nonnegative, as the constructor requires.
+    Then, either way, entries within WEIGHT_CLAMP of 0 become 0, and the row,
+    whose sum must lie within WEIGHT_CLAMP of 1, is divided by that sum. Each
+    row's arithmetic, sums included, does not depend on k, so a row gets the
+    bytes it gets alone. Returns the read-only rows and the refused rows'
+    reasons (the first rule each breaks) by row index; a refused row's
+    entries are meaningless.
+    """
+    given = np.asarray(weights, dtype=float)
+    w = given.copy()
+    rules = []  # (refused rows, reason) in the order the rules apply
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if repair is None:
+            rules.append((~np.isfinite(w).all(axis=1), lambda i: "weights must be finite"))
+            below = (w < -WEIGHT_CLAMP).any(axis=1)
+            rules.append((below, lambda i: f"negative weight beyond tolerance: min={given[i].min():.3e}"))
+        else:
+            below = (w < -repair).any(axis=1)
+            rules.append((below, lambda i: f"negative weight beyond repair tolerance: min={given[i].min():.3e}"))
+            w[w < 0.0] = 0.0
+            mass = w.sum(axis=1)
+            rules.append((~(np.isfinite(mass) & (mass > 0.0)), lambda i: "weights must have positive total mass"))
+            w /= mass[:, None]
+        w[np.abs(w) <= WEIGHT_CLAMP] = 0.0
+        total = w.sum(axis=1)
+        off = np.abs(total - 1.0) > WEIGHT_CLAMP
+        rules.append((off, lambda i: f"weights must sum to 1, got {float(total[i])!r}"))
+        w /= total[:, None]
+    w.setflags(write=False)
+    faults: dict[int, str] = {}
+    if functools.reduce(operator.or_, (refused for refused, _ in rules)).any():
+        for refused, reason in rules:
+            for i in np.flatnonzero(refused):
+                faults.setdefault(int(i), reason(int(i)))
+    return w, faults
+
+
 @dataclass(eq=False)
 class SimplexPoint:
     """Probability vector over the n columns (convex combination weights)."""
@@ -56,19 +103,24 @@ class SimplexPoint:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
+        self.weights = self._one_row(self.weights, None)
+
+    @staticmethod
+    def _one_row(weights, repair: float | None) -> np.ndarray:
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must form a nonempty vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < -WEIGHT_CLAMP):
-            raise ValueError(f"negative weight beyond tolerance: min={w.min():.3e}")
-        w[np.abs(w) <= WEIGHT_CLAMP] = 0.0
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_CLAMP:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-        w /= total
-        self.weights = _readonly(w)
+        rows, faults = simplex_rows(w[None], repair)
+        if faults:
+            raise ValueError(faults[0])
+        return rows[0]
+
+    @classmethod
+    def _from_row(cls, weights: np.ndarray) -> "SimplexPoint":
+        """Wrap a read-only row that simplex_rows accepted, without checking it again."""
+        point = cls.__new__(cls)
+        point.weights = weights
+        return point
 
     @classmethod
     def unit_mass(cls, n: int, index: int) -> "SimplexPoint":
@@ -81,16 +133,10 @@ class SimplexPoint:
         """Build a point from slightly-off weights (e.g. LP output or iterate drift).
 
         Entries in [-tol, 0) are clamped and the vector is renormalized; anything
-        worse than ``tol`` is still rejected.
+        worse than ``tol`` is still rejected. This is simplex_rows on one row.
         """
-        w = np.array(list(weights) if not isinstance(weights, np.ndarray) else weights, dtype=float)
-        if np.any(w < -tol):
-            raise ValueError(f"negative weight beyond repair tolerance: min={w.min():.3e}")
-        w[w < 0.0] = 0.0
-        total = float(w.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            raise ValueError("weights must have positive total mass")
-        return cls(w / total)
+        w = list(weights) if not isinstance(weights, np.ndarray) else weights
+        return cls._from_row(cls._one_row(w, tol))
 
     @property
     def n(self) -> int:

@@ -27,6 +27,7 @@ from .instance import (
     SimplexPoint,
     column_space_basis,
     combine,
+    simplex_rows,
 )
 from .lp import _nnls, solve
 
@@ -429,31 +430,37 @@ def representable(instance: ProblemInstance, points: np.ndarray) -> list[Simplex
     """For each row v of a (k, d) stack, weights p with columns @ p = v when v lies in the hull, else None.
 
     The lowest open point runs a phase-1 feasibility program; its emptiness
-    answer is the simplex status, double-checked: weights below SimplexPoint's
-    repair tolerance or a residual above 1e-9 also give None.
-    When the simplex ends on d + 1 columns of [A; 1^T] (no artificial left, no
-    redundant row dropped), that square basis B is solved against every open
-    point's [v; 1] at once. A solution that is entrywise >= 0 is a basic
+    answer is the simplex status, double-checked: weights that simplex_rows
+    refuses (SimplexPoint.from_approximate's rules) or a residual
+    ||columns @ p - v|| above 1e-9 also give None. On a rank-deficient
+    instance the program is posed in the rank frame, [B^T A; 1^T] p =
+    [B^T v; 1] with B the orthonormal basis of the span, so the redundant rows
+    of [A; 1^T] do not arise; the residual is still taken in R^d, so a point
+    off the span gets None. Its coordinates B^T v are summed row by row, with
+    the same bytes at any k. (Rank 0, all-zero columns, keeps [A; 1^T].)
+    When the simplex ends on a square basis (no artificial left, no
+    redundant row dropped), it is solved against every open point's
+    right-hand side at once. A solution that is entrywise >= 0 is a basic
     feasible solution of that point's program, found without pivoting
-    (Chvatal, Linear Programming, 1983, ch. 3); it answers the point if it
-    passes the same residual check. So only the simplex answers None, and a
-    one-row stack gets the simplex's answer alone. The bases live for one call.
+    (Chvatal, Linear Programming, 1983, ch. 3). Those solutions and the
+    simplex's own weights pass the checks together, one simplex_rows call per
+    basis. So only the simplex answers None, and a one-row stack gets the
+    simplex's answer alone, which is row 0's answer in any stack. The bases
+    live for one call.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != instance.d:
         raise ValueError(f"query points have shape {points.shape}, expected (k, {instance.d})")
     if not np.all(np.isfinite(points)):
         raise ValueError("query points must be finite")
-    n = instance.n
-    eq = np.vstack([instance.columns, np.ones((1, n))])
-    rhs = np.hstack([points, np.ones((len(points), 1))])
-
-    def checked(k: int, weights: np.ndarray) -> SimplexPoint | None:
-        try:
-            point = SimplexPoint.from_approximate(weights)
-        except ValueError:  # a weight below the repair tolerance: the simplex's 1e-9 admitted a miss
-            return None
-        return point if np.linalg.norm(combine(instance, point) - points[k]) <= 1e-9 else None
+    columns, n = instance.columns, instance.n
+    frame, coords = columns, points
+    if columns.any() and instance.basis.rank < instance.d:
+        basis = instance.basis.basis
+        frame = basis.T @ columns
+        coords = (points[:, None, :] * basis.T).sum(axis=2)
+    eq = np.vstack([frame, np.ones((1, n))])
+    rhs = np.hstack([coords, np.ones((len(points), 1))])
 
     answers: list[SimplexPoint | None] = [None] * len(points)
     is_open = np.ones(len(points), dtype=bool)
@@ -464,14 +471,29 @@ def representable(instance: ProblemInstance, points: np.ndarray) -> list[Simplex
         sol = solve(np.zeros(n), eq, rhs[k])
         if sol.status != "optimal":
             continue
-        answers[k] = checked(k, sol.x)
-        if len(sol.basis) != eq.shape[0] or not is_open.any():
-            continue
-        rest = np.flatnonzero(is_open)
-        solved = np.linalg.solve(eq[:, sol.basis], rhs[rest].T)
-        for j in np.flatnonzero(solved.min(axis=0) >= 0.0):
-            weights = np.zeros(n)
-            weights[sol.basis] = solved[:, j]
-            answers[rest[j]] = checked(rest[j], weights)
-            is_open[rest[j]] = answers[rest[j]] is None
+        rows = [k]  # the simplex's point and every open point its basis answers, accepted in one pass
+        if len(sol.basis) == eq.shape[0] and is_open.any():
+            rest = np.flatnonzero(is_open)
+            solved = np.linalg.solve(eq[:, sol.basis], rhs[rest].T)
+            fits = solved.min(axis=0) >= 0.0
+            rows.extend(rest[fits])
+        weights = np.zeros((len(rows), n))
+        weights[0] = sol.x
+        if len(rows) > 1:
+            weights[1:, sol.basis] = solved[:, fits].T
+        for j, point in zip(rows, _accepted(columns, points[rows], weights)):
+            answers[j] = point
+            is_open[j] = point is None and j != k  # the simplex's answer stands; others may try a later basis
     return answers
+
+
+def _accepted(columns: np.ndarray, points: np.ndarray, weights: np.ndarray) -> list[SimplexPoint | None]:
+    """Row i of a (k, n) weight block as a SimplexPoint when simplex_rows accepts it under
+    from_approximate's rules and ||columns @ p - points[i]|| <= 1e-9, else None; in one pass."""
+    rows, faults = simplex_rows(weights, repair=1e-9)
+    with np.errstate(invalid="ignore", over="ignore"):  # a refused row may hold NaN or inf
+        residuals = np.sqrt(np.square((rows[:, None, :] * columns).sum(axis=2) - points).sum(axis=1))
+    return [
+        None if i in faults or not residual <= 1e-9 else SimplexPoint._from_row(row)
+        for i, (row, residual) in enumerate(zip(rows, residuals))
+    ]

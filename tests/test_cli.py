@@ -1071,3 +1071,40 @@ def test_arbitrary_run_and_batch_input_exits_with_one_line_and_no_traceback(
     assert code in (0, 1, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["certify", "{instance}", "--theorem", "gordan3", "--gamma", "0.05"],  # written by the print itself
+        ["margin", "{instance}"],  # small enough to sit in the buffer until main flushes it
+        ["report", "--out-dir", "{folder}"],
+    ],
+)
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, triangle_path, command):
+    import subprocess
+    import sys
+
+    src = str(Path(linfeas.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [part.format(instance=triangle_path, folder=tmp_path) for part in command]
+    reader, writer = os.pipe()
+    os.close(reader)  # the reader is gone before the first byte is written, as after `| head -c 10`
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "linfeas.cli", *argv], stdout=writer, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(writer)
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
+def test_closed_stdout_in_process_leaves_the_callers_stream_alone(triangle_path, capsys):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with contextlib.redirect_stdout(Closed()):
+        assert run_cli("margin", triangle_path) == 1
+    assert capsys.readouterr().err == ""

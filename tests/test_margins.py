@@ -621,6 +621,8 @@ def test_batched_representable_matches_the_simplex_on_batteries():
 @example(cols=np.array([[2.0, -1.0]]), seed=0)  # n = 1
 @example(cols=np.array([[1.0], [-3.0], [0.5]]), seed=0)  # d = 1
 @example(cols=np.array([[0.0, 0.0], [1.0, 0.0]]), seed=0)  # a zero column
+@example(cols=np.array([[0.0]]), seed=0)  # all-zero columns: rank 0, no basis to pose the rank frame in
+@example(cols=np.zeros((2, 3)), seed=0)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_batched_representable_on_degenerate_inputs(cols, seed):
     inst = ingest(cols.tolist(), normalize=False)
@@ -638,7 +640,7 @@ def test_one_row_call_is_the_simplex_alone():
                 assert p.weights.tobytes() == alone.weights.tobytes()
 
 
-def test_batch_reuses_bases_only_on_full_row_rank(monkeypatch):
+def test_batch_reuses_bases_at_full_and_deficient_rank(monkeypatch):
     from batteries import infeasible_instances
 
     import linfeas.margins
@@ -655,13 +657,89 @@ def test_batch_reuses_bases_only_on_full_row_rank(monkeypatch):
         ball = 0.5 * inradius * (z / np.linalg.norm(z, axis=1)[:, None]) @ inst.basis.basis.T
         calls.clear()
         assert all(p is not None for p in representable(inst, ball))
-        full = np.linalg.matrix_rank(np.vstack([inst.columns, np.ones((1, inst.n))])) == inst.d + 1
+        full = inst.basis.rank == inst.d  # a deficient one poses its programs in the rank frame
         runs[full] += len(calls)
         points[full] += len(ball)
-        if not full:  # the simplex drops a redundant row, so no basis is square
-            assert len(calls) == len(ball)
     assert points[True] and points[False]
     assert runs[True] <= 0.25 * points[True]
+    assert runs[False] <= 0.25 * points[False]
+
+
+def _acceptance_rows(inst, rng) -> np.ndarray:
+    """Weight rows for one instance: phase-1 simplex outputs and basis solves, as representable makes
+    them, then hand-made rows that each break one rule of SimplexPoint.from_approximate."""
+    from linfeas.lp import solve
+
+    n = inst.n
+    queries = _membership_queries(inst, rng)
+    eq = np.vstack([inst.columns, np.ones((1, n))])
+    rhs = np.vstack([queries.T, np.ones(len(queries))])
+    rows = []
+    for k in range(0, len(queries), 5):
+        sol = solve(np.zeros(n), eq, rhs[:, k])
+        if sol.status != "optimal":
+            continue
+        rows.append(sol.x)
+        if len(sol.basis) == eq.shape[0]:  # its basis solved against every query: negative entries too
+            block = np.zeros((len(queries), n))
+            block[:, sol.basis] = np.linalg.solve(eq[:, sol.basis], rhs).T
+            rows.extend(block)
+    w = rng.dirichlet(np.ones(n))
+    nudged = w - 5e-10 * (np.arange(n) == np.argmin(w))  # a repairable negative entry
+    below = w - 2e-9 * (np.arange(n) == np.argmin(w))  # a weight below -1e-9
+    hand = [w, w * (1.0 + 3e-13), nudged, below, np.full(n, -1e-10), np.zeros(n)]
+    for bad in (np.nan, np.inf, -np.inf):
+        hand.append(np.where(np.arange(n) == 0, bad, w))
+    if n >= 3:  # entries at 9e-13 are clamped after the repair's division, leaving the sum 1.8e-12 short
+        hand.append(np.where(np.arange(n) == 0, 1.0, np.where(np.arange(n) < 3, 9e-13, 0.0)))
+    return np.vstack(rows + hand)
+
+
+def test_batched_acceptance_matches_one_row_construction():
+    from collections import Counter
+
+    from linfeas.margins import _accepted
+
+    rng = np.random.default_rng(78)
+    instances = (
+        [inst for inst, _ in negative_instances(10, seed=79)]
+        + [inst for inst, _ in mixed_instances(12, seed=80)]
+        + list(_certify_lp_instances())
+    )
+    seen = Counter()
+    for inst in instances:
+        weights = _acceptance_rows(inst, rng)
+        # each row's point is its repaired combination, off by 0, 0.3e-9 or 3e-9: the residual rule is hit too
+        repaired = np.clip(np.nan_to_num(weights, posinf=1.0), 0.0, None)
+        mass = repaired.sum(axis=1)
+        hull = (repaired / np.where(mass > 0.0, mass, 1.0)[:, None]) @ inst.columns.T
+        u = rng.standard_normal(inst.d)
+        points = hull + np.array([0.0, 0.3e-9, 3e-9])[np.arange(len(weights)) % 3, None] * (u / np.linalg.norm(u))
+        answers = _accepted(inst.columns, points, weights)
+        assert len(answers) == len(weights)
+        for w, v, p in zip(weights, points, answers):
+            try:
+                alone = SimplexPoint.from_approximate(w)
+            except ValueError as exc:
+                seen[str(exc).split(":")[0].split(",")[0]] += 1
+                assert p is None, (inst.name, w)
+                continue
+            if np.linalg.norm(combine(inst, alone) - v) > 1e-9:
+                seen["residual"] += 1
+                assert p is None, (inst.name, w)
+                continue
+            seen["accepted"] += 1
+            assert p is not None, (inst.name, w)
+            assert p.weights.tobytes() == alone.weights.tobytes(), (inst.name, w)
+            assert not p.weights.flags.writeable
+    assert set(seen) == {
+        "accepted",
+        "residual",
+        "negative weight beyond repair tolerance",
+        "weights must have positive total mass",
+        "weights must sum to 1",
+    }, seen
+    assert min(seen.values()) >= 20, seen
 
 
 def test_representable_refuses_bad_queries(triangle):
