@@ -2,7 +2,8 @@
 
 The simplex takes one form of program, min c @ x subject to A x = b and
 x >= 0: hull membership and the l1 distance to a witness set are both
-written that way. Desk scale only: tableaus are small dense arrays and
+written that way. Desk scale, with no size budget: tableaus are dense, the
+package's programs have at most 2n + 1 rows (margins._rank_frame), and
 exactness of the reported status matters more than speed. The pivot loop
 starts with the most-negative-reduced-cost rule and falls back to Bland's
 rule once the count of degenerate pivots suggests stalling, which
@@ -23,14 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LpSizeError",
     "LpSolution",
     "solve",
     "dist_l1_to_polyhedron",
     "dist_l2_to_halfspaces",
 ]
-
-SIZE_BUDGET = 100  # max variables and max rows accepted by solve()
 
 MAX_PIVOTS = 1_000_000  # per simplex phase; Bland's rule terminates long before
 
@@ -41,10 +39,6 @@ EMPTY_TOL = 1e-20  # squared NNLS residual at or below this is rounding: the hal
 FEASIBILITY_TOL = 1e-9  # phase-1 infeasibility above this is real; a ratio step at or below it is degenerate
 REDUCED_COST_TOL = 1e-9  # a column enters only if its reduced cost is below minus this
 PIVOT_TOL = 1e-11  # a pivot entry must exceed this
-
-
-class LpSizeError(ValueError):
-    """Raised when a program exceeds the desk-scale size budget."""
 
 
 class DegenerateFaceError(RuntimeError):
@@ -162,8 +156,6 @@ def solve(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> L
         raise ValueError("objective must be a finite vector")
     if A.ndim != 2 or A.shape[1] != c.size or b.shape != (A.shape[0],):
         raise ValueError(f"inconsistent equality block: matrix {A.shape}, rhs {b.shape}")
-    if c.size > SIZE_BUDGET or b.size > SIZE_BUDGET:
-        raise LpSizeError(f"program size {c.size} vars / {b.size} rows exceeds budget {SIZE_BUDGET}")
     status, x, basis = _two_phase(A, b, c)
     if status != "optimal":
         return LpSolution(status=status, basis=basis)

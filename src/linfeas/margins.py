@@ -426,18 +426,36 @@ def minimum_enclosing_ball(instance: ProblemInstance, report: MarginReport | Non
     return BallReport(center=combine(instance, weights), radius=radius, support_weights=weights)
 
 
+def _rank_frame(instance: ProblemInstance, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eq = [F; 1^T] and the rows [c_k, 1] of rhs: the hull programs eq p = [c_k; 1] of a (k, d) stack of points v_k.
+
+    On a rank-deficient instance F = B^T A and c_k = B^T v_k, with B the
+    orthonormal basis of the span, so the d - r redundant rows of [A; 1^T]
+    never reach the simplex; c_k is summed row by row, with the same bytes at
+    any k. At full rank, and at rank 0 (all-zero columns have no basis), F = A
+    and c_k = v_k. Without its last row and entry, a program is A x = v_k.
+    """
+    columns, n = instance.columns, instance.n
+    frame, coords = columns, points
+    if columns.any() and instance.basis.rank < instance.d:
+        basis = instance.basis.basis
+        frame = basis.T @ columns
+        coords = (points[:, None, :] * basis.T).sum(axis=2)
+    return np.vstack([frame, np.ones((1, n))]), np.hstack([coords, np.ones((len(points), 1))])
+
+
 def representable(instance: ProblemInstance, points: np.ndarray) -> list[SimplexPoint | None]:
     """For each row v of a (k, d) stack, weights p with columns @ p = v when v lies in the hull, else None.
 
     The lowest open point runs a phase-1 feasibility program; its emptiness
     answer is the simplex status, double-checked: weights that simplex_rows
     refuses (SimplexPoint.from_approximate's rules) or a residual
-    ||columns @ p - v|| above 1e-9 also give None. On a rank-deficient
-    instance the program is posed in the rank frame, [B^T A; 1^T] p =
-    [B^T v; 1] with B the orthonormal basis of the span, so the redundant rows
-    of [A; 1^T] do not arise; the residual is still taken in R^d, so a point
-    off the span gets None. Its coordinates B^T v are summed row by row, with
-    the same bytes at any k. (Rank 0, all-zero columns, keeps [A; 1^T].)
+    ||columns @ p - v|| above 1e-9 also give None. The program comes from
+    _rank_frame, which also poses the l1 distance programs of the Hoffman
+    statements and of the run replay: on a rank-deficient instance it is
+    [B^T A; 1^T] p = [B^T v; 1], with B the orthonormal basis of the span, so
+    the redundant rows of [A; 1^T] do not arise. The residual is still taken
+    in R^d, so a point off the span gets None.
     When the simplex ends on a square basis (no artificial left, no
     redundant row dropped), it is solved against every open point's
     right-hand side at once. A solution that is entrywise >= 0 is a basic
@@ -454,13 +472,7 @@ def representable(instance: ProblemInstance, points: np.ndarray) -> list[Simplex
     if not np.all(np.isfinite(points)):
         raise ValueError("query points must be finite")
     columns, n = instance.columns, instance.n
-    frame, coords = columns, points
-    if columns.any() and instance.basis.rank < instance.d:
-        basis = instance.basis.basis
-        frame = basis.T @ columns
-        coords = (points[:, None, :] * basis.T).sum(axis=2)
-    eq = np.vstack([frame, np.ones((1, n))])
-    rhs = np.hstack([coords, np.ones((len(points), 1))])
+    eq, rhs = _rank_frame(instance, points)
 
     answers: list[SimplexPoint | None] = [None] * len(points)
     is_open = np.ones(len(points), dtype=bool)

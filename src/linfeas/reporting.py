@@ -18,7 +18,7 @@ import numpy as np
 from .algorithms import Certificate, IterateTrace
 from .instance import ProblemInstance, combine
 from .lp import dist_l1_to_polyhedron
-from .margins import ZERO_BAND, MarginReport
+from .margins import ZERO_BAND, MarginReport, _rank_frame
 
 __all__ = ["BoundCheck", "RunSummary", "build_run_summary", "DUAL_DISTANCE_SAMPLES"]
 
@@ -161,14 +161,13 @@ def _norm_sandwich(trace: IterateTrace, rho_plus: float) -> BoundCheck:
 def _dual_witness_distance(
     instance: ProblemInstance, trace: IterateTrace, rho_minus_abs: float
 ) -> BoundCheck:
-    eq = np.vstack([instance.columns, np.ones((1, instance.n))])
-    rhs = np.concatenate([np.zeros(instance.d), [1.0]])
+    eq, rhs = _rank_frame(instance, np.zeros((1, instance.d)))
     worst = 0.0
     details = []
     for t in DUAL_DISTANCE_SAMPLES:
         if t >= trace.ts.size:
             continue
-        dist, _ = dist_l1_to_polyhedron(trace.coefficients[t], eq, rhs)
+        dist, _ = dist_l1_to_polyhedron(trace.coefficients[t], eq, rhs[0])
         bound = 2.0 / (rho_minus_abs * math.sqrt(t))
         worst = max(worst, dist - bound)
         details.append(f"t={t}: dist={dist:.4g} vs bound={bound:.4g}")

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import PrimalDirection, ProblemInstance, SimplexPoint, combine
-from .lp import LpSizeError, dist_l1_to_polyhedron, dist_l2_to_halfspaces
-from .margins import ZERO_BAND, BallReport, MarginReport, margin_report, minimum_enclosing_ball, representable
+from .lp import dist_l1_to_polyhedron, dist_l2_to_halfspaces
+from .margins import (
+    ZERO_BAND, BallReport, MarginReport, _rank_frame, margin_report, minimum_enclosing_ball, representable,
+)
 
 __all__ = [
     "IllPosedError",
@@ -192,17 +194,11 @@ def _in_target(
 
 def _span_directions(instance: ProblemInstance, count: int, seed: int) -> np.ndarray:
     """Unit directions in the column span: basis directions plus seeded samples."""
-    basis = instance.basis
-    dirs = [basis.basis[:, j] for j in range(basis.rank)]
-    dirs += [-basis.basis[:, j] for j in range(basis.rank)]
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        z = rng.standard_normal(basis.rank)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            continue
-        dirs.append(basis.lift(z / nz))
-    return np.array(dirs)
+    basis = instance.basis.basis
+    z = np.random.default_rng(seed).standard_normal((count, basis.shape[1]))
+    norms = np.sqrt(np.vecdot(z, z))
+    units = z[norms != 0.0] / norms[norms != 0.0, None]
+    return np.vstack([basis.T, -basis.T, np.matvec(basis, units)])  # matvec: the bytes of one lift per sample
 
 
 def gordan_decide(
@@ -267,18 +263,16 @@ def gordan_decide(
         directions = np.zeros((1, instance.d))
     else:
         directions = gamma * _span_directions(instance, samples, sample_seed)
-    table: list[tuple[np.ndarray, SimplexPoint]] = []
-    residuals = []
-    for v, p in zip(directions, representable(instance, directions)):
+    table = list(zip(directions, representable(instance, directions)))
+    for v, p in table:
         if p is None:
             raise CertificateConstructionError(
                 f"ball point {v} is not representable although the inradius "
                 f"{abs(report.rho_minus):.6g} covers radius {gamma:.6g}"
             )
-        table.append((v, p))
-        residuals.append(float(np.linalg.norm(combine(instance, p) - v)))
+    gaps = np.matvec(instance.columns, np.array([p.weights for _, p in table])) - directions
     return GordanVerdict(
-        gamma=gamma, part=part, alternative_held="second", residuals=np.array(residuals), margin=report,
+        gamma=gamma, part=part, alternative_held="second", residuals=np.sqrt(np.vecdot(gaps, gaps)), margin=report,
         ball_samples=table,
     )
 
@@ -320,10 +314,9 @@ def hoffman_dual(
     bound = r / rho
     if r <= 1e-12:
         return _in_target("dual-general", bound, x, r)
+    eq, rhs = _rank_frame(instance, b[None])  # b lies in the span: A x = b in the rank frame, without the row of ones
     try:
-        exact, _ = dist_l1_to_polyhedron(x, instance.columns, b)
-    except LpSizeError:
-        raise
+        exact, _ = dist_l1_to_polyhedron(x, eq[:-1], rhs[0, :-1])
     except ValueError as exc:  # the distance program's phase 1 found the target set empty
         raise InapplicableError("witness set {x >= 0 | Ax = b} is empty") from exc
     v = rho * (b - instance.columns @ x) / r
@@ -374,9 +367,8 @@ def hoffman_simplex(
     blended = SimplexPoint.from_approximate(lam * p_prime.weights + (1.0 - lam) * p.weights)
     witness_residual = float(np.linalg.norm(combine(instance, blended)))
     witness_distance = float(np.abs(p.weights - blended.weights).sum())
-    eq = np.vstack([instance.columns, np.ones((1, instance.n))])
-    rhs = np.concatenate([np.zeros(instance.d), [1.0]])
-    exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs)
+    eq, rhs = _rank_frame(instance, np.zeros((1, instance.d)))
+    exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs[0])
     return HoffmanReport(
         variant="dual-simplex",
         bound_value=sharp,

@@ -1108,3 +1108,35 @@ def test_closed_stdout_in_process_leaves_the_callers_stream_alone(triangle_path,
     with contextlib.redirect_stdout(Closed()):
         assert run_cli("margin", triangle_path) == 1
     assert capsys.readouterr().err == ""
+
+
+@pytest.fixture
+def hexagon_path(tmp_path):
+    """A regular hexagon in a random 2-plane of R^120: rank 2 with n = 6, so [A; 1^T] would have 121 rows."""
+    plane, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((120, 2)))
+    angles = 2.0 * np.pi * np.arange(6) / 6
+    columns = plane @ np.vstack([np.cos(angles), np.sin(angles)])
+    hexagon = ingest(columns.T.tolist(), normalize=True, name="hexagon")
+    return save_instance(hexagon, tmp_path / "instances" / "hexagon.json")
+
+
+@pytest.mark.parametrize("theorem", ["hoffman-simplex", "hoffman-dual"])
+def test_hoffman_bounds_certify_a_low_rank_hexagon_in_high_dimension(hexagon_path, capsys, theorem):
+    assert run_cli("certify", hexagon_path, "--theorem", theorem) == 0
+    assert read_json(capsys)["verified"] is True
+
+
+def test_runs_on_a_low_rank_hexagon_in_high_dimension_replay_the_dual_distance(tmp_path, hexagon_path, capsys):
+    assert run_cli("run", hexagon_path, "--algorithm", "np", "--out-dir", tmp_path / "run") == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "dual-witness-distance" in [check["name"] for check in json.loads(captured.out)["checks"]]
+    code = run_cli(
+        "batch", "--instances", hexagon_path.parent, "--algorithms", "np,vng", "--workers", "2",
+        "--out-dir", tmp_path / "batch",
+    )
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    assert captured.out.splitlines() == ["hexagon,np,pass", "hexagon,vng,pass"]
+    for path in (tmp_path / "batch").glob("*.summary.json"):
+        assert "dual-witness-distance" in [check["name"] for check in json.loads(path.read_text())["checks"]]

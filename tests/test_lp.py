@@ -14,14 +14,13 @@ from linfeas.instance import ingest
 from linfeas.lp import (
     FEASIBILITY_TOL,
     DegenerateFaceError,
-    LpSizeError,
     _least_squares,
     _nnls,
     dist_l1_to_polyhedron,
     dist_l2_to_halfspaces,
     solve,
 )
-from linfeas.margins import margin_report
+from linfeas.margins import _rank_frame, margin_report, representable
 
 
 def _no_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,9 +82,21 @@ def test_phase_one_finished_under_blands_rule_is_optimal(monkeypatch):
     assert np.allclose(sol.x.sum(), 1.0) and sol.x[0] == pytest.approx(sol.x[1], abs=1e-12)
 
 
-def test_size_budget_enforced():
-    with pytest.raises(LpSizeError):
-        solve(np.zeros(101), *_no_rows(101))
+def test_membership_and_l1_distance_run_at_fifty_by_two_hundred():
+    # no size budget: a hull program of 51 rows, and a distance program of 251 rows and 600 variables
+    rng = np.random.default_rng(200)
+    inst = ingest(rng.standard_normal((200, 50)).tolist(), normalize=True, name="wide")
+    weights = rng.dirichlet(np.ones(inst.n))
+    inside = inst.columns @ weights
+    outside = 3.0 * inst.columns[:, 0]  # unit columns: the hull lies in the unit ball
+    found, missing = representable(inst, np.vstack([inside, outside]))
+    assert found is not None and np.linalg.norm(inst.columns @ found.weights - inside) <= 1e-9
+    assert missing is None
+    eq, rhs = _rank_frame(inst, inside[None])
+    x0 = np.eye(inst.n)[0]
+    distance, nearest = dist_l1_to_polyhedron(x0, eq, rhs[0])
+    assert np.abs(eq @ nearest - rhs[0]).max() <= 1e-9 and nearest.min() >= -1e-9
+    assert distance == pytest.approx(np.abs(nearest - x0).sum(), abs=1e-9)
 
 
 def test_optimal_solutions_satisfy_constraints():

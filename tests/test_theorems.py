@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import linfeas.lp
+import linfeas.margins
 import linfeas.theorems
 
 from batteries import infeasible_instances, mixed_instances, negative_instances, positive_instances
 
+from linfeas.algorithms import AlgorithmConfig, perceptron_normalized, vng
 from linfeas.instance import SimplexPoint, combine, ingest
-from linfeas.lp import LpSizeError
 from linfeas.margins import ZERO_BAND, margin_report
+from linfeas.reporting import build_run_summary
 from linfeas.theorems import (
     IllPosedError,
     InapplicableError,
+    _span_directions,
     certify_meb,
     certify_radius,
     gordan_decide,
@@ -155,7 +159,6 @@ def test_hoffman_dual_rhs_outside_span(segment):
     "error, expected, message",
     [
         (ValueError("target polyhedron is empty"), InapplicableError, r"^witness set \{x >= 0 \| Ax = b\} is empty$"),
-        (LpSizeError("over budget"), LpSizeError, "^over budget$"),
     ],
 )
 def test_hoffman_dual_maps_only_an_empty_witness_set_to_inapplicable(triangle, monkeypatch, error, expected, message):
@@ -303,3 +306,64 @@ def test_certify_radius_queries_the_seeded_ball_points(monkeypatch):
         assert np.array_equal(queried.pop(), np.array(expected))
         checked += 1
     assert checked >= 10
+
+
+def test_every_simplex_program_is_posed_in_the_rank_frame(monkeypatch):
+    # hull programs have at most rank + 1 rows, and an l1 distance adds n rows for its split
+    rows = []
+
+    def spied(solve):
+        return lambda objective, eq_matrix, eq_rhs: (rows.append(len(eq_matrix)), solve(objective, eq_matrix, eq_rhs))[1]
+
+    monkeypatch.setattr(linfeas.margins, "solve", spied(linfeas.margins.solve))  # representable
+    monkeypatch.setattr(linfeas.lp, "solve", spied(linfeas.lp.solve))  # dist_l1_to_polyhedron
+    deficient = 0
+    for inst, _ in mixed_instances(24, seed=42) + infeasible_instances(12):
+        report = margin_report(inst)
+        gamma = 0.5 * abs(report.rho_affine)
+        statements = [
+            lambda: gordan_decide(inst, 0.0, 1, report=report),
+            lambda: gordan_decide(inst, gamma, 2, report=report),
+            lambda: gordan_decide(inst, gamma, 3, report=report),
+            lambda: certify_meb(inst, report=report),
+            lambda: certify_radius(inst, report=report),
+            lambda: hoffman_dual(inst, np.zeros(inst.d), np.eye(inst.n)[0], report=report),
+            lambda: hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0), report=report),
+            lambda: hoffman_primal(inst, np.ones(inst.n), np.zeros(inst.d), report=report),
+        ]
+        rows.clear()
+        for statement in statements:
+            try:
+                statement()
+            except (IllPosedError, InapplicableError):
+                pass
+        for name, algorithm in (("np", perceptron_normalized), ("vng", vng)):
+            certificate, trace = algorithm(inst, AlgorithmConfig(max_iters=100))
+            build_run_summary(inst, report, name, "primal-feasibility", certificate, trace)
+        assert max(rows, default=0) <= inst.rank + 1 + inst.n, inst.name
+        deficient += inst.rank < inst.d and len(rows) > 0
+    assert deficient >= 5
+
+
+def _span_directions_one_at_a_time(instance, count, seed):
+    """The reference: each sample drawn, normed and lifted on its own."""
+    basis = instance.basis
+    dirs = [basis.basis[:, j] for j in range(basis.rank)] + [-basis.basis[:, j] for j in range(basis.rank)]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        z = rng.standard_normal(basis.rank)
+        if (norm := np.linalg.norm(z)) != 0.0:
+            dirs.append(basis.lift(z / norm))
+    return np.array(dirs)
+
+
+def test_ball_samples_and_residuals_match_one_sample_at_a_time():
+    for inst, _ in mixed_instances(40, seed=42) + negative_instances(20):
+        for seed in (0, 7, 1907):
+            expected = _span_directions_one_at_a_time(inst, 32, seed)
+            assert _span_directions(inst, 32, seed).tobytes() == expected.tobytes(), inst.name
+        report = margin_report(inst)
+        if report.rho_affine < -ZERO_BAND:
+            verdict = gordan_decide(inst, 0.5 * abs(report.rho_minus), 3, sample_seed=7, report=report)
+            residuals = [np.linalg.norm(combine(inst, p) - v) for v, p in verdict.ball_samples]
+            assert verdict.residuals.tobytes() == np.array(residuals).tobytes(), inst.name
