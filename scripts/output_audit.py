@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Byte audit of the oracle and certifier outputs of one source tree.
+
+Writes one JSON line per output: the call, the SHA-256 of its bytes and its
+numeric fields, flattened ("witness_direction[2]"; booleans as 0 and 1). The
+outputs are margin_report on four seeded batteries:
+
+- positive_instances(200, d_max=8, n_max=14)
+- negative_instances(100)
+- mixed_instances(300, seed=42)
+- the certify-lp shapes: d 2-4, n 5-9, two planted-negative and two
+  planted-positive instances each, seeds 700 up
+
+plus ``certify --theorem gordan3`` at gamma = |rho-|/2 and ``--theorem radius``
+on every instance whose report is negative past ZERO_BAND. A report that
+raises is recorded by its error's type and message, a certify call by its
+exit code and its standard output and error.
+
+The batteries come from this script's own tests/batteries.py and the library
+from TREE/src, so two trees are audited on the same instances. Run each tree
+in its own process, then compare:
+
+    python scripts/output_audit.py PARENT_TREE --out parent.jsonl
+    python scripts/output_audit.py . --out change.jsonl
+    python scripts/output_audit.py --compare parent.jsonl change.jsonl
+
+--compare prints, per field, how many outputs moved and the largest |delta|,
+and exits 1 when any output's bytes differ.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import re
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _batteries(first: int | None):
+    from batteries import mixed_instances, negative_instances, positive_instances
+
+    from linfeas.generators import GeneratorSpec, generate
+
+    certify_lp = []
+    shapes = [(d, n) for d in (2, 3, 4) for n in range(5, 10) if n > d + 1]
+    for idx, (d, n) in enumerate((shape for shape in shapes for _ in range(2))):
+        for kind, target in (("planted-negative", -0.5 / d), ("planted-positive", 0.2)):
+            certify_lp.append(generate(GeneratorSpec(kind=kind, d=d, n=n, target_margin=target, seed=700 + idx)))
+    batteries = {
+        "positive": positive_instances(200, d_max=8, n_max=14),
+        "negative": negative_instances(100),
+        "mixed": mixed_instances(300, seed=42),
+        "certify-lp": certify_lp,
+    }
+    return {label: [inst for inst, _ in battery[:first]] for label, battery in batteries.items()}
+
+
+def _flatten(value, key: str = "", out: dict | None = None) -> dict:
+    """The numeric leaves of a JSON value, keyed by their path."""
+    out = {} if out is None else out
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _flatten(v, f"{key}.{k}" if key else k, out)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _flatten(v, f"{key}[{i}]", out)
+    elif isinstance(value, (bool, int, float)):
+        out[key] = float(value)
+    return out
+
+
+def _line(call: str, text: str, fields: dict) -> str:
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return json.dumps({"call": call, "sha256": digest, "fields": fields}, sort_keys=True)
+
+
+def audit(tree: Path, first: int | None, out) -> None:
+    sys.path[:0] = [str(tree / "src"), str(REPO / "tests")]
+    from linfeas.cli import main
+    from linfeas.instance import save_instance
+    from linfeas.margins import ZERO_BAND, margin_report
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, battery in _batteries(first).items():
+            for inst in battery:
+                call = f"margin_report {label}/{inst.name}"
+                try:
+                    report = margin_report(inst).as_dict()
+                except ValueError as exc:
+                    print(_line(call, f"{type(exc).__name__}: {exc}", {}), file=out)
+                    continue
+                print(_line(call, json.dumps(report, sort_keys=True), _flatten(report)), file=out)
+                if not report["rho_affine"] < -ZERO_BAND:
+                    continue
+                path = save_instance(inst, Path(tmp) / f"{label}-{inst.name}.json")
+                gamma = repr(abs(report["rho_minus"]) / 2.0)
+                for args in (["--theorem", "gordan3", "--gamma", gamma], ["--theorem", "radius"]):
+                    stdout, stderr = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        code = main(["certify", str(path), *args, "--seed", "0"])
+                    text = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
+                    fields = _flatten(json.loads(stdout.getvalue())) if stdout.getvalue() else {}
+                    fields["exit"] = float(code)
+                    print(_line(f"certify {' '.join(args)} {label}/{inst.name}", text, fields), file=out)
+
+
+def _read(path: Path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return {row["call"]: row for row in map(json.loads, fh)}
+
+
+def compare(a: Path, b: Path) -> int:
+    left, right = _read(a), _read(b)
+    shared = [call for call in left if call in right]
+    moved_calls = [call for call in shared if left[call]["sha256"] != right[call]["sha256"]]
+    print(f"{len(shared)} outputs in both, {len(moved_calls)} with other bytes; "
+          f"{len(left) - len(shared)} only in {a}, {len(right) - len(shared)} only in {b}")
+    moved, largest = defaultdict(set), defaultdict(float)
+    for call in moved_calls:
+        x, y = left[call]["fields"], right[call]["fields"]
+        for key in x.keys() | y.keys():
+            u, v = x.get(key, math.nan), y.get(key, math.nan)
+            if u == v:
+                continue
+            field = re.sub(r"\[\d+\]", "[]", key)
+            moved[field].add(call)
+            delta = abs(u - v)
+            largest[field] = max(largest[field], math.inf if math.isnan(delta) else delta)
+    if moved:
+        print(f"{'field':<40} {'moved':>6} {'largest |delta|':>16}")
+        for field in sorted(moved):
+            print(f"{field:<40} {len(moved[field]):>6} {largest[field]:>16.3e}")
+    identical = not moved_calls and len(shared) == len(left) == len(right)
+    return 0 if identical else 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("tree", nargs="?", type=Path, help="source tree whose src/ holds the linfeas to audit")
+    parser.add_argument("--out", type=Path, help="JSON-lines file to write (default: standard output)")
+    parser.add_argument("--first", type=int, help="audit only the first N instances of each battery")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"), help="compare two audit files")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.tree is None:
+        parser.error("give a source tree to audit, or --compare A B")
+    if args.out is None:
+        audit(args.tree.resolve(), args.first, sys.stdout)
+    else:
+        with open(args.out, "w", encoding="utf-8") as out:
+            audit(args.tree.resolve(), args.first, out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,9 +3,11 @@
 Exit codes: 0 success or statement verified, 1 usage error, or standard
 output closed before the output was written (a reader such as head exited
 early; no traceback is printed), 2 a bound or certificate check failed (a
-genuine finding), 3 statement inapplicable, instance ill-posed, or a run to
-which no check applied, 4 a batch worker process ended without reporting its
-share.
+genuine finding), 3 statement inapplicable, instance ill-posed, a certify
+statement whose simplex broke down in rounding (lp.SimplexBreakdownError, a
+state exact arithmetic rules out, which columns far from unit length can
+provoke), or a run to which no check applied, 4 a batch worker process
+ended without reporting its share.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .algorithms import (
 )
 from .generators import GenerationError, GeneratorSpec, generate
 from .instance import ProblemInstance, SimplexPoint, load_instance, save_instance
+from .lp import SimplexBreakdownError
 from .margins import OracleError, margin_grid_estimate, margin_report
 from .reporting import RunSummary, build_run_summary
 from .theorems import (
@@ -359,6 +362,9 @@ def cmd_certify(args) -> int:
                 )
     except (IllPosedError, InapplicableError, OracleError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INAPPLICABLE
+    except SimplexBreakdownError as exc:  # rounding, which the columns' scale can provoke
+        print(f"{theorem}: the simplex broke down in rounding on these columns ({exc})", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except CertificateConstructionError as exc:
         print(str(exc), file=sys.stderr)

@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "LpSolution",
+    "SimplexBreakdownError",
     "solve",
     "dist_l1_to_polyhedron",
     "dist_l2_to_halfspaces",
@@ -39,6 +40,11 @@ EMPTY_TOL = 1e-20  # squared NNLS residual at or below this is rounding: the hal
 FEASIBILITY_TOL = 1e-9  # phase-1 infeasibility above this is real; a ratio step at or below it is degenerate
 REDUCED_COST_TOL = 1e-9  # a column enters only if its reduced cost is below minus this
 PIVOT_TOL = 1e-11  # a pivot entry must exceed this
+
+
+class SimplexBreakdownError(RuntimeError):
+    """Raised when the simplex reaches what exact arithmetic rules out: an unbounded phase 1, or no end
+    within the pivot budget. Only rounding gets it there, as on columns far from unit length."""
 
 
 class DegenerateFaceError(RuntimeError):
@@ -93,7 +99,7 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
                 bland = True
         _pivot(tableau, crow, row, col)
         basis[row] = col
-    raise RuntimeError("simplex did not terminate within the pivot budget")
+    raise SimplexBreakdownError("simplex did not terminate within the pivot budget")
 
 
 def _two_phase(A, b, c):
@@ -113,7 +119,7 @@ def _two_phase(A, b, c):
         crow -= tableau[i]  # basic artificial cost is 1
     threshold = 50 * (m + n + m)
     if _pivot_loop(tableau, basis, crow, n + m, threshold) != "optimal":
-        raise RuntimeError("phase-1 subproblem cannot be unbounded")
+        raise SimplexBreakdownError("phase-1 subproblem cannot be unbounded")
     if -crow[-1] > FEASIBILITY_TOL:
         return "infeasible", None, None
 

@@ -3,11 +3,13 @@
 The positive margin is the distance from the origin to the convex hull of
 the columns, found by one nonnegative least-squares program on [A; 1^T],
 each cycle of which is polynomial. The negative margin is the inradius of
-the hull about the origin inside the column span. Its facets come from the
-polar, by double description, so the cost follows the facet count and not
-C(n, r); an SVD side test on the column r-subsets near the nearest facets
-then gives the value, the normal and the tie-break that the same test gives
-over every r-subset (the reference enumeration in tests/oracles.py). A
+the hull about the origin inside the column span, found by an SVD side test
+on column r-subsets. At small shapes the test judges every r-subset in one
+batched pass, which costs less than any facet search there. Otherwise the
+facets come from the polar, by double description, so the cost follows the
+facet count and not C(n, r), and the test judges only the r-subsets near the
+nearest facets: it gives the value, the normal and the tie-break that it
+gives over every r-subset (the reference enumeration in tests/oracles.py). A
 quasi-uniform direction grid provides an independent low-rank cross-check,
 and the minimum enclosing ball comes out of the positive-margin witness in
 closed form.
@@ -15,8 +17,10 @@ closed form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -60,6 +64,9 @@ SIDE_TOL = 1e-9  # supporting-hyperplane side test (absolute)
 NORMAL_ROUNDING = 64.0 * np.finfo(float).eps
 POLAR_TOL = 1e-10  # double description: a row is tight on a ray within this share of the dot's magnitude
 POLAR_RANK_TOL = 1e-9  # rows tight on two rays span r - 1 dimensions when their (r-1)-th singular value exceeds it
+# the negative side judges every column r-subset, skipping the polar, when r C(n, r) is below this:
+# there the batched side test costs less than double description (crossover table in CHANGES.md)
+ENUMERATE_BELOW = 300
 
 
 class OracleError(ValueError):
@@ -238,6 +245,32 @@ def _polar_rays(coords: np.ndarray) -> np.ndarray:
     return rays
 
 
+@functools.lru_cache(maxsize=None)  # the crossover bounds the entries
+def _all_subsets(n: int, r: int) -> np.ndarray:
+    """Every r-subset of range(n) as a row, in lexicographic order; read-only, as it is shared."""
+    subsets = np.array(list(itertools.combinations(range(n), r)))
+    subsets.setflags(write=False)
+    return subsets
+
+
+def _near_facet_subsets(coords: np.ndarray, reach: float) -> np.ndarray:
+    """The column r-subsets near the polar's nearest facets, in lexicographic order; see _negative_margin_details."""
+    r, n = coords.shape
+    rays = _polar_rays(coords)
+    rays /= np.sqrt(np.einsum("ij,ij->i", rays[:, :r], rays[:, :r]))[:, None]  # unit facet normals
+    facet_dist = np.maximum(rays[:, r], 0.0)
+    slack = facet_dist[:, None] - rays[:, :r] @ coords  # (facets, n), >= 0 up to rounding
+    excess = facet_dist - facet_dist.min()
+    near = excess[:, None] + slack <= (r + 1) * (SIDE_TOL + ZERO_BAND) + POLAR_TOL * reach
+    count = near.sum(axis=1)
+    subsets = [np.nonzero(near[count == r])[1].reshape(-1, r)]  # a simplicial facet is one subset
+    for row in {tuple(np.flatnonzero(row)) for row in near[count > r]}:
+        subsets.append(np.array(list(itertools.combinations(row, r))))
+    subsets = np.vstack(subsets)
+    _, first = np.unique(subsets @ n ** np.arange(r - 1, -1, -1), return_index=True)  # lexicographic
+    return subsets[first]
+
+
 def _negative_margin_details(
     instance: ProblemInstance,
     basis: ColumnSpaceBasis,
@@ -247,15 +280,23 @@ def _negative_margin_details(
     The judge is an SVD side test on column r-subsets in lexicographic order:
     a subset's hyperplane is kept when it supports the hull within SIDE_TOL,
     and the first kept subset within 1e-12 of the least distance wins. Rank 1
-    judges every column. Rank >= 2 judges only the subsets near the nearest
-    facets, which come from the polar: a ray (y, s) of the cone
+    judges every column. At rank >= 2 the judge sees every r-subset when
+    r C(n, r) is below ENUMERATE_BELOW and the longest column lies in
+    [1/sqrt(2), sqrt(2)); there one batched pass costs less than the polar.
+    The second condition keeps the side test at the scale its absolute
+    tolerances (SIDE_TOL, the 1e-12 tie) were set for. On a triangle scaled by
+    1e9 the test rejects the nearest edge through rounding: judged over every
+    subset, it would return the second-nearest edge as the inradius, while the
+    polar offers only the nearest and the call raises NegativeMarginError.
+    Otherwise the judge sees only the subsets near the nearest facets, which
+    come from the polar: a ray (y, s) of the cone
     {a_j . y <= s, s >= 0} (_polar_rays) with s > 0 is the facet y . x = s at
     distance s / ||y||; one with s = 0 is a supporting hyperplane through the
     origin, at distance 0 (the origin on the boundary, or beyond it by at most
     ZERO_BAND, as margin_report asks only then). The judged subsets are the
     r-subsets of the columns whose slack to one facet, plus that facet's
     excess over the least facet distance, is at most (r + 1)(SIDE_TOL +
-    ZERO_BAND) and the polar's rounding.
+    ZERO_BAND) and the polar's rounding (_near_facet_subsets).
 
     No near-minimum is lost: the rays (u_k, d_k), ||u_k|| = 1, generate the
     point (v, h(v)) of the cone, where v is a kept subset's unit normal and
@@ -266,7 +307,7 @@ def _negative_margin_details(
     c_k, the facets' excesses plus the slacks of the r columns sum to at most
     the bound above, so one facet carries no more. The judge thus sees every
     subset it keeps as a near-minimum over all C(n, r): same value, winner,
-    tie-break and boundary_pass.
+    tie-break and boundary_pass on either side of the crossover.
     """
     _check_budget(instance)
     r = basis.rank
@@ -286,19 +327,11 @@ def _negative_margin_details(
         keep = violations <= SIDE_TOL
         cond = np.ones(2 * n)
     else:
-        rays = _polar_rays(coords)
-        rays /= np.sqrt(np.einsum("ij,ij->i", rays[:, :r], rays[:, :r]))[:, None]  # unit facet normals
-        facet_dist = np.maximum(rays[:, r], 0.0)
-        slack = facet_dist[:, None] - rays[:, :r] @ coords  # (facets, n), >= 0 up to rounding
-        excess = facet_dist - facet_dist.min()
-        near = excess[:, None] + slack <= (r + 1) * (SIDE_TOL + ZERO_BAND) + POLAR_TOL * reach
-        count = near.sum(axis=1)
-        subsets = [np.nonzero(near[count == r])[1].reshape(-1, r)]  # a simplicial facet is one subset
-        for row in {tuple(np.flatnonzero(row)) for row in near[count > r]}:
-            subsets.append(np.array(list(itertools.combinations(row, r))))
-        subsets = np.vstack(subsets)
-        _, first = np.unique(subsets @ n ** np.arange(r - 1, -1, -1), return_index=True)  # lexicographic
-        subsets = subsets[first]
+        longest = np.sqrt(np.einsum("ij,ij->j", instance.columns, instance.columns)).max()
+        if r * comb(n, r) < ENUMERATE_BELOW and 1.0 <= longest * np.sqrt(2.0) < 2.0:  # unit scale
+            subsets = _all_subsets(n, r)
+        else:
+            subsets = _near_facet_subsets(coords, reach)
         pts = np.moveaxis(coords[:, subsets], 0, 2)  # (count, r, r): rows are points
         diffs = pts[:, 1:, :] - pts[:, :1, :]  # (count, r-1, r)
         _, sing, vt = np.linalg.svd(diffs)

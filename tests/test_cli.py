@@ -622,6 +622,21 @@ def test_negative_side_failure_is_one_line(tmp_path, capsys, args):
     assert captured.err.splitlines() == [expected]
 
 
+def test_simplex_breakdown_in_certify_is_one_line(tmp_path, capsys):
+    # a rank-4 instance in R^5 at 1e-6: phase 1 of a ball point's membership program
+    # comes out unbounded in rounding, which exact arithmetic rules out
+    from batteries import mixed_instances
+
+    (inst,) = [inst for inst, _ in mixed_instances(60, seed=42) if inst.name == "rank-deficient-d5-n10-s84"]
+    path = save_instance(ingest((1e-6 * inst.columns.T).tolist(), normalize=False, name="tiny"), tmp_path / "tiny.json")
+    assert run_cli("certify", path, "--theorem", "gordan3", "--gamma", "2.36e-7") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "gordan3: the simplex broke down in rounding on these columns (phase-1 subproblem cannot be unbounded)"
+    ]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_negative_side_failure_leaves_runs_unchecked(tmp_path, triangle_path, capsys, monkeypatch, workers):
     def fail(instance, basis):

@@ -15,6 +15,7 @@ from oracles import (
 
 from batteries import mixed_instances, negative_instances, positive_instances
 
+import linfeas.margins
 from linfeas.generators import GeneratorSpec, generate
 from linfeas.instance import SimplexPoint, combine, ingest
 from linfeas.margins import (
@@ -434,12 +435,49 @@ def _report_json(inst) -> str:
 
 
 def _assert_matches_the_enumeration(inst) -> bool:
-    """The report is byte-identical to the one built on the enumeration of every r-subset; True on the negative side."""
-    from_facets = _report_json(inst)
+    """The report is byte-identical to the one built on the enumeration of every r-subset; True on the negative side.
+
+    The report is also built with the polar forced at every shape, so that
+    below the crossover, where the library judges every subset itself, the
+    polar's facets stay checked.
+    """
+    report = _report_json(inst)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("linfeas.margins.ENUMERATE_BELOW", 0)
+        assert _report_json(inst) == report
         mp.setattr("linfeas.margins._negative_margin_details", negative_margin_enumeration)
-        assert _report_json(inst) == from_facets
-    return '"method": "enumeration"' in from_facets
+        assert _report_json(inst) == report
+    return '"method": "enumeration"' in report
+
+
+def _polar_runs(inst) -> int:
+    """How many times the negative side of margin_report builds the polar on this instance."""
+    calls = []
+    polar = linfeas.margins._polar_rays
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("linfeas.margins._polar_rays", lambda coords: calls.append(None) or polar(coords))
+        try:
+            margin_report(inst)
+        except NegativeMarginError:
+            pass
+    return len(calls)
+
+
+def test_polar_runs_only_above_the_crossover_or_off_unit_scale():
+    # a unit-column certify-lp shape: r C(n, r) = 3 C(8, 3) = 168, below the crossover
+    small = generate(GeneratorSpec("planted-negative", 3, 8, -0.5 / 3, seed=7))[0]
+    assert margin_report(small).rho_minus < 0.0
+    assert _polar_runs(small) == 0
+    # a desk shape: 5 C(12, 5) = 3,960, above it
+    desk = generate(GeneratorSpec("planted-negative", 5, 12, -0.1, seed=7))[0]
+    assert margin_report(desk).rho_minus < 0.0
+    assert _polar_runs(desk) == 1
+    # three columns at 1e9: the side test's absolute tolerances do not hold at that scale
+    from test_cli import SCALED_TRIANGLE
+
+    assert _polar_runs(ingest(SCALED_TRIANGLE, normalize=False)) == 1
+    # the same triangle at unit scale is not
+    assert _polar_runs(ingest(SCALED_TRIANGLE, normalize=True)) == 0
 
 
 def _cross_polytopes_with_extra_columns():

@@ -1,6 +1,9 @@
-"""Smoke tests for the paper-figure scripts: small runs whose CSVs must respect the predicted rates."""
+"""Smoke tests for the scripts: small runs of the paper-figure experiments, whose CSVs must respect the
+predicted rates, and of the output audit."""
 
 import csv
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +11,9 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *args):
-    subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)], check=True, capture_output=True)
+def run_script(name, *args, check=True):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)], check=check, capture_output=True,
+                          text=True)
 
 
 def read_rows(path):
@@ -30,3 +34,20 @@ def test_contraction_experiment_beats_the_predicted_factor(tmp_path):
     rows = read_rows(out)
     assert len(rows) == 2
     assert all(float(row["worst_observed"]) <= float(row["predicted_factor"]) for row in rows)
+
+
+def test_output_audit_flags_a_moved_field(tmp_path):
+    audit = tmp_path / "audit.jsonl"
+    run_script("output_audit.py", SCRIPTS.parent, "--first", 2, "--out", audit)
+    rows = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+    assert {row["call"].split()[0] for row in rows} == {"margin_report", "certify"}
+    same = run_script("output_audit.py", "--compare", audit, audit, check=False)
+    assert same.returncode == 0, same.stdout
+    rows[0]["sha256"] = "0" * 64  # one field one ulp off
+    rows[0]["fields"]["rho_affine"] = math.nextafter(rows[0]["fields"]["rho_affine"], math.inf)
+    moved = tmp_path / "moved.jsonl"
+    moved.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    result = run_script("output_audit.py", "--compare", audit, moved, check=False)
+    assert result.returncode == 1
+    field, moved_count, delta = result.stdout.splitlines()[-1].split()
+    assert (field, moved_count) == ("rho_affine", "1") and 0.0 < float(delta) < 1e-15
