@@ -11,10 +11,17 @@ outputs are margin_report on four seeded batteries:
 - the certify-lp shapes: d 2-4, n 5-9, two planted-negative and two
   planted-positive instances each, seeds 700 up
 
-plus ``certify --theorem gordan3`` at gamma = |rho-|/2 and ``--theorem radius``
-on every instance whose report is negative past ZERO_BAND. A report that
-raises is recorded by its error's type and message, a certify call by its
-exit code and its standard output and error.
+plus ``linfeas certify`` with the CLI's defaults where no value is named:
+
+- on every instance: ``gordan1``, and ``gordan2`` at gamma = |rho|/2
+- on every instance whose report is negative past ZERO_BAND: ``gordan3`` at
+  gamma = |rho-|/2, ``radius``, ``hoffman-dual``, ``hoffman-simplex`` and
+  ``meb``
+- on every instance whose report is positive past ZERO_BAND:
+  ``hoffman-primal`` and ``meb``
+
+A report that raises is recorded by its error's type and message, a certify
+call by its exit code and its standard output and error.
 
 The batteries come from this script's own tests/batteries.py and the library
 from TREE/src, so two trees are audited on the same instances. Run each tree
@@ -81,6 +88,19 @@ def _line(call: str, text: str, fields: dict) -> str:
     return json.dumps({"call": call, "sha256": digest, "fields": fields}, sort_keys=True)
 
 
+def _certify_args(report: dict, zero_band: float) -> list[list[str]]:
+    """The certify argument lists audited on an instance with this margin report."""
+    rho = report["rho_affine"]
+    calls = [["--theorem", "gordan1"], ["--theorem", "gordan2", "--gamma", repr(abs(rho) / 2.0)]]
+    if rho < -zero_band:
+        gamma = repr(abs(report["rho_minus"]) / 2.0)
+        calls += [["--theorem", "gordan3", "--gamma", gamma]]
+        calls += [["--theorem", theorem] for theorem in ("radius", "hoffman-dual", "hoffman-simplex", "meb")]
+    elif rho > zero_band:
+        calls += [["--theorem", theorem] for theorem in ("hoffman-primal", "meb")]
+    return calls
+
+
 def audit(tree: Path, first: int | None, out) -> None:
     sys.path[:0] = [str(tree / "src"), str(REPO / "tests")]
     from linfeas.cli import main
@@ -97,14 +117,11 @@ def audit(tree: Path, first: int | None, out) -> None:
                     print(_line(call, f"{type(exc).__name__}: {exc}", {}), file=out)
                     continue
                 print(_line(call, json.dumps(report, sort_keys=True), _flatten(report)), file=out)
-                if not report["rho_affine"] < -ZERO_BAND:
-                    continue
                 path = save_instance(inst, Path(tmp) / f"{label}-{inst.name}.json")
-                gamma = repr(abs(report["rho_minus"]) / 2.0)
-                for args in (["--theorem", "gordan3", "--gamma", gamma], ["--theorem", "radius"]):
+                for args in _certify_args(report, ZERO_BAND):
                     stdout, stderr = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        code = main(["certify", str(path), *args, "--seed", "0"])
+                        code = main(["certify", str(path), *args])
                     text = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
                     fields = _flatten(json.loads(stdout.getvalue())) if stdout.getvalue() else {}
                     fields["exit"] = float(code)

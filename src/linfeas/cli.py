@@ -117,7 +117,6 @@ def _grid_resolution(text: str) -> int:
 
 _SHARED_FLAGS = {
     "--seed": dict(type=int, default=0),
-    "--tol-rank": dict(type=_positive_float, default=None, help="rank cutoff override"),
     "--out-dir": dict(type=Path, default=Path("out")),
     "--max-iters": dict(type=int, default=10_000),
     "--eps": dict(type=float, default=0.1),
@@ -136,7 +135,7 @@ def _command(sub, name: str, about: str, shared: tuple[str, ...]) -> _Parser:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="linfeas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    solver_flags = ("--tol-rank", "--out-dir", "--max-iters", "--eps", "--dump-alpha")
+    solver_flags = ("--out-dir", "--max-iters", "--eps", "--dump-alpha")
 
     gen = _command(sub, "gen", "generate an instance with a planted margin", ("--seed", "--out-dir"))
     gen.add_argument("--kind", required=True, choices=("planted-positive", "planted-negative", "near-ill-posed", "rank-deficient"))
@@ -146,9 +145,10 @@ def _build_parser() -> _Parser:
     gen.add_argument("--jitter", type=float, default=0.0)
     gen.add_argument("--out", type=Path, default=None, help="output path (default under --out-dir)")
 
-    margin = _command(sub, "margin", "margin report for an instance", ("--tol-rank", "--eps"))
+    margin = _command(sub, "margin", "margin report for an instance", ("--eps",))
     margin.add_argument("instance", type=Path)
     margin.add_argument("--method", choices=("exact", "grid", "iterative"), default="exact")
+    margin.add_argument("--tol-rank", type=_positive_float, default=None, help="rank cutoff override (--method exact)")
     margin.add_argument("--resolution", type=_grid_resolution, default=4096)
 
     run = _command(sub, "run", "run an algorithm, write trace and summary", solver_flags)
@@ -156,7 +156,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
     run.add_argument("--mode", default="primal-feasibility", choices=MODES)
 
-    certify = _command(sub, "certify", "verify a statement on an instance", ("--seed", "--tol-rank"))
+    certify = _command(sub, "certify", "verify a statement on an instance", ("--seed",))
     certify.add_argument("instance", type=Path)
     certify.add_argument("--theorem", required=True, choices=THEOREMS)
     certify.add_argument("--gamma", type=_nonnegative_float, default=0.0)
@@ -231,6 +231,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_margin(args) -> int:
+    if args.tol_rank is not None and args.method != "exact":  # only the exact oracle takes a rank cutoff
+        raise _UsageError(f"--tol-rank applies only to --method exact, not --method {args.method}")
     instance = _load(args.instance)
     if args.method == "exact":
         try:
@@ -277,7 +279,6 @@ def _run_one(
     max_iters: int,
     out_dir: Path,
     dump_alpha: bool,
-    rank_tol: float | None = None,
 ) -> list[tuple[RunSummary, Path]]:
     """Run each algorithm on one instance, loaded and measured by the exact oracle once."""
     instance = _load(instance_path)
@@ -290,7 +291,7 @@ def _run_one(
     except ValueError as exc:
         raise InapplicableError(f"{instance_path}: {exc}") from exc
     try:
-        report = margin_report(instance, rank_tol=rank_tol)
+        report = margin_report(instance)
     except OracleError:
         report = None  # summaries still written, oracle checks skipped
     runs = []
@@ -320,7 +321,6 @@ def cmd_run(args) -> int:
         args.max_iters,
         args.out_dir,
         args.dump_alpha,
-        args.tol_rank,
     )
     _emit(summary.as_dict())
     print(f"summary: {summary_path}", file=sys.stderr)
@@ -330,36 +330,29 @@ def cmd_run(args) -> int:
 def cmd_certify(args) -> int:
     instance = _load(args.instance)
     n, d = instance.n, instance.d
-    # each statement checks its inputs before it asks for the report, so a malformed
-    # input costs no oracle call
-    oracle = functools.partial(margin_report, instance, rank_tol=args.tol_rank)
     theorem = args.theorem
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if theorem.startswith("gordan"):
                 result = gordan_decide(
-                    instance, args.gamma, int(theorem[-1]), sample_seed=args.seed, samples=args.samples, report=oracle
+                    instance, args.gamma, int(theorem[-1]), sample_seed=args.seed, samples=args.samples
                 )
             elif theorem == "meb":
-                result = certify_meb(instance, report=oracle)
+                result = certify_meb(instance)
             elif theorem == "radius":
-                result = certify_radius(instance, sample_seed=args.seed, samples=args.samples, report=oracle)
+                result = certify_radius(instance, sample_seed=args.seed, samples=args.samples)
             elif theorem == "hoffman-dual":
                 b = _parse_vector(args.b, d, "b")
                 x = _parse_vector(args.x, n, "x")
-                result = hoffman_dual(
-                    instance, np.zeros(d) if b is None else b, np.eye(n)[0] if x is None else x, report=oracle
-                )
+                result = hoffman_dual(instance, np.zeros(d) if b is None else b, np.eye(n)[0] if x is None else x)
             elif theorem == "hoffman-simplex":
                 p = _parse_vector(args.p, n, "p")
                 point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
-                result = hoffman_simplex(instance, point, report=oracle)
+                result = hoffman_simplex(instance, point)
             else:
                 c = _parse_vector(args.c, n, "c")
                 w = _parse_vector(args.w, d, "w")
-                result = hoffman_primal(
-                    instance, np.ones(n) if c is None else c, np.zeros(d) if w is None else w, report=oracle
-                )
+                result = hoffman_primal(instance, np.ones(n) if c is None else c, np.zeros(d) if w is None else w)
     except (IllPosedError, InapplicableError, OracleError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
@@ -382,8 +375,7 @@ class _WorkerDied(Exception):
 
 
 def _batch_worker(task) -> list[tuple[str, str, str]]:
-    path, algorithms, mode, eps, max_iters, out_dir, dump_alpha, rank_tol = task
-    runs = _run_one(path, algorithms, mode, eps, max_iters, out_dir, dump_alpha, rank_tol)
+    runs = _run_one(*task)
     return [(summary.instance_name, summary.algorithm, summary.verdict) for summary, _ in runs]
 
 
@@ -473,10 +465,7 @@ def cmd_batch(args) -> int:
     if unknown:
         raise _UsageError(f"unknown algorithms: {unknown}")
     # one task per instance: a process loads and measures its instance once for all algorithms
-    tasks = [
-        (path, algorithms, args.mode, args.eps, args.max_iters, args.out_dir, args.dump_alpha, args.tol_rank)
-        for path in paths
-    ]
+    tasks = [(path, algorithms, args.mode, args.eps, args.max_iters, args.out_dir, args.dump_alpha) for path in paths]
     per_instance = _run_shares(tasks, min(args.workers, len(tasks)))
     results = [row for rows in per_instance for row in rows]
     for name, algo, verdict in results:

@@ -38,6 +38,11 @@ __all__ = [
 # Entries this close to zero are clamped so support sets are deterministic.
 WEIGHT_CLAMP = 1e-12
 
+# SimplexPoint.from_approximate clamps entries in [-REPAIR_TOL, 0) and refuses lower ones;
+# has_unit_columns accepts column lengths within UNIT_NORM_TOL of 1.
+REPAIR_TOL = 1e-9
+UNIT_NORM_TOL = 1e-9
+
 # Default relative cutoff for the numerical rank of the column span.
 RANK_TOL_SCALE = 1e-10
 
@@ -129,14 +134,14 @@ class SimplexPoint:
         return cls(w)
 
     @classmethod
-    def from_approximate(cls, weights: Iterable[float], tol: float = 1e-9) -> "SimplexPoint":
+    def from_approximate(cls, weights: Iterable[float]) -> "SimplexPoint":
         """Build a point from slightly-off weights (e.g. LP output or iterate drift).
 
-        Entries in [-tol, 0) are clamped and the vector is renormalized; anything
-        worse than ``tol`` is still rejected. This is simplex_rows on one row.
+        Entries in [-REPAIR_TOL, 0) are clamped and the vector is renormalized;
+        anything lower is still rejected. This is simplex_rows on one row.
         """
         w = list(weights) if not isinstance(weights, np.ndarray) else weights
-        return cls._from_row(cls._one_row(w, tol))
+        return cls._from_row(cls._one_row(w, REPAIR_TOL))
 
     @property
     def n(self) -> int:
@@ -226,9 +231,9 @@ class ProblemInstance:
     def rank(self) -> int:
         return self.basis.rank
 
-    def has_unit_columns(self, tol: float = 1e-9) -> bool:
+    def has_unit_columns(self) -> bool:
         norms = np.linalg.norm(self.columns, axis=0)
-        return bool(np.all(np.abs(norms - 1.0) <= tol))
+        return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
 
 
 def _compute_basis(columns: np.ndarray, tol: float) -> ColumnSpaceBasis:

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .instance import (
+    REPAIR_TOL,
     ColumnSpaceBasis,
     PrimalDirection,
     ProblemInstance,
@@ -58,6 +60,8 @@ ZERO_BAND = 1e-9
 ENUMERATION_BUDGET = 14
 
 SIDE_TOL = 1e-9  # supporting-hyperplane side test (absolute)
+
+GRID_BLOCK = 65536  # directions margin_grid_estimate scores at once
 
 # first-order relative error of the SVD step's normal, per unit condition number and r^2;
 # times the reach of the columns it bounds the rounding in the SVD step's side test
@@ -399,18 +403,22 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
     )
 
 
-def _sphere_grid(resolution: int) -> np.ndarray:
-    """Quasi-uniform unit grid on S^2: ring construction, ~resolution points per angle."""
-    rings = []
+def _sphere_grid(resolution: int) -> Iterator[np.ndarray]:
+    """Quasi-uniform unit grid on S^2 (rings, ~resolution points per angle), stacked one GRID_BLOCK at a time."""
+    pending, held = [], 0
     for j in range(resolution):
         polar = np.pi * (j + 0.5) / resolution
         count = max(1, int(round(resolution * np.sin(polar))))
         azimuth = 2.0 * np.pi * np.arange(count) / count
         sp, cp = np.sin(polar), np.cos(polar)
-        rings.append(
-            np.column_stack([sp * np.cos(azimuth), sp * np.sin(azimuth), np.full(count, cp)])
-        )
-    return np.vstack(rings)
+        pending.append(np.column_stack([sp * np.cos(azimuth), sp * np.sin(azimuth), np.full(count, cp)]))
+        held += count
+        while held >= GRID_BLOCK:
+            stacked = np.vstack(pending)
+            yield stacked[:GRID_BLOCK]
+            pending, held = [stacked[GRID_BLOCK:]], held - GRID_BLOCK
+    if held:
+        yield np.vstack(pending)
 
 
 def margin_grid_estimate(instance: ProblemInstance, resolution: int) -> float:
@@ -427,17 +435,14 @@ def margin_grid_estimate(instance: ProblemInstance, resolution: int) -> float:
         raise ValueError(f"grid estimate supports rank <= 3, instance has rank {rank}")
     coords = instance.basis.coordinates(instance.columns)  # (rank, n)
     if rank == 1:
-        grid = np.array([[1.0], [-1.0]])
+        blocks = [np.array([[1.0], [-1.0]])]
     elif rank == 2:
         angles = 2.0 * np.pi * np.arange(resolution) / resolution
         grid = np.column_stack([np.cos(angles), np.sin(angles)])
+        blocks = (grid[start : start + GRID_BLOCK] for start in range(0, resolution, GRID_BLOCK))
     else:
-        grid = _sphere_grid(resolution)
-    best = -np.inf
-    for start in range(0, grid.shape[0], 65536):
-        block = grid[start : start + 65536]
-        best = max(best, float((block @ coords).min(axis=1).max()))
-    return best
+        blocks = _sphere_grid(resolution)
+    return max(float((block @ coords).min(axis=1).max()) for block in blocks)
 
 
 def minimum_enclosing_ball(instance: ProblemInstance, report: MarginReport | None = None) -> BallReport:
@@ -535,7 +540,7 @@ def representable(instance: ProblemInstance, points: np.ndarray) -> list[Simplex
 def _accepted(columns: np.ndarray, points: np.ndarray, weights: np.ndarray) -> list[SimplexPoint | None]:
     """Row i of a (k, n) weight block as a SimplexPoint when simplex_rows accepts it under
     from_approximate's rules and ||columns @ p - points[i]|| <= 1e-9, else None; in one pass."""
-    rows, faults = simplex_rows(weights, repair=1e-9)
+    rows, faults = simplex_rows(weights, repair=REPAIR_TOL)
     with np.errstate(invalid="ignore", over="ignore"):  # a refused row may hold NaN or inf
         residuals = np.sqrt(np.square((rows[:, None, :] * columns).sum(axis=2) - points).sum(axis=1))
     return [

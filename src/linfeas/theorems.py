@@ -9,12 +9,14 @@ then decides which side of its statement holds using the exact margin oracle,
 constructs the witness object the statement promises and reports its
 residuals, so a claim never rests on the oracle alone. Every result has
 ``verified`` and ``as_dict()``. Every distance bound is cross-checked against
-the exact l1 or l2 distance from the LP module.
+the exact l1 or l2 distance from the LP module. The margin is taken at the
+instance's default rank cutoff, the one the rank frame, the ball samples and
+the span test read, so a statement and its checks share one rank; a
+``report`` passed in should be ``margin_report(instance)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +45,12 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-9
 
-ReportSource = MarginReport | Callable[[], MarginReport] | None
+ReportSource = MarginReport | None
 
 
 def _measured(instance: ProblemInstance, report: ReportSource) -> MarginReport:
-    """The report passed, the one a passed callable computes, or a fresh one; asked for after the input checks."""
-    if report is None:
-        return margin_report(instance)
-    return report() if callable(report) else report
+    """The report passed, or a fresh one; asked for after the input checks."""
+    return margin_report(instance) if report is None else report
 
 
 def _floats(values: np.ndarray) -> list[float]:
@@ -220,8 +220,7 @@ def gordan_decide(
     ``ball_samples`` weights are a basic feasible solution for each point but
     not always the one a fresh simplex would pick. Gamma must satisfy
     0 <= gamma < inf. A ``report`` computed earlier can be passed to skip the
-    oracle, or a callable that computes it, called only once the inputs pass
-    their checks.
+    oracle.
     """
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")

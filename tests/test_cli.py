@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import linfeas.cli
 import linfeas.margins
+import linfeas.theorems
 from linfeas.cli import main
 from linfeas.instance import IngestError, ingest, instance_from_dict, load_instance, save_instance
 
@@ -382,29 +383,6 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
 
 
-def test_batch_forwards_rank_tolerance(tmp_path, capsys):
-    inst_dir = tmp_path / "instances"
-    path = inst_dir / "neg.json"
-    run_cli(
-        "gen", "--kind", "planted-negative", "--d", "3", "--n", "6",
-        "--target", "-0.3", "--seed", "0", "--out", path,
-    )
-    run_cli(
-        "run", path, "--algorithm", "np", "--mode", "margin-maximization",
-        "--tol-rank", "1e-3", "--out-dir", tmp_path / "run",
-    )
-    code = run_cli(
-        "batch", "--instances", inst_dir, "--algorithms", "np",
-        "--tol-rank", "1e-3", "--out-dir", tmp_path / "batch",
-    )
-    assert code == 0
-    capsys.readouterr()
-    for out_dir in ("run", "batch"):
-        (summary,) = (tmp_path / out_dir).glob("*.summary.json")
-        oracle = json.loads(summary.read_text())["oracle"]
-        assert oracle["rank_tolerance"] == 0.001
-
-
 @pytest.fixture
 def mixed_dir(tmp_path):
     """Positive, negative and rank-deficient instances, and one above the oracle's budget."""
@@ -479,7 +457,7 @@ def test_certify_refuses_bad_statement_inputs_before_the_oracle(triangle_path, c
     def refuse(*_args, **_kwargs):
         raise AssertionError("the oracle ran for a malformed input")
 
-    monkeypatch.setattr(linfeas.cli, "margin_report", refuse)
+    monkeypatch.setattr(linfeas.theorems, "margin_report", refuse)
     assert run_cli("certify", triangle_path, *args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -550,8 +528,38 @@ def test_bad_rank_tolerance_is_usage_error(tmp_path, triangle_path, capsys, comm
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: argument --tol-rank: must be a finite positive number, got '{value}'"
+        if command == "margin"  # the only command with a rank cutoff; the others take no --tol-rank at all
+        else f"error: unrecognized arguments: --tol-rank {value}"
     ]
     assert not out_dir.exists()  # refused before any work
+
+
+@pytest.fixture
+def thin_heptagon_path(tmp_path):
+    """Seven unit columns near a plane: rank 3 at the default cutoff, rank 2 at a cutoff of 1e-3."""
+    rng = np.random.default_rng(3)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
+    z = 1e-5 * rng.standard_normal(7)
+    inst = ingest(np.column_stack([np.cos(angles), np.sin(angles), z]).tolist(), normalize=True, name="heptagon")
+    return save_instance(inst, tmp_path / "heptagon.json")
+
+
+def test_margin_forwards_rank_tolerance(thin_heptagon_path, capsys):
+    assert run_cli("margin", thin_heptagon_path) == 0
+    default = read_json(capsys)
+    assert (default["rank"], default["rank_tolerance"]) == (3, 1e-10)
+    assert run_cli("margin", thin_heptagon_path, "--tol-rank", "1e-3") == 0
+    coarse = read_json(capsys)
+    assert (coarse["rank"], coarse["rank_tolerance"]) == (2, 0.001)
+    assert coarse["rho_affine"] < default["rho_affine"] < 0.0
+
+
+@pytest.mark.parametrize("method", ["grid", "iterative"])
+def test_rank_tolerance_with_a_method_that_ignores_it_is_usage_error(triangle_path, capsys, method):
+    assert run_cli("margin", triangle_path, "--method", method, "--tol-rank", "1e-3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --tol-rank applies only to --method exact, not --method {method}"]
 
 
 @pytest.mark.parametrize(
@@ -655,18 +663,6 @@ def test_negative_side_failure_leaves_runs_unchecked(tmp_path, triangle_path, ca
     summaries = sorted((tmp_path / "runs").glob("*.summary.json"))
     assert len(summaries) == 4
     assert all(json.loads(path.read_text())["oracle"] is None for path in summaries)
-
-
-def test_certify_forwards_rank_tolerance(tmp_path, capsys):
-    path = tmp_path / "rd.json"
-    run_cli(
-        "gen", "--kind", "rank-deficient", "--d", "3", "--n", "6",
-        "--target", "-0.3", "--seed", "4", "--out", path,
-    )
-    capsys.readouterr()
-    code = run_cli("certify", path, "--theorem", "gordan2", "--gamma", "0.1", "--tol-rank", "1e-3")
-    assert code == 0
-    assert read_json(capsys)["margin"]["rank_tolerance"] == 0.001
 
 
 @pytest.fixture
@@ -797,9 +793,9 @@ def test_nan_eps_is_usage_error(tmp_path, axes_unit_path, capsys, command):
 _UNREAD_FLAGS = {
     "gen": ("--tol-rank", "--max-iters", "--eps", "--dump-alpha"),
     "margin": ("--seed", "--out-dir", "--max-iters", "--dump-alpha"),
-    "certify": ("--out-dir", "--max-iters", "--eps", "--dump-alpha"),
-    "run": ("--seed",),
-    "batch": ("--seed",),
+    "certify": ("--tol-rank", "--out-dir", "--max-iters", "--eps", "--dump-alpha"),
+    "run": ("--seed", "--tol-rank"),
+    "batch": ("--seed", "--tol-rank"),
     "report": ("--seed", "--tol-rank", "--max-iters", "--eps", "--dump-alpha"),
 }
 _FLAG_VALUES = {"--seed": "1", "--tol-rank": "1e-3", "--out-dir": "out", "--max-iters": "5", "--eps": "3"}
@@ -941,7 +937,7 @@ def test_report_lists_an_unchecked_run(tmp_path, capsys):
 
 def _skewed_oracle(monkeypatch, **shift):
     """Make certify's oracle return its exact report with the named fields mapped through the given functions."""
-    original = linfeas.cli.margin_report
+    original = linfeas.theorems.margin_report
 
     def skewed(instance, *args, **kwargs):
         report = original(instance, *args, **kwargs)
@@ -949,7 +945,7 @@ def _skewed_oracle(monkeypatch, **shift):
             setattr(report, field, change(getattr(report, field)))
         return report
 
-    monkeypatch.setattr(linfeas.cli, "margin_report", skewed)
+    monkeypatch.setattr(linfeas.theorems, "margin_report", skewed)
 
 
 def test_certify_meb_fails_on_a_moved_rho_plus(axes_unit_path, capsys, monkeypatch):
@@ -973,7 +969,7 @@ def test_certify_meb_refuses_non_unit_columns_before_the_oracle(tmp_path, capsys
     def refuse(*_args, **_kwargs):
         raise AssertionError("the oracle ran for an instance meb refuses")
 
-    monkeypatch.setattr(linfeas.cli, "margin_report", refuse)
+    monkeypatch.setattr(linfeas.theorems, "margin_report", refuse)
     path = tmp_path / "scaled.json"
     path.write_text('{"columns": [[2, 0], [0, 1]], "normalize": false}')
     assert run_cli("certify", path, "--theorem", "meb") == 3

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,29 @@ def test_grid_estimate_rank_three_vs_exact():
         grid = margin_grid_estimate(inst, resolution)
         assert grid <= exact + 1e-9
         assert grid >= exact - 2.0 * np.pi / resolution
+
+
+def test_grid_estimate_memory_stays_at_a_block():
+    rng = np.random.default_rng(2)
+    inst = ingest(rng.standard_normal((6, 3)).tolist(), normalize=True)
+    assert inst.rank == 3
+    tracemalloc.start()
+    try:
+        estimate = margin_grid_estimate(inst, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20  # the whole grid is about 2.7M directions, 64 MB
+    rings = []  # the grid built whole, ring by ring
+    for j in range(2048):
+        polar = np.pi * (j + 0.5) / 2048
+        count = max(1, int(round(2048 * np.sin(polar))))
+        azimuth = 2.0 * np.pi * np.arange(count) / count
+        rings.append(np.column_stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                                      np.full(count, np.cos(polar))]))
+    grid = np.vstack(rings)
+    assert np.array_equal(np.vstack(list(linfeas.margins._sphere_grid(2048))), grid)
+    assert estimate == float((grid @ inst.basis.coordinates(inst.columns)).min(axis=1).max())
 
 
 def test_grid_estimate_rejects_high_rank():

@@ -263,15 +263,17 @@ def test_certify_meb_on_both_sides(axes, triangle):
     assert unit.verified and unit.ball.radius == 1.0
 
 
-def test_certify_meb_and_radius_check_inputs_before_the_oracle(axes):
-    def refuse():
+def test_certify_meb_and_radius_check_inputs_before_the_oracle(axes, monkeypatch):
+    def refuse(*_args, **_kwargs):
         raise AssertionError("the oracle ran for an input the statement refuses")
 
+    monkeypatch.setattr(linfeas.theorems, "margin_report", refuse)
     scaled = ingest([[2.0, 0.0], [0.0, 1.0]], normalize=False)
     with pytest.raises(InapplicableError, match="requires unit columns"):
-        certify_meb(scaled, report=refuse)
+        certify_meb(scaled)
     with pytest.raises(ValueError, match="samples"):
-        certify_radius(axes, samples=0, report=refuse)
+        certify_radius(axes, samples=0)
+    monkeypatch.undo()
     with pytest.raises(InapplicableError, match="strictly negative margin"):
         certify_radius(axes)
 
