@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte audit of the oracle and certifier outputs of one source tree.
+"""Byte audit of the oracle, certifier and solver outputs of one source tree.
 
 Writes one JSON line per output: the call, the SHA-256 of its bytes and its
 numeric fields, flattened ("witness_direction[2]"; booleans as 0 and 1). The
@@ -20,8 +20,17 @@ plus ``linfeas certify`` with the CLI's defaults where no value is named:
 - on every instance whose report is positive past ZERO_BAND:
   ``hoffman-primal`` and ``meb``
 
+and, on the first three instances of each battery, ``linfeas run`` with each
+algorithm in each mode, and ``linfeas batch`` of all three algorithms over
+those instances in each mode, both with ``--max-iters 100 --dump-alpha``.
+
 A report that raises is recorded by its error's type and message, a certify
-call by its exit code and its standard output and error.
+call by its exit code and its standard output and error, a run by its exit
+code and standard output (its standard error names a temporary path), and a
+batch by its exit code and standard output and error. Every summary, alpha
+dump and trace CSV that a run or batch writes is recorded too, keyed by
+command, mode, instance and algorithm; its fields are a summary's or dump's
+numbers, or a trace's cells by column ("norm_w[3]").
 
 The batteries come from this script's own tests/batteries.py and the library
 from TREE/src, so two trees are audited on the same instances. Run each tree
@@ -37,6 +46,7 @@ and exits 1 when any output's bytes differ.
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -48,6 +58,10 @@ from collections import defaultdict
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+RUN_INSTANCES = 3  # per battery, the instances whose run and batch outputs are audited
+RUN_ALGORITHMS = ("classic", "np", "vng")
+RUN_FLAGS = ["--max-iters", "100", "--dump-alpha"]
 
 
 def _batteries(first: int | None):
@@ -101,6 +115,58 @@ def _certify_args(report: dict, zero_band: float) -> list[list[str]]:
     return calls
 
 
+def _cli(main, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(arg) for arg in argv])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _json_fields(stdout: str, code: int) -> dict:
+    fields = _flatten(json.loads(stdout)) if stdout else {}
+    fields["exit"] = float(code)
+    return fields
+
+
+def _file_fields(path: Path) -> dict:
+    """A written file's numbers: a JSON file's leaves, or a trace CSV's cells by column."""
+    if path.suffix == ".json":
+        return _flatten(json.loads(path.read_text(encoding="utf-8")))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return {f"{column}[{i}]": float(cell) for i, row in enumerate(rows) for column, cell in row.items()}
+
+
+def _written(command: str, mode: str, out_dir: Path, out) -> None:
+    """Record each file under out_dir, named STEM__ALGORITHM__DIGEST.KIND; the digest hashes a temporary path."""
+    for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():  # none when every call failed early
+        stem, algorithm, rest = path.name.split("__")
+        call = f"{command} {mode} {stem} {algorithm} {rest.split('.', 1)[1]}"
+        print(_line(call, path.read_bytes().decode("utf-8"), _file_fields(path)), file=out)
+
+
+def _audit_solvers(main, paths: list[Path], tmp: Path, out) -> None:
+    """run and batch on every instance in paths (one directory), with every algorithm and mode."""
+    from linfeas.algorithms import MODES
+
+    for mode in MODES:
+        run_dir, batch_dir = tmp / "run" / mode, tmp / "batch" / mode
+        for path in paths:
+            for algorithm in RUN_ALGORITHMS:
+                argv = ["run", path, "--algorithm", algorithm, "--mode", mode, "--out-dir", run_dir, *RUN_FLAGS]
+                code, stdout, _ = _cli(main, argv)
+                print(_line(f"run {mode} {path.stem} {algorithm}", f"exit {code}\n{stdout}",
+                            _json_fields(stdout, code)), file=out)
+        argv = ["batch", "--instances", paths[0].parent, "--algorithms", ",".join(RUN_ALGORITHMS), "--mode", mode,
+                "--out-dir", batch_dir, *RUN_FLAGS]
+        code, stdout, stderr = _cli(main, argv)
+        text = f"exit {code}\n{stdout}{stderr.replace(str(tmp), '<tmp>')}"
+        print(_line(f"batch {mode}", text, {"exit": float(code)}), file=out)
+        _written("run", mode, run_dir, out)
+        _written("batch", mode, batch_dir, out)
+
+
 def audit(tree: Path, first: int | None, out) -> None:
     sys.path[:0] = [str(tree / "src"), str(REPO / "tests")]
     from linfeas.cli import main
@@ -108,6 +174,8 @@ def audit(tree: Path, first: int | None, out) -> None:
     from linfeas.margins import ZERO_BAND, margin_report
 
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        solver_paths = []
         for label, battery in _batteries(first).items():
             for inst in battery:
                 call = f"margin_report {label}/{inst.name}"
@@ -117,15 +185,14 @@ def audit(tree: Path, first: int | None, out) -> None:
                     print(_line(call, f"{type(exc).__name__}: {exc}", {}), file=out)
                     continue
                 print(_line(call, json.dumps(report, sort_keys=True), _flatten(report)), file=out)
-                path = save_instance(inst, Path(tmp) / f"{label}-{inst.name}.json")
+                path = save_instance(inst, tmp / "instances" / f"{label}-{inst.name}.json")
                 for args in _certify_args(report, ZERO_BAND):
-                    stdout, stderr = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        code = main(["certify", str(path), *args])
-                    text = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
-                    fields = _flatten(json.loads(stdout.getvalue())) if stdout.getvalue() else {}
-                    fields["exit"] = float(code)
-                    print(_line(f"certify {' '.join(args)} {label}/{inst.name}", text, fields), file=out)
+                    code, stdout, stderr = _cli(main, ["certify", path, *args])
+                    print(_line(f"certify {' '.join(args)} {label}/{inst.name}", f"exit {code}\n{stdout}{stderr}",
+                                _json_fields(stdout, code)), file=out)
+            for inst in battery[:RUN_INSTANCES]:
+                solver_paths.append(save_instance(inst, tmp / "solvers" / f"{label}-{inst.name}.json"))
+        _audit_solvers(main, solver_paths, tmp, out)
 
 
 def _read(path: Path) -> dict:
@@ -143,12 +210,12 @@ def compare(a: Path, b: Path) -> int:
     for call in moved_calls:
         x, y = left[call]["fields"], right[call]["fields"]
         for key in x.keys() | y.keys():
-            u, v = x.get(key, math.nan), y.get(key, math.nan)
-            if u == v:
-                continue
+            u, v = x.get(key), y.get(key)
+            if u == v or (u is not None and v is not None and math.isnan(u) and math.isnan(v)):
+                continue  # a trace's margin_t is nan where the iterate is zero
             field = re.sub(r"\[\d+\]", "[]", key)
             moved[field].add(call)
-            delta = abs(u - v)
+            delta = math.inf if u is None or v is None else abs(u - v)
             largest[field] = max(largest[field], math.inf if math.isnan(delta) else delta)
     if moved:
         print(f"{'field':<40} {'moved':>6} {'largest |delta|':>16}")

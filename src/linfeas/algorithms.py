@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instance import ProblemInstance, SimplexPoint
+from .instance import ProblemInstance, Record, SimplexPoint
 
 __all__ = [
     "MODES",
@@ -75,21 +75,12 @@ class AlgorithmConfig:
 
 
 @dataclass(eq=False)
-class Certificate:
+class Certificate(Record):
     kind: str  # "primal-feasible" | "dual-epsilon"
     direction: np.ndarray | None
     weights: SimplexPoint | None
     epsilon: float
     iterations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "direction": None if self.direction is None else list(map(float, self.direction)),
-            "weights": None if self.weights is None else list(map(float, self.weights.weights)),
-            "epsilon": self.epsilon,
-            "iterations": self.iterations,
-        }
 
 
 @dataclass(eq=False)

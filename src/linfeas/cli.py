@@ -36,7 +36,7 @@ from .algorithms import (
     vng,
 )
 from .generators import GenerationError, GeneratorSpec, generate
-from .instance import ProblemInstance, SimplexPoint, load_instance, save_instance
+from .instance import ProblemInstance, SimplexPoint, json_text, load_instance, save_instance
 from .lp import SimplexBreakdownError
 from .margins import OracleError, margin_grid_estimate, margin_report
 from .reporting import RunSummary, build_run_summary
@@ -205,7 +205,7 @@ def _load(path: Path) -> ProblemInstance:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
 
 
 def cmd_gen(args) -> int:
@@ -376,7 +376,7 @@ class _WorkerDied(Exception):
 
 def _batch_worker(task) -> list[tuple[str, str, str]]:
     runs = _run_one(*task)
-    return [(summary.instance_name, summary.algorithm, summary.verdict) for summary, _ in runs]
+    return [(summary.instance, summary.algorithm, summary.verdict) for summary, _ in runs]
 
 
 def _share_outcomes(tasks: list) -> list:

@@ -5,6 +5,12 @@ works off three cached views of it: the Gram matrix, an orthonormal basis of
 the column span, and convex combinations of the columns. Instances and every
 derived value are immutable after construction, so they can be shared across
 threads without locking.
+
+Every result the program writes (margin reports, certify verdicts, run
+summaries) is a ``Record``, and its JSON form is decided once, here: a
+SimplexPoint is written as its weights, a PrimalDirection as its vector, an
+array as a list of floats, a nested record as an object and a list element
+by element; ``json_text`` lays the object out, indented, with sorted keys.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ __all__ = [
     "SimplexPoint",
     "simplex_rows",
     "PrimalDirection",
+    "Record",
+    "json_text",
+    "write_json",
     "ColumnSpaceBasis",
     "ProblemInstance",
     "ingest",
@@ -161,6 +170,57 @@ class PrimalDirection:
         if not np.all(np.isfinite(v)):
             raise ValueError("direction must be finite")
         self.vector = _readonly(v)
+
+
+def _float_list(array: np.ndarray) -> list[float]:
+    """The entries as Python floats: list(map(float, array)) for any real dtype, in one call."""
+    return array.astype(float, copy=False).tolist()
+
+
+def _plain_list(values: list) -> list:
+    return [value if (encode := _PLAIN.get(type(value))) is None else encode(value) for value in values]
+
+
+# the JSON form of a value by its exact type, where it is not the value itself; Record subclasses add themselves
+_PLAIN = {
+    SimplexPoint: lambda point: _float_list(point.weights),
+    PrimalDirection: lambda direction: _float_list(direction.vector),
+    np.ndarray: _float_list,
+    list: _plain_list,
+}
+
+
+class Record:
+    """A result written as JSON: its dataclass fields, then the properties it names."""
+
+    _properties: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _PLAIN[cls] = cls.as_dict
+
+    def as_dict(self) -> dict:
+        payload = vars(self).copy()
+        for key, value in payload.items():
+            encode = _PLAIN.get(type(value))
+            if encode is not None:
+                payload[key] = encode(value)
+        for name in self._properties:
+            payload[name] = getattr(self, name)
+        return payload
+
+
+def json_text(payload: dict) -> str:
+    """The layout of every JSON document linfeas prints or saves, alpha dumps aside: indent 2, sorted keys."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def write_json(payload: dict, path: str | Path) -> Path:
+    """Save json_text(payload) and a newline at path, making its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json_text(payload) + "\n", encoding="utf-8")
+    return path
 
 
 @dataclass(eq=False)
@@ -379,7 +439,4 @@ def save_instance(
     payload = instance_to_dict(instance)
     if metadata is not None:
         payload["metadata"] = metadata
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_json(payload, path)

@@ -30,6 +30,7 @@ from .instance import (
     ColumnSpaceBasis,
     PrimalDirection,
     ProblemInstance,
+    Record,
     SimplexPoint,
     column_space_basis,
     combine,
@@ -90,7 +91,7 @@ class NegativeMarginError(OracleError):
 
 
 @dataclass(eq=False)
-class MarginReport:
+class MarginReport(Record):
     """Exact margins plus the witnesses that certify them."""
 
     rho_classical: float
@@ -105,40 +106,14 @@ class MarginReport:
     ill_posed: bool
     boundary_pass: bool = False  # a column lies beyond the winning hyperplane by more than rounding, within SIDE_TOL
 
-    def as_dict(self) -> dict:
-        return {
-            "rho_classical": self.rho_classical,
-            "rho_affine": self.rho_affine,
-            "rho_plus": self.rho_plus,
-            "rho_minus": self.rho_minus,
-            "witness_direction": (
-                None if self.witness_direction is None else list(map(float, self.witness_direction.vector))
-            ),
-            "witness_weights": (
-                None if self.witness_weights is None else list(map(float, self.witness_weights.weights))
-            ),
-            "method": self.method,
-            "rank": self.rank,
-            "rank_tolerance": self.rank_tolerance,
-            "ill_posed": self.ill_posed,
-            "boundary_pass": self.boundary_pass,
-        }
-
 
 @dataclass(eq=False)
-class BallReport:
+class BallReport(Record):
     """A ball certified against the hull: enclosing (positive case) or unit (otherwise)."""
 
     center: np.ndarray
     radius: float
     support_weights: SimplexPoint
-
-    def as_dict(self) -> dict:
-        return {
-            "center": list(map(float, self.center)),
-            "radius": self.radius,
-            "support_weights": list(map(float, self.support_weights.weights)),
-        }
 
 
 def _check_budget(instance: ProblemInstance) -> None:

@@ -8,7 +8,6 @@ than a log line.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import Certificate, IterateTrace
-from .instance import ProblemInstance, combine
+from .instance import ProblemInstance, Record, combine, write_json
 from .lp import dist_l1_to_polyhedron
 from .margins import ZERO_BAND, MarginReport, _rank_frame
 
@@ -30,31 +29,25 @@ CHECK_SLACK = 1e-7  # absolute slack for the margin-maximization family
 
 
 @dataclass(eq=False)
-class BoundCheck:
+class BoundCheck(Record):
     name: str
     passed: bool
     violation: float  # worst positive excess over the bound, 0 when clean
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "violation": self.violation,
-            "detail": self.detail,
-        }
-
 
 @dataclass(eq=False)
-class RunSummary:
-    instance_name: str
+class RunSummary(Record):
+    instance: str
     algorithm: str
     mode: str
     iterations: int
     termination: str
-    certificate: dict | None
-    oracle: dict | None
+    certificate: Certificate | None
+    oracle: MarginReport | None
     checks: list[BoundCheck]
+
+    _properties = ("all_passed", "verdict")
 
     @property
     def all_passed(self) -> bool:
@@ -68,25 +61,8 @@ class RunSummary:
             return "unchecked"
         return "pass" if self.all_passed else "fail"
 
-    def as_dict(self) -> dict:
-        return {
-            "instance": self.instance_name,
-            "algorithm": self.algorithm,
-            "mode": self.mode,
-            "iterations": self.iterations,
-            "termination": self.termination,
-            "certificate": self.certificate,
-            "oracle": self.oracle,
-            "checks": [check.as_dict() for check in self.checks],
-            "all_passed": self.all_passed,
-            "verdict": self.verdict,
-        }
-
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return path
+        return write_json(self.as_dict(), path)
 
 
 def _check_from_excess(name: str, excess: float, detail: str = "") -> BoundCheck:
@@ -198,7 +174,6 @@ def build_run_summary(
 ) -> RunSummary:
     """Assemble the summary, running every bound check that applies to this run."""
     checks: list[BoundCheck] = []
-    oracle = report.as_dict() if report is not None else None
     if report is not None:
         rho = report.rho_affine
         feasible = rho > ZERO_BAND
@@ -233,12 +208,12 @@ def build_run_summary(
                 checks.append(_vng_contraction(trace, report.rho_affine))
             checks.append(_vng_monotone(trace))
     return RunSummary(
-        instance_name=instance.name,
+        instance=instance.name,
         algorithm=algorithm,
         mode=mode,
         iterations=trace.steps,
         termination=trace.termination,
-        certificate=None if certificate is None else certificate.as_dict(),
-        oracle=oracle,
+        certificate=certificate,
+        oracle=report,
         checks=checks,
     )

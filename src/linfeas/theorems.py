@@ -7,12 +7,12 @@ ball identity radius^2 + rho_plus^2 = 1 (``certify_meb``) and the inradius
 ball lying in the hull (``certify_radius``). Each verifier checks its inputs,
 then decides which side of its statement holds using the exact margin oracle,
 constructs the witness object the statement promises and reports its
-residuals, so a claim never rests on the oracle alone. Every result has
-``verified`` and ``as_dict()``. Every distance bound is cross-checked against
+residuals, so a claim never rests on the oracle alone. Every result is a
+Record with ``verified``. Every distance bound is cross-checked against
 the exact l1 or l2 distance from the LP module. The margin is taken at the
 instance's default rank cutoff, the one the rank frame, the ball samples and
 the span test read, so a statement and its checks share one rank; a
-``report`` passed in should be ``margin_report(instance)``.
+``report`` passed in at another cutoff is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import PrimalDirection, ProblemInstance, SimplexPoint, combine
+from .instance import PrimalDirection, ProblemInstance, Record, SimplexPoint, combine
 from .lp import dist_l1_to_polyhedron, dist_l2_to_halfspaces
 from .margins import (
     ZERO_BAND, BallReport, MarginReport, _rank_frame, margin_report, minimum_enclosing_ball, representable,
@@ -34,6 +34,7 @@ __all__ = [
     "GordanVerdict",
     "HoffmanReport",
     "BallVerdict",
+    "BallSample",
     "RadiusVerdict",
     "gordan_decide",
     "hoffman_dual",
@@ -49,12 +50,15 @@ ReportSource = MarginReport | None
 
 
 def _measured(instance: ProblemInstance, report: ReportSource) -> MarginReport:
-    """The report passed, or a fresh one; asked for after the input checks."""
-    return margin_report(instance) if report is None else report
-
-
-def _floats(values: np.ndarray) -> list[float]:
-    return list(map(float, values))
+    """The report passed, which must share the checks' rank cutoff, or a fresh one; asked for after the input checks."""
+    if report is None:
+        return margin_report(instance)
+    if report.rank_tolerance != instance.basis.tolerance:
+        raise ValueError(
+            f"report was taken at rank cutoff {report.rank_tolerance!r}, "
+            f"not the instance's {instance.basis.tolerance!r} that the checks read"
+        )
+    return report
 
 
 class IllPosedError(RuntimeError):
@@ -70,7 +74,18 @@ class CertificateConstructionError(RuntimeError):
 
 
 @dataclass(eq=False)
-class GordanVerdict:
+class BallSample(Record):
+    """A point of the gamma-ball and the weights that represent it; unpacks as (v, weights)."""
+
+    v: np.ndarray
+    weights: SimplexPoint
+
+    def __iter__(self):
+        return iter((self.v, self.weights))
+
+
+@dataclass(eq=False)
+class GordanVerdict(Record):
     """Which alternative held, the witness constructed for it, and its residuals."""
 
     gamma: float
@@ -80,7 +95,9 @@ class GordanVerdict:
     margin: MarginReport
     witness_direction: PrimalDirection | None = None
     witness_weights: SimplexPoint | None = None
-    ball_samples: list[tuple[np.ndarray, SimplexPoint]] | None = None
+    ball_samples: list[BallSample] | None = None
+
+    _properties = ("verified",)
 
     @property
     def min_slack(self) -> float:
@@ -96,24 +113,9 @@ class GordanVerdict:
             return self.min_slack > RESIDUAL_TOL
         return self.max_residual <= RESIDUAL_TOL
 
-    def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "part": self.part,
-            "alternative_held": self.alternative_held,
-            "witness_direction": None if self.witness_direction is None else _floats(self.witness_direction.vector),
-            "witness_weights": None if self.witness_weights is None else _floats(self.witness_weights.weights),
-            "ball_samples": None if self.ball_samples is None else [
-                {"v": _floats(v), "weights": _floats(p.weights)} for v, p in self.ball_samples
-            ],
-            "residuals": _floats(self.residuals),
-            "verified": self.verified,
-            "margin": self.margin.as_dict(),
-        }
-
 
 @dataclass(eq=False)
-class HoffmanReport:
+class HoffmanReport(Record):
     """A distance-to-feasibility bound with its constructed witness and residuals."""
 
     variant: str  # "dual-general" | "dual-simplex" | "primal"
@@ -125,6 +127,8 @@ class HoffmanReport:
     slack: float
     relaxed_bound: float | None = None
 
+    _properties = ("verified",)
+
     @property
     def verified(self) -> bool:
         ok = self.witness_residual <= RESIDUAL_TOL
@@ -132,25 +136,9 @@ class HoffmanReport:
         ok &= self.exact_distance <= self.bound_value + RESIDUAL_TOL
         return bool(ok)
 
-    def as_dict(self) -> dict:
-        witness = self.constructed_witness
-        if isinstance(witness, SimplexPoint):
-            witness = witness.weights
-        return {
-            "variant": self.variant,
-            "bound_value": self.bound_value,
-            "constructed_witness": _floats(witness),
-            "witness_residual": self.witness_residual,
-            "witness_distance": self.witness_distance,
-            "exact_distance": self.exact_distance,
-            "slack": self.slack,
-            "relaxed_bound": self.relaxed_bound,
-            "verified": self.verified,
-        }
-
 
 @dataclass(eq=False)
-class BallVerdict:
+class BallVerdict(Record):
     """The enclosing ball with its radius-identity, containment and centre residuals."""
 
     ball: BallReport
@@ -158,29 +146,29 @@ class BallVerdict:
     containment_overshoot: float
     center_gap: float
 
+    statement = "meb"
+    _properties = ("statement", "verified")
+
     @property
     def verified(self) -> bool:
         gaps = (self.radius_identity_gap, self.containment_overshoot, self.center_gap)
         return all(gap <= RESIDUAL_TOL for gap in gaps)
 
-    def as_dict(self) -> dict:
-        return {"statement": "meb", **vars(self), "ball": self.ball.as_dict(), "verified": self.verified}
-
 
 @dataclass(eq=False)
-class RadiusVerdict:
+class RadiusVerdict(Record):
     """The inradius with the spot checks of its ball that failed."""
 
     inradius: float
     interior_samples: int
     failures: list[str]
 
+    statement = "radius"
+    _properties = ("statement", "verified")
+
     @property
     def verified(self) -> bool:
         return not self.failures
-
-    def as_dict(self) -> dict:
-        return {"statement": "radius", **vars(self), "verified": self.verified}
 
 
 def _in_target(
@@ -262,7 +250,7 @@ def gordan_decide(
         directions = np.zeros((1, instance.d))
     else:
         directions = gamma * _span_directions(instance, samples, sample_seed)
-    table = list(zip(directions, representable(instance, directions)))
+    table = [BallSample(v, p) for v, p in zip(directions, representable(instance, directions))]
     for v, p in table:
         if p is None:
             raise CertificateConstructionError(

@@ -40,3 +40,12 @@ def triangle():
     angles = np.deg2rad([90.0, 210.0, 330.0])
     cols = np.column_stack([np.cos(angles), np.sin(angles)])
     return ingest(cols.tolist(), normalize=True, name="triangle")
+
+
+@pytest.fixture
+def thin_heptagon():
+    """Seven unit columns near a plane: rank 3 at the default cutoff, rank 2 at a cutoff of 1e-3."""
+    rng = np.random.default_rng(3)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
+    z = 1e-5 * rng.standard_normal(7)
+    return ingest(np.column_stack([np.cos(angles), np.sin(angles), z]).tolist(), normalize=True, name="heptagon")

@@ -535,13 +535,8 @@ def test_bad_rank_tolerance_is_usage_error(tmp_path, triangle_path, capsys, comm
 
 
 @pytest.fixture
-def thin_heptagon_path(tmp_path):
-    """Seven unit columns near a plane: rank 3 at the default cutoff, rank 2 at a cutoff of 1e-3."""
-    rng = np.random.default_rng(3)
-    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
-    z = 1e-5 * rng.standard_normal(7)
-    inst = ingest(np.column_stack([np.cos(angles), np.sin(angles), z]).tolist(), normalize=True, name="heptagon")
-    return save_instance(inst, tmp_path / "heptagon.json")
+def thin_heptagon_path(tmp_path, thin_heptagon):
+    return save_instance(thin_heptagon, tmp_path / "heptagon.json")
 
 
 def test_margin_forwards_rank_tolerance(thin_heptagon_path, capsys):
@@ -910,6 +905,77 @@ def test_certify_output_is_byte_identical_to_the_recorded_round(tmp_path, capsys
         for theorem, expected in case["certify"].items():
             assert run_cli("certify", path, "--theorem", theorem, "--seed", "7") == expected["exit"]
             assert capsys.readouterr().out == expected["stdout"], (case["name"], theorem)
+
+
+def _key_paths(value, prefix=""):
+    """The key paths of a JSON value: "ball.center" for a nested object, "checks[].name" inside a list."""
+    paths = set()
+    if isinstance(value, dict):
+        for key, item in value.items():
+            paths.add(prefix + key)
+            paths |= _key_paths(item, f"{prefix}{key}.")
+    elif isinstance(value, list):
+        for item in value:
+            paths |= _key_paths(item, prefix.removesuffix(".") + "[].")
+    return paths
+
+
+MARGIN_KEYS = {
+    "rho_classical", "rho_affine", "rho_plus", "rho_minus", "witness_direction", "witness_weights", "method", "rank",
+    "rank_tolerance", "ill_posed", "boundary_pass",
+}
+GORDAN_KEYS = {
+    "gamma", "part", "alternative_held", "residuals", "witness_direction", "witness_weights", "ball_samples",
+    "verified", "margin", *(f"margin.{key}" for key in MARGIN_KEYS),
+}
+HOFFMAN_KEYS = {
+    "variant", "bound_value", "constructed_witness", "witness_residual", "witness_distance", "exact_distance", "slack",
+    "relaxed_bound", "verified",
+}
+RUN_KEYS = {
+    "instance", "algorithm", "mode", "iterations", "termination", "all_passed", "verdict",
+    "certificate", "certificate.kind", "certificate.direction", "certificate.weights", "certificate.epsilon",
+    "certificate.iterations",
+    "oracle", *(f"oracle.{key}" for key in MARGIN_KEYS),
+    "checks", "checks[].name", "checks[].passed", "checks[].violation", "checks[].detail",
+}
+
+
+# every key perfbench/workloads.py and `linfeas report` read is in these sets; a field added to
+# or renamed in a result record changes its JSON, and so one of these sets
+@pytest.mark.parametrize(
+    "fixture, args, keys",
+    [
+        ("triangle_path", ["margin"], MARGIN_KEYS),
+        ("triangle_path", ["certify", "--theorem", "gordan1"], GORDAN_KEYS),
+        ("axes_unit_path", ["certify", "--theorem", "gordan2", "--gamma", "0.1"], GORDAN_KEYS),
+        ("triangle_path", ["certify", "--theorem", "gordan3", "--gamma", "0.25"],
+         GORDAN_KEYS | {"ball_samples[].v", "ball_samples[].weights"}),
+        ("triangle_path", ["certify", "--theorem", "hoffman-dual"], HOFFMAN_KEYS),
+        ("triangle_path", ["certify", "--theorem", "hoffman-simplex"], HOFFMAN_KEYS),
+        ("axes_unit_path", ["certify", "--theorem", "hoffman-primal"], HOFFMAN_KEYS),
+        ("axes_unit_path", ["certify", "--theorem", "meb"], {
+            "statement", "ball", "ball.center", "ball.radius", "ball.support_weights", "radius_identity_gap",
+            "containment_overshoot", "center_gap", "verified",
+        }),
+        ("triangle_path", ["certify", "--theorem", "radius"],
+         {"statement", "inradius", "interior_samples", "failures", "verified"}),
+        ("axes_unit_path", ["run", "--algorithm", "np"], RUN_KEYS),
+    ],
+    ids=["margin", "gordan1", "gordan2", "gordan3", "hoffman-dual", "hoffman-simplex", "hoffman-primal", "meb",
+         "radius", "run"],
+)
+def test_json_key_sets_are_pinned(request, tmp_path, capsys, fixture, args, keys):
+    command, *flags = args
+    out_dir = ["--out-dir", tmp_path / "out"] if command == "run" else []
+    assert run_cli(command, request.getfixturevalue(fixture), *flags, *out_dir) == 0
+    out = capsys.readouterr().out
+    printed = json.loads(out)
+    assert _key_paths(printed) == keys
+    if command == "run":  # a run with a certificate and applied checks; its saved summary has the printed bytes
+        assert printed["certificate"] is not None and printed["checks"]
+        (saved,) = (tmp_path / "out").glob("*.summary.json")
+        assert saved.read_text(encoding="utf-8") == out
 
 
 @pytest.mark.parametrize("payload", ['{"instance": "x"', '{"checks": [{}]}'], ids=["truncated", "missing-fields"])

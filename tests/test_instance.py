@@ -1,3 +1,6 @@
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from batteries import mixed_instances
 from linfeas.instance import (
     IngestError,
     PrimalDirection,
+    Record,
     SimplexPoint,
     column_space_basis,
     combine,
@@ -203,6 +207,41 @@ def test_json_round_trip(tmp_path, triangle):
     assert set(payload) == {"name", "columns", "normalize"}
     again = instance_from_dict(payload)
     assert np.allclose(again.columns, triangle.columns)
+
+
+@dataclass(eq=False)
+class _Pair(Record):
+    left: object
+    right: object = None
+
+    _properties = ("kind",)
+    kind = "pair"
+
+
+def _plain_types(value) -> bool:
+    if isinstance(value, dict):
+        return all(type(key) is str and _plain_types(item) for key, item in value.items())
+    if isinstance(value, list):
+        return all(_plain_types(item) for item in value)
+    return value is None or type(value) in (bool, int, float, str)
+
+
+def test_record_fields_come_out_as_plain_json_types():
+    inner = _Pair(PrimalDirection([3.0, 4.0]), np.array([0.1, 0.2]))
+    record = _Pair([_Pair(SimplexPoint([0.25, 0.75])), inner], inner)
+    inner_dict = {"left": [3.0, 4.0], "right": [0.1, 0.2], "kind": "pair"}
+    expected = {
+        "left": [{"left": [0.25, 0.75], "right": None, "kind": "pair"}, inner_dict],
+        "right": inner_dict,
+        "kind": "pair",
+    }
+    payload = record.as_dict()
+    assert payload == expected and _plain_types(payload)
+    assert json.loads(json.dumps(payload)) == expected  # no default= needed
+    # an array of any real dtype is written as list(map(float, ...)) writes it
+    for array in (np.array([1, 2**53 + 1]), np.array([0.1, 1e-40], dtype=np.float32), np.array([True, False])):
+        written = _Pair(array).as_dict()["left"]
+        assert written == list(map(float, array)) and all(type(x) is float for x in written)
 
 
 def test_from_dict_missing_columns():

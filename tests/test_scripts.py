@@ -40,7 +40,17 @@ def test_output_audit_flags_a_moved_field(tmp_path):
     audit = tmp_path / "audit.jsonl"
     run_script("output_audit.py", SCRIPTS.parent, "--first", 2, "--out", audit)
     rows = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
-    assert {row["call"].split()[0] for row in rows} == {"margin_report", "certify"}
+    calls = [row["call"].split() for row in rows]
+    assert {call[0] for call in calls} == {"margin_report", "certify", "run", "batch"}
+    written = {(command, mode, algorithm, kind) for command, mode, _, algorithm, kind in
+               (call for call in calls if call[0] in ("run", "batch") and len(call) == 5)}
+    assert written == {
+        (command, mode, algorithm, kind)
+        for command in ("run", "batch")
+        for mode in ("primal-feasibility", "dual-certificate", "margin-maximization")
+        for algorithm in ("classic", "np", "vng")
+        for kind in ("summary.json", "alpha.json", "trace.csv")
+    }
     same = run_script("output_audit.py", "--compare", audit, audit, check=False)
     assert same.returncode == 0, same.stdout
     rows[0]["sha256"] = "0" * 64  # one field one ulp off

@@ -278,6 +278,20 @@ def test_certify_meb_and_radius_check_inputs_before_the_oracle(axes, monkeypatch
         certify_radius(axes)
 
 
+@pytest.mark.parametrize("statement", ["radius", "gordan3"])
+def test_a_report_at_another_rank_cutoff_is_refused(thin_heptagon, statement):
+    # at a cutoff of 1e-3 the report sees rank 2 and rho -0.63, while the ball samples and the
+    # rank frame read rank 3, where rho is -6.2e-6: the statement would fail on its own checks
+    certify = {
+        "radius": lambda report: certify_radius(thin_heptagon, report=report),
+        "gordan3": lambda report: gordan_decide(thin_heptagon, 0.2, 3, report=report),
+    }[statement]
+    with pytest.raises(ValueError, match="rank cutoff 0.001"):
+        certify(margin_report(thin_heptagon, rank_tol=1e-3))
+    assert certify(margin_report(thin_heptagon)).verified
+    assert certify(None).verified
+
+
 def test_certify_radius_queries_the_seeded_ball_points(monkeypatch):
     # the points of the per-sample loop radius drew before it shared Gordan part 3's
     # directions, bit for bit, then the point past the nearest facet
