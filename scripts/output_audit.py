@@ -24,13 +24,20 @@ and, on the first three instances of each battery, ``linfeas run`` with each
 algorithm in each mode, and ``linfeas batch`` of all three algorithms over
 those instances in each mode, both with ``--max-iters 100 --dump-alpha``.
 
+Last, one round of the desk pipeline: ``linfeas gen`` of each of the four
+kinds at six fixed (d, n) from (3, 10) to (8, 14), ``linfeas margin`` of each
+saved instance, ``linfeas batch --algorithms np,vng --workers 2`` over them
+all, and ``linfeas report`` of the summaries.
+
 A report that raises is recorded by its error's type and message, a certify
 call by its exit code and its standard output and error, a run by its exit
 code and standard output (its standard error names a temporary path), and a
 batch by its exit code and standard output and error. Every summary, alpha
 dump and trace CSV that a run or batch writes is recorded too, keyed by
 command, mode, instance and algorithm; its fields are a summary's or dump's
-numbers, or a trace's cells by column ("norm_w[3]").
+numbers, or a trace's cells by column ("norm_w[3]"). The desk pipeline's
+calls are recorded the same way, with every instance file gen saves and the
+report CSV, whose fields are its violations.
 
 The batteries come from this script's own tests/batteries.py and the library
 from TREE/src, so two trees are audited on the same instances. Run each tree
@@ -62,6 +69,13 @@ REPO = Path(__file__).resolve().parent.parent
 RUN_INSTANCES = 3  # per battery, the instances whose run and batch outputs are audited
 RUN_ALGORITHMS = ("classic", "np", "vng")
 RUN_FLAGS = ["--max-iters", "100", "--dump-alpha"]
+DESK_KINDS = {  # kind -> the gen target at dimension d, as the desk-pipeline benchmark poses them
+    "planted-positive": lambda d: 0.2,
+    "planted-negative": lambda d: -0.5 / d,
+    "near-ill-posed": lambda d: None,
+    "rank-deficient": lambda d: -0.4 / (d - 1),
+}
+DESK_PER_KIND = 6  # (d, n) = (3 + i, 10 + i % 5)
 
 
 def _batteries(first: int | None):
@@ -167,6 +181,39 @@ def _audit_solvers(main, paths: list[Path], tmp: Path, out) -> None:
         _written("batch", mode, batch_dir, out)
 
 
+def _audit_desk(main, tmp: Path, first: int | None, out) -> None:
+    """gen, margin, batch and report, as one desk-pipeline round runs them."""
+    instances, runs = tmp / "desk" / "instances", tmp / "desk" / "runs"
+    for kind, target in DESK_KINDS.items():
+        for i in range(min(DESK_PER_KIND, first or DESK_PER_KIND)):
+            d, n = 3 + i, 10 + i % 5
+            stem = f"{kind}-{i}"
+            argv = ["gen", "--kind", kind, "--d", d, "--n", n, "--seed", 2400 + i, "--out", instances / f"{stem}.json"]
+            if target(d) is not None:
+                argv += ["--target", repr(target(d))]
+            code, stdout, stderr = _cli(main, argv)
+            print(_line(f"desk gen {stem}", f"exit {code}\n{stdout}{stderr}".replace(str(tmp), "<tmp>"),
+                        {"exit": float(code)}), file=out)
+            path = instances / f"{stem}.json"
+            if path.exists():
+                text = path.read_text(encoding="utf-8")
+                print(_line(f"desk instance {stem}", text, _flatten(json.loads(text))), file=out)
+                code, stdout, stderr = _cli(main, ["margin", path])
+                print(_line(f"desk margin {stem}", f"exit {code}\n{stdout}{stderr}", _json_fields(stdout, code)),
+                      file=out)
+    argv = ["batch", "--instances", instances, "--algorithms", "np,vng", "--mode", "margin-maximization",
+            "--workers", "2", "--max-iters", "500", "--out-dir", runs]
+    code, stdout, stderr = _cli(main, argv)
+    print(_line("desk batch", f"exit {code}\n{stdout}{stderr}".replace(str(tmp), "<tmp>"), {"exit": float(code)}),
+          file=out)
+    _written("desk", "batch", runs, out)
+    code, stdout, stderr = _cli(main, ["report", "--out-dir", runs])
+    fields = {f"violation[{i}]": float(row["violation"]) for i, row in enumerate(csv.DictReader(io.StringIO(stdout)))
+              if row["violation"]}
+    fields["exit"] = float(code)
+    print(_line("desk report", f"exit {code}\n{stdout}{stderr}", fields), file=out)
+
+
 def audit(tree: Path, first: int | None, out) -> None:
     sys.path[:0] = [str(tree / "src"), str(REPO / "tests")]
     from linfeas.cli import main
@@ -193,6 +240,7 @@ def audit(tree: Path, first: int | None, out) -> None:
             for inst in battery[:RUN_INSTANCES]:
                 solver_paths.append(save_instance(inst, tmp / "solvers" / f"{label}-{inst.name}.json"))
         _audit_solvers(main, solver_paths, tmp, out)
+        _audit_desk(main, tmp, first, out)
 
 
 def _read(path: Path) -> dict:

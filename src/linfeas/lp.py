@@ -7,7 +7,12 @@ package's programs have at most 2n + 1 rows (margins._rank_frame), and
 exactness of the reported status matters more than speed. The pivot loop
 starts with the most-negative-reduced-cost rule and falls back to Bland's
 rule once the count of degenerate pivots suggests stalling, which
-guarantees termination.
+guarantees termination. A pivot is a handful of whole-array numpy calls, and
+each keeps the arithmetic of the plainer form it replaced, operation for
+operation and in order, so the bytes of every answer stay those of
+tests/oracles.py's frozen copy. Phase 2 is skipped on an all-zero objective,
+as every membership program has: its reduced costs stay zero, so it could
+not pivot.
 
 The Euclidean projections share one active-set solver, Lawson and
 Hanson's NNLS on a Householder least-squares solve whose factor is kept
@@ -63,7 +68,7 @@ def _pivot(tableau: np.ndarray, crow: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     column = tableau[:, col].copy()
     column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
+    tableau -= column[:, None] * tableau[row]  # the products of np.outer, without its wrapper
     crow -= crow[col] * tableau[row]
 
 
@@ -80,19 +85,18 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
                 return "optimal"
             col = int(eligible[0])
         else:
-            col = int(np.argmin(reduced)) if ncols else 0
+            col = int(reduced.argmin()) if ncols else 0
             if ncols == 0 or reduced[col] >= -REDUCED_COST_TOL:
                 return "optimal"
         column = tableau[:, col]
         positive = column > PIVOT_TOL
         if not positive.any():
             return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[positive, -1] / column[positive]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
+        ratios = np.divide(tableau[:, -1], column, out=np.full(m, np.inf), where=positive)
+        best = float(ratios.min())
+        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
         # leaving-variable tie-break by smallest basis label (Bland-compatible)
-        row = int(min(ties, key=lambda r: basis[r]))
+        row = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
         if best <= FEASIBILITY_TOL:
             degenerate += 1
             if degenerate > degenerate_threshold:
@@ -105,14 +109,13 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
 def _two_phase(A, b, c):
     """Solve min c@y, A y = b, y >= 0. Returns (status, y, basis)."""
     m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
 
-    # phase 1: artificial identity basis minimizing total infeasibility
-    tableau = np.hstack([A, np.eye(m), b[:, None]])
+    # phase 1: artificial identity basis minimizing total infeasibility; rows with b < 0 are negated
+    sign = np.where(b < 0, -1.0, 1.0)
+    tableau = np.zeros((m, n + m + 1))
+    np.multiply(A, sign[:, None], out=tableau[:, :n])
+    np.multiply(b, sign, out=tableau[:, -1])
+    tableau.flat[n :: n + m + 2] = 1.0  # the diagonal of the artificial block, tableau[i, n + i]
     basis = list(range(n, n + m))
     crow = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
     for i in range(m):
@@ -139,17 +142,18 @@ def _two_phase(A, b, c):
         basis = [basis[i] for i in keep]
         m = len(keep)
 
-    # phase 2 on the original objective, artificial columns removed
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    crow = np.concatenate([c, [0.0]])
-    for i in range(m):
-        crow -= crow[basis[i]] * tableau[i]
-    threshold = 50 * (m + n)
-    if _pivot_loop(tableau, basis, crow, n, threshold) == "unbounded":
-        return "unbounded", None, basis
+    # phase 2 on the original objective, artificial columns removed; on a zero objective every
+    # reduced cost stays a zero, so phase 2 could not pivot and is skipped
+    if c.any():
+        tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
+        crow = np.concatenate([c, [0.0]])
+        for i in range(m):
+            crow -= crow[basis[i]] * tableau[i]
+        threshold = 50 * (m + n)
+        if _pivot_loop(tableau, basis, crow, n, threshold) == "unbounded":
+            return "unbounded", None, basis
     y = np.zeros(n)
-    for i in range(m):
-        y[basis[i]] = tableau[i, -1]
+    y[basis] = tableau[:, -1]
     return "optimal", y, basis
 
 
@@ -219,6 +223,7 @@ class _HouseholderQR:
         self.factor = np.empty((rows, rows), dtype=matrix.dtype)  # column c: support[c] after reflectors 0 to c
         self.peaks: list = []  # the largest magnitude in each column of the factor
         self.rhs = [target]  # rhs[c]: the target after reflectors 0 to c - 1
+        self.cutoff = np.finfo(matrix.dtype).eps * rows  # times the largest peak: the smallest diagonal allowed
 
     def solve(self, support: list[int]) -> np.ndarray:
         """z minimising ||matrix[:, support] @ z - target||; raises DegenerateFaceError when rank-deficient."""
@@ -252,7 +257,7 @@ class _HouseholderQR:
         if not cols:
             return z
         factor, rhs = self.factor, self.rhs[cols]
-        if np.abs(factor.diagonal()[:cols]).min() <= np.finfo(factor.dtype).eps * rows * max(self.peaks):
+        if np.abs(factor.diagonal()[:cols]).min() <= self.cutoff * max(self.peaks):
             raise DegenerateFaceError("linearly dependent columns")
         for c in reversed(range(cols)):  # back substitution on the triangular factor
             z[c] = (rhs[c] - factor[c, c + 1 : cols] @ z[c + 1 :]) / factor[c, c]
@@ -272,13 +277,13 @@ def _minor_cycles(qr: _HouseholderQR, support: list[int], weights: np.ndarray) -
     """
     while True:
         y = qr.solve(support)
-        if np.all(y > 0.0):
+        if (y > 0.0).all():
             return support, y
         # step until the first weight reaches 0: at once for an entering column (weight 0) at y <= 0
         shrink = y <= 0.0
         ratios = np.where(shrink, 0.0, np.inf).astype(weights.dtype)
         np.divide(weights, weights - y, out=ratios, where=shrink & (weights > 0.0))
-        drop = int(np.argmin(ratios))
+        drop = int(ratios.argmin())
         weights = weights + ratios[drop] * (y - weights)
         weights[drop] = 0.0
         support, weights = [i for i, w in zip(support, weights) if w > 0.0], weights[weights > 0.0]
@@ -302,11 +307,12 @@ def _nnls(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray
     scale = np.sqrt(target @ target)
     qr = _HouseholderQR(matrix, target)  # one factor for every cycle: each solve re-factors only past the kept prefix
     support, weights, residual = [], np.zeros(0), -target
+    squared = residual @ residual
     for _ in range(50 * m):  # a guard: Lawson and Hanson need a few major cycles per column
         gradient = residual @ matrix  # half the gradient of the squared residual
         gradient[support] = np.inf  # in exact arithmetic 0 on the support
-        j = int(np.argmin(gradient))
-        norm = np.sqrt(residual @ residual)
+        j = int(gradient.argmin())
+        norm = np.sqrt(squared)
         if norm <= NNLS_TOL * scale or gradient[j] >= -NNLS_TOL * reach * norm:
             return support, weights, residual
         try:
@@ -314,9 +320,10 @@ def _nnls(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray
         except DegenerateFaceError:  # column j lies in the support's span: the residual cannot fall
             return support, weights, residual
         lowered = matrix[:, grown] @ solved - target
-        if lowered @ lowered >= residual @ residual:  # in exact arithmetic every cycle lowers it
+        lowered_squared = lowered @ lowered
+        if lowered_squared >= squared:  # in exact arithmetic every cycle lowers it
             return support, weights, residual
-        support, weights, residual = grown, solved, lowered
+        support, weights, residual, squared = grown, solved, lowered, lowered_squared
     raise ValueError(f"NNLS: no convergence in {50 * m} major cycles")
 
 

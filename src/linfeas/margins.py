@@ -104,7 +104,10 @@ class MarginReport(Record):
     rank: int
     rank_tolerance: float
     ill_posed: bool
+    columns: np.ndarray  # the columns measured, the instance's own array: a certifier refuses the report for others
     boundary_pass: bool = False  # a column lies beyond the winning hyperplane by more than rounding, within SIDE_TOL
+
+    _unwritten = ("columns",)
 
 
 @dataclass(eq=False)
@@ -374,6 +377,7 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
         rank=rank,
         rank_tolerance=basis.tolerance,
         ill_posed=abs(rho_affine) <= ZERO_BAND,
+        columns=instance.columns,
         boundary_pass=flagged,
     )
 
@@ -520,5 +524,5 @@ def _accepted(columns: np.ndarray, points: np.ndarray, weights: np.ndarray) -> l
         residuals = np.sqrt(np.square((rows[:, None, :] * columns).sum(axis=2) - points).sum(axis=1))
     return [
         None if i in faults or not residual <= 1e-9 else SimplexPoint._from_row(row)
-        for i, (row, residual) in enumerate(zip(rows, residuals))
+        for i, (row, residual) in enumerate(zip(rows, residuals.tolist()))
     ]

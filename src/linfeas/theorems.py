@@ -12,7 +12,8 @@ Record with ``verified``. Every distance bound is cross-checked against
 the exact l1 or l2 distance from the LP module. The margin is taken at the
 instance's default rank cutoff, the one the rank frame, the ball samples and
 the span test read, so a statement and its checks share one rank; a
-``report`` passed in at another cutoff is refused.
+``report`` passed in at another cutoff, or measured on other columns, is
+refused.
 """
 
 from __future__ import annotations
@@ -50,9 +51,14 @@ ReportSource = MarginReport | None
 
 
 def _measured(instance: ProblemInstance, report: ReportSource) -> MarginReport:
-    """The report passed, which must share the checks' rank cutoff, or a fresh one; asked for after the input checks."""
+    """The report passed, which must have measured the instance's columns at the checks' rank cutoff, or a fresh
+    one; asked for after the input checks."""
     if report is None:
         return margin_report(instance)
+    if report.columns is not instance.columns and not np.array_equal(report.columns, instance.columns):
+        raise ValueError(
+            f"report was measured on other columns, not the instance's {instance.d} x {instance.n} that the checks read"
+        )
     if report.rank_tolerance != instance.basis.tolerance:
         raise ValueError(
             f"report was taken at rank cutoff {report.rank_tolerance!r}, "

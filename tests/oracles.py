@@ -12,6 +12,10 @@ which the library's single-state-vector kernel must match byte for byte.
 ``nnls_fresh_factorization`` is Lawson and Hanson's NNLS with the QR factor
 built afresh, by the library's own ``_least_squares``, in every minor cycle:
 it checks the library's reuse of the factor, not the QR arithmetic.
+``simplex_frozen`` is the dense two-phase simplex as it stood before its
+pivots were cut to fewer numpy calls, kept verbatim: the library's must give
+the same status, basis and bytes on every program, so the cuts keep every
+operation and its order.
 """
 
 from __future__ import annotations
@@ -24,7 +28,16 @@ import numpy as np
 
 from linfeas.algorithms import STALL_GAP, AlgorithmConfig, Certificate, IterateTrace
 from linfeas.instance import ColumnSpaceBasis, PrimalDirection, ProblemInstance, SimplexPoint
-from linfeas.lp import NNLS_TOL, DegenerateFaceError, _least_squares
+from linfeas.lp import (
+    FEASIBILITY_TOL,
+    MAX_PIVOTS,
+    NNLS_TOL,
+    PIVOT_TOL,
+    REDUCED_COST_TOL,
+    DegenerateFaceError,
+    SimplexBreakdownError,
+    _least_squares,
+)
 from linfeas.margins import NORMAL_ROUNDING, SIDE_TOL
 
 
@@ -354,6 +367,112 @@ def nnls_fresh_factorization(matrix: np.ndarray, target: np.ndarray) -> tuple[li
             return support, weights, residual
         support, weights, residual = trial, y, lowered
     raise ValueError("NNLS reference: no convergence")
+
+
+# --- the dense simplex before its pivots were cut to fewer numpy calls ------------------------------
+
+
+def _pivot(tableau: np.ndarray, crow: np.ndarray, row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    column = tableau[:, col].copy()
+    column[row] = 0.0
+    tableau -= np.outer(column, tableau[row])
+    crow -= crow[col] * tableau[row]
+
+
+def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
+    """Run simplex pivots until optimal or unbounded. Returns the status."""
+    m = tableau.shape[0]
+    degenerate = 0
+    bland = False
+    for _ in range(MAX_PIVOTS):
+        reduced = crow[:ncols]
+        if bland:
+            eligible = np.nonzero(reduced < -REDUCED_COST_TOL)[0]
+            if eligible.size == 0:
+                return "optimal"
+            col = int(eligible[0])
+        else:
+            col = int(np.argmin(reduced)) if ncols else 0
+            if ncols == 0 or reduced[col] >= -REDUCED_COST_TOL:
+                return "optimal"
+        column = tableau[:, col]
+        positive = column > PIVOT_TOL
+        if not positive.any():
+            return "unbounded"
+        ratios = np.full(m, np.inf)
+        ratios[positive] = tableau[positive, -1] / column[positive]
+        best = ratios.min()
+        ties = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
+        # leaving-variable tie-break by smallest basis label (Bland-compatible)
+        row = int(min(ties, key=lambda r: basis[r]))
+        if best <= FEASIBILITY_TOL:
+            degenerate += 1
+            if degenerate > degenerate_threshold:
+                bland = True
+        _pivot(tableau, crow, row, col)
+        basis[row] = col
+    raise SimplexBreakdownError("simplex did not terminate within the pivot budget")
+
+
+def _two_phase(A, b, c):
+    """Solve min c@y, A y = b, y >= 0. Returns (status, y, basis)."""
+    m, n = A.shape
+    A = A.copy()
+    b = b.copy()
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+
+    # phase 1: artificial identity basis minimizing total infeasibility
+    tableau = np.hstack([A, np.eye(m), b[:, None]])
+    basis = list(range(n, n + m))
+    crow = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
+    for i in range(m):
+        crow -= tableau[i]  # basic artificial cost is 1
+    threshold = 50 * (m + n + m)
+    if _pivot_loop(tableau, basis, crow, n + m, threshold) != "optimal":
+        raise SimplexBreakdownError("phase-1 subproblem cannot be unbounded")
+    if -crow[-1] > FEASIBILITY_TOL:
+        return "infeasible", None, None
+
+    # drive leftover artificials out of the basis; all-zero rows are redundant
+    drop_rows: list[int] = []
+    for i in range(m):
+        if basis[i] >= n:
+            candidates = np.nonzero(np.abs(tableau[i, :n]) > PIVOT_TOL)[0]
+            if candidates.size:
+                _pivot(tableau, crow, i, int(candidates[0]))
+                basis[i] = int(candidates[0])
+            else:
+                drop_rows.append(i)
+    if drop_rows:
+        keep = [i for i in range(m) if i not in drop_rows]
+        tableau = tableau[keep]
+        basis = [basis[i] for i in keep]
+        m = len(keep)
+
+    # phase 2 on the original objective, artificial columns removed
+    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
+    crow = np.concatenate([c, [0.0]])
+    for i in range(m):
+        crow -= crow[basis[i]] * tableau[i]
+    threshold = 50 * (m + n)
+    if _pivot_loop(tableau, basis, crow, n, threshold) == "unbounded":
+        return "unbounded", None, basis
+    y = np.zeros(n)
+    for i in range(m):
+        y[basis[i]] = tableau[i, -1]
+    return "optimal", y, basis
+
+
+def simplex_frozen(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple:
+    """(status, x, objective value, basis) of min objective @ x, A x = b, x >= 0, as lp.solve reports them."""
+    c, A, b = (np.asarray(v, dtype=float) for v in (objective, A, b))
+    status, x, basis = _two_phase(A, b, c)
+    if status != "optimal":
+        return status, None, None, basis
+    return status, x, float(c @ x), basis
 
 
 # --- solver reference: the per-array loops -------------------------------------------------------

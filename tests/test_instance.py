@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from linfeas.instance import (
     ingest,
     instance_from_dict,
     instance_to_dict,
+    json_text,
     load_instance,
     save_instance,
 )
@@ -242,6 +244,37 @@ def test_record_fields_come_out_as_plain_json_types():
     for array in (np.array([1, 2**53 + 1]), np.array([0.1, 1e-40], dtype=np.float32), np.array([True, False])):
         written = _Pair(array).as_dict()["left"]
         assert written == list(map(float, array)) and all(type(x) is float for x in written)
+
+
+_JSON_STRINGS = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud7ff\U0001f600') | st.characters())
+_JSON_FLOATS = (
+    st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 1e-4, np.float64(-math.inf)])
+)
+_JSON_LEAVES = _JSON_STRINGS | st.integers() | st.booleans() | st.none() | _JSON_FLOATS | st.lists(_JSON_FLOATS)
+
+
+def _json_values(depth: int):
+    if depth == 0:
+        return _JSON_LEAVES
+    inner = _json_values(depth - 1)
+    return _JSON_LEAVES | st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRINGS, inner, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=st.dictionaries(_JSON_STRINGS, _json_values(3), max_size=5) | st.lists(_json_values(3), max_size=5))
+def test_json_text_is_json_dumps_indented_with_sorted_keys(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.zeros(2), np.int64(3), np.bool_(True), np.float32(0.5)])
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    for payload in ({"x": value}, {"x": [1.0, value]}, {"x": {"y": [[value]]}}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text(payload)
 
 
 def test_from_dict_missing_columns():

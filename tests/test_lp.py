@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batteries import mixed_instances, positive_instances
-from oracles import enumerate_standard_form, halfspace_projection_enumeration, nnls_fresh_factorization
+import oracles
+from oracles import enumerate_standard_form, halfspace_projection_enumeration, nnls_fresh_factorization, simplex_frozen
 
 import linfeas.lp
+import linfeas.margins
+from linfeas.algorithms import AlgorithmConfig, perceptron_normalized
 from linfeas.generators import GeneratorSpec, generate
-from linfeas.instance import ingest
+from linfeas.instance import SimplexPoint, ingest
 from linfeas.lp import (
     FEASIBILITY_TOL,
     DegenerateFaceError,
@@ -20,7 +23,9 @@ from linfeas.lp import (
     dist_l2_to_halfspaces,
     solve,
 )
-from linfeas.margins import _rank_frame, margin_report, representable
+from linfeas.margins import ZERO_BAND, _rank_frame, margin_report, representable
+from linfeas.reporting import build_run_summary
+from linfeas.theorems import certify_radius, gordan_decide, hoffman_dual, hoffman_simplex
 
 
 def _no_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,6 +102,81 @@ def test_membership_and_l1_distance_run_at_fifty_by_two_hundred():
     distance, nearest = dist_l1_to_polyhedron(x0, eq, rhs[0])
     assert np.abs(eq @ nearest - rhs[0]).max() <= 1e-9 and nearest.min() >= -1e-9
     assert distance == pytest.approx(np.abs(nearest - x0).sum(), abs=1e-9)
+
+
+def _posed_programs(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (objective, matrix, rhs) that representable, hoffman_dual, hoffman_simplex and the run replay pose
+    on the certify benchmark's shapes and on mixed_instances(60, seed=42)."""
+    posed = []
+    original = linfeas.lp.solve
+
+    def recording(objective, eq_matrix, eq_rhs):
+        posed.append(tuple(np.array(v, dtype=float) for v in (objective, eq_matrix, eq_rhs)))
+        return original(objective, eq_matrix, eq_rhs)
+
+    monkeypatch.setattr(linfeas.lp, "solve", recording)  # dist_l1_to_polyhedron's
+    monkeypatch.setattr(linfeas.margins, "solve", recording)  # representable's
+    shapes = [(d, n) for d in (2, 3, 4) for n in range(5, 10) if n > d + 1]
+    instances = [
+        generate(GeneratorSpec(kind=kind, d=d, n=n, target_margin=target, seed=2400 + idx))[0]
+        for idx, (d, n) in enumerate(shapes)
+        for kind, target in (("planted-negative", -0.5 / d), ("planted-positive", 0.2))
+    ]
+    instances += [inst for inst, _ in mixed_instances(60, seed=42)]
+    for inst in instances:
+        report = margin_report(inst)
+        if report.rho_affine >= -ZERO_BAND:
+            continue  # the l1 and membership statements below hold only on the negative side
+        gordan_decide(inst, abs(report.rho_minus) / 2.0, 3, report=report)
+        certify_radius(inst, report=report)
+        hoffman_dual(inst, np.zeros(inst.d), np.eye(inst.n)[0], report=report)
+        hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0), report=report)
+        certificate, trace = perceptron_normalized(inst, AlgorithmConfig(max_iters=150, mode="dual-certificate"))
+        build_run_summary(inst, report, "np", "dual-certificate", certificate, trace)
+    monkeypatch.undo()
+    return posed
+
+
+def _assert_matches_the_frozen_simplex(objective, eq_matrix, eq_rhs) -> str:
+    sol = solve(objective, eq_matrix, eq_rhs)
+    status, x, value, basis = simplex_frozen(objective, eq_matrix, eq_rhs)
+    assert (sol.status, sol.basis) == (status, basis)
+    assert (None if sol.x is None else sol.x.tobytes()) == (None if x is None else x.tobytes())
+    assert sol.objective_value == value
+    return status
+
+
+def test_simplex_matches_its_frozen_reference_byte_for_byte(monkeypatch):
+    posed = _posed_programs(monkeypatch)
+    statuses = [_assert_matches_the_frozen_simplex(*program) for program in posed]
+    zero = [not objective.any() for objective, _, _ in posed]
+    assert len(posed) >= 500 and 0 < sum(zero) < len(posed)  # membership programs, and l1 distance programs
+    assert {"optimal", "infeasible"} <= set(statuses)
+    assert any((rhs < 0.0).any() for _, _, rhs in posed)
+    rows = [  # b < 0 rows, a redundant row, an infeasible program and an unbounded one
+        (np.array([1.0, 2.0, 0.0]), np.array([[1.0, -1.0, 0.0], [-1.0, 0.0, 1.0]]), np.array([-2.0, -1.0])),
+        (np.array([1.0, 1.0, 0.5]), np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 0.0, -1.0]]),
+         np.array([1.0, 2.0, 0.25])),
+        (np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0])),
+        (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0])),
+    ]
+    assert [_assert_matches_the_frozen_simplex(*program) for program in rows] == [
+        "optimal", "optimal", "infeasible", "unbounded"
+    ]
+    assert len(solve(*rows[1]).basis) == 2  # the redundant row was dropped
+
+    def bland_at_once(pivot_loop):
+        return lambda tableau, basis, crow, ncols, _threshold: pivot_loop(tableau, basis, crow, ncols, 0)
+
+    # Bland's rule from the first degenerate pivot on, in both simplexes, on Beale's program and the posed ones
+    for module in (linfeas.lp, oracles):
+        monkeypatch.setattr(module, "_pivot_loop", bland_at_once(module._pivot_loop))
+    beale = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    objective = np.concatenate([[-0.75, 150.0, -0.02, 6.0], np.zeros(3)])
+    status = _assert_matches_the_frozen_simplex(objective, np.hstack([beale, np.eye(3)]), np.array([0.0, 0.0, 1.0]))
+    assert status == "optimal"
+    for program in posed[::7]:
+        _assert_matches_the_frozen_simplex(*program)
 
 
 def test_optimal_solutions_satisfy_constraints():

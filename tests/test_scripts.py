@@ -41,7 +41,7 @@ def test_output_audit_flags_a_moved_field(tmp_path):
     run_script("output_audit.py", SCRIPTS.parent, "--first", 2, "--out", audit)
     rows = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
     calls = [row["call"].split() for row in rows]
-    assert {call[0] for call in calls} == {"margin_report", "certify", "run", "batch"}
+    assert {call[0] for call in calls} == {"margin_report", "certify", "run", "batch", "desk"}
     written = {(command, mode, algorithm, kind) for command, mode, _, algorithm, kind in
                (call for call in calls if call[0] in ("run", "batch") and len(call) == 5)}
     assert written == {
@@ -51,6 +51,17 @@ def test_output_audit_flags_a_moved_field(tmp_path):
         for algorithm in ("classic", "np", "vng")
         for kind in ("summary.json", "alpha.json", "trace.csv")
     }
+    desk = [call[1:] for call in calls if call[0] == "desk"]
+    kinds = ("planted-positive", "planted-negative", "near-ill-posed", "rank-deficient")
+    stems = {f"{kind}-{i}" for kind in kinds for i in range(2)}
+    assert {tuple(call) for call in desk if len(call) == 2} == {
+        (step, stem) for step in ("gen", "instance", "margin") for stem in stems
+    }
+    assert {tuple(call) for call in desk if len(call) == 1} == {("batch",), ("report",)}
+    assert {tuple(call[1:]) for call in desk if len(call) == 4} == {
+        (stem, algorithm, kind) for stem in stems for algorithm in ("np", "vng") for kind in ("summary.json", "trace.csv")
+    }
+    assert all(row["fields"]["exit"] == 0.0 for row in rows if row["call"] in ("desk batch", "desk report"))
     same = run_script("output_audit.py", "--compare", audit, audit, check=False)
     assert same.returncode == 0, same.stdout
     rows[0]["sha256"] = "0" * 64  # one field one ulp off

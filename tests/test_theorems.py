@@ -292,6 +292,25 @@ def test_a_report_at_another_rank_cutoff_is_refused(thin_heptagon, statement):
     assert certify(None).verified
 
 
+@pytest.mark.parametrize("statement", ["radius", "hoffman-simplex"])
+def test_a_report_of_other_columns_is_refused(triangle, statement):
+    angles = np.deg2rad([0.0, 120.0, 240.0])
+    tilted = ingest(np.column_stack([np.cos(angles), np.sin(angles)]).tolist(), name="tilted")
+    square = ingest([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], name="square")
+    certify = {
+        "radius": lambda report: certify_radius(tilted, report=report),
+        "hoffman-simplex": lambda report: hoffman_simplex(tilted, SimplexPoint.unit_mass(3, 0), report=report),
+    }[statement]
+    # the square's report fails radius's samples and breaks hoffman-simplex's construction; the other
+    # triangle has the same (d, n) and the same margin, so only its columns tell it apart
+    for other in (square, triangle):
+        with pytest.raises(ValueError, match="report was measured on other columns, not the instance's 2 x 3"):
+            certify(margin_report(other))
+    copy = ingest(tilted.columns.T.tolist(), normalize=False)  # equal columns in another array
+    for report in (margin_report(tilted), margin_report(copy), None):
+        assert certify(report).verified
+
+
 def test_certify_radius_queries_the_seeded_ball_points(monkeypatch):
     # the points of the per-sample loop radius drew before it shared Gordan part 3's
     # directions, bit for bit, then the point past the nearest facet
