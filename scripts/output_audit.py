@@ -24,12 +24,17 @@ and, on the first three instances of each battery, ``linfeas run`` with each
 algorithm in each mode, and ``linfeas batch`` of all three algorithms over
 those instances in each mode, both with ``--max-iters 100 --dump-alpha``.
 
+On the certify-lp shapes, each of those statements is also called in the
+library, right after margin_report on the same instance, with the arguments
+the CLI passes.
+
 Last, one round of the desk pipeline: ``linfeas gen`` of each of the four
 kinds at six fixed (d, n) from (3, 10) to (8, 14), ``linfeas margin`` of each
 saved instance, ``linfeas batch --algorithms np,vng --workers 2`` over them
 all, and ``linfeas report`` of the summaries.
 
-A report that raises is recorded by its error's type and message, a certify
+A report or library statement that raises is recorded by its error's type
+and message, a library statement that returns by its JSON text, a certify
 call by its exit code and its standard output and error, a run by its exit
 code and standard output (its standard error names a temporary path), and a
 batch by its exit code and standard output and error. Every summary, alpha
@@ -129,6 +134,25 @@ def _certify_args(report: dict, zero_band: float) -> list[list[str]]:
     return calls
 
 
+def _statement(inst, args: list[str]):
+    """The result of the statement a certify argument list names, called in-process with the CLI's defaults."""
+    import numpy as np
+
+    from linfeas import theorems
+    from linfeas.instance import SimplexPoint
+
+    theorem, gamma = args[1], float(args[3]) if len(args) > 2 else 0.0
+    if theorem.startswith("gordan"):
+        return theorems.gordan_decide(inst, gamma, int(theorem[-1]))
+    return {
+        "meb": lambda: theorems.certify_meb(inst),
+        "radius": lambda: theorems.certify_radius(inst),
+        "hoffman-dual": lambda: theorems.hoffman_dual(inst, np.zeros(inst.d), np.eye(inst.n)[0]),
+        "hoffman-simplex": lambda: theorems.hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0)),
+        "hoffman-primal": lambda: theorems.hoffman_primal(inst, np.ones(inst.n), np.zeros(inst.d)),
+    }[theorem]()
+
+
 def _cli(main, argv: list[str]) -> tuple[int, str, str]:
     """Exit code, standard output and standard error of one in-process CLI call."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -217,7 +241,7 @@ def _audit_desk(main, tmp: Path, first: int | None, out) -> None:
 def audit(tree: Path, first: int | None, out) -> None:
     sys.path[:0] = [str(tree / "src"), str(REPO / "tests")]
     from linfeas.cli import main
-    from linfeas.instance import save_instance
+    from linfeas.instance import json_text, save_instance
     from linfeas.margins import ZERO_BAND, margin_report
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -232,6 +256,14 @@ def audit(tree: Path, first: int | None, out) -> None:
                     print(_line(call, f"{type(exc).__name__}: {exc}", {}), file=out)
                     continue
                 print(_line(call, json.dumps(report, sort_keys=True), _flatten(report)), file=out)
+                for args in _certify_args(report, ZERO_BAND) if label == "certify-lp" else ():
+                    call = f"library {' '.join(args)} {label}/{inst.name}"
+                    try:
+                        text = json_text(_statement(inst, args).as_dict())
+                    except (ValueError, RuntimeError) as exc:
+                        print(_line(call, f"{type(exc).__name__}: {exc}", {}), file=out)
+                        continue
+                    print(_line(call, text, _flatten(json.loads(text))), file=out)
                 path = save_instance(inst, tmp / "instances" / f"{label}-{inst.name}.json")
                 for args in _certify_args(report, ZERO_BAND):
                     code, stdout, stderr = _cli(main, ["certify", path, *args])

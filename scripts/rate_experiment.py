@@ -40,7 +40,7 @@ def main() -> int:
         instance, meta = generate(spec)
         report = margin_report(instance)
         rho = report.rho_plus
-        ball = minimum_enclosing_ball(instance, report)
+        ball = minimum_enclosing_ball(instance)
         w_star = ball.center / np.linalg.norm(ball.center)
 
         config = AlgorithmConfig(max_iters=args.horizon, mode="margin-maximization")

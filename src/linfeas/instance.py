@@ -196,10 +196,9 @@ _PLAIN = {
 
 
 class Record:
-    """A result written as JSON: its dataclass fields but those it keeps to itself, then the properties it names."""
+    """A result written as JSON: its dataclass fields, then the properties it names."""
 
     _properties: tuple[str, ...] = ()
-    _unwritten: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -207,8 +206,6 @@ class Record:
 
     def as_dict(self) -> dict:
         payload = vars(self).copy()
-        for name in self._unwritten:
-            del payload[name]
         for key, value in payload.items():
             encode = _PLAIN.get(type(value))
             if encode is not None:

@@ -166,6 +166,8 @@ def solve(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> L
         raise ValueError("objective must be a finite vector")
     if A.ndim != 2 or A.shape[1] != c.size or b.shape != (A.shape[0],):
         raise ValueError(f"inconsistent equality block: matrix {A.shape}, rhs {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("equality block must have finite entries")
     status, x, basis = _two_phase(A, b, c)
     if status != "optimal":
         return LpSolution(status=status, basis=basis)

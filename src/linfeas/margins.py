@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
@@ -104,10 +105,7 @@ class MarginReport(Record):
     rank: int
     rank_tolerance: float
     ill_posed: bool
-    columns: np.ndarray  # the columns measured, the instance's own array: a certifier refuses the report for others
     boundary_pass: bool = False  # a column lies beyond the winning hyperplane by more than rounding, within SIDE_TOL
-
-    _unwritten = ("columns",)
 
 
 @dataclass(eq=False)
@@ -346,15 +344,34 @@ def _negative_margin_details(
     return float(dists[winner]), direction, flagged
 
 
+# the report margin_report measured at each live instance's default rank cutoff; an entry dies with its instance
+_KEPT: weakref.WeakKeyDictionary[ProblemInstance, MarginReport] = weakref.WeakKeyDictionary()
+
+
 def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> MarginReport:
     """Exact classical and span-restricted margins with both witnesses attached.
 
     This is the single entry into the exact oracles: every consumer
-    (generators, run summaries, certifiers, the enclosing ball) computes one
-    report per instance and reads its margins and witnesses from it. The
-    witness direction is the unit margin maximizer; on the negative side it is
-    minus the outward normal of the nearest facet.
+    (generators, run summaries, certifiers, the enclosing ball) calls it with
+    the instance and reads its margins and witnesses from the report. The
+    report at the instance's default rank cutoff, the one the rank frame, the
+    ball samples and the span test read, is measured once and kept for as long
+    as the instance lives, so the oracle runs once per instance and every
+    statement reads the same report. A failure raises and is not kept. A
+    report at another cutoff (``rank_tol``) is measured afresh and not kept.
+    The witness direction is the unit margin maximizer; on the negative side
+    it is minus the outward normal of the nearest facet.
     """
+    if rank_tol is not None:
+        return _measure(instance, rank_tol)
+    report = _KEPT.get(instance)
+    if report is None:
+        report = _KEPT[instance] = _measure(instance, None)
+    return report
+
+
+def _measure(instance: ProblemInstance, rank_tol: float | None) -> MarginReport:
+    """The margin report at this rank cutoff (None: the instance's default), by the exact oracles."""
     basis = column_space_basis(instance, rank_tol)
     rank = basis.rank
     rho_plus_val, weights, direction = positive_margin_exact(instance)
@@ -377,7 +394,6 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
         rank=rank,
         rank_tolerance=basis.tolerance,
         ill_posed=abs(rho_affine) <= ZERO_BAND,
-        columns=instance.columns,
         boundary_pass=flagged,
     )
 
@@ -424,18 +440,18 @@ def margin_grid_estimate(instance: ProblemInstance, resolution: int) -> float:
     return max(float((block @ coords).min(axis=1).max()) for block in blocks)
 
 
-def minimum_enclosing_ball(instance: ProblemInstance, report: MarginReport | None = None) -> BallReport:
+def minimum_enclosing_ball(instance: ProblemInstance) -> BallReport:
     """Smallest ball enclosing the hull of unit columns, from the margin witness.
 
     For unit columns the radius is sqrt(1 - rho_plus^2) and the center is the
     hull point selected by the positive-margin minimizer; when the origin lies
-    in the hull the answer degenerates to the unit ball about the origin. A
-    ``report`` computed earlier can be passed to skip the oracle.
+    in the hull the answer degenerates to the unit ball about the origin. The
+    witness is the instance's kept margin_report, so the oracle runs at most
+    once per instance.
     """
     if not instance.has_unit_columns():
         raise ValueError("minimum_enclosing_ball requires unit columns (ingest with normalize=True)")
-    if report is None:
-        report = margin_report(instance)
+    report = margin_report(instance)
     rho_plus, weights = report.rho_plus, report.witness_weights
     if rho_plus <= ZERO_BAND:
         return BallReport(center=np.zeros(instance.d), radius=1.0, support_weights=weights)

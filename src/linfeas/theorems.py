@@ -9,11 +9,11 @@ then decides which side of its statement holds using the exact margin oracle,
 constructs the witness object the statement promises and reports its
 residuals, so a claim never rests on the oracle alone. Every result is a
 Record with ``verified``. Every distance bound is cross-checked against
-the exact l1 or l2 distance from the LP module. The margin is taken at the
-instance's default rank cutoff, the one the rank frame, the ball samples and
-the span test read, so a statement and its checks share one rank; a
-``report`` passed in at another cutoff, or measured on other columns, is
-refused.
+the exact l1 or l2 distance from the LP module. Each verifier reads the
+instance's own ``margin_report``, kept per instance at its default rank
+cutoff, the one the rank frame, the ball samples and the span test read: a
+statement and its checks share one rank, and no statement can read the
+report of other columns or another cutoff.
 """
 
 from __future__ import annotations
@@ -46,25 +46,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
-
-ReportSource = MarginReport | None
-
-
-def _measured(instance: ProblemInstance, report: ReportSource) -> MarginReport:
-    """The report passed, which must have measured the instance's columns at the checks' rank cutoff, or a fresh
-    one; asked for after the input checks."""
-    if report is None:
-        return margin_report(instance)
-    if report.columns is not instance.columns and not np.array_equal(report.columns, instance.columns):
-        raise ValueError(
-            f"report was measured on other columns, not the instance's {instance.d} x {instance.n} that the checks read"
-        )
-    if report.rank_tolerance != instance.basis.tolerance:
-        raise ValueError(
-            f"report was taken at rank cutoff {report.rank_tolerance!r}, "
-            f"not the instance's {instance.basis.tolerance!r} that the checks read"
-        )
-    return report
 
 
 class IllPosedError(RuntimeError):
@@ -201,7 +182,6 @@ def gordan_decide(
     part: int,
     sample_seed: int = 0,
     samples: int = 32,
-    report: ReportSource = None,
 ) -> GordanVerdict:
     """Decide which alternative holds at threshold gamma and construct its witness.
 
@@ -213,8 +193,9 @@ def gordan_decide(
     samples, all passed to one batched ``representable`` call, so the
     ``ball_samples`` weights are a basic feasible solution for each point but
     not always the one a fresh simplex would pick. Gamma must satisfy
-    0 <= gamma < inf. A ``report`` computed earlier can be passed to skip the
-    oracle.
+    0 <= gamma < inf. The margin is the instance's kept margin_report, asked
+    for once the inputs pass, so the oracle runs at most once per instance
+    across every statement.
     """
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
@@ -222,7 +203,7 @@ def gordan_decide(
         raise ValueError("part must be 1, 2, or 3")
     if part == 1 and gamma != 0.0:
         raise ValueError("part 1 is the zero-threshold statement; use gamma = 0")
-    report = _measured(instance, report)
+    report = margin_report(instance)
     rho = report.rho_affine
     pivot = gamma if part in (1, 2) else -gamma
     if abs(rho - pivot) <= ZERO_BAND:
@@ -278,12 +259,7 @@ def _require_negative_margin(report: MarginReport) -> float:
     return abs(report.rho_minus)
 
 
-def hoffman_dual(
-    instance: ProblemInstance,
-    b: np.ndarray,
-    x: np.ndarray,
-    report: ReportSource = None,
-) -> HoffmanReport:
+def hoffman_dual(instance: ProblemInstance, b: np.ndarray, x: np.ndarray) -> HoffmanReport:
     """Bound the l1 distance from x >= 0 to {x' >= 0 | A x' = b} by residual/inradius.
 
     Constructs the repaired point x + p * ||Ax - b|| / inradius, where p
@@ -295,9 +271,11 @@ def hoffman_dual(
     x = np.asarray(x, dtype=float)
     if b.shape != (instance.d,) or x.shape != (instance.n,):
         raise ValueError("b must have length d and x length n")
+    if not (np.isfinite(b).all() and np.isfinite(x).all()):
+        raise ValueError("b and x must be finite")
     if np.any(x < -1e-12):
         raise ValueError("x must be entrywise nonnegative")
-    rho = _require_negative_margin(_measured(instance, report))
+    rho = _require_negative_margin(margin_report(instance))
     x = np.clip(x, 0.0, None)
     span_gap = float(np.linalg.norm(b - instance.basis.project(b)))
     if span_gap > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
@@ -332,18 +310,14 @@ def hoffman_dual(
     )
 
 
-def hoffman_simplex(
-    instance: ProblemInstance,
-    p: SimplexPoint,
-    report: ReportSource = None,
-) -> HoffmanReport:
+def hoffman_simplex(instance: ProblemInstance, p: SimplexPoint) -> HoffmanReport:
     """Bound the l1 distance from weights p to the zero-combination weight set.
 
     The sharp bound is 2||Ap|| / (||Ap|| + inradius); the relaxed one drops
     the first addend of the denominator. The witness blends p with a
     representation of the reflected, inradius-scaled hull point.
     """
-    rho = _require_negative_margin(_measured(instance, report))
+    rho = _require_negative_margin(margin_report(instance))
     image = combine(instance, p)
     r = float(np.linalg.norm(image))
     relaxed = 2.0 * r / rho
@@ -374,12 +348,7 @@ def hoffman_simplex(
     )
 
 
-def hoffman_primal(
-    instance: ProblemInstance,
-    c: np.ndarray,
-    w: np.ndarray,
-    report: ReportSource = None,
-) -> HoffmanReport:
+def hoffman_primal(instance: ProblemInstance, c: np.ndarray, w: np.ndarray) -> HoffmanReport:
     """Bound the Euclidean distance from w to {y | A^T y >= c} by violation/margin.
 
     The witness pushes w along the unit margin-maximizing direction far enough
@@ -390,7 +359,9 @@ def hoffman_primal(
     w = np.asarray(w, dtype=float)
     if c.shape != (instance.n,) or w.shape != (instance.d,):
         raise ValueError("c must have length n and w length d")
-    report = _measured(instance, report)
+    if not (np.isfinite(c).all() and np.isfinite(w).all()):
+        raise ValueError("c and w must be finite")
+    report = margin_report(instance)
     if report.rho_affine <= ZERO_BAND:
         raise InapplicableError(
             f"statement needs a strictly positive margin, instance has {report.rho_affine:.3e}"
@@ -418,7 +389,7 @@ def hoffman_primal(
     )
 
 
-def certify_meb(instance: ProblemInstance, report: ReportSource = None) -> BallVerdict:
+def certify_meb(instance: ProblemInstance) -> BallVerdict:
     """Check the smallest enclosing ball of the unit columns against radius^2 + rho_plus^2 = 1.
 
     Also checks that the ball contains every column and that its centre is the
@@ -427,8 +398,8 @@ def certify_meb(instance: ProblemInstance, report: ReportSource = None) -> BallV
     """
     if not instance.has_unit_columns():
         raise InapplicableError("minimum_enclosing_ball requires unit columns (ingest with normalize=True)")
-    report = _measured(instance, report)
-    ball = minimum_enclosing_ball(instance, report)
+    report = margin_report(instance)
+    ball = minimum_enclosing_ball(instance)
     cols = instance.columns
     overshoot = float(np.linalg.norm(cols - ball.center[:, None], axis=0).max() - ball.radius)
     return BallVerdict(
@@ -439,12 +410,7 @@ def certify_meb(instance: ProblemInstance, report: ReportSource = None) -> BallV
     )
 
 
-def certify_radius(
-    instance: ProblemInstance,
-    sample_seed: int = 0,
-    samples: int = 32,
-    report: ReportSource = None,
-) -> RadiusVerdict:
+def certify_radius(instance: ProblemInstance, sample_seed: int = 0, samples: int = 32) -> RadiusVerdict:
     """Spot-check that the ball of the inradius lies in the hull and reaches its nearest facet.
 
     The interior points are 0.99 times the inradius along the seeded sample
@@ -454,7 +420,7 @@ def certify_radius(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    report = _measured(instance, report)
+    report = margin_report(instance)
     inradius = _require_negative_margin(report)
     assert report.witness_direction is not None
     inside = 0.99 * inradius * _span_directions(instance, samples, sample_seed)[2 * instance.basis.rank :]

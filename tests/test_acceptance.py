@@ -97,7 +97,7 @@ def test_criterion_1_gordan_exclusivity(criterion):
                 pivot = gamma if part in (1, 2) else -gamma
                 if abs(rho - pivot) <= 1e-9:
                     continue  # the battery never asks inside the ill-posed band
-                verdict = gordan_decide(inst, gamma, part, report=report)
+                verdict = gordan_decide(inst, gamma, part)
                 assert verdict.verified, (
                     f"{inst.name} part {part} gamma {gamma}: witness residuals "
                     f"{verdict.residuals}"
@@ -214,19 +214,18 @@ def test_criterion_7_vng_linear_convergence(criterion, negative_battery):
 def test_criterion_8_hoffman_bounds(criterion, negative_battery):
     with criterion(8, "error-bound witnesses feasible and bounds above exact distances"):
         rng = np.random.default_rng(15_000)
-        for inst, report in negative_battery:
+        for inst, _ in negative_battery:
             x = rng.uniform(0.0, 2.0, inst.n)
             b = inst.columns @ rng.uniform(0.0, 1.0, inst.n)
-            dual = hoffman_dual(inst, b, x, report=report)
+            dual = hoffman_dual(inst, b, x)
             assert dual.verified, f"{inst.name}: dual-general {dual.as_dict()}"
             point = SimplexPoint.from_approximate(rng.dirichlet(np.ones(inst.n)))
-            simplex = hoffman_simplex(inst, point, report=report)
+            simplex = hoffman_simplex(inst, point)
             assert simplex.verified, f"{inst.name}: dual-simplex {simplex.as_dict()}"
         for inst, meta in positive_instances(100, seed=16_000):
-            report = margin_report(inst)
             c = rng.standard_normal(inst.n)
             w = rng.standard_normal(inst.d)
-            primal = hoffman_primal(inst, c, w, report=report)
+            primal = hoffman_primal(inst, c, w)
             assert primal.verified, f"{inst.name}: primal {primal.as_dict()}"
 
         # worked tight cases: bound equals the exact distance

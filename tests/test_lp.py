@@ -61,6 +61,16 @@ def test_malformed_programs_rejected():
         solve(np.zeros(2), np.zeros(2), np.zeros(1))
 
 
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_equality_blocks_rejected(value):
+    # unrefused, a nan right-hand side failed inside the ratio test, an inf one came out optimal
+    # with x = [nan, 0], and a nan matrix entry broke the simplex down
+    with pytest.raises(ValueError, match="^equality block must have finite entries$"):
+        solve(np.zeros(2), np.array([[1.0, 1.0]]), np.array([value]))
+    with pytest.raises(ValueError, match="^equality block must have finite entries$"):
+        solve(np.zeros(2), np.array([[1.0, value]]), np.array([1.0]))
+
 def test_degenerate_program_terminates():
     # Beale's cycling-prone program under naive pivoting, with a slack column per row
     rows = np.array(
@@ -127,10 +137,10 @@ def _posed_programs(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
         report = margin_report(inst)
         if report.rho_affine >= -ZERO_BAND:
             continue  # the l1 and membership statements below hold only on the negative side
-        gordan_decide(inst, abs(report.rho_minus) / 2.0, 3, report=report)
-        certify_radius(inst, report=report)
-        hoffman_dual(inst, np.zeros(inst.d), np.eye(inst.n)[0], report=report)
-        hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0), report=report)
+        gordan_decide(inst, abs(report.rho_minus) / 2.0, 3)
+        certify_radius(inst)
+        hoffman_dual(inst, np.zeros(inst.d), np.eye(inst.n)[0])
+        hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0))
         certificate, trace = perceptron_normalized(inst, AlgorithmConfig(max_iters=150, mode="dual-certificate"))
         build_run_summary(inst, report, "np", "dual-certificate", certificate, trace)
     monkeypatch.undo()

@@ -1,5 +1,7 @@
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from batteries import mixed_instances, negative_instances, positive_instances
 
 import linfeas.margins
 from linfeas.generators import GeneratorSpec, generate
-from linfeas.instance import SimplexPoint, combine, ingest
+from linfeas.instance import ProblemInstance, SimplexPoint, combine, ingest, json_text
 from linfeas.margins import (
     SIDE_TOL,
     ZERO_BAND,
@@ -450,10 +452,16 @@ def test_witness_direction_certifies_rho_plus_on_slivers():
     assert feasible >= 90  # about half the slivers miss the origin
 
 
+def _fresh(inst) -> ProblemInstance:
+    """An equal instance that no call has measured: margin_report runs the oracle, with any patch in force,
+    where it would return the report the instance keeps."""
+    return ProblemInstance(inst.columns, inst.name, inst.normalized)
+
+
 def _report_json(inst) -> str:
-    """margin_report as JSON text, or the error it raises."""
+    """margin_report of a fresh copy of inst as JSON text, or the error it raises."""
     try:
-        return json.dumps(margin_report(inst).as_dict(), sort_keys=True)
+        return json.dumps(margin_report(_fresh(inst)).as_dict(), sort_keys=True)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -481,10 +489,39 @@ def _polar_runs(inst) -> int:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("linfeas.margins._polar_rays", lambda coords: calls.append(None) or polar(coords))
         try:
-            margin_report(inst)
+            margin_report(_fresh(inst))
         except NegativeMarginError:
             pass
     return len(calls)
+
+
+def test_the_report_is_kept_for_each_live_instance(triangle):
+    report = margin_report(triangle)
+    assert margin_report(triangle) is report
+    copy = _fresh(triangle)  # equal columns, another instance: its own report, with the same bytes
+    assert margin_report(copy) is not report
+    assert json_text(margin_report(copy).as_dict()) == json_text(report.as_dict())
+
+
+def test_a_kept_report_dies_with_its_instance(triangle):
+    inst = _fresh(triangle)
+    margin_report(inst)
+    alive = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert alive() is None
+
+
+def test_a_failed_measurement_is_not_kept(triangle):
+    def fail(instance, basis):
+        raise NegativeMarginError("instance has rank 0; margins are undefined")
+
+    inst = _fresh(triangle)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("linfeas.margins._negative_margin_details", fail)
+        with pytest.raises(NegativeMarginError):
+            margin_report(inst)
+    assert margin_report(inst).rho_minus == pytest.approx(-0.5)
 
 
 def test_polar_runs_only_above_the_crossover_or_off_unit_scale():

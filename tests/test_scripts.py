@@ -41,7 +41,13 @@ def test_output_audit_flags_a_moved_field(tmp_path):
     run_script("output_audit.py", SCRIPTS.parent, "--first", 2, "--out", audit)
     rows = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
     calls = [row["call"].split() for row in rows]
-    assert {call[0] for call in calls} == {"margin_report", "certify", "run", "batch", "desk"}
+    assert {call[0] for call in calls} == {"margin_report", "library", "certify", "run", "batch", "desk"}
+    # the library slice calls what the CLI's certify-lp calls do, and reads the same numbers
+    library = {row["call"].split(" ", 1)[1]: row["fields"] for row in rows if row["call"].startswith("library ")}
+    certify = {row["call"].split(" ", 1)[1]: row["fields"] for row in rows
+               if row["call"].startswith("certify ") and "certify-lp/" in row["call"]}
+    assert library.keys() == certify.keys() and len(library) >= 2
+    assert all(fields == {k: v for k, v in certify[call].items() if k != "exit"} for call, fields in library.items())
     written = {(command, mode, algorithm, kind) for command, mode, _, algorithm, kind in
                (call for call in calls if call[0] in ("run", "batch") and len(call) == 5)}
     assert written == {

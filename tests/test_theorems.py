@@ -91,7 +91,7 @@ def test_gordan_rejects_negative_gamma(axes):
 @pytest.mark.parametrize("part", [2, 3])
 def test_gordan_rejects_non_finite_gamma(triangle, gamma, part):
     with pytest.raises(ValueError, match="finite"):
-        gordan_decide(triangle, gamma, part, report=margin_report(triangle))
+        gordan_decide(triangle, gamma, part)
 
 
 def test_gordan_gamma_zero_parts_agree():
@@ -99,7 +99,7 @@ def test_gordan_gamma_zero_parts_agree():
         report = margin_report(inst)
         if abs(report.rho_affine) <= 1e-9:
             continue
-        verdicts = [gordan_decide(inst, 0.0, part, report=report) for part in (1, 2, 3)]
+        verdicts = [gordan_decide(inst, 0.0, part) for part in (1, 2, 3)]
         assert len({v.alternative_held for v in verdicts}) == 1
         assert all(v.verified for v in verdicts)
 
@@ -111,7 +111,7 @@ def test_gordan_flip_always_fails():
         if abs(report.rho_affine) <= 1e-9:
             continue
         gamma = 0.5 * abs(report.rho_affine)
-        verdict = gordan_decide(inst, gamma, 2, report=report)
+        verdict = gordan_decide(inst, gamma, 2)
         min_image = np.linalg.norm(combine(inst, report.witness_weights))
         if verdict.alternative_held == "first":
             # no hull point can reach within gamma of the origin
@@ -221,8 +221,7 @@ def test_hoffman_primal_inapplicable(segment):
 
 def test_hoffman_constant_independent_of_rhs(triangle):
     # for a fixed instance the bound over the residual is one constant
-    report0 = margin_report(triangle)
-    rho = abs(report0.rho_minus)
+    rho = abs(margin_report(triangle).rho_minus)
     rng = np.random.default_rng(4)
     for _ in range(5):
         x = rng.uniform(0.0, 2.0, 3)
@@ -231,26 +230,22 @@ def test_hoffman_constant_independent_of_rhs(triangle):
         residual = np.linalg.norm(triangle.columns @ x - b)
         if residual <= 1e-12:
             continue
-        report = hoffman_dual(triangle, b, x, report=report0)
+        report = hoffman_dual(triangle, b, x)
         assert report.bound_value / residual == pytest.approx(1.0 / rho, rel=1e-12)
 
 
 def test_hoffman_witnesses_on_batteries():
     for inst, meta in negative_instances(8, seed=2400):
-        report = margin_report(inst)
         rng = np.random.default_rng(inst.n)
         x = rng.uniform(0.0, 2.0, inst.n)
         b = inst.columns @ rng.uniform(0.0, 1.0, inst.n)
-        dual = hoffman_dual(inst, b, x, report=report)
+        dual = hoffman_dual(inst, b, x)
         assert dual.verified
-        simplex = hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0), report=report)
+        simplex = hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0))
         assert simplex.verified
     for inst, meta in positive_instances(8, seed=2500):
-        report = margin_report(inst)
         rng = np.random.default_rng(inst.n + 1)
-        primal = hoffman_primal(
-            inst, rng.standard_normal(inst.n), rng.standard_normal(inst.d), report=report
-        )
+        primal = hoffman_primal(inst, rng.standard_normal(inst.n), rng.standard_normal(inst.d))
         assert primal.verified
 
 
@@ -278,37 +273,34 @@ def test_certify_meb_and_radius_check_inputs_before_the_oracle(axes, monkeypatch
         certify_radius(axes)
 
 
-@pytest.mark.parametrize("statement", ["radius", "gordan3"])
-def test_a_report_at_another_rank_cutoff_is_refused(thin_heptagon, statement):
+def test_a_report_at_another_rank_cutoff_is_not_kept(thin_heptagon):
     # at a cutoff of 1e-3 the report sees rank 2 and rho -0.63, while the ball samples and the
-    # rank frame read rank 3, where rho is -6.2e-6: the statement would fail on its own checks
-    certify = {
-        "radius": lambda report: certify_radius(thin_heptagon, report=report),
-        "gordan3": lambda report: gordan_decide(thin_heptagon, 0.2, 3, report=report),
-    }[statement]
-    with pytest.raises(ValueError, match="rank cutoff 0.001"):
-        certify(margin_report(thin_heptagon, rank_tol=1e-3))
-    assert certify(margin_report(thin_heptagon)).verified
-    assert certify(None).verified
+    # rank frame read rank 3, where rho is -6.2e-6: a statement that read it would fail its own checks
+    assert margin_report(thin_heptagon, rank_tol=1e-3).rank == 2
+    kept = margin_report(thin_heptagon)
+    assert kept.rank == 3 and kept.rank_tolerance == thin_heptagon.basis.tolerance
+    assert certify_radius(thin_heptagon).verified
+    verdict = gordan_decide(thin_heptagon, 0.2, 3)
+    assert verdict.verified and verdict.margin is kept
 
 
-@pytest.mark.parametrize("statement", ["radius", "hoffman-simplex"])
-def test_a_report_of_other_columns_is_refused(triangle, statement):
-    angles = np.deg2rad([0.0, 120.0, 240.0])
-    tilted = ingest(np.column_stack([np.cos(angles), np.sin(angles)]).tolist(), name="tilted")
-    square = ingest([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], name="square")
-    certify = {
-        "radius": lambda report: certify_radius(tilted, report=report),
-        "hoffman-simplex": lambda report: hoffman_simplex(tilted, SimplexPoint.unit_mass(3, 0), report=report),
-    }[statement]
-    # the square's report fails radius's samples and breaks hoffman-simplex's construction; the other
-    # triangle has the same (d, n) and the same margin, so only its columns tell it apart
-    for other in (square, triangle):
-        with pytest.raises(ValueError, match="report was measured on other columns, not the instance's 2 x 3"):
-            certify(margin_report(other))
-    copy = ingest(tilted.columns.T.tolist(), normalize=False)  # equal columns in another array
-    for report in (margin_report(tilted), margin_report(copy), None):
-        assert certify(report).verified
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["b", "x", "c", "w"])
+def test_hoffman_refuses_non_finite_vectors_before_the_oracle(triangle, axes, monkeypatch, name, value):
+    # unrefused, a nan in b or x read as an empty witness set, an inf in x ran the simplex to its
+    # pivot budget, and a nan in c or w gave verified: False with a nan bound
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle ran for a vector the statement refuses")
+
+    monkeypatch.setattr(linfeas.theorems, "margin_report", refuse)
+    vectors = {"b": np.zeros(2), "x": np.array([1.0, 0.0, 0.0]), "c": np.ones(2), "w": np.zeros(2)}
+    vectors[name][0] = value
+    if name in ("b", "x"):
+        with pytest.raises(ValueError, match="^b and x must be finite$"):
+            hoffman_dual(triangle, vectors["b"], vectors["x"])
+    else:
+        with pytest.raises(ValueError, match="^c and w must be finite$"):
+            hoffman_primal(axes, vectors["c"], vectors["w"])
 
 
 def test_certify_radius_queries_the_seeded_ball_points(monkeypatch):
@@ -328,7 +320,7 @@ def test_certify_radius_queries_the_seeded_ball_points(monkeypatch):
         if report.rho_affine >= -ZERO_BAND:
             continue
         samples, seed = 3 + k, 7 * k
-        verdict = certify_radius(inst, sample_seed=seed, samples=samples, report=report)
+        verdict = certify_radius(inst, sample_seed=seed, samples=samples)
         assert verdict.verified and verdict.interior_samples == samples
         inradius = abs(report.rho_minus)
         rng = np.random.default_rng(seed)
@@ -357,14 +349,14 @@ def test_every_simplex_program_is_posed_in_the_rank_frame(monkeypatch):
         report = margin_report(inst)
         gamma = 0.5 * abs(report.rho_affine)
         statements = [
-            lambda: gordan_decide(inst, 0.0, 1, report=report),
-            lambda: gordan_decide(inst, gamma, 2, report=report),
-            lambda: gordan_decide(inst, gamma, 3, report=report),
-            lambda: certify_meb(inst, report=report),
-            lambda: certify_radius(inst, report=report),
-            lambda: hoffman_dual(inst, np.zeros(inst.d), np.eye(inst.n)[0], report=report),
-            lambda: hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0), report=report),
-            lambda: hoffman_primal(inst, np.ones(inst.n), np.zeros(inst.d), report=report),
+            lambda: gordan_decide(inst, 0.0, 1),
+            lambda: gordan_decide(inst, gamma, 2),
+            lambda: gordan_decide(inst, gamma, 3),
+            lambda: certify_meb(inst),
+            lambda: certify_radius(inst),
+            lambda: hoffman_dual(inst, np.zeros(inst.d), np.eye(inst.n)[0]),
+            lambda: hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0)),
+            lambda: hoffman_primal(inst, np.ones(inst.n), np.zeros(inst.d)),
         ]
         rows.clear()
         for statement in statements:
@@ -399,6 +391,6 @@ def test_ball_samples_and_residuals_match_one_sample_at_a_time():
             assert _span_directions(inst, 32, seed).tobytes() == expected.tobytes(), inst.name
         report = margin_report(inst)
         if report.rho_affine < -ZERO_BAND:
-            verdict = gordan_decide(inst, 0.5 * abs(report.rho_minus), 3, sample_seed=7, report=report)
+            verdict = gordan_decide(inst, 0.5 * abs(report.rho_minus), 3, sample_seed=7)
             residuals = [np.linalg.norm(combine(inst, p) - v) for v, p in verdict.ball_samples]
             assert verdict.residuals.tobytes() == np.array(residuals).tobytes(), inst.name
