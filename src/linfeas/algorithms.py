@@ -40,6 +40,7 @@ from .instance import ProblemInstance, Record, SimplexPoint
 
 __all__ = [
     "MODES",
+    "TraceBudgetError",
     "AlgorithmConfig",
     "IterateTrace",
     "Certificate",
@@ -74,7 +75,7 @@ class AlgorithmConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Certificate(Record):
     kind: str  # "primal-feasible" | "dual-epsilon"
     direction: np.ndarray | None
@@ -83,7 +84,7 @@ class Certificate(Record):
     iterations: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class IterateTrace:
     """Per-iteration record of a run; row t holds the state after update t.
 
@@ -120,10 +121,17 @@ class IterateTrace:
         return path
 
 
+class TraceBudgetError(MemoryError):
+    """Raised when the trace of an iteration budget cannot be allocated."""
+
+
 def _trace_buffers(capacity: int, width: int) -> tuple[np.ndarray, ...]:
     """Rows for update 0 to capacity: the state [w | alpha], min_j w . a_j and the chosen column."""
     rows = capacity + 1
-    return np.zeros((rows, width)), np.zeros(rows), np.full(rows, -1, dtype=int)
+    try:
+        return np.zeros((rows, width)), np.zeros(rows), np.full(rows, -1, dtype=int)
+    except (MemoryError, ValueError) as exc:  # numpy refuses a size past memory, or past its index range
+        raise TraceBudgetError(f"cannot allocate a trace of {capacity} updates: {exc}") from exc
 
 
 def _freeze(algorithm: str, d: int, rows: int, termination: str, buffers: tuple[np.ndarray, ...]) -> IterateTrace:
@@ -323,7 +331,7 @@ def margin_estimate_np(instance: ProblemInstance, eps: float) -> tuple[float, fl
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    steps = math.ceil(4.0 / (eps * eps))
+    steps = math.ceil(4.0 / max(eps * eps, 1e-300))  # the floor keeps 4 / eps^2 finite; no trace holds 4e300 updates
     config = AlgorithmConfig(max_iters=steps, mode="margin-maximization")
     _, trace = perceptron_normalized(instance, config)
     upper = float(trace.norms[-1])

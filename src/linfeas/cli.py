@@ -29,6 +29,7 @@ import numpy as np
 from .algorithms import (
     MODES,
     AlgorithmConfig,
+    TraceBudgetError,
     margin_estimate_np,
     perceptron_classic,
     perceptron_normalized,
@@ -313,15 +314,8 @@ def _run_one(
 
 
 def cmd_run(args) -> int:
-    ((summary, summary_path),) = _run_one(
-        args.instance,
-        [args.algorithm],
-        args.mode,
-        args.eps,
-        args.max_iters,
-        args.out_dir,
-        args.dump_alpha,
-    )
+    task = (args.instance, [args.algorithm], args.mode, args.eps, args.max_iters, args.out_dir, args.dump_alpha)
+    ((summary, summary_path),) = _run_one(*task)
     _emit(summary.as_dict())
     print(f"summary: {summary_path}", file=sys.stderr)
     return VERDICT_EXIT[summary.verdict]
@@ -532,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _drop_stdout()
         return EXIT_USAGE
-    except _UsageError as exc:
+    except (_UsageError, TraceBudgetError) as exc:  # an iteration budget too large to trace is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InapplicableError as exc:  # a run refused for its instance, in batch workers too

@@ -2,9 +2,10 @@
 
 An instance is a bundle of n points (the columns) in R^d. Downstream code
 works off three cached views of it: the Gram matrix, an orthonormal basis of
-the column span, and convex combinations of the columns. Instances and every
-derived value are immutable after construction, so they can be shared across
-threads without locking.
+the column span, and convex combinations of the columns. Every dataclass of
+the library is frozen, and an instance's arrays are read-only: assigning a
+field raises dataclasses.FrozenInstanceError, so no caller can move columns
+under their cached basis or edit the kept report of margins.margin_report.
 
 Every result the program writes (margin reports, certify verdicts, run
 summaries) is a ``Record``, and its JSON form is decided once, here: a
@@ -115,14 +116,14 @@ def simplex_rows(weights: np.ndarray, repair: float | None = None) -> tuple[np.n
     return w, faults
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SimplexPoint:
     """Probability vector over the n columns (convex combination weights)."""
 
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        self.weights = self._one_row(self.weights, None)
+        object.__setattr__(self, "weights", self._one_row(self.weights, None))
 
     @staticmethod
     def _one_row(weights, repair: float | None) -> np.ndarray:
@@ -138,7 +139,7 @@ class SimplexPoint:
     def _from_row(cls, weights: np.ndarray) -> "SimplexPoint":
         """Wrap a read-only row that simplex_rows accepted, without checking it again."""
         point = cls.__new__(cls)
-        point.weights = weights
+        object.__setattr__(point, "weights", weights)
         return point
 
     @classmethod
@@ -162,7 +163,7 @@ class SimplexPoint:
         return int(self.weights.size)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PrimalDirection:
     """A direction w in R^d."""
 
@@ -174,7 +175,7 @@ class PrimalDirection:
             raise ValueError("direction must be a nonempty vector")
         if not np.all(np.isfinite(v)):
             raise ValueError("direction must be finite")
-        self.vector = _readonly(v)
+        object.__setattr__(self, "vector", _readonly(v))
 
 
 def _float_list(array: np.ndarray) -> list[float]:
@@ -192,6 +193,7 @@ _PLAIN = {
     PrimalDirection: lambda direction: _float_list(direction.vector),
     np.ndarray: _float_list,
     list: _plain_list,
+    tuple: _plain_list,
 }
 
 
@@ -272,7 +274,7 @@ def write_json(payload: dict, path: str | Path) -> Path:
     return path
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ColumnSpaceBasis:
     """Orthonormal basis of the span of the columns, with the rank cutoff used."""
 
@@ -281,7 +283,7 @@ class ColumnSpaceBasis:
     tolerance: float
 
     def __post_init__(self) -> None:
-        self.basis = _readonly(self.basis)
+        object.__setattr__(self, "basis", _readonly(self.basis))
 
     def project(self, w: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ np.asarray(w, dtype=float))
@@ -294,7 +296,7 @@ class ColumnSpaceBasis:
         return self.basis @ np.asarray(coords, dtype=float)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """n points in R^d stored as the columns of a (d, n) array."""
 
@@ -312,7 +314,7 @@ class ProblemInstance:
             norms = np.linalg.norm(cols, axis=0)
             if np.any(np.abs(norms - 1.0) > 1e-12):
                 raise IngestError("normalized flag set but columns are not unit length")
-        self.columns = _readonly(cols)
+        object.__setattr__(self, "columns", _readonly(cols))
 
     @property
     def d(self) -> int:

@@ -56,7 +56,7 @@ class DegenerateFaceError(RuntimeError):
     """Raised when a least-squares subproblem's matrix is rank-deficient."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
@@ -264,11 +264,6 @@ class _HouseholderQR:
         for c in reversed(range(cols)):  # back substitution on the triangular factor
             z[c] = (rhs[c] - factor[c, c + 1 : cols] @ z[c + 1 :]) / factor[c, c]
         return z
-
-
-def _least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """z minimising ||matrix @ z - rhs||: the Householder factor built from an empty prefix."""
-    return _HouseholderQR(matrix, rhs).solve(list(range(matrix.shape[1])))
 
 
 def _minor_cycles(qr: _HouseholderQR, support: list[int], weights: np.ndarray) -> tuple[list[int], np.ndarray]:

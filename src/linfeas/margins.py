@@ -91,7 +91,7 @@ class NegativeMarginError(OracleError):
     """Raised when the negative side finds no facet to measure: rank 0, or no supporting hyperplane."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MarginReport(Record):
     """Exact margins plus the witnesses that certify them."""
 
@@ -108,7 +108,7 @@ class MarginReport(Record):
     boundary_pass: bool = False  # a column lies beyond the winning hyperplane by more than rounding, within SIDE_TOL
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BallReport(Record):
     """A ball certified against the hull: enclosing (positive case) or unit (otherwise)."""
 
@@ -357,7 +357,8 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
     report at the instance's default rank cutoff, the one the rank frame, the
     ball samples and the span test read, is measured once and kept for as long
     as the instance lives, so the oracle runs once per instance and every
-    statement reads the same report. A failure raises and is not kept. A
+    statement reads the same report, a frozen value: assigning a field raises
+    dataclasses.FrozenInstanceError. A failure raises and is not kept. A
     report at another cutoff (``rank_tol``) is measured afresh and not kept.
     The witness direction is the unit margin maximizer; on the negative side
     it is minus the outward normal of the nearest facet.

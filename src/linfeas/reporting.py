@@ -28,7 +28,7 @@ DUAL_DISTANCE_SAMPLES = (10, 100, 1000)
 CHECK_SLACK = 1e-7  # absolute slack for the margin-maximization family
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BoundCheck(Record):
     name: str
     passed: bool
@@ -36,7 +36,7 @@ class BoundCheck(Record):
     detail: str = ""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RunSummary(Record):
     instance: str
     algorithm: str
@@ -45,7 +45,7 @@ class RunSummary(Record):
     termination: str
     certificate: Certificate | None
     oracle: MarginReport | None
-    checks: list[BoundCheck]
+    checks: tuple[BoundCheck, ...]
 
     _properties = ("all_passed", "verdict")
 
@@ -215,5 +215,5 @@ def build_run_summary(
         termination=trace.termination,
         certificate=certificate,
         oracle=report,
-        checks=checks,
+        checks=tuple(checks),
     )

@@ -60,7 +60,7 @@ class CertificateConstructionError(RuntimeError):
     """Raised when a promised witness cannot be constructed: a genuine finding."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BallSample(Record):
     """A point of the gamma-ball and the weights that represent it; unpacks as (v, weights)."""
 
@@ -71,7 +71,7 @@ class BallSample(Record):
         return iter((self.v, self.weights))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GordanVerdict(Record):
     """Which alternative held, the witness constructed for it, and its residuals."""
 
@@ -82,7 +82,7 @@ class GordanVerdict(Record):
     margin: MarginReport
     witness_direction: PrimalDirection | None = None
     witness_weights: SimplexPoint | None = None
-    ball_samples: list[BallSample] | None = None
+    ball_samples: tuple[BallSample, ...] | None = None
 
     _properties = ("verified",)
 
@@ -101,7 +101,7 @@ class GordanVerdict(Record):
         return self.max_residual <= RESIDUAL_TOL
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HoffmanReport(Record):
     """A distance-to-feasibility bound with its constructed witness and residuals."""
 
@@ -124,7 +124,7 @@ class HoffmanReport(Record):
         return bool(ok)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BallVerdict(Record):
     """The enclosing ball with its radius-identity, containment and centre residuals."""
 
@@ -142,13 +142,13 @@ class BallVerdict(Record):
         return all(gap <= RESIDUAL_TOL for gap in gaps)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RadiusVerdict(Record):
     """The inradius with the spot checks of its ball that failed."""
 
     inradius: float
     interior_samples: int
-    failures: list[str]
+    failures: tuple[str, ...]
 
     statement = "radius"
     _properties = ("statement", "verified")
@@ -237,7 +237,7 @@ def gordan_decide(
         directions = np.zeros((1, instance.d))
     else:
         directions = gamma * _span_directions(instance, samples, sample_seed)
-    table = [BallSample(v, p) for v, p in zip(directions, representable(instance, directions))]
+    table = tuple(BallSample(v, p) for v, p in zip(directions, representable(instance, directions)))
     for v, p in table:
         if p is None:
             raise CertificateConstructionError(
@@ -429,4 +429,4 @@ def certify_radius(instance: ProblemInstance, sample_seed: int = 0, samples: int
     failures = [f"interior sample {k} not representable" for k, p in enumerate(answers) if p is None]
     if outside is not None:
         failures.append("point beyond the nearest facet was representable")
-    return RadiusVerdict(inradius=inradius, interior_samples=samples, failures=failures)
+    return RadiusVerdict(inradius=inradius, interior_samples=samples, failures=tuple(failures))

@@ -10,8 +10,9 @@ is the point. Two references are not brute force. The solver loops at the
 end are the iterations with one numpy update per array (w, alpha, w . A),
 which the library's single-state-vector kernel must match byte for byte.
 ``nnls_fresh_factorization`` is Lawson and Hanson's NNLS with the QR factor
-built afresh, by the library's own ``_least_squares``, in every minor cycle:
-it checks the library's reuse of the factor, not the QR arithmetic.
+built afresh in every minor cycle, by ``least_squares``: the library's own
+Householder factor built from an empty prefix. It checks the library's reuse
+of the factor, not the QR arithmetic.
 ``simplex_frozen`` is the dense two-phase simplex as it stood before its
 pivots were cut to fewer numpy calls, kept verbatim: the library's must give
 the same status, basis and bytes on every program, so the cuts keep every
@@ -36,7 +37,7 @@ from linfeas.lp import (
     REDUCED_COST_TOL,
     DegenerateFaceError,
     SimplexBreakdownError,
-    _least_squares,
+    _HouseholderQR,
 )
 from linfeas.margins import NORMAL_ROUNDING, SIDE_TOL
 
@@ -330,11 +331,16 @@ def _rational_affine_minimizer(gram: list[list[Fraction]], corral: list[int]) ->
     return [rows[i][k + 1] / rows[i][i] for i in range(k)]
 
 
+def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """z minimising ||matrix @ z - rhs||: the library's Householder factor built from an empty prefix."""
+    return _HouseholderQR(matrix, rhs).solve(list(range(matrix.shape[1])))
+
+
 def nnls_fresh_factorization(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Support, weights and residual of the u >= 0 minimising ||matrix @ u - target||, factoring every support afresh.
 
     The cycles, stops and tie-breaks of ``lp._nnls``, written out again; each
-    least-squares solve is ``_least_squares`` on a copy of matrix[:, support].
+    least-squares solve is ``least_squares`` on a copy of matrix[:, support].
     """
     reach = np.sqrt(np.einsum("ij,ij->j", matrix, matrix)).max()
     scale = np.sqrt(target @ target)
@@ -349,7 +355,7 @@ def nnls_fresh_factorization(matrix: np.ndarray, target: np.ndarray) -> tuple[li
         trial, trial_weights = support + [j], np.append(weights, 0.0)
         try:
             while True:  # minor cycles
-                y = _least_squares(matrix[:, trial].copy(), target.copy())
+                y = least_squares(matrix[:, trial].copy(), target.copy())
                 if np.all(y > 0.0):
                     break
                 shrink = y <= 0.0

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -767,6 +768,30 @@ def test_bad_solver_settings_are_usage_errors(tmp_path, axes_unit_path, capsys, 
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (("run", "{path}", "--algorithm", "np", "--max-iters", "1" + "0" * 14), f"a trace of 1{'0' * 14} updates"),
+        (("batch", "--instances", "{dir}", "--workers", "2", "--max-iters", "100000000000000"), "Unable to allocate"),
+        (("run", "{path}", "--algorithm", "vng", "--max-iters", "1" + "0" * 20), f"a trace of 1{'0' * 20} updates"),
+        (("margin", "{path}", "--method", "iterative", "--eps", "1e-9"), "a trace of 3999999999999999488 updates"),
+        (("margin", "{path}", "--method", "iterative", "--eps", "1e-200"), "a trace of 3999999999999999615"),
+    ],
+)
+def test_an_iteration_budget_too_large_to_trace_is_a_usage_error(tmp_path, axes_unit_path, capsys, command, message):
+    # numpy refuses each of these sizes at once, touching no memory; they raised MemoryError or
+    # ValueError out of main, and margin printed numpy's "array is too big" with exit 3
+    (tmp_path / "axes2.json").write_bytes(axes_unit_path.read_bytes())  # two files, so batch forks a worker
+    argv = [a.format(path=axes_unit_path, dir=axes_unit_path.parent) for a in command]
+    if command[0] != "margin":
+        argv += ["--out-dir", tmp_path / "runs"]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
 
 @pytest.mark.parametrize(
     "command",
@@ -1002,16 +1027,15 @@ def test_report_lists_an_unchecked_run(tmp_path, capsys):
 
 
 def _skewed_oracle(monkeypatch, **shift):
-    """Make certify's oracle return its exact report with the named fields mapped through the given functions."""
-    original = linfeas.theorems.margin_report
+    """Give every reader of the oracle a copy of the exact report, the named fields mapped by the given functions."""
+    original = linfeas.margins.margin_report
 
     def skewed(instance, *args, **kwargs):
         report = original(instance, *args, **kwargs)
-        for field, change in shift.items():
-            setattr(report, field, change(getattr(report, field)))
-        return report
+        return dataclasses.replace(report, **{field: change(getattr(report, field)) for field, change in shift.items()})
 
-    monkeypatch.setattr(linfeas.theorems, "margin_report", skewed)
+    for module in (linfeas.margins, linfeas.theorems):
+        monkeypatch.setattr(module, "margin_report", skewed)
 
 
 def test_certify_meb_fails_on_a_moved_rho_plus(axes_unit_path, capsys, monkeypatch):
@@ -1029,6 +1053,17 @@ def test_certify_radius_fails_on_an_inflated_inradius(triangle_path, capsys, mon
     assert out["statement"] == "radius" and out["verified"] is False
     assert out["inradius"] == pytest.approx(0.55)
     assert out["failures"] and all(f.startswith("interior sample ") for f in out["failures"])
+
+
+def test_certify_radius_fails_on_a_deflated_inradius(triangle_path, capsys, monkeypatch):
+    # the interior samples shrink with the claimed inradius and stay representable: only the
+    # point just beyond the claimed nearest facet, still inside the hull, gives it away
+    _skewed_oracle(monkeypatch, rho_minus=lambda rho: 0.9 * rho)
+    assert run_cli("certify", triangle_path, "--theorem", "radius") == 2
+    out = read_json(capsys)
+    assert out["statement"] == "radius" and out["verified"] is False
+    assert out["inradius"] == pytest.approx(0.45)
+    assert out["failures"] == ["point beyond the nearest facet was representable"]
 
 
 def test_certify_meb_refuses_non_unit_columns_before_the_oracle(tmp_path, capsys, monkeypatch):

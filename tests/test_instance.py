@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batteries import mixed_instances
+
+import linfeas
 from linfeas.instance import (
     IngestError,
     PrimalDirection,
@@ -344,3 +349,17 @@ def test_projection_idempotent_and_nonexpansive(data):
 def test_normalized_instances_have_unit_gram_diagonal(inst):
     if inst.normalized:
         assert np.max(np.abs(np.diag(inst.gram) - 1.0)) <= 1e-12
+
+
+def test_every_dataclass_of_the_library_is_frozen():
+    # the kept margin report, an instance's cached basis and Gram matrix are shared by every reader:
+    # a class that allowed an edit would let one caller change what a later statement reads
+    modules = [importlib.import_module(f"linfeas.{info.name}") for info in pkgutil.iter_modules(linfeas.__path__)]
+    classes = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+    ]
+    assert len(classes) >= 18  # 11 result records, LpSolution, 4 input classes, AlgorithmConfig, GeneratorSpec
+    assert [cls.__qualname__ for cls in classes if not cls.__dataclass_params__.frozen] == []

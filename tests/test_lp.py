@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from batteries import mixed_instances, positive_instances
 import oracles
-from oracles import enumerate_standard_form, halfspace_projection_enumeration, nnls_fresh_factorization, simplex_frozen
+from oracles import (
+    enumerate_standard_form,
+    halfspace_projection_enumeration,
+    least_squares,
+    nnls_fresh_factorization,
+    simplex_frozen,
+)
 
 import linfeas.lp
 import linfeas.margins
@@ -17,7 +23,6 @@ from linfeas.instance import SimplexPoint, ingest
 from linfeas.lp import (
     FEASIBILITY_TOL,
     DegenerateFaceError,
-    _least_squares,
     _nnls,
     dist_l1_to_polyhedron,
     dist_l2_to_halfspaces,
@@ -270,7 +275,7 @@ def test_dist_l1_empty_target():
 
 def test_least_squares_degenerate():
     with pytest.raises(DegenerateFaceError):
-        _least_squares(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]), np.ones(3))  # duplicate columns
+        least_squares(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]), np.ones(3))  # duplicate columns
 
 
 def test_nnls_returns_support_weights_and_residual():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from linfeas.instance import SimplexPoint, combine, ingest
 from linfeas.margins import ZERO_BAND, margin_report
 from linfeas.reporting import build_run_summary
 from linfeas.theorems import (
+    RESIDUAL_TOL,
     IllPosedError,
     InapplicableError,
     _span_directions,
@@ -282,6 +285,46 @@ def test_a_report_at_another_rank_cutoff_is_not_kept(thin_heptagon):
     assert certify_radius(thin_heptagon).verified
     verdict = gordan_decide(thin_heptagon, 0.2, 3)
     assert verdict.verified and verdict.margin is kept
+
+
+def test_the_kept_report_and_its_instance_cannot_be_edited(triangle):
+    # an edit of the kept report once made certify_meb verify a rho_plus of 0.1 on these axes, and
+    # re-pointed columns read d = 2 beside the rank and rho_plus measured on the old ones
+    axes = ingest(np.eye(3).tolist(), normalize=True, name="axes")
+    measured = margin_report(axes)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gordan_decide(axes, 0.0, 1).margin.rho_plus = 0.1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        margin_report(axes).rho_plus = 0.1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        axes.columns = triangle.columns
+    assert margin_report(axes) is measured and measured.rho_plus == pytest.approx(1.0 / np.sqrt(3.0))
+    assert axes.d == 3 and axes.rank == 3
+    verdict = certify_meb(axes)
+    assert verdict.verified and verdict.ball.radius == pytest.approx(np.sqrt(2.0 / 3.0))
+
+
+@pytest.mark.parametrize("field", ["exact_distance", "witness_distance"])
+def test_a_hoffman_distance_past_its_bound_is_not_verified(segment, field):
+    report = hoffman_dual(segment, np.zeros(2), np.array([1.0, 0.0]))
+    assert report.verified
+    moved = dataclasses.replace(report, **{field: report.bound_value + 1e-6})
+    assert moved.as_dict()["verified"] is False
+
+
+def test_a_gordan_first_alternative_within_the_tolerance_is_not_verified(axes):
+    verdict = gordan_decide(axes, 0.0, 1)
+    assert verdict.alternative_held == "first" and verdict.verified
+    slack = dataclasses.replace(verdict, residuals=np.full(axes.n, 0.5 * RESIDUAL_TOL))
+    assert slack.as_dict()["verified"] is False
+
+
+@pytest.mark.parametrize("field", ["center_gap", "radius_identity_gap"])
+def test_a_ball_with_one_gap_past_the_tolerance_is_not_verified(axes, field):
+    verdict = certify_meb(axes)
+    assert verdict.verified
+    moved = dataclasses.replace(verdict, **{field: 2.0 * RESIDUAL_TOL})
+    assert moved.as_dict()["verified"] is False
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
