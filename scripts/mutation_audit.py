@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Mutation audit: for each listed mutant of the library, does a test fail?
+
+A mutant is one textual edit of one file under src/linfeas, (file, old, new),
+with the test files that should fail under it. For each mutant the script
+copies src/, tests/ and scripts/ of this tree into a fresh temporary directory,
+applies the edit there and runs the named test files with ``pytest -x``. It
+prints one line per mutant: killed, with the first test that failed, or
+survived. The tree itself is never edited.
+
+    python scripts/mutation_audit.py               # every mutant
+    python scripts/mutation_audit.py NAME [NAME]   # the named mutants only
+
+Before any run, each selected mutant's old text must occur exactly once in its
+file, or the script stops: an edit that no longer applies is a stale entry,
+not a survivor. Exits 1 when a mutant survives or its tests cannot run (a
+collection error, say), 0 when every mutant is killed.
+
+The list holds the verdict clauses of the certifiers (a clause dropped or
+loosened), the one-ulp and one-digit moves that the byte contracts must catch,
+the order of input checks and oracle call, and the two shared judgements: the
+side of the margin (``margins._side``) and the per-update rule of the run
+replay (``reporting._check_each_update``).
+"""
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the tree's root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+THEOREMS, MARGINS = "src/linfeas/theorems.py", "src/linfeas/margins.py"
+
+MUTANTS = (
+    # the verdict clauses of the certifiers
+    Mutant("radius-interior-at-half", THEOREMS, "inside = 0.99 * inradius", "inside = 0.5 * inradius",
+           ("tests/test_theorems.py",)),
+    Mutant("radius-beyond-at-1.1", THEOREMS, "beyond = -(1.0 + 1e-3) * inradius", "beyond = -(1.0 + 1e-1) * inradius",
+           ("tests/test_theorems.py",)),
+    Mutant("radius-ignores-beyond-point", THEOREMS, "    if outside is not None:\n", "    if False:\n",
+           ("tests/test_cli.py",)),
+    Mutant("hoffman-without-exact-distance", THEOREMS,
+           "        ok &= self.exact_distance <= self.bound_value + RESIDUAL_TOL\n", "", ("tests/test_theorems.py",)),
+    Mutant("hoffman-without-witness-distance", THEOREMS,
+           "        ok &= self.witness_distance <= self.bound_value + RESIDUAL_TOL\n", "", ("tests/test_theorems.py",)),
+    Mutant("gordan-first-within-tolerance", THEOREMS, "return self.min_slack > RESIDUAL_TOL",
+           "return self.min_slack > -RESIDUAL_TOL", ("tests/test_theorems.py",)),
+    Mutant("ball-without-center-gap", THEOREMS,
+           "gaps = (self.radius_identity_gap, self.containment_overshoot, self.center_gap)",
+           "gaps = (self.radius_identity_gap, self.containment_overshoot)", ("tests/test_theorems.py",)),
+    Mutant("ball-without-radius-identity", THEOREMS,
+           "gaps = (self.radius_identity_gap, self.containment_overshoot, self.center_gap)",
+           "gaps = (self.containment_overshoot, self.center_gap)", ("tests/test_theorems.py",)),
+    # moves the byte contracts and the order checks must catch
+    Mutant("rho-minus-one-ulp", MARGINS, "    return float(dists[winner]), direction, flagged\n",
+           "    return float(dists[winner]) * (1.0 + 2.0**-52), direction, flagged\n", ("tests/test_margins.py",)),
+    Mutant("pivot-by-reciprocal", "src/linfeas/lp.py", "    tableau[row] /= tableau[row, col]\n",
+           "    tableau[row] *= 1.0 / tableau[row, col]\n", ("tests/test_lp.py",)),
+    Mutant("gordan-oracle-before-input-checks", THEOREMS,
+           "    if not 0.0 <= gamma < np.inf:\n",
+           "    report = margin_report(instance)\n    if not 0.0 <= gamma < np.inf:\n", ("tests/test_cli.py",)),
+    Mutant("json-text-without-nonfinite-fallback", "src/linfeas/instance.py",
+           '            if "n" in text:\n                raise TypeError\n', "", ("tests/test_instance.py",)),
+    Mutant("one-non-simplicial-facet", MARGINS,
+           "    for row in {tuple(np.flatnonzero(row)) for row in near[count > r]}:\n",
+           "    for row in list({tuple(np.flatnonzero(row)) for row in near[count > r]})[:1]:\n",
+           ("tests/test_margins.py",)),
+    Mutant("trace-margin-at-16-digits", "src/linfeas/algorithms.py", '"%d,%.17g,%.17g,%.17g,%d\\n"',
+           '"%d,%.17g,%.16g,%.17g,%d\\n"', ("tests/test_algorithms.py",)),
+    # the shared judgements
+    Mutant("side-includes-the-band-edge", MARGINS, "return 1 if gap > ZERO_BAND else -1 if gap < -ZERO_BAND else 0",
+           "return 1 if gap >= ZERO_BAND else -1 if gap <= -ZERO_BAND else 0", ("tests/test_margins.py",)),
+    Mutant("empty-trace-fails-its-update-checks", "src/linfeas/reporting.py",
+           '        return BoundCheck(name, True, 0.0, "no updates recorded")\n',
+           '        return BoundCheck(name, False, 0.0, "no updates recorded")\n', ("tests/test_theorems.py",)),
+)
+
+
+def check_applies(mutants, root: Path = REPO) -> None:
+    """Stop unless each mutant's old text occurs exactly once in its file under root."""
+    stale = []
+    for mutant in mutants:
+        count = (root / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+        if count != 1:
+            stale.append(f"{mutant.name}: its old text occurs {count} times in {mutant.path}")
+    if stale:
+        sys.exit("stale mutants, nothing run:\n" + "\n".join(stale))
+
+
+def run_mutant(mutant: Mutant) -> tuple[str, str]:
+    """(outcome, first failing test) of one mutant, run in a fresh copy of the tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            shutil.copytree(REPO / name, tree / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(REPO / "pyproject.toml", tree)
+        target = tree / mutant.path
+        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")}, capture_output=True, text=True,
+        )
+    if result.returncode == 0:
+        return "survived", ""
+    failed = re.search(r"^FAILED (\S+)", result.stdout, re.MULTILINE)
+    if result.returncode == 1 and failed:
+        return "killed", failed.group(1)
+    return "error", f"pytest exit {result.returncode}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("names", nargs="*", help="mutants to run (default: every mutant)")
+    args = parser.parse_args()
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants {unknown}; known: {', '.join(known)}")
+    selected = [known[name] for name in args.names] or list(MUTANTS)
+    check_applies(selected)
+    outcomes = []
+    for mutant in selected:
+        outcome, detail = run_mutant(mutant)
+        outcomes.append(outcome)
+        print(f"{outcome:<8} {mutant.name:<40} {detail}", flush=True)
+    print(f"{outcomes.count('killed')} of {len(outcomes)} killed")
+    return 0 if all(outcome == "killed" for outcome in outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

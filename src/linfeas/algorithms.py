@@ -48,7 +48,6 @@ __all__ = [
     "perceptron_normalized",
     "require_unit_columns",
     "vng",
-    "loss",
     "margin_estimate_np",
 ]
 
@@ -312,14 +311,6 @@ def vng(
     point of the hull, so the iterate norm never increases.
     """
     return _step_loop(instance, config, "vng")
-
-
-def loss(instance: ProblemInstance, w: np.ndarray) -> float:
-    """Margin loss 0.5*||w||^2 - min_i w . a_i (minimized at the scaled margin direction)."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (instance.d,):
-        raise ValueError(f"vector has shape {w.shape}, expected ({instance.d},)")
-    return float(0.5 * (w @ w) - (w @ instance.columns).min())
 
 
 def margin_estimate_np(instance: ProblemInstance, eps: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Command-line entry point: generate, measure, run, certify, batch, report.
 
-Exit codes: 0 success or statement verified, 1 usage error, or standard
+Exit codes: 0 success or statement verified, 1 usage error, an output path
+that cannot be written, a size that numpy cannot allocate, or standard
 output closed before the output was written (a reader such as head exited
 early; no traceback is printed), 2 a bound or certificate check failed (a
 genuine finding), 3 statement inapplicable, instance ill-posed, a certify
@@ -29,7 +30,6 @@ import numpy as np
 from .algorithms import (
     MODES,
     AlgorithmConfig,
-    TraceBudgetError,
     margin_estimate_np,
     perceptron_classic,
     perceptron_normalized,
@@ -526,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _drop_stdout()
         return EXIT_USAGE
-    except (_UsageError, TraceBudgetError) as exc:  # an iteration budget too large to trace is a usage error
+    except (_UsageError, MemoryError, OSError) as exc:  # a size numpy refuses, or a path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InapplicableError as exc:  # a run refused for its instance, in batch workers too

@@ -44,6 +44,8 @@ class GeneratorSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be at least 1")
+        if not (math.isfinite(self.target_margin) and math.isfinite(self.jitter)):
+            raise ValueError(f"target_margin and jitter must be finite, got {self.target_margin} and {self.jitter}")
         if self.kind == "planted-positive" and not 0.0 < self.target_margin < 1.0:
             raise ValueError("planted-positive needs target_margin in (0, 1)")
         negative = self.kind == "planted-negative" or (self.kind == "rank-deficient" and self.target_margin < 0.0)

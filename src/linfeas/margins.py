@@ -107,6 +107,10 @@ class MarginReport(Record):
     ill_posed: bool
     boundary_pass: bool = False  # a column lies beyond the winning hyperplane by more than rounding, within SIDE_TOL
 
+    def side(self, threshold: float = 0.0) -> int:
+        """Which side of threshold the margin rho_affine lies on: 1 above, -1 below, 0 within ZERO_BAND."""
+        return _side(self.rho_affine - threshold)
+
 
 @dataclass(frozen=True, eq=False)
 class BallReport(Record):
@@ -115,6 +119,11 @@ class BallReport(Record):
     center: np.ndarray
     radius: float
     support_weights: SimplexPoint
+
+
+def _side(gap: float) -> int:
+    """1 when gap > ZERO_BAND, -1 when gap < -ZERO_BAND, else 0: the one test of which side a margin lies on."""
+    return 1 if gap > ZERO_BAND else -1 if gap < -ZERO_BAND else 0
 
 
 def _check_budget(instance: ProblemInstance) -> None:
@@ -377,12 +386,13 @@ def _measure(instance: ProblemInstance, rank_tol: float | None) -> MarginReport:
     rank = basis.rank
     rho_plus_val, weights, direction = positive_margin_exact(instance)
     flagged = False
-    if rho_plus_val > ZERO_BAND:
+    if _side(rho_plus_val) == 1:
         rho_affine = float(rho_plus_val)
     else:
         inradius, facet_normal, flagged = _negative_margin_details(instance, basis)
         rho_affine = -float(inradius)
         direction = PrimalDirection(-facet_normal.vector)
+    side = _side(rho_affine)
     rho_classical = rho_affine if rank == instance.d else max(0.0, rho_affine)
     return MarginReport(
         rho_classical=rho_classical,
@@ -391,10 +401,10 @@ def _measure(instance: ProblemInstance, rank_tol: float | None) -> MarginReport:
         rho_minus=min(0.0, rho_affine),
         witness_direction=direction,
         witness_weights=weights,
-        method="min-norm-point" if rho_affine > ZERO_BAND else "enumeration",
+        method="min-norm-point" if side == 1 else "enumeration",
         rank=rank,
         rank_tolerance=basis.tolerance,
-        ill_posed=abs(rho_affine) <= ZERO_BAND,
+        ill_posed=side == 0,
         boundary_pass=flagged,
     )
 
@@ -454,7 +464,7 @@ def minimum_enclosing_ball(instance: ProblemInstance) -> BallReport:
         raise ValueError("minimum_enclosing_ball requires unit columns (ingest with normalize=True)")
     report = margin_report(instance)
     rho_plus, weights = report.rho_plus, report.witness_weights
-    if rho_plus <= ZERO_BAND:
+    if report.side() != 1:
         return BallReport(center=np.zeros(instance.d), radius=1.0, support_weights=weights)
     radius = float(np.sqrt(max(0.0, 1.0 - rho_plus * rho_plus)))
     return BallReport(center=combine(instance, weights), radius=radius, support_weights=weights)

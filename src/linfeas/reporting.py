@@ -17,7 +17,7 @@ import numpy as np
 from .algorithms import Certificate, IterateTrace
 from .instance import ProblemInstance, Record, combine, write_json
 from .lp import dist_l1_to_polyhedron
-from .margins import ZERO_BAND, MarginReport, _rank_frame
+from .margins import MarginReport, _rank_frame
 
 __all__ = ["BoundCheck", "RunSummary", "build_run_summary", "DUAL_DISTANCE_SAMPLES"]
 
@@ -70,6 +70,13 @@ def _check_from_excess(name: str, excess: float, detail: str = "") -> BoundCheck
     return BoundCheck(name=name, passed=excess == 0.0, violation=excess, detail=detail)
 
 
+def _check_each_update(name: str, excess: np.ndarray) -> BoundCheck:
+    """The check of a bound that holds at every update, on its worst excess; vacuous when no update was recorded."""
+    if excess.size == 0:
+        return BoundCheck(name, True, 0.0, "no updates recorded")
+    return _check_from_excess(name, float(excess.max()))
+
+
 def _mistake_bound(trace: IterateTrace, cert: Certificate | None, rho_plus: float) -> BoundCheck:
     budget = math.ceil(1.0 / (rho_plus * rho_plus))
     if cert is None or cert.kind != "primal-feasible":
@@ -100,36 +107,27 @@ def _dual_rate(trace: IterateTrace) -> BoundCheck:
 
 def _margin_maximization(trace: IterateTrace, rho_plus: float, w_star: np.ndarray) -> BoundCheck:
     ts = trace.ts[1:]
-    if ts.size == 0:
-        return BoundCheck("margin-maximization-rate", True, 0.0, "no updates recorded")
     iterates = trace.iterates[1:]
     norms = trace.norms[1:]
     margins = trace.margins[1:]
     gap = np.linalg.norm(iterates / norms[:, None] - w_star[None, :], axis=1)
     lower_excess = (rho_plus - margins) - gap
     upper_excess = gap - 4.0 / (rho_plus * np.sqrt(ts))
-    worst = float(max(lower_excess.max(), upper_excess.max()) - CHECK_SLACK)
-    return _check_from_excess("margin-maximization-rate", worst)
+    return _check_each_update("margin-maximization-rate", np.maximum(lower_excess, upper_excess) - CHECK_SLACK)
 
 
 def _meb_convergence(trace: IterateTrace, rho_plus: float, w_star: np.ndarray) -> BoundCheck:
     ts = trace.ts[1:]
-    if ts.size == 0:
-        return BoundCheck("meb-convergence", True, 0.0, "no updates recorded")
     gap = np.linalg.norm(trace.iterates[1:] - rho_plus * w_star[None, :], axis=1)
-    worst = float((gap - 2.0 / np.sqrt(ts)).max() - CHECK_SLACK)
-    return _check_from_excess("meb-convergence", worst)
+    return _check_each_update("meb-convergence", gap - 2.0 / np.sqrt(ts) - CHECK_SLACK)
 
 
 def _norm_sandwich(trace: IterateTrace, rho_plus: float) -> BoundCheck:
     ts = trace.ts[1:]
-    if ts.size == 0:
-        return BoundCheck("norm-sandwich", True, 0.0, "no updates recorded")
     norms = trace.norms[1:]
     below = rho_plus - norms
     above = norms - (rho_plus + 2.0 / np.sqrt(ts))
-    worst = float(max(below.max(), above.max()) - CHECK_SLACK)
-    return _check_from_excess("norm-sandwich", worst)
+    return _check_each_update("norm-sandwich", np.maximum(below, above) - CHECK_SLACK)
 
 
 def _dual_witness_distance(
@@ -150,18 +148,13 @@ def _dual_witness_distance(
 
 def _vng_contraction(trace: IterateTrace, rho_affine: float) -> BoundCheck:
     norms = trace.norms
-    if norms.size < 2:
-        return BoundCheck("vng-contraction", True, 0.0, "no updates recorded")
     factor = math.sqrt(max(0.0, 1.0 - rho_affine * rho_affine))
-    excess = norms[1:] - (norms[:-1] * factor + 1e-12)
-    return _check_from_excess("vng-contraction", float(excess.max()))
+    return _check_each_update("vng-contraction", norms[1:] - (norms[:-1] * factor + 1e-12))
 
 
 def _vng_monotone(trace: IterateTrace) -> BoundCheck:
     norms = trace.norms
-    if norms.size < 2:
-        return BoundCheck("vng-monotone", True, 0.0, "no updates recorded")
-    return _check_from_excess("vng-monotone", float((norms[1:] - norms[:-1] - 1e-12).max()))
+    return _check_each_update("vng-monotone", norms[1:] - norms[:-1] - 1e-12)
 
 
 def build_run_summary(
@@ -176,9 +169,9 @@ def build_run_summary(
     checks: list[BoundCheck] = []
     if report is not None:
         rho = report.rho_affine
-        feasible = rho > ZERO_BAND
-        infeasible = rho < -ZERO_BAND
-        if feasible and mode == "primal-feasibility" and algorithm in ("classic", "np", "vng"):
+        side = report.side()
+        feasible, infeasible = side == 1, side == -1
+        if feasible and mode == "primal-feasibility":
             checks.append(_mistake_bound(trace, certificate, report.rho_plus))
         if infeasible and mode == "primal-feasibility":
             # the alternative holds on the dual side: exhaustion is the correct outcome

@@ -111,10 +111,13 @@ class HoffmanReport(Record):
     witness_residual: float
     witness_distance: float
     exact_distance: float
-    slack: float
     relaxed_bound: float | None = None
 
-    _properties = ("verified",)
+    _properties = ("slack", "verified")
+
+    @property
+    def slack(self) -> float:
+        return self.bound_value - self.exact_distance
 
     @property
     def verified(self) -> bool:
@@ -163,7 +166,7 @@ def _in_target(
 ) -> HoffmanReport:
     """The report for a point already in its target set: it is its own witness, at distance 0."""
     return HoffmanReport(
-        variant, bound, point, residual, witness_distance=0.0, exact_distance=0.0, slack=bound, relaxed_bound=relaxed
+        variant, bound, point, residual, witness_distance=0.0, exact_distance=0.0, relaxed_bound=relaxed
     )
 
 
@@ -204,15 +207,15 @@ def gordan_decide(
     if part == 1 and gamma != 0.0:
         raise ValueError("part 1 is the zero-threshold statement; use gamma = 0")
     report = margin_report(instance)
-    rho = report.rho_affine
     pivot = gamma if part in (1, 2) else -gamma
-    if abs(rho - pivot) <= ZERO_BAND:
+    side = report.side(pivot)
+    if side == 0:
         raise IllPosedError(
-            f"margin {rho:.3e} is within {ZERO_BAND} of the decision threshold "
+            f"margin {report.rho_affine:.3e} is within {ZERO_BAND} of the decision threshold "
             f"{pivot:.3e}; refusing to certify either alternative"
         )
 
-    if rho > pivot:
+    if side == 1:
         w = report.witness_direction
         assert w is not None
         slacks = w.vector @ instance.columns - pivot
@@ -251,12 +254,12 @@ def gordan_decide(
     )
 
 
-def _require_negative_margin(report: MarginReport) -> float:
-    if report.rho_affine >= -ZERO_BAND:
-        raise InapplicableError(
-            f"statement needs a strictly negative margin, instance has {report.rho_affine:.3e}"
-        )
-    return abs(report.rho_minus)
+def _require_side(report: MarginReport, side: int) -> float:
+    """rho_plus or |rho_minus| when the margin lies strictly on this side of 0 (1 or -1); else InapplicableError."""
+    if report.side() != side:
+        sign = "positive" if side == 1 else "negative"
+        raise InapplicableError(f"statement needs a strictly {sign} margin, instance has {report.rho_affine:.3e}")
+    return report.rho_plus if side == 1 else abs(report.rho_minus)
 
 
 def hoffman_dual(instance: ProblemInstance, b: np.ndarray, x: np.ndarray) -> HoffmanReport:
@@ -275,7 +278,7 @@ def hoffman_dual(instance: ProblemInstance, b: np.ndarray, x: np.ndarray) -> Hof
         raise ValueError("b and x must be finite")
     if np.any(x < -1e-12):
         raise ValueError("x must be entrywise nonnegative")
-    rho = _require_negative_margin(margin_report(instance))
+    rho = _require_side(margin_report(instance), -1)
     x = np.clip(x, 0.0, None)
     span_gap = float(np.linalg.norm(b - instance.basis.project(b)))
     if span_gap > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
@@ -306,7 +309,6 @@ def hoffman_dual(instance: ProblemInstance, b: np.ndarray, x: np.ndarray) -> Hof
         witness_residual=witness_residual,
         witness_distance=witness_distance,
         exact_distance=exact,
-        slack=bound - exact,
     )
 
 
@@ -317,7 +319,7 @@ def hoffman_simplex(instance: ProblemInstance, p: SimplexPoint) -> HoffmanReport
     the first addend of the denominator. The witness blends p with a
     representation of the reflected, inradius-scaled hull point.
     """
-    rho = _require_negative_margin(margin_report(instance))
+    rho = _require_side(margin_report(instance), -1)
     image = combine(instance, p)
     r = float(np.linalg.norm(image))
     relaxed = 2.0 * r / rho
@@ -343,7 +345,6 @@ def hoffman_simplex(instance: ProblemInstance, p: SimplexPoint) -> HoffmanReport
         witness_residual=witness_residual,
         witness_distance=witness_distance,
         exact_distance=exact,
-        slack=sharp - exact,
         relaxed_bound=relaxed,
     )
 
@@ -362,11 +363,7 @@ def hoffman_primal(instance: ProblemInstance, c: np.ndarray, w: np.ndarray) -> H
     if not (np.isfinite(c).all() and np.isfinite(w).all()):
         raise ValueError("c and w must be finite")
     report = margin_report(instance)
-    if report.rho_affine <= ZERO_BAND:
-        raise InapplicableError(
-            f"statement needs a strictly positive margin, instance has {report.rho_affine:.3e}"
-        )
-    rho_plus = report.rho_plus
+    rho_plus = _require_side(report, 1)
     violation = np.clip(c - instance.columns.T @ w, 0.0, None)
     worst = float(violation.max())
     bound = worst / rho_plus
@@ -385,7 +382,6 @@ def hoffman_primal(instance: ProblemInstance, c: np.ndarray, w: np.ndarray) -> H
         witness_residual=witness_residual,
         witness_distance=witness_distance,
         exact_distance=exact,
-        slack=bound - exact,
     )
 
 
@@ -421,7 +417,7 @@ def certify_radius(instance: ProblemInstance, sample_seed: int = 0, samples: int
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     report = margin_report(instance)
-    inradius = _require_negative_margin(report)
+    inradius = _require_side(report, -1)
     assert report.witness_direction is not None
     inside = 0.99 * inradius * _span_directions(instance, samples, sample_seed)[2 * instance.basis.rank :]
     beyond = -(1.0 + 1e-3) * inradius * report.witness_direction.vector

@@ -8,7 +8,9 @@ from exact rational arithmetic, the negative margin from the supporting
 hyperplanes of every column r-subset. Slow and exact at tiny sizes, which
 is the point. Two references are not brute force. The solver loops at the
 end are the iterations with one numpy update per array (w, alpha, w . A),
-which the library's single-state-vector kernel must match byte for byte.
+which the library's single-state-vector kernel must match byte for byte;
+``loss``, the margin loss of one iterate, is the reference for the traces'
+loss column.
 ``nnls_fresh_factorization`` is Lawson and Hanson's NNLS with the QR factor
 built afresh in every minor cycle, by ``least_squares``: the library's own
 Householder factor built from an empty prefix. It checks the library's reuse
@@ -482,6 +484,14 @@ def simplex_frozen(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple
 
 
 # --- solver reference: the per-array loops -------------------------------------------------------
+
+
+def loss(instance: ProblemInstance, w: np.ndarray) -> float:
+    """Margin loss 0.5*||w||^2 - min_i w . a_i (minimized at the scaled margin direction)."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (instance.d,):
+        raise ValueError(f"vector has shape {w.shape}, expected ({instance.d},)")
+    return float(0.5 * (w @ w) - (w @ instance.columns).min())
 
 
 class _TraceBuilder:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from batteries import negative_instances, positive_instances
-from oracles import reference_averaged, reference_classic
+from oracles import loss, reference_averaged, reference_classic
 
 from linfeas.algorithms import (
     MODES,
     AlgorithmConfig,
-    loss,
     margin_estimate_np,
     perceptron_classic,
     perceptron_normalized,
@@ -132,6 +131,17 @@ def test_loss_minimum_matches_margin(axes):
     assert loss(axes, best) == pytest.approx(floor, abs=1e-12)
 
 
+def test_trace_losses_are_the_margin_loss_of_each_iterate():
+    # the kernel derives the loss column from its running dots; each row must be the loss of its own iterate
+    battery = positive_instances(4, seed=2500) + negative_instances(4, seed=2600)
+    for inst, _ in battery:
+        for runner in (perceptron_classic, perceptron_normalized, vng):
+            _, trace = runner(inst, AlgorithmConfig(max_iters=200, mode="margin-maximization"))
+            expected = np.array([loss(inst, w) for w in trace.iterates])
+            scale = 1.0 + trace.norms * trace.norms
+            assert np.all(np.abs(trace.losses - expected) <= 1e-12 * scale), (inst.name, runner.__name__)
+
+
 def test_margin_estimate_axes(axes):
     lower, upper = margin_estimate_np(axes, 0.2)
     rho = 1.0 / np.sqrt(2.0)
@@ -189,6 +199,15 @@ def test_trace_csv_round_trip(tmp_path, axes):
     assert float(margin_t) == trace.margins[2]
     assert float(loss_v) == trace.losses[2]
     assert int(chosen) == trace.chosen[2]
+
+
+def test_trace_csv_round_trips_every_cell(tmp_path):
+    # 17 significant digits give back each double; at 16, some of these hundreds of cells would not
+    inst, _ = positive_instances(1, seed=2700)[0]
+    _, trace = perceptron_normalized(inst, AlgorithmConfig(max_iters=300, mode="margin-maximization"))
+    rows = np.loadtxt(trace.write_csv(tmp_path / "trace.csv"), delimiter=",", skiprows=1)
+    for k, name in enumerate(("ts", "norms", "margins", "losses", "chosen")):
+        assert rows[:, k].tobytes() == getattr(trace, name).astype(float).tobytes(), name
 
 
 def test_trace_csv_bytes_match_row_format(tmp_path, segment):

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import signal
 import warnings
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 import linfeas.cli
 import linfeas.margins
 import linfeas.theorems
+from linfeas.algorithms import AlgorithmConfig, perceptron_classic
 from linfeas.cli import main
 from linfeas.instance import IngestError, ingest, instance_from_dict, load_instance, save_instance
+from linfeas.reporting import build_run_summary
 
 
 @pytest.fixture
@@ -792,6 +795,56 @@ def test_an_iteration_budget_too_large_to_trace_is_a_usage_error(tmp_path, axes_
     assert line.startswith("error: ") and message in line
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (("certify", "{path}", "--theorem", "radius", "--samples", "1" + "0" * 14), "Unable to allocate 1.42 PiB"),
+        (("certify", "{path}", "--theorem", "gordan3", "--gamma", "0.1", "--samples", "1" + "0" * 14),
+         "Unable to allocate 1.42 PiB"),
+        (("margin", "{path}", "--method", "grid", "--resolution", "1" + "0" * 14), "Unable to allocate 728. TiB"),
+        (("gen", "--kind", "planted-negative", "--d", "2", "--n", "1" + "0" * 14, "--target", "-0.5",
+          "--out-dir", "{tmp}"), "Unable to allocate 728. TiB"),
+        (("gen", "--kind", "planted-positive", "--d", "1" + "0" * 14, "--n", "3", "--target", "0.2",
+          "--out-dir", "{tmp}"), "Unable to allocate 728. TiB"),
+        (("gen", "--kind", "planted-negative", "--d", "2", "--n", "5", "--target", "-0.5", "--out", "{tmp}"),
+         "Is a directory"),
+        (("run", "{path}", "--algorithm", "np", "--out-dir", "{path}"), "File exists"),
+        (("report", "--out-dir", "{tmp}", "--csv", "{tmp}"), "Is a directory"),
+    ],
+)
+def test_an_unallocatable_size_or_an_unwritable_output_is_a_one_line_error(
+    tmp_path, triangle_path, capsys, command, message
+):
+    # numpy refuses each size at once, touching no memory (a rank-3 grid at such a resolution loops
+    # instead, so it is not here); each case ended in a MemoryError or OSError traceback
+    argv = [a.format(path=triangle_path, tmp=tmp_path) for a in command]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--kind", "planted-negative", "--target", "-0.5", "--jitter", "nan"),
+        ("--kind", "planted-negative", "--target", "-0.5", "--jitter", "inf"),
+        ("--kind", "rank-deficient", "--target", "nan"),
+    ],
+)
+def test_gen_refuses_a_target_or_jitter_that_is_not_finite(tmp_path, capsys, flags):
+    # nan jitter wrote "jitter": NaN into the instance file, inf jitter warned and blamed the columns,
+    # and a nan target planted -0.5 on the rank-deficient kind
+    out = tmp_path / "inst.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("gen", "--d", "3", "--n", "5", *flags, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "must be finite" in line
+
 
 @pytest.mark.parametrize(
     "command",
@@ -1036,6 +1089,43 @@ def _skewed_oracle(monkeypatch, **shift):
 
     for module in (linfeas.margins, linfeas.theorems):
         monkeypatch.setattr(module, "margin_report", skewed)
+
+
+@pytest.mark.parametrize(
+    "rho, side",
+    [
+        (linfeas.margins.ZERO_BAND, 0),
+        (math.nextafter(linfeas.margins.ZERO_BAND, math.inf), 1),
+        (-linfeas.margins.ZERO_BAND, 0),
+        (math.nextafter(-linfeas.margins.ZERO_BAND, -math.inf), -1),
+    ],
+)
+def test_every_statement_reads_the_side_of_its_margin(axes, triangle, monkeypatch, rho, side):
+    # one margin at or one step past an edge of the band, fed to each reader: each decides as MarginReport.side
+    _skewed_oracle(monkeypatch, rho_affine=lambda _: rho, rho_plus=lambda _: max(rho, 0.0),
+                   rho_minus=lambda _: min(rho, 0.0))
+    report = linfeas.margins.margin_report(triangle)
+    assert report.side() == side
+    if side == 0:
+        with pytest.raises(linfeas.theorems.IllPosedError, match="within 1e-09 of the decision threshold"):
+            linfeas.theorems.gordan_decide(triangle, 0.0, 1)
+    else:
+        held = linfeas.theorems.gordan_decide(triangle, 0.0, 1).alternative_held
+        assert held == ("first" if side == 1 else "second")
+    for statement, needs, args in (
+        (linfeas.theorems.hoffman_primal, 1, (axes, np.ones(2), np.zeros(2))),
+        (linfeas.theorems.hoffman_dual, -1, (triangle, np.zeros(2), np.array([1.0, 0.0, 0.0]))),
+    ):
+        if side == needs:
+            assert statement(*args).bound_value > 0.0
+        else:
+            sign = "positive" if needs == 1 else "negative"
+            with pytest.raises(linfeas.theorems.InapplicableError, match=f"needs a strictly {sign} margin"):
+                statement(*args)
+    certificate, trace = perceptron_classic(triangle, AlgorithmConfig(max_iters=5))
+    summary = build_run_summary(triangle, report, "classic", "primal-feasibility", certificate, trace)
+    expected = {1: ["mistake-bound"], 0: [], -1: ["alternative-excludes-feasibility"]}[side]
+    assert [check.name for check in summary.checks] == expected
 
 
 def test_certify_meb_fails_on_a_moved_rho_plus(axes_unit_path, capsys, monkeypatch):

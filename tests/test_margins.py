@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import json
+import math
 import tracemalloc
 import weakref
 
@@ -26,6 +28,7 @@ from linfeas.margins import (
     ZERO_BAND,
     BudgetExceededError,
     NegativeMarginError,
+    _side,
     margin_grid_estimate,
     margin_report,
     minimum_enclosing_ball,
@@ -156,6 +159,21 @@ def test_margin_report_boundary_is_flagged_ill_posed():
     report = margin_report(inst)
     assert abs(report.rho_affine) <= 1e-9
     assert report.ill_posed
+
+
+def test_side_reads_zero_up_to_the_band_edges_and_a_sign_one_step_past_them(triangle):
+    report = margin_report(triangle)
+
+    def side(rho, threshold=0.0):
+        return dataclasses.replace(report, rho_affine=rho).side(threshold)
+
+    assert [_side(gap) for gap in (ZERO_BAND, -ZERO_BAND, 0.0, -0.0)] == [0, 0, 0, 0]
+    assert _side(math.nextafter(ZERO_BAND, math.inf)) == 1 and _side(math.nextafter(-ZERO_BAND, -math.inf)) == -1
+    assert [side(ZERO_BAND), side(-ZERO_BAND), side(0.0)] == [0, 0, 0]
+    assert side(math.nextafter(ZERO_BAND, math.inf)) == 1 and side(math.nextafter(-ZERO_BAND, -math.inf)) == -1
+    assert report.side() == -1 and margin_report(ingest([[1.0, 0.0], [0.0, 1.0]])).side() == 1
+    for threshold in (0.25, -0.5):  # the band sits about the threshold
+        assert [side(threshold + s * 2.0 * ZERO_BAND, threshold) for s in (1, 0, -1)] == [1, 0, -1]
 
 
 def test_rank_raising_column_kills_negative_margin():

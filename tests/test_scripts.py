@@ -1,12 +1,15 @@
 """Smoke tests for the scripts: small runs of the paper-figure experiments, whose CSVs must respect the
-predicted rates, and of the output audit."""
+predicted rates, of the output audit and of the mutation audit."""
 
 import csv
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -78,3 +81,19 @@ def test_output_audit_flags_a_moved_field(tmp_path):
     assert result.returncode == 1
     field, moved_count, delta = result.stdout.splitlines()[-1].split()
     assert (field, moved_count) == ("rho_affine", "1") and 0.0 < float(delta) < 1e-15
+
+
+def test_mutation_audit_kills_a_mutant_and_refuses_a_stale_one(tmp_path):
+    result = run_script("mutation_audit.py", "empty-trace-fails-its-update-checks", check=False)
+    assert result.returncode == 0, result.stdout + result.stderr
+    outcome, name, first_failure = result.stdout.splitlines()[0].split()
+    assert (outcome, name) == ("killed", "empty-trace-fails-its-update-checks")
+    assert first_failure.startswith("tests/test_theorems.py::test_a_run_certified_before_any_update_")
+    stale = run_script("mutation_audit.py", "no-such-mutant", check=False)
+    assert stale.returncode == 2 and "unknown mutants" in stale.stderr
+    spec = importlib.util.spec_from_file_location("mutation_audit", SCRIPTS / "mutation_audit.py")
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    (tmp_path / "twice.py").write_text("x = 1\nx = 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="old text occurs 2 times in twice.py"):
+        audit.check_applies([audit.Mutant("twice", "twice.py", "x = 1", "x = 2", ())], root=tmp_path)

@@ -327,6 +327,24 @@ def test_a_ball_with_one_gap_past_the_tolerance_is_not_verified(axes, field):
     assert moved.as_dict()["verified"] is False
 
 
+def test_a_run_certified_before_any_update_passes_each_per_update_check_vacuously(triangle):
+    # the first column already separates the cap, and the triangle's first iterate is within eps = 2
+    cap = ingest([[1.0, 0.0], [0.8, 0.6]], name="cap")
+    runs = [(cap, solver, AlgorithmConfig(max_iters=10)) for solver in (perceptron_normalized, vng)]
+    runs.append((triangle, vng, AlgorithmConfig(max_iters=10, target_eps=2.0, mode="dual-certificate")))
+    per_update = {"margin-maximization-rate", "meb-convergence", "norm-sandwich", "vng-contraction", "vng-monotone"}
+    seen = set()
+    for inst, solver, config in runs:
+        certificate, trace = solver(inst, config)
+        assert trace.steps == 0 and certificate is not None
+        summary = build_run_summary(inst, margin_report(inst), trace.algorithm, config.mode, certificate, trace)
+        for check in summary.checks:
+            if check.name in per_update:
+                seen.add(check.name)
+                assert (check.passed, check.violation, check.detail) == (True, 0.0, "no updates recorded")
+    assert seen == per_update
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["b", "x", "c", "w"])
 def test_hoffman_refuses_non_finite_vectors_before_the_oracle(triangle, axes, monkeypatch, name, value):
