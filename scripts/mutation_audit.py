@@ -18,9 +18,10 @@ collection error, say), 0 when every mutant is killed.
 
 The list holds the verdict clauses of the certifiers (a clause dropped or
 loosened), the one-ulp and one-digit moves that the byte contracts must catch,
-the order of input checks and oracle call, and the two shared judgements: the
-side of the margin (``margins._side``) and the per-update rule of the run
-replay (``reporting._check_each_update``).
+the order of input checks and oracle call, the two shared judgements (the
+side of the margin, ``margins._side``, and the per-update rule of the run
+replay, ``reporting._check_each_update``) and the CLI's one exit table, in
+``cli.main``.
 """
 
 import argparse
@@ -45,7 +46,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-THEOREMS, MARGINS = "src/linfeas/theorems.py", "src/linfeas/margins.py"
+THEOREMS, MARGINS, CLI = "src/linfeas/theorems.py", "src/linfeas/margins.py", "src/linfeas/cli.py"
 
 MUTANTS = (
     # the verdict clauses of the certifiers
@@ -89,6 +90,12 @@ MUTANTS = (
     Mutant("empty-trace-fails-its-update-checks", "src/linfeas/reporting.py",
            '        return BoundCheck(name, True, 0.0, "no updates recorded")\n',
            '        return BoundCheck(name, False, 0.0, "no updates recorded")\n', ("tests/test_theorems.py",)),
+    # the exit table: each error class reaches main, which alone picks its exit code
+    Mutant("certificate-construction-exits-3", CLI,
+           "        print(str(exc), file=sys.stderr)\n        return EXIT_VIOLATION\n",
+           "        print(str(exc), file=sys.stderr)\n        return EXIT_INAPPLICABLE\n", ("tests/test_cli.py",)),
+    Mutant("certify-without-oracle-pass-through", CLI, "    except OracleError:  # a ValueError, but main maps it\n        raise\n",
+           "", ("tests/test_cli.py",)),
 )
 
 

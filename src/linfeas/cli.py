@@ -8,7 +8,7 @@ genuine finding), 3 statement inapplicable, instance ill-posed, a certify
 statement whose simplex broke down in rounding (lp.SimplexBreakdownError, a
 state exact arithmetic rules out, which columns far from unit length can
 provoke), or a run to which no check applied, 4 a batch worker process
-ended without reporting its share.
+ended without reporting its share. Only main maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--kind", required=True, choices=("planted-positive", "planted-negative", "near-ill-posed", "rank-deficient"))
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--target", type=float, default=0.0, help="planted margin (sign per kind)")
+    gen.add_argument("--target", type=float, default=0.0, help="planted margin: in (0, 1) for planted-positive, (-1, 0) "
+                     "for planted-negative, (-1, 0) or 0 (plants -0.5) for rank-deficient, 0 (plants 1e-4) for near-ill-posed")
     gen.add_argument("--jitter", type=float, default=0.0)
     gen.add_argument("--out", type=Path, default=None, help="output path (default under --out-dir)")
 
@@ -163,7 +164,7 @@ def _build_parser() -> _Parser:
     certify.add_argument("--gamma", type=_nonnegative_float, default=0.0)
     certify.add_argument("--b", type=str, default=None, help="JSON vector, length d")
     certify.add_argument("--x", type=str, default=None, help="JSON nonnegative vector, length n")
-    certify.add_argument("--p", type=str, default=None, help="JSON simplex weights, length n")
+    certify.add_argument("--p", type=str, default=None, help="JSON simplex weights, length n (nonnegative, sum 1, not rescaled)")
     certify.add_argument("--c", type=str, default=None, help="JSON vector, length n")
     certify.add_argument("--w", type=str, default=None, help="JSON vector, length d")
     certify.add_argument("--samples", type=_positive_int, default=32)
@@ -220,9 +221,8 @@ def cmd_gen(args) -> int:
             jitter=args.jitter,
         )
         instance, metadata = generate(spec)
-    except OracleError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    except OracleError:  # an oracle failure, not a bad spec: main maps it
+        raise
     except (ValueError, GenerationError) as exc:
         raise _UsageError(str(exc)) from exc
     out = args.out if args.out is not None else args.out_dir / f"{spec.default_name}.json"
@@ -236,19 +236,13 @@ def cmd_margin(args) -> int:
         raise _UsageError(f"--tol-rank applies only to --method exact, not --method {args.method}")
     instance = _load(args.instance)
     if args.method == "exact":
-        try:
-            report = margin_report(instance, rank_tol=args.tol_rank)
-        except OracleError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_INAPPLICABLE
-        _emit(report.as_dict())
+        _emit(margin_report(instance, rank_tol=args.tol_rank).as_dict())
         return EXIT_OK
     if args.method == "grid":
         try:
             estimate = margin_grid_estimate(instance, args.resolution)
         except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_INAPPLICABLE
+            raise InapplicableError(str(exc)) from exc
         _emit({
             "method": "grid",
             "resolution": args.resolution,
@@ -261,8 +255,7 @@ def cmd_margin(args) -> int:
     try:
         lower, upper = margin_estimate_np(instance, args.eps)
     except ValueError as exc:  # with eps valid, the solvers' one precondition: unit columns
-        print(str(exc), file=sys.stderr)
-        return EXIT_INAPPLICABLE
+        raise InapplicableError(str(exc)) from exc
     _emit({
         "method": "iterative",
         "eps": args.eps,
@@ -305,8 +298,7 @@ def _run_one(
         stem = f"{instance_path.stem}__{algorithm}__{digest}"
         trace.write_csv(out_dir / f"{stem}.trace.csv")
         if dump_alpha:
-            alpha_path = out_dir / f"{stem}.alpha.json"
-            alpha_path.parent.mkdir(parents=True, exist_ok=True)
+            alpha_path = out_dir / f"{stem}.alpha.json"  # write_csv made out_dir
             with open(alpha_path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps({"alpha": trace.coefficients.tolist()}))  # json.dump runs the pure-Python pass
         runs.append((summary, summary.save(out_dir / f"{stem}.summary.json")))
@@ -341,21 +333,19 @@ def cmd_certify(args) -> int:
                 result = hoffman_dual(instance, np.zeros(d) if b is None else b, np.eye(n)[0] if x is None else x)
             elif theorem == "hoffman-simplex":
                 p = _parse_vector(args.p, n, "p")
-                point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint.from_approximate(p)
+                try:
+                    point = SimplexPoint.unit_mass(n, 0) if p is None else SimplexPoint(p)
+                except ValueError as exc:
+                    raise _UsageError(f"--p must be simplex weights: {exc}") from exc
                 result = hoffman_simplex(instance, point)
             else:
                 c = _parse_vector(args.c, n, "c")
                 w = _parse_vector(args.w, d, "w")
                 result = hoffman_primal(instance, np.ones(n) if c is None else c, np.zeros(d) if w is None else w)
-    except (IllPosedError, InapplicableError, OracleError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    except OracleError:  # a ValueError, but main maps it
+        raise
     except SimplexBreakdownError as exc:  # rounding, which the columns' scale can provoke
-        print(f"{theorem}: the simplex broke down in rounding on these columns ({exc})", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except CertificateConstructionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VIOLATION
+        raise InapplicableError(f"{theorem}: the simplex broke down in rounding on these columns ({exc})") from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     except FloatingPointError as exc:  # finite inputs whose statement leaves the float range
@@ -458,6 +448,8 @@ def cmd_batch(args) -> int:
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise _UsageError(f"unknown algorithms: {unknown}")
+    if len(set(algorithms)) < len(algorithms):  # a repeat would write over its own trace and summary
+        raise _UsageError(f"--algorithms names an algorithm more than once, got {args.algorithms!r}")
     # one task per instance: a process loads and measures its instance once for all algorithms
     tasks = [(path, algorithms, args.mode, args.eps, args.max_iters, args.out_dir, args.dump_alpha) for path in paths]
     per_instance = _run_shares(tasks, min(args.workers, len(tasks)))
@@ -529,9 +521,12 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, MemoryError, OSError) as exc:  # a size numpy refuses, or a path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InapplicableError as exc:  # a run refused for its instance, in batch workers too
+    except (InapplicableError, IllPosedError, OracleError) as exc:  # the statement or oracle does not apply
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
+    except CertificateConstructionError as exc:  # a construction the theory guarantees failed: a finding
+        print(str(exc), file=sys.stderr)
+        return EXIT_VIOLATION
     except _WorkerDied as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER

@@ -48,9 +48,11 @@ class GeneratorSpec:
             raise ValueError(f"target_margin and jitter must be finite, got {self.target_margin} and {self.jitter}")
         if self.kind == "planted-positive" and not 0.0 < self.target_margin < 1.0:
             raise ValueError("planted-positive needs target_margin in (0, 1)")
-        negative = self.kind == "planted-negative" or (self.kind == "rank-deficient" and self.target_margin < 0.0)
+        negative = self.kind == "planted-negative" or (self.kind == "rank-deficient" and self.target_margin != 0.0)
         if negative and not -1.0 < self.target_margin < 0.0:
-            raise ValueError("planted-negative needs target_margin in (-1, 0)")
+            raise ValueError(f"{self.kind} needs target_margin in (-1, 0)")
+        if self.kind == "near-ill-posed" and self.target_margin != 0.0:
+            raise ValueError(f"near-ill-posed plants margin {NEAR_ILL_POSED_TARGET} itself; target_margin must be 0")
         if self.jitter < 0.0:
             raise ValueError("jitter must be nonnegative")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import PrimalDirection, ProblemInstance, Record, SimplexPoint, combine
-from .lp import dist_l1_to_polyhedron, dist_l2_to_halfspaces
+from .lp import SimplexBreakdownError, dist_l1_to_polyhedron, dist_l2_to_halfspaces
 from .margins import (
     ZERO_BAND, BallReport, MarginReport, _rank_frame, margin_report, minimum_enclosing_ball, representable,
 )
@@ -337,7 +337,10 @@ def hoffman_simplex(instance: ProblemInstance, p: SimplexPoint) -> HoffmanReport
     witness_residual = float(np.linalg.norm(combine(instance, blended)))
     witness_distance = float(np.abs(p.weights - blended.weights).sum())
     eq, rhs = _rank_frame(instance, np.zeros((1, instance.d)))
-    exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs[0])
+    try:
+        exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs[0])
+    except ValueError as exc:  # the origin lies in the hull, so the set is nonempty: only rounding empties it
+        raise SimplexBreakdownError(str(exc)) from exc
     return HoffmanReport(
         variant="dual-simplex",
         bound_value=sharp,

@@ -364,6 +364,21 @@ def test_batch_without_algorithms_is_a_usage_error(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("algorithms", ["np,np", "np, vng,np"])
+def test_batch_refuses_a_repeated_algorithm(tmp_path, capsys, monkeypatch, algorithms):
+    # both runs of a repeated name wrote the same trace and summary files, and batch printed two result lines
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a batch task ran with a repeated algorithm")
+
+    monkeypatch.setattr(linfeas.cli, "_batch_worker", refuse)
+    path = save_instance(ingest([[1.0, 0.0], [0.0, 1.0]], normalize=True), tmp_path / "instances" / "axes.json")
+    assert run_cli("batch", "--instances", path.parent, "--algorithms", algorithms, "--out-dir", tmp_path / "runs") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --algorithms names an algorithm more than once, got {algorithms!r}"]
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("resolution", ["1", "0", "-5"])
 def test_grid_resolution_below_two_is_a_usage_error(axes_unit_path, capsys, resolution):
     assert run_cli("margin", axes_unit_path, "--method", "grid", "--resolution", resolution) == 1
@@ -644,6 +659,23 @@ def test_simplex_breakdown_in_certify_is_one_line(tmp_path, capsys):
     ]
 
 
+def test_hoffman_simplex_empty_witness_set_is_a_simplex_breakdown(tmp_path, capsys):
+    # a rank-3 instance in R^4 at 1e-6: its negative margin puts the origin in the hull, so exact
+    # arithmetic finds the zero-combination weight set nonempty; the l1 distance program's phase 1
+    # finds it empty in rounding, which was reported as a usage error (exit 1)
+    from batteries import mixed_instances
+
+    (inst,) = [inst for inst, _ in mixed_instances(60, seed=42) if inst.name == "rank-deficient-d4-n8-s60"]
+    path = save_instance(ingest((1e-6 * inst.columns.T).tolist(), normalize=False, name="tiny"), tmp_path / "tiny.json")
+    assert run_cli("certify", path, "--theorem", "hoffman-simplex") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "hoffman-simplex: the simplex broke down in rounding on these columns "
+        "(target polyhedron is empty (status infeasible))"
+    ]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_negative_side_failure_leaves_runs_unchecked(tmp_path, triangle_path, capsys, monkeypatch, workers):
     def fail(instance, basis):
@@ -847,6 +879,36 @@ def test_gen_refuses_a_target_or_jitter_that_is_not_finite(tmp_path, capsys, fla
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--kind", "near-ill-posed", "--target", "0.5"),
+         "error: near-ill-posed plants margin 0.0001 itself; target_margin must be 0"),
+        (("--kind", "near-ill-posed", "--target", "-0.2"),
+         "error: near-ill-posed plants margin 0.0001 itself; target_margin must be 0"),
+        (("--kind", "rank-deficient", "--target", "0.3"), "error: rank-deficient needs target_margin in (-1, 0)"),
+        (("--kind", "rank-deficient", "--target", "-1.5"), "error: rank-deficient needs target_margin in (-1, 0)"),
+    ],
+    ids=["near-ill-posed-positive", "near-ill-posed-negative", "rank-deficient-positive", "rank-deficient-below-minus-one"],
+)
+def test_gen_refuses_a_target_its_kind_cannot_plant(tmp_path, capsys, flags, message):
+    # near-ill-posed planted 1e-4 whatever the target, and rank-deficient planted -0.5 for a positive one
+    out = tmp_path / "inst.json"
+    assert run_cli("gen", "--d", "3", "--n", "6", *flags, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("kind", ["near-ill-posed", "rank-deficient"])
+def test_gen_target_zero_is_the_kinds_default(tmp_path, capsys, kind):
+    out = tmp_path / "inst.json"
+    assert run_cli("gen", "--kind", kind, "--d", "3", "--n", "6", "--target", "0", "--out", out) == 0
+    assert capsys.readouterr().out == f"{out}\n"
+    planted = {"near-ill-posed": 1e-4, "rank-deficient": -0.5}[kind]
+    assert json.loads(out.read_text())["metadata"]["target_margin"] == planted
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ("run", "{path}", "--algorithm", "np", "--mode", "dual-certificate"),
@@ -958,6 +1020,35 @@ def test_non_finite_vector_with_a_newline_is_one_error_line(triangle_path, capsy
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: --b must be finite, got '[NaN\\n, 1]'"]
     assert not oracle_calls
+
+
+@pytest.mark.parametrize("weights", ["[5, 0, 0]", "[0.5, 0, 0.1]", "[1.5, -0.5, 0]", "[0, 0, 0]"])
+def test_certify_refuses_p_off_the_simplex(triangle_path, capsys, oracle_calls, weights):
+    # weights off the simplex were rescaled without a word: [5, 0, 0] was certified as e_0
+    assert run_cli("certify", triangle_path, "--theorem", "hoffman-simplex", "--p", weights) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: --p must be simplex weights: ")
+    assert not oracle_calls
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--theorem", "gordan3", "--gamma", "0.25"), "ball point"),
+        (("--theorem", "hoffman-dual"), "scaled residual direction is not representable"),
+        (("--theorem", "hoffman-simplex"), "reflected hull point is not representable"),
+    ],
+)
+def test_a_certificate_the_theory_guarantees_but_cannot_build_exits_2(triangle_path, capsys, monkeypatch, args, message):
+    # a point the inradius puts in the hull that no weights represent is a genuine finding, not a refusal
+    monkeypatch.setattr(linfeas.theorems, "representable", lambda _instance, points: [None] * len(points))
+    assert run_cli("certify", triangle_path, *args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(message)
 
 
 @pytest.mark.parametrize("value", ["-3", "0"])

@@ -11,6 +11,7 @@ from batteries import infeasible_instances, mixed_instances, negative_instances,
 
 from linfeas.algorithms import AlgorithmConfig, perceptron_normalized, vng
 from linfeas.instance import SimplexPoint, combine, ingest
+from linfeas.lp import SimplexBreakdownError
 from linfeas.margins import ZERO_BAND, margin_report
 from linfeas.reporting import build_run_summary
 from linfeas.theorems import (
@@ -173,6 +174,17 @@ def test_hoffman_dual_maps_only_an_empty_witness_set_to_inapplicable(triangle, m
     monkeypatch.setattr(linfeas.theorems, "dist_l1_to_polyhedron", failing)
     with pytest.raises(expected, match=message):
         hoffman_dual(triangle, np.zeros(2), np.array([1.0, 0.0, 0.0]))
+
+
+def test_hoffman_simplex_maps_an_empty_weight_set_to_a_simplex_breakdown(triangle, monkeypatch):
+    # under a negative margin the origin lies in the hull, so the zero-combination weight set is
+    # nonempty: only rounding in the distance program's phase 1 can find it empty
+    def failing(*_args):
+        raise ValueError("target polyhedron is empty (status infeasible)")
+
+    monkeypatch.setattr(linfeas.theorems, "dist_l1_to_polyhedron", failing)
+    with pytest.raises(SimplexBreakdownError, match=r"^target polyhedron is empty \(status infeasible\)$"):
+        hoffman_simplex(triangle, SimplexPoint.unit_mass(3, 0))
 
 
 def test_hoffman_simplex_tight_example(segment):
