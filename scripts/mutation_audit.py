@@ -2,11 +2,11 @@
 """Mutation audit: for each listed mutant of the library, does a test fail?
 
 A mutant is one textual edit of one file under src/linfeas, (file, old, new),
-with the test files that should fail under it. For each mutant the script
-copies src/, tests/ and scripts/ of this tree into a fresh temporary directory,
-applies the edit there and runs the named test files with ``pytest -x``. It
-prints one line per mutant: killed, with the first test that failed, or
-survived. The tree itself is never edited.
+with the test files, or single tests, that should fail under it. For each
+mutant the script copies src/, tests/ and scripts/ of this tree into a fresh
+temporary directory, applies the edit there and runs the named tests with
+``pytest -x``. It prints one line per mutant: killed, with the first test
+that failed, or survived. The tree itself is never edited.
 
     python scripts/mutation_audit.py               # every mutant
     python scripts/mutation_audit.py NAME [NAME]   # the named mutants only
@@ -17,7 +17,8 @@ not a survivor. Exits 1 when a mutant survives or its tests cannot run (a
 collection error, say), 0 when every mutant is killed.
 
 The list holds the verdict clauses of the certifiers (a clause dropped or
-loosened), the one-ulp and one-digit moves that the byte contracts must catch,
+loosened), the one-ulp and one-digit moves that the byte contracts must catch
+(the trace's replay of the coefficient rows among them),
 the order of input checks and oracle call, the two shared judgements (the
 side of the margin, ``margins._side``, and the per-update rule of the run
 replay, ``reporting._check_each_update``) and the CLI's one exit table, in
@@ -84,6 +85,9 @@ MUTANTS = (
            ("tests/test_margins.py",)),
     Mutant("trace-margin-at-16-digits", "src/linfeas/algorithms.py", '"%d,%.17g,%.17g,%.17g,%d\\n"',
            '"%d,%.17g,%.16g,%.17g,%d\\n"', ("tests/test_algorithms.py",)),
+    Mutant("np-replay-weight-one-step-late", "src/linfeas/algorithms.py",
+           "weights = 1.0 / self.ts[1 : last + 1]", "weights = 1.0 / (self.ts[1 : last + 1] + 1)",
+           ("tests/test_algorithms.py::test_kernel_matches_the_per_array_reference_byte_for_byte",)),
     # the shared judgements
     Mutant("side-includes-the-band-edge", MARGINS, "return 1 if gap > ZERO_BAND else -1 if gap < -ZERO_BAND else 0",
            "return 1 if gap >= ZERO_BAND else -1 if gap <= -ZERO_BAND else 0", ("tests/test_margins.py",)),

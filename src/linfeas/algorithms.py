@@ -4,33 +4,40 @@ Three iterations over unit columns: the classical additive perceptron, the
 averaged variant that tracks a convex combination of columns (a subgradient
 step on the margin loss), and the furthest-point line-search iteration that
 is Frank-Wolfe on the minimum-norm-point problem. They are three step rules of
-one loop, which keeps one state vector s = [w | alpha | w . A] of length
-d + 2n, of which w, alpha and the dots w . a_j are views, and one update table
-U = [A' | I | G] of shape (n, d + 2n), built per call from the columns and the
-instance's cached Gram matrix. A step rule picks column i and the update: s +=
-U[i] (classic) or s *= keep; s += step * U[i] (averaged), which does
-elementwise what separate updates of w, alpha and the dots would do: the other
-entries of alpha gain step * 0.0, which is exact since alpha >= 0. A step
-costs O(d + n) in these numpy calls, with keep and step passed as 0-d arrays
-and every output buffer preallocated:
+one loop, which keeps one state vector s = [w | w . A] of length d + n, of
+which w and the dots w . a_j are views, and one update table U = [A' | G] of
+shape (n, d + n), built per call from the columns and the instance's cached
+Gram matrix. A step rule picks column i and the update: s += U[i] (classic)
+or s *= keep; s += step * U[i] (averaged), which does elementwise what
+separate updates of w and the dots would do. A step costs O(d + n) in these
+numpy calls, with keep and step passed as 0-d arrays and every output buffer
+preallocated:
 
-- all rules: argmin of the dots, and the copies of [w | alpha] and of the
-  smallest dot into the trace rows;
+- all rules: argmin of the dots, and the copies of w and of the smallest dot
+  into the trace rows;
 - classic: dots <= 0 into a bool buffer, its argmax, and one add;
 - np: one multiply, one multiply into a scratch row, and one add;
-- vng: those three, plus w . w, dots - G_jj / 2 and its argmin;
+- vng: those three, plus w . w, dots - G_jj / 2 and its argmin, and the
+  weight kept on w into its trace row;
 - the dual-certificate stop: w . w.
 
 The loop holds only the update, the column choice and the stop tests, and
-records [w | alpha], min_j w . a_j and the chosen column per step; norms,
-margins and losses are derived from those rows after the loop. Ties break on
-the lowest column index, up to the rounding of the dots, and every trace is
-reproducible bit for bit.
+records w, min_j w . a_j and the chosen column per step (and vng's kept
+weight); norms, margins and losses are derived from those rows after the
+loop. The coefficients alpha of each iterate (w = A alpha) are not carried:
+they follow from the chosen columns and the weights, and the trace replays
+them on read with the elementwise operations a state [w | alpha | w . A]
+would have made (alpha *= keep; alpha_i += step, or alpha_i += 1 for classic;
+its other entries would gain step * 0.0, which leaves alpha >= 0 as it is),
+so they are the same bytes. Ties break on the lowest column index, up to the
+rounding of the dots, and every trace is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,25 +94,73 @@ class Certificate(Record):
 class IterateTrace:
     """Per-iteration record of a run; row t holds the state after update t.
 
-    ``coefficients`` rows are convex weights for the averaged iterations and
-    raw update counts for the classical perceptron (either way the iterate is
-    columns @ coefficients). ``chosen`` holds the column index used to produce
-    row t, with -1 at t = 0.
+    ``chosen`` holds the column index used to produce row t, with -1 at
+    t = 0; ``kept`` holds, for vng only, the weight update t left on the
+    previous iterate. Every array is read-only. ``coefficients`` rows are
+    convex weights for the averaged iterations and raw update counts for the
+    classical perceptron (either way the iterate is columns @ coefficients);
+    they are replayed from ``chosen`` and the weights on first read, and
+    ``alpha_rows`` replays only up to the rows it is asked for.
     """
 
     algorithm: str
     ts: np.ndarray
     iterates: np.ndarray
-    coefficients: np.ndarray
     norms: np.ndarray
     margins: np.ndarray
     losses: np.ndarray
     chosen: np.ndarray
     termination: str
+    n: int  # the instance's column count, the length of a coefficient row
+    kept: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def steps(self) -> int:
         return int(self.ts[-1])
+
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray:
+        return self.alpha_rows(self.ts)
+
+    def alpha_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """The coefficient rows at these row indices, replayed from alpha_0 = e_0 up to the last of them.
+
+        Update t adds 1 to alpha_i for classic; for np and vng it scales alpha
+        by the weight kept on w (1 - 1/t for np, the recorded line-search
+        weight for vng) and adds the column's weight (1/t, or 1 - kept) to
+        alpha_i. These are the elementwise operations of the kernel's update,
+        so the rows are bit for bit those of a state that carries alpha.
+        """
+        rows = self.ts[np.asarray(rows, dtype=np.intp)]  # negative rows count from the end, as in indexing
+        out = np.empty((rows.size, self.n))
+        last = int(rows.max(initial=0))
+        chosen = self.chosen[: last + 1].tolist()
+        if self.algorithm == "classic":
+            keeps, steps = None, [1.0] * (last + 1)
+        elif self.algorithm == "np":
+            weights = 1.0 / self.ts[1 : last + 1]  # 1.0 / t, as the kernel divides
+            keeps, steps = [None, *(1.0 - weights).tolist()], [None, *weights.tolist()]
+        else:
+            keeps = self.kept[: last + 1].tolist()
+            steps = [None, *(1.0 - self.kept[1 : last + 1]).tolist()]
+        alpha = np.zeros(self.n)
+        alpha[0] = 1.0
+        keep = np.empty(())  # a 0-d operand, as in the kernel
+        t = 0
+        for k in np.argsort(rows, kind="stable").tolist():
+            for t in range(t + 1, int(rows[k]) + 1):
+                if keeps is not None:
+                    keep[()] = keeps[t]
+                    np.multiply(alpha, keep, alpha)
+                alpha[chosen[t]] += steps[t]
+            out[k] = alpha
+        out.flags.writeable = False
+        return out
 
     def write_csv(self, path: str | Path) -> Path:
         path = Path(path)
@@ -124,38 +179,42 @@ class TraceBudgetError(MemoryError):
     """Raised when the trace of an iteration budget cannot be allocated."""
 
 
-def _trace_buffers(capacity: int, width: int) -> tuple[np.ndarray, ...]:
-    """Rows for update 0 to capacity: the state [w | alpha], min_j w . a_j and the chosen column."""
+def _trace_buffers(capacity: int, d: int, weighted: bool) -> tuple[np.ndarray | None, ...]:
+    """Rows for update 0 to capacity: w, min_j w . a_j, the chosen column and, if weighted, the kept weight."""
     rows = capacity + 1
     try:
-        return np.zeros((rows, width)), np.zeros(rows), np.full(rows, -1, dtype=int)
+        kept = np.full(rows, np.nan) if weighted else None  # row 0 follows no update
+        return np.zeros((rows, d)), np.zeros(rows), np.full(rows, -1, dtype=int), kept
     except (MemoryError, ValueError) as exc:  # numpy refuses a size past memory, or past its index range
         raise TraceBudgetError(f"cannot allocate a trace of {capacity} updates: {exc}") from exc
 
 
-def _freeze(algorithm: str, d: int, rows: int, termination: str, buffers: tuple[np.ndarray, ...]) -> IterateTrace:
+def _freeze(
+    algorithm: str, n: int, rows: int, termination: str, buffers: tuple[np.ndarray | None, ...]
+) -> IterateTrace:
     # a full buffer is handed over as is; a partial one is trimmed, freeing its unused tail
-    states, worsts, chosen = (b if b.shape[0] == rows else b[:rows].copy() for b in buffers)
+    iterates, worsts, chosen, kept = (b if b is None or b.shape[0] == rows else b[:rows].copy() for b in buffers)
     # vecdot reduces each row by the same ddot as w @ w, so these are the per-step bytes
-    norms = np.sqrt(np.vecdot(states[:, :d], states[:, :d]))
+    norms = np.sqrt(np.vecdot(iterates, iterates))
     margins = np.divide(worsts, norms, out=np.full(rows, np.nan), where=norms > 0.0)
     losses = 0.5 * norms * norms - worsts
     return IterateTrace(
         algorithm=algorithm,
         ts=np.arange(rows),
-        iterates=states[:, :d],
-        coefficients=states[:, d:],
+        iterates=iterates,
         norms=norms,
         margins=margins,
         losses=losses,
         chosen=chosen,
         termination=termination,
+        n=n,
+        kept=kept,
     )
 
 
 def _update_table(instance: ProblemInstance) -> np.ndarray:
-    """Row i is [a_i | e_i | G_i]: what a unit step toward column i adds to [w | alpha | w . A]."""
-    return np.hstack([instance.columns.T, np.eye(instance.n), instance.gram])
+    """Row i is [a_i | G_i]: what a unit step toward column i adds to [w | w . A]."""
+    return np.hstack([instance.columns.T, instance.gram])
 
 
 def require_unit_columns(instance: ProblemInstance) -> None:
@@ -205,10 +264,10 @@ def _step_loop(
     updates = list(table)  # the row views U[i], made once
     g_diag = instance.gram.diagonal()
     half_diag, g_list = 0.5 * g_diag, g_diag.tolist()
-    s = table[0].copy()  # [w | alpha | w . a_j for every column j] at the first column
-    w, alpha, state, dots = s[:d], s[d : d + n], s[: d + n], s[d + n :]
-    buffers = _trace_buffers(max_iters, d + n)
-    states, worsts, chosen = buffers
+    s = table[0].copy()  # [w | w . a_j for every column j] at the first column
+    w, dots = s[:d], s[d:]
+    buffers = _trace_buffers(max_iters, d, step_rule == "vng")
+    iterates, worsts, chosen, kept_rows = buffers
     # scratch for step * U[i], vng's dots - G_jj / 2 and classic's mistakes
     scaled, reach, mistakes = np.empty_like(s), np.empty(n), np.empty(n, dtype=bool)
     keep, step, zero = np.empty(()), np.empty(()), np.zeros(())  # 0-d operands: ufuncs take them faster than floats
@@ -226,7 +285,7 @@ def _step_loop(
             sq = float(w.dot(w))
             norm = math.sqrt(sq)
         worst_index = dots.argmin()  # a most violated column
-        states[t] = state
+        iterates[t] = w
         worsts[t] = worst = dots[worst_index]
         if primal and worst > 0.0:
             certificate = _primal_certificate(cols, w, dots, t)
@@ -234,8 +293,7 @@ def _step_loop(
                 reason = "primal-feasible"
                 break
         if dual and norm <= target_eps:
-            certificate = _dual_certificate(alpha, norm, t)
-            reason = "dual-epsilon"
+            reason = "dual-epsilon"  # certified below, from the trace's replay of row t
             break
         if t == max_iters:
             if not certifies_at_budget:
@@ -246,7 +304,7 @@ def _step_loop(
 
         if classic:
             i = less_equal(dots, zero, mistakes).argmax()  # the lowest-index mistake; exact sign test, no slack
-            add(s, updates[i], s)  # exact add: alpha holds raw update counts
+            add(s, updates[i], s)
         else:  # w <- keep * w + step * a_i; np and vng differ only in (keep, step)
             if averaged:
                 i = worst_index
@@ -264,12 +322,15 @@ def _step_loop(
                     reason = "stalled"  # line search cannot shrink the norm beyond rounding
                     break
                 kept = max(kept, 0.0)
-                keep[()] = kept
+                keep[()] = kept_rows[t + 1] = kept
                 step[()] = 1.0 - kept
             multiply(s, keep, s)
             add(s, multiply(updates[i], step, scaled), s)
         chosen[t + 1] = i
-    return certificate, _freeze(step_rule, d, t + 1, reason, buffers)
+    trace = _freeze(step_rule, n, t + 1, reason, buffers)
+    if reason == "dual-epsilon":
+        certificate = _dual_certificate(trace.alpha_rows([t])[0], norm, t)
+    return certificate, trace
 
 
 def perceptron_classic(

@@ -67,16 +67,25 @@ ALGORITHMS = {
     "vng": vng,
 }
 
-THEOREMS = (
-    "gordan1",
-    "gordan2",
-    "gordan3",
-    "hoffman-dual",
-    "hoffman-simplex",
-    "hoffman-primal",
-    "meb",
-    "radius",
-)
+# the flags each margin method and each certify theorem reads, with the value each takes when not given;
+# a flag the chosen one does not read is a usage error. certify accepts --seed with every theorem, so one
+# command line can serve a list of statements.
+METHOD_FLAGS = {
+    "exact": {"tol_rank": None},
+    "grid": {"resolution": 4096},
+    "iterative": {"eps": 0.1},
+}
+THEOREM_FLAGS = {
+    "gordan1": {"gamma": 0.0},
+    "gordan2": {"gamma": 0.0},
+    "gordan3": {"gamma": 0.0, "samples": 32},
+    "hoffman-dual": {"b": None, "x": None},
+    "hoffman-simplex": {"p": None},
+    "hoffman-primal": {"c": None, "w": None},
+    "meb": {},
+    "radius": {"samples": 32},
+}
+THEOREMS = tuple(THEOREM_FLAGS)
 
 
 class _UsageError(Exception):
@@ -148,10 +157,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", type=Path, default=None, help="output path (default under --out-dir)")
 
     margin = _command(sub, "margin", "margin report for an instance", ("--eps",))
+    margin.set_defaults(eps=None)  # read by --method iterative only, with METHOD_FLAGS's default
     margin.add_argument("instance", type=Path)
-    margin.add_argument("--method", choices=("exact", "grid", "iterative"), default="exact")
+    margin.add_argument("--method", choices=tuple(METHOD_FLAGS), default="exact")
     margin.add_argument("--tol-rank", type=_positive_float, default=None, help="rank cutoff override (--method exact)")
-    margin.add_argument("--resolution", type=_grid_resolution, default=4096)
+    margin.add_argument("--resolution", type=_grid_resolution, default=None, help="grid resolution (--method grid)")
 
     run = _command(sub, "run", "run an algorithm, write trace and summary", solver_flags)
     run.add_argument("instance", type=Path)
@@ -161,13 +171,13 @@ def _build_parser() -> _Parser:
     certify = _command(sub, "certify", "verify a statement on an instance", ("--seed",))
     certify.add_argument("instance", type=Path)
     certify.add_argument("--theorem", required=True, choices=THEOREMS)
-    certify.add_argument("--gamma", type=_nonnegative_float, default=0.0)
+    certify.add_argument("--gamma", type=_nonnegative_float, default=None, help="threshold (gordan1-3)")
     certify.add_argument("--b", type=str, default=None, help="JSON vector, length d")
     certify.add_argument("--x", type=str, default=None, help="JSON nonnegative vector, length n")
     certify.add_argument("--p", type=str, default=None, help="JSON simplex weights, length n (nonnegative, sum 1, not rescaled)")
     certify.add_argument("--c", type=str, default=None, help="JSON vector, length n")
     certify.add_argument("--w", type=str, default=None, help="JSON vector, length d")
-    certify.add_argument("--samples", type=_positive_int, default=32)
+    certify.add_argument("--samples", type=_positive_int, default=None, help="ball samples (gordan3, radius)")
 
     batch = _command(sub, "batch", "fan runs out over instances x algorithms", solver_flags)
     batch.add_argument("--instances", type=Path, required=True, help="directory of instance JSON files")
@@ -179,6 +189,19 @@ def _build_parser() -> _Parser:
     report.add_argument("--csv", type=Path, default=None, help="write here instead of stdout")
 
     return parser
+
+
+def _read_flags(args, choice: str, table: dict[str, dict]) -> None:
+    """Refuse a flag given that the chosen method or theorem does not read; give the ones it reads their defaults."""
+    chosen = getattr(args, choice)
+    for dest in dict.fromkeys(dest for reads in table.values() for dest in reads):  # first-defined order
+        if getattr(args, dest) is None:
+            setattr(args, dest, table[chosen].get(dest))
+        elif dest not in table[chosen]:
+            readers = [name for name, reads in table.items() if dest in reads]
+            within = ", ".join(readers[:-1]) + " or " + readers[-1] if len(readers) > 1 else readers[0]
+            flag = "--" + dest.replace("_", "-")
+            raise _UsageError(f"{flag} applies only to --{choice} {within}, not --{choice} {chosen}")
 
 
 def _parse_vector(text: str | None, length: int, label: str) -> np.ndarray | None:
@@ -232,8 +255,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_margin(args) -> int:
-    if args.tol_rank is not None and args.method != "exact":  # only the exact oracle takes a rank cutoff
-        raise _UsageError(f"--tol-rank applies only to --method exact, not --method {args.method}")
+    _read_flags(args, "method", METHOD_FLAGS)
     instance = _load(args.instance)
     if args.method == "exact":
         _emit(margin_report(instance, rank_tol=args.tol_rank).as_dict())
@@ -314,6 +336,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _read_flags(args, "theorem", THEOREM_FLAGS)
     instance = _load(args.instance)
     n, d = instance.n, instance.d
     theorem = args.theorem

@@ -136,10 +136,9 @@ def _dual_witness_distance(
     eq, rhs = _rank_frame(instance, np.zeros((1, instance.d)))
     worst = 0.0
     details = []
-    for t in DUAL_DISTANCE_SAMPLES:
-        if t >= trace.ts.size:
-            continue
-        dist, _ = dist_l1_to_polyhedron(trace.coefficients[t], eq, rhs[0])
+    samples = [t for t in DUAL_DISTANCE_SAMPLES if t < trace.ts.size]
+    for t, alpha in zip(samples, trace.alpha_rows(samples)):  # replays the weights up to the last sample only
+        dist, _ = dist_l1_to_polyhedron(alpha, eq, rhs[0])
         bound = 2.0 / (rho_minus_abs * math.sqrt(t))
         worst = max(worst, dist - bound)
         details.append(f"t={t}: dist={dist:.4g} vs bound={bound:.4g}")

@@ -8,7 +8,8 @@ from exact rational arithmetic, the negative margin from the supporting
 hyperplanes of every column r-subset. Slow and exact at tiny sizes, which
 is the point. Two references are not brute force. The solver loops at the
 end are the iterations with one numpy update per array (w, alpha, w . A),
-which the library's single-state-vector kernel must match byte for byte;
+which the library's single-state-vector kernel, and the alpha rows its traces
+replay from the chosen columns, must match byte for byte;
 ``loss``, the margin loss of one iterate, is the reference for the traces'
 loss column.
 ``nnls_fresh_factorization`` is Lawson and Hanson's NNLS with the QR factor
@@ -504,10 +505,13 @@ class _TraceBuilder:
         self.margins = np.zeros(capacity + 1)
         self.losses = np.zeros(capacity + 1)
         self.chosen = np.full(capacity + 1, -1, dtype=int)
+        self.kept = np.full(capacity + 1, np.nan) if algorithm == "vng" else None
         self.rows = 0
 
-    def record(self, t: int, w: np.ndarray, coeff: np.ndarray, norm: float, worst: float, chosen: int) -> None:
-        """Append the state after update t; ``worst`` is min_i w . a_i."""
+    def record(
+        self, t: int, w: np.ndarray, coeff: np.ndarray, norm: float, worst: float, chosen: int, kept: float = np.nan
+    ) -> None:
+        """Append the state after update t; ``worst`` is min_i w . a_i, ``kept`` vng's weight left on w."""
         i = self.rows
         self.ts[i] = t
         self.iterates[i] = w
@@ -516,17 +520,24 @@ class _TraceBuilder:
         self.margins[i] = worst / norm if norm > 0.0 else np.nan
         self.losses[i] = 0.5 * norm * norm - worst
         self.chosen[i] = chosen
+        if self.kept is not None:
+            self.kept[i] = kept
         self.rows += 1
 
     def freeze(self, termination: str) -> IterateTrace:
         # a full buffer is handed over as is; a partial one is trimmed, freeing its unused tail
         r = self.rows
-        buffers = {name: b for name, b in vars(self).items() if isinstance(b, np.ndarray)}
-        return IterateTrace(
-            algorithm=self.algorithm,
-            termination=termination,
-            **{name: b if b.shape[0] == r else b[:r].copy() for name, b in buffers.items()},
+        buffers = {
+            name: b if b.shape[0] == r else b[:r].copy() for name, b in vars(self).items() if isinstance(b, np.ndarray)
+        }
+        coefficients = buffers.pop("coefficients")
+        trace = IterateTrace(
+            algorithm=self.algorithm, termination=termination, n=coefficients.shape[1], **buffers
         )
+        # the reference's alpha rows are its own per-array loop's, seated where the trace caches its replay
+        coefficients.flags.writeable = False
+        vars(trace)["coefficients"] = coefficients
+        return trace
 
 
 def _primal_certificate(cols: np.ndarray, w: np.ndarray, dots: np.ndarray, iterations: int) -> Certificate | None:
@@ -655,5 +666,5 @@ def reference_averaged(
         norm = math.sqrt(sq)
         worst_index = int(dots.argmin())
         worst = float(dots[worst_index])
-        trace.record(t, w, alpha, norm, worst, i)
+        trace.record(t, w, alpha, norm, worst, i, keep)
     return certificate, trace.freeze(reason)

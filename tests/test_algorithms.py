@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from linfeas.algorithms import (
     perceptron_normalized,
     vng,
 )
-from linfeas.instance import combine, ingest
+from linfeas.instance import SimplexPoint, combine, ingest
 from linfeas.margins import margin_report
 
 
@@ -339,3 +340,64 @@ def test_trace_norms_are_the_per_row_dot_bit_for_bit():
     assert trace.steps == 10_000
     expected = np.array([math.sqrt(float(w @ w)) for w in trace.iterates])
     assert trace.norms.tobytes() == expected.tobytes()
+
+
+def test_a_run_keeps_no_coefficient_rows_until_they_are_read(triangle):
+    for runner in (perceptron_classic, perceptron_normalized, vng):
+        _, trace = runner(triangle, AlgorithmConfig(max_iters=50, mode="margin-maximization"))
+        assert "coefficients" not in vars(trace), runner.__name__
+        trace.coefficients
+        assert "coefficients" in vars(trace), runner.__name__
+
+
+def test_trace_memory_is_the_w_rows_and_not_the_coefficients():
+    # a trace holds the d-wide w rows; the (T + 1) x n coefficient rows are replayed on read, not held
+    rng = np.random.default_rng(2400)
+    inst = ingest(rng.standard_normal((200, 50)).tolist(), name="d50n200")
+    inst.gram  # cached on the instance before the measurement, as every later call finds it
+    steps, d, n = 10_000, inst.d, inst.n
+    table = n * (d + n) * 8  # the update table [A' | G]
+    slack = 8 * (steps + 1) * 8 + 64 * 1024  # eight per-row scalar arrays (dots, columns, norms, ...) and small objects
+    tracemalloc.start()
+    try:
+        _, trace = perceptron_normalized(inst, AlgorithmConfig(max_iters=steps, mode="margin-maximization"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == steps
+    assert peak < (steps + 1) * d * 8 + table + slack, peak
+    assert "coefficients" not in vars(trace)
+
+
+def test_alpha_rows_are_the_coefficient_rows_byte_for_byte():
+    cases = [inst for inst, _ in positive_instances(3, seed=2500) + negative_instances(3, seed=2600)]
+    picks = ([0], [7, 3, 7], [-1, 0], list(range(0, 120, 11)), [])
+    for inst in cases:
+        for mode in MODES:
+            for runner in (perceptron_classic, perceptron_normalized, vng):
+                _, trace = runner(inst, AlgorithmConfig(max_iters=120, target_eps=0.05, mode=mode))
+                for rows in picks:
+                    rows = [t for t in rows if -trace.ts.size <= t < trace.ts.size]
+                    got, want = trace.alpha_rows(rows), trace.coefficients[rows]
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes(), (inst.name, mode, runner.__name__, rows)
+
+
+def test_a_dual_certificate_weighs_the_columns_by_the_last_coefficient_row():
+    # at eps 1e-3 np certifies after 400-1300 updates and vng after 3-375, so the replay covers long runs
+    large = ingest(np.random.default_rng(2200).standard_normal((200, 50)).tolist(), name="d50n200")
+    for inst in [inst for inst, _ in negative_instances(6, seed=2800)] + [large]:
+        for runner in (perceptron_normalized, vng):
+            cert, trace = runner(inst, AlgorithmConfig(max_iters=3000, target_eps=1e-3, mode="dual-certificate"))
+            assert cert.kind == "dual-epsilon" and cert.iterations == trace.steps, (inst.name, runner.__name__)
+            expected = SimplexPoint.from_approximate(trace.coefficients[-1]).weights
+            assert cert.weights.weights.tobytes() == expected.tobytes(), (inst.name, runner.__name__)
+
+
+def test_trace_arrays_are_read_only(triangle):
+    _, trace = vng(triangle, AlgorithmConfig(max_iters=20, mode="margin-maximization"))
+    with pytest.raises(ValueError):
+        trace.iterates[0, 0] = 1.0
+    for name in ("ts", "iterates", "norms", "margins", "losses", "chosen", "kept", "coefficients"):
+        assert not getattr(trace, name).flags.writeable, name
+    assert not trace.alpha_rows([1, 2]).flags.writeable

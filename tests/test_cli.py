@@ -524,7 +524,7 @@ def test_arbitrary_instance_json_exits_with_one_line_and_no_traceback(tmp_path_f
     path.write_text(json.dumps(payload))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli("margin", path, "--method", method, "--eps", "0.5")
+        code = run_cli("margin", path, "--method", method, *(("--eps", "0.5") if method == "iterative" else ()))
     assert code in (0, 1, 2, 3)
     assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1)
     assert "Traceback" not in err.getvalue()
@@ -574,6 +574,50 @@ def test_rank_tolerance_with_a_method_that_ignores_it_is_usage_error(triangle_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: --tol-rank applies only to --method exact, not --method {method}"]
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (("certify", "--theorem", "hoffman-dual", "--p", "[5, 0, 0]"),
+         "--p applies only to --theorem hoffman-simplex, not --theorem hoffman-dual"),
+        (("certify", "--theorem", "meb", "--b", "[1, 2]", "--gamma", "0.3", "--samples", "5"),
+         "--gamma applies only to --theorem gordan1, gordan2 or gordan3, not --theorem meb"),
+        (("certify", "--theorem", "gordan1", "--samples", "5"),
+         "--samples applies only to --theorem gordan3 or radius, not --theorem gordan1"),
+        (("certify", "--theorem", "radius", "--gamma", "0"),
+         "--gamma applies only to --theorem gordan1, gordan2 or gordan3, not --theorem radius"),
+        (("certify", "--theorem", "hoffman-primal", "--x", "[1, 0, 0]"),
+         "--x applies only to --theorem hoffman-dual, not --theorem hoffman-primal"),
+        (("margin", "--method", "exact", "--eps", "0.5", "--resolution", "7"),
+         "--resolution applies only to --method grid, not --method exact"),
+        (("margin", "--eps", "0.1"), "--eps applies only to --method iterative, not --method exact"),
+        (("margin", "--method", "grid", "--eps", "0.5"), "--eps applies only to --method iterative, not --method grid"),
+        (("margin", "--method", "iterative", "--resolution", "64"),
+         "--resolution applies only to --method grid, not --method iterative"),
+    ],
+)
+def test_a_flag_the_theorem_or_method_does_not_read_is_refused_before_the_oracle(
+    triangle_path, capsys, monkeypatch, args, line
+):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle ran for a refused flag")
+
+    monkeypatch.setattr(linfeas.theorems, "margin_report", refuse)
+    monkeypatch.setattr(linfeas.cli, "margin_report", refuse)
+    assert run_cli(args[0], triangle_path, *args[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {line}"]
+
+
+@pytest.mark.parametrize("theorem", linfeas.cli.THEOREMS)
+def test_every_theorem_accepts_a_seed(triangle_path, axes_unit_path, capsys, theorem):
+    # certify-lp passes one --seed to every statement; a theorem without samples ignores it
+    path = axes_unit_path if theorem in ("gordan1", "gordan2", "hoffman-primal") else triangle_path
+    extra = ("--gamma", "0.2") if theorem in ("gordan2", "gordan3") else ()
+    assert run_cli("certify", path, "--theorem", theorem, "--seed", "3", *extra) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -1289,10 +1333,11 @@ _VECTOR_TEXT = st.none() | st.text(max_size=12) | st.lists(st.floats(), max_size
 def test_arbitrary_certify_input_exits_with_one_line_and_no_traceback(
     certify_fuzz_paths, theorem, fixture, gamma, vectors
 ):
+    reads = linfeas.cli.THEOREM_FLAGS[theorem]  # a flag the theorem does not read is refused before its inputs
     argv = ["certify", certify_fuzz_paths[fixture], "--theorem", theorem]
-    if gamma is not None:
+    if gamma is not None and "gamma" in reads:
         argv.append(f"--gamma={gamma!r}")
-    argv += [f"--{flag}={text}" for flag, text in vectors.items() if text is not None]
+    argv += [f"--{flag}={text}" for flag, text in vectors.items() if text is not None and flag in reads]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(*argv)
