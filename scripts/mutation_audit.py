@@ -21,8 +21,9 @@ loosened), the one-ulp and one-digit moves that the byte contracts must catch
 (the trace's replay of the coefficient rows among them),
 the order of input checks and oracle call, the two shared judgements (the
 side of the margin, ``margins._side``, and the per-update rule of the run
-replay, ``reporting._check_each_update``) and the CLI's one exit table, in
-``cli.main``.
+replay, ``reporting._check_each_update``), the mode a classic trace records
+and the type of an instance file's ``normalize``, and the CLI's one exit
+table, in ``cli.main``.
 """
 
 import argparse
@@ -94,6 +95,14 @@ MUTANTS = (
     Mutant("empty-trace-fails-its-update-checks", "src/linfeas/reporting.py",
            '        return BoundCheck(name, True, 0.0, "no updates recorded")\n',
            '        return BoundCheck(name, False, 0.0, "no updates recorded")\n', ("tests/test_theorems.py",)),
+    # what a run records and what an instance file may say
+    Mutant("classic-trace-records-the-requested-mode", "src/linfeas/algorithms.py",
+           "trace = _freeze(step_rule, mode, n, t + 1, reason, buffers)",
+           "trace = _freeze(step_rule, config.mode, n, t + 1, reason, buffers)",
+           ("tests/test_cli.py::test_classic_is_judged_by_the_one_mode_it_honours",)),
+    Mutant("instance-normalize-by-truth-value", "src/linfeas/instance.py",
+           "    if not isinstance(normalize, bool):", "    normalize = bool(normalize)\n    if False:",
+           ("tests/test_instance.py::test_payload_refuses_a_mistyped_normalize_or_name",)),
     # the exit table: each error class reaches main, which alone picks its exit code
     Mutant("certificate-construction-exits-3", CLI,
            "        print(str(exc), file=sys.stderr)\n        return EXIT_VIOLATION\n",

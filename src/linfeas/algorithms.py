@@ -104,6 +104,7 @@ class IterateTrace:
     """
 
     algorithm: str
+    mode: str  # the mode the run honoured: primal-feasibility for classic, whatever the config asked
     ts: np.ndarray
     iterates: np.ndarray
     norms: np.ndarray
@@ -190,7 +191,7 @@ def _trace_buffers(capacity: int, d: int, weighted: bool) -> tuple[np.ndarray | 
 
 
 def _freeze(
-    algorithm: str, n: int, rows: int, termination: str, buffers: tuple[np.ndarray | None, ...]
+    algorithm: str, mode: str, n: int, rows: int, termination: str, buffers: tuple[np.ndarray | None, ...]
 ) -> IterateTrace:
     # a full buffer is handed over as is; a partial one is trimmed, freeing its unused tail
     iterates, worsts, chosen, kept = (b if b is None or b.shape[0] == rows else b[:rows].copy() for b in buffers)
@@ -200,6 +201,7 @@ def _freeze(
     losses = 0.5 * norms * norms - worsts
     return IterateTrace(
         algorithm=algorithm,
+        mode=mode,
         ts=np.arange(rows),
         iterates=iterates,
         norms=norms,
@@ -272,11 +274,12 @@ def _step_loop(
     scaled, reach, mistakes = np.empty_like(s), np.empty(n), np.empty(n, dtype=bool)
     keep, step, zero = np.empty(()), np.empty(()), np.zeros(())  # 0-d operands: ufuncs take them faster than floats
     add, multiply, subtract, less_equal = np.add, np.multiply, np.subtract, np.less_equal
-    classic = step_rule == "classic"  # ignores the mode: stops only on a primal certificate
+    classic = step_rule == "classic"
     averaged = step_rule == "np"
-    primal = classic or config.mode == "primal-feasibility"
-    dual = not classic and config.mode == "dual-certificate"
-    certifies_at_budget = not classic and config.mode == "margin-maximization"
+    mode = "primal-feasibility" if classic else config.mode  # classic stops only on a primal certificate
+    primal = mode == "primal-feasibility"
+    dual = mode == "dual-certificate"
+    certifies_at_budget = mode == "margin-maximization"
     reads_norm = dual or step_rule == "vng"
     certificate: Certificate | None = None
     reason = "completed"
@@ -327,7 +330,7 @@ def _step_loop(
             multiply(s, keep, s)
             add(s, multiply(updates[i], step, scaled), s)
         chosen[t + 1] = i
-    trace = _freeze(step_rule, n, t + 1, reason, buffers)
+    trace = _freeze(step_rule, mode, n, t + 1, reason, buffers)
     if reason == "dual-epsilon":
         certificate = _dual_certificate(trace.alpha_rows([t])[0], norm, t)
     return certificate, trace
@@ -340,7 +343,8 @@ def perceptron_classic(
     """Additive perceptron: add the lowest-index column with nonpositive dot.
 
     Starts at the first column; stops when no mistake remains (strict
-    feasibility certificate) or the iteration budget runs out.
+    feasibility certificate) or the iteration budget runs out, in any mode:
+    its trace records primal-feasibility, the one mode it honours.
     """
     return _step_loop(instance, config, "classic")
 

@@ -287,35 +287,32 @@ def cmd_margin(args) -> int:
     return EXIT_OK
 
 
-def _run_one(
-    instance_path: Path,
-    algorithms: list[str],
-    mode: str,
-    eps: float,
-    max_iters: int,
-    out_dir: Path,
-    dump_alpha: bool,
-) -> list[tuple[RunSummary, Path]]:
-    """Run each algorithm on one instance, loaded and measured by the exact oracle once."""
-    instance = _load(instance_path)
+def _config(args) -> AlgorithmConfig:
+    """The one solver config of a run or batch command, refused as a usage error before any task runs."""
     try:
-        config = AlgorithmConfig(max_iters=max_iters, target_eps=eps, mode=mode)
+        return AlgorithmConfig(max_iters=args.max_iters, target_eps=args.eps, mode=args.mode)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _run_one(
+    instance_path: Path, algorithms: list[str], config: AlgorithmConfig, out_dir: Path, dump_alpha: bool
+) -> list[tuple[RunSummary, Path]]:
+    """Run each algorithm on one instance, loaded once, and write each run's trace and summary.
+
+    The summaries read the instance's kept margin report; file names hash the requested mode, not the trace's.
+    """
+    instance = _load(instance_path)
     try:
-        require_unit_columns(instance)  # the solvers' one precondition, checked before the oracle runs
+        require_unit_columns(instance)  # the solvers' one precondition, checked before any run
     except ValueError as exc:
         raise InapplicableError(f"{instance_path}: {exc}") from exc
-    try:
-        report = margin_report(instance)
-    except OracleError:
-        report = None  # summaries still written, oracle checks skipped
     runs = []
     for algorithm in algorithms:
         certificate, trace = ALGORITHMS[algorithm](instance, config)
-        summary = build_run_summary(instance, report, algorithm, mode, certificate, trace)
+        summary = build_run_summary(instance, certificate, trace)
         digest = hashlib.sha1(
-            f"{instance_path}|{algorithm}|{mode}|{eps}|{max_iters}".encode()
+            f"{instance_path}|{algorithm}|{config.mode}|{config.target_eps}|{config.max_iters}".encode()
         ).hexdigest()[:10]
         stem = f"{instance_path.stem}__{algorithm}__{digest}"
         trace.write_csv(out_dir / f"{stem}.trace.csv")
@@ -328,8 +325,7 @@ def _run_one(
 
 
 def cmd_run(args) -> int:
-    task = (args.instance, [args.algorithm], args.mode, args.eps, args.max_iters, args.out_dir, args.dump_alpha)
-    ((summary, summary_path),) = _run_one(*task)
+    ((summary, summary_path),) = _run_one(args.instance, [args.algorithm], _config(args), args.out_dir, args.dump_alpha)
     _emit(summary.as_dict())
     print(f"summary: {summary_path}", file=sys.stderr)
     return VERDICT_EXIT[summary.verdict]
@@ -473,8 +469,9 @@ def cmd_batch(args) -> int:
         raise _UsageError(f"unknown algorithms: {unknown}")
     if len(set(algorithms)) < len(algorithms):  # a repeat would write over its own trace and summary
         raise _UsageError(f"--algorithms names an algorithm more than once, got {args.algorithms!r}")
+    config = _config(args)
     # one task per instance: a process loads and measures its instance once for all algorithms
-    tasks = [(path, algorithms, args.mode, args.eps, args.max_iters, args.out_dir, args.dump_alpha) for path in paths]
+    tasks = [(path, algorithms, config, args.out_dir, args.dump_alpha) for path in paths]
     per_instance = _run_shares(tasks, min(args.workers, len(tasks)))
     results = [row for rows in per_instance for row in rows]
     for name, algo, verdict in results:
@@ -484,6 +481,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not args.out_dir.is_dir():  # a mistyped path would otherwise read as a directory without summaries
+        raise _UsageError(f"--out-dir {args.out_dir} is not a directory")
     buffer = io.StringIO()
     plain = csv.writer(buffer, lineterminator="\n")  # quotes a cell holding a comma, a quote or a newline
     quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)  # for a carriage return too

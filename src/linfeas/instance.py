@@ -460,12 +460,13 @@ def instance_from_dict(payload: dict) -> ProblemInstance:
         columns = payload["columns"]
     except KeyError as exc:
         raise IngestError("instance payload is missing 'columns'") from exc
+    normalize, name = payload.get("normalize", True), payload.get("name", "instance")
+    if not isinstance(normalize, bool):  # a truthy string such as "false" must not normalize the columns
+        raise IngestError(f"'normalize' must be true or false, got {normalize!r}")
+    if not isinstance(name, str):
+        raise IngestError(f"'name' must be a string, got {name!r}")
     try:
-        instance = ingest(
-            columns,
-            normalize=bool(payload.get("normalize", True)),
-            name=str(payload.get("name", "instance")),
-        )
+        instance = ingest(columns, normalize=normalize, name=name)
     except IngestError:
         raise
     except (TypeError, ValueError) as exc:

@@ -37,7 +37,7 @@ from .instance import (
     combine,
     simplex_rows,
 )
-from .lp import _nnls, solve
+from .lp import _nnls, dist_l1_to_polyhedron, solve
 
 __all__ = [
     "OracleError",
@@ -51,6 +51,7 @@ __all__ = [
     "margin_grid_estimate",
     "minimum_enclosing_ball",
     "representable",
+    "dual_witness_distance",
     "ZERO_BAND",
     "ENUMERATION_BUDGET",
 ]
@@ -486,6 +487,16 @@ def _rank_frame(instance: ProblemInstance, points: np.ndarray) -> tuple[np.ndarr
         frame = basis.T @ columns
         coords = (points[:, None, :] * basis.T).sum(axis=2)
     return np.vstack([frame, np.ones((1, n))]), np.hstack([coords, np.ones((len(points), 1))])
+
+
+def dual_witness_distance(instance: ProblemInstance, weights: np.ndarray) -> float:
+    """l1 distance from weights to the dual witnesses {p >= 0 | A p = 0, sum p = 1}, posed in the rank frame.
+
+    Raises ValueError when the program finds that set empty, which it is when
+    the origin lies outside the hull.
+    """
+    eq, rhs = _rank_frame(instance, np.zeros((1, instance.d)))
+    return dist_l1_to_polyhedron(weights, eq, rhs[0])[0]
 
 
 def representable(instance: ProblemInstance, points: np.ndarray) -> list[SimplexPoint | None]:

@@ -1,9 +1,9 @@
 """Run summaries: replay the convergence guarantees over a recorded trace.
 
-Every check that applies to the (instance, algorithm, mode) combination is
-evaluated against the exact oracle margins and reported with its worst
-violation, so a summary is a machine-checkable claim about the run rather
-than a log line.
+Every check that applies to the instance and to the algorithm and mode the
+trace records is evaluated against the instance's kept oracle margins and
+reported with its worst violation, so a summary is a machine-checkable claim
+about the run rather than a log line.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import numpy as np
 
 from .algorithms import Certificate, IterateTrace
 from .instance import ProblemInstance, Record, combine, write_json
-from .lp import dist_l1_to_polyhedron
-from .margins import MarginReport, _rank_frame
+from .margins import MarginReport, OracleError, dual_witness_distance, margin_report
 
 __all__ = ["BoundCheck", "RunSummary", "build_run_summary", "DUAL_DISTANCE_SAMPLES"]
 
@@ -133,12 +132,11 @@ def _norm_sandwich(trace: IterateTrace, rho_plus: float) -> BoundCheck:
 def _dual_witness_distance(
     instance: ProblemInstance, trace: IterateTrace, rho_minus_abs: float
 ) -> BoundCheck:
-    eq, rhs = _rank_frame(instance, np.zeros((1, instance.d)))
     worst = 0.0
     details = []
     samples = [t for t in DUAL_DISTANCE_SAMPLES if t < trace.ts.size]
     for t, alpha in zip(samples, trace.alpha_rows(samples)):  # replays the weights up to the last sample only
-        dist, _ = dist_l1_to_polyhedron(alpha, eq, rhs[0])
+        dist = dual_witness_distance(instance, alpha)
         bound = 2.0 / (rho_minus_abs * math.sqrt(t))
         worst = max(worst, dist - bound)
         details.append(f"t={t}: dist={dist:.4g} vs bound={bound:.4g}")
@@ -156,23 +154,24 @@ def _vng_monotone(trace: IterateTrace) -> BoundCheck:
     return _check_each_update("vng-monotone", norms[1:] - norms[:-1] - 1e-12)
 
 
-def build_run_summary(
-    instance: ProblemInstance,
-    report: MarginReport | None,
-    algorithm: str,
-    mode: str,
-    certificate: Certificate | None,
-    trace: IterateTrace,
-) -> RunSummary:
-    """Assemble the summary, running every bound check that applies to this run."""
+def build_run_summary(instance: ProblemInstance, certificate: Certificate | None, trace: IterateTrace) -> RunSummary:
+    """Assemble the summary of one run, running every bound check that applies to it.
+
+    The algorithm and the mode are the trace's, the margins the instance's kept margin_report. An instance
+    the oracle cannot measure (an OracleError, such as n above its budget) gets no oracle and no check.
+    """
+    try:
+        report = margin_report(instance)
+    except OracleError:
+        report = None
     checks: list[BoundCheck] = []
     if report is not None:
         rho = report.rho_affine
         side = report.side()
         feasible, infeasible = side == 1, side == -1
-        if feasible and mode == "primal-feasibility":
+        if feasible and trace.mode == "primal-feasibility":
             checks.append(_mistake_bound(trace, certificate, report.rho_plus))
-        if infeasible and mode == "primal-feasibility":
+        if infeasible and trace.mode == "primal-feasibility":
             # the alternative holds on the dual side: exhaustion is the correct outcome
             wrongly_feasible = certificate is not None and certificate.kind == "primal-feasible"
             checks.append(
@@ -186,23 +185,23 @@ def build_run_summary(
                     ),
                 )
             )
-        if infeasible and algorithm in ("np", "vng"):
+        if infeasible and trace.algorithm in ("np", "vng"):
             checks.append(_dual_rate(trace))
             checks.append(_dual_witness_distance(instance, trace, abs(report.rho_minus)))
-        if feasible and algorithm in ("np", "vng"):
+        if feasible and trace.algorithm in ("np", "vng"):
             center = combine(instance, report.witness_weights)  # the enclosing ball's center
             w_star = center / np.linalg.norm(center)
             checks.append(_margin_maximization(trace, report.rho_plus, w_star))
             checks.append(_meb_convergence(trace, report.rho_plus, w_star))
             checks.append(_norm_sandwich(trace, report.rho_plus))
-        if algorithm == "vng":
+        if trace.algorithm == "vng":
             if infeasible:
                 checks.append(_vng_contraction(trace, report.rho_affine))
             checks.append(_vng_monotone(trace))
     return RunSummary(
         instance=instance.name,
-        algorithm=algorithm,
-        mode=mode,
+        algorithm=trace.algorithm,
+        mode=trace.mode,
         iterations=trace.steps,
         termination=trace.termination,
         certificate=certificate,

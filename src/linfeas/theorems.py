@@ -25,7 +25,8 @@ import numpy as np
 from .instance import PrimalDirection, ProblemInstance, Record, SimplexPoint, combine
 from .lp import SimplexBreakdownError, dist_l1_to_polyhedron, dist_l2_to_halfspaces
 from .margins import (
-    ZERO_BAND, BallReport, MarginReport, _rank_frame, margin_report, minimum_enclosing_ball, representable,
+    ZERO_BAND, BallReport, MarginReport, _rank_frame, dual_witness_distance, margin_report, minimum_enclosing_ball,
+    representable,
 )
 
 __all__ = [
@@ -336,9 +337,8 @@ def hoffman_simplex(instance: ProblemInstance, p: SimplexPoint) -> HoffmanReport
     blended = SimplexPoint.from_approximate(lam * p_prime.weights + (1.0 - lam) * p.weights)
     witness_residual = float(np.linalg.norm(combine(instance, blended)))
     witness_distance = float(np.abs(p.weights - blended.weights).sum())
-    eq, rhs = _rank_frame(instance, np.zeros((1, instance.d)))
     try:
-        exact, _ = dist_l1_to_polyhedron(p.weights, eq, rhs[0])
+        exact = dual_witness_distance(instance, p.weights)
     except ValueError as exc:  # the origin lies in the hull, so the set is nonempty: only rounding empties it
         raise SimplexBreakdownError(str(exc)) from exc
     return HoffmanReport(

@@ -496,8 +496,9 @@ def loss(instance: ProblemInstance, w: np.ndarray) -> float:
 
 
 class _TraceBuilder:
-    def __init__(self, algorithm: str, instance: ProblemInstance, capacity: int):
+    def __init__(self, algorithm: str, mode: str, instance: ProblemInstance, capacity: int):
         self.algorithm = algorithm
+        self.mode = mode
         self.ts = np.zeros(capacity + 1, dtype=int)
         self.iterates = np.zeros((capacity + 1, instance.d))
         self.coefficients = np.zeros((capacity + 1, instance.n))
@@ -532,7 +533,7 @@ class _TraceBuilder:
         }
         coefficients = buffers.pop("coefficients")
         trace = IterateTrace(
-            algorithm=self.algorithm, termination=termination, n=coefficients.shape[1], **buffers
+            algorithm=self.algorithm, mode=self.mode, termination=termination, n=coefficients.shape[1], **buffers
         )
         # the reference's alpha rows are its own per-array loop's, seated where the trace caches its replay
         coefficients.flags.writeable = False
@@ -576,7 +577,7 @@ def reference_classic(
     """The classical perceptron loop with one numpy update per array (w, counts, dots)."""
     cols = instance.columns
     gram = instance.gram
-    trace = _TraceBuilder("classic", instance, config.max_iters)
+    trace = _TraceBuilder("classic", "primal-feasibility", instance, config.max_iters)  # the one mode it honours
     w = cols[:, 0].copy()
     counts = np.zeros(instance.n)
     counts[0] = 1.0
@@ -611,7 +612,7 @@ def reference_averaged(
     cols = instance.columns
     gram = instance.gram
     half_diag = 0.5 * gram.diagonal()
-    trace = _TraceBuilder(step_rule, instance, config.max_iters)
+    trace = _TraceBuilder(step_rule, config.mode, instance, config.max_iters)
     w = cols[:, 0].copy()
     alpha = np.zeros(instance.n)
     alpha[0] = 1.0

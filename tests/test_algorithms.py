@@ -310,7 +310,9 @@ def test_kernel_matches_the_per_array_reference_byte_for_byte():
             for runner, reference in references.items():
                 (cert, trace), (ref_cert, ref_trace) = runner(inst, cfg), reference(inst, cfg)
                 label = (inst.name, runner.__name__, mode)
-                assert (trace.algorithm, trace.termination) == (ref_trace.algorithm, ref_trace.termination), label
+                assert (trace.algorithm, trace.mode, trace.termination) == (
+                    ref_trace.algorithm, ref_trace.mode, ref_trace.termination
+                ), label
                 for name in ("ts", "iterates", "coefficients", "norms", "margins", "losses", "chosen"):
                     got, want = getattr(trace, name), getattr(ref_trace, name)
                     assert (got.dtype, got.shape) == (want.dtype, want.shape), (label, name)

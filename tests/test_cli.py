@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import linfeas.cli
 import linfeas.margins
+import linfeas.reporting
 import linfeas.theorems
-from linfeas.algorithms import AlgorithmConfig, perceptron_classic
+from linfeas.algorithms import MODES, AlgorithmConfig, perceptron_classic
 from linfeas.cli import main
 from linfeas.instance import IngestError, ingest, instance_from_dict, load_instance, save_instance
 from linfeas.reporting import build_run_summary
@@ -216,13 +217,11 @@ def test_run_without_oracle_is_unchecked(tmp_path, capsys):
 
 
 def test_batch_reports_unchecked_runs(tmp_path, capsys):
-    # classic ignores --mode and no check covers it outside primal-feasibility
+    # 20 columns is above the oracle's budget: no check covers these runs, and batch must not pass them
     inst_dir = tmp_path / "instances"
-    for kind, target in (("planted-positive", "0.3"), ("planted-negative", "-0.3")):
-        assert run_cli(
-            "gen", "--kind", kind, "--d", "3", "--n", "6", "--target", target, "--out", inst_dir / f"{kind}.json"
-        ) == 0
-    capsys.readouterr()
+    rng = np.random.default_rng(5)
+    for name in ("wide-a", "wide-b"):
+        save_instance(ingest(rng.standard_normal((20, 3)).tolist(), normalize=True, name=name), inst_dir / f"{name}.json")
     code = run_cli(
         "batch", "--instances", inst_dir, "--algorithms", "classic", "--mode", "margin-maximization",
         "--max-iters", "50", "--out-dir", tmp_path / "runs",
@@ -233,6 +232,31 @@ def test_batch_reports_unchecked_runs(tmp_path, capsys):
     for path in (tmp_path / "runs").glob("*.summary.json"):
         summary = json.loads(path.read_text())
         assert summary["verdict"] == "unchecked" and not summary["all_passed"]
+
+
+@pytest.mark.parametrize("kind, n, target", [("planted-positive", "6", "0.3"), ("planted-negative", "8", "-0.2")])
+def test_classic_is_judged_by_the_one_mode_it_honours(tmp_path, capsys, kind, n, target):
+    # classic stops only on a primal certificate: under every mode it writes the same trace and certificate,
+    # and its summary names primal-feasibility and applies that mode's check
+    path = tmp_path / "instances" / f"{kind}.json"
+    assert run_cli("gen", "--kind", kind, "--d", "3", "--n", n, "--target", target, "--seed", "1", "--out", path) == 0
+    capsys.readouterr()
+    printed, traces = [], []
+    for mode in MODES:
+        argv = ["run", path, "--algorithm", "classic", "--mode", mode, "--max-iters", "500", "--out-dir", tmp_path / mode]
+        assert run_cli(*argv) == 0
+        printed.append(capsys.readouterr().out)
+        (trace,) = (tmp_path / mode).glob("*.trace.csv")
+        traces.append(trace.read_bytes())
+    assert printed == printed[:1] * 3 and traces == traces[:1] * 3
+    summary = json.loads(printed[0])
+    assert (summary["mode"], summary["verdict"]) == ("primal-feasibility", "pass")
+    expected = "mistake-bound" if kind == "planted-positive" else "alternative-excludes-feasibility"
+    assert [check["name"] for check in summary["checks"]] == [expected]
+    assert (summary["certificate"] is not None) == (kind == "planted-positive")
+    # batch runs classic at its default mode, margin-maximization, and judges it the same way
+    assert run_cli("batch", "--instances", path.parent, "--algorithms", "classic", "--out-dir", tmp_path / "batch") == 0
+    assert capsys.readouterr().out == f"{summary['instance']},classic,pass\n"
 
 
 def test_batch_requires_instances(tmp_path):
@@ -448,13 +472,13 @@ def test_batch_matches_the_runs_it_fans_out(tmp_path, capsys, mixed_dir, workers
 
 def test_batch_measures_each_instance_once(tmp_path, capsys, monkeypatch, mixed_dir):
     measured = Counter()
-    original = linfeas.cli.margin_report
+    original = linfeas.margins._measure
 
     def counted(instance, *args, **kwargs):
         measured[instance.name] += 1
         return original(instance, *args, **kwargs)
 
-    monkeypatch.setattr(linfeas.cli, "margin_report", counted)
+    monkeypatch.setattr(linfeas.margins, "_measure", counted)
     capsys.readouterr()
     code = run_cli(
         "batch", "--instances", mixed_dir, "--algorithms", "np,vng,classic", "--workers", "1",
@@ -462,7 +486,8 @@ def test_batch_measures_each_instance_once(tmp_path, capsys, monkeypatch, mixed_
     )
     assert code == 3
     assert len(capsys.readouterr().out.splitlines()) == 12
-    assert len(measured) == 4 and set(measured.values()) == {1}
+    assert measured.pop("wide") == 3  # above the budget: a failed measurement is not kept, so each run retries it
+    assert len(measured) == 3 and set(measured.values()) == {1}
 
 
 @pytest.mark.parametrize(
@@ -803,7 +828,7 @@ def test_non_unit_columns_are_refused_before_the_oracle(tmp_path, capsys, monkey
     def refuse(*_args, **_kwargs):
         raise AssertionError("the oracle ran for an instance the solvers refuse")
 
-    monkeypatch.setattr(linfeas.cli, "margin_report", refuse)
+    monkeypatch.setattr(linfeas.margins, "_measure", refuse)
     path = tmp_path / "instances" / "scaled.json"
     path.parent.mkdir()
     path.write_text('{"columns": [[2, 0], [0, 1]], "normalize": false}')
@@ -814,6 +839,28 @@ def test_non_unit_columns_are_refused_before_the_oracle(tmp_path, capsys, monkey
         assert captured.out == ""
         lines.append(captured.err)
     assert lines[0] == lines[1] == f"{path}: algorithm requires unit columns; ingest with normalize=True\n"
+
+
+@pytest.mark.parametrize("field", ['"normalize": "false"', '"normalize": 1', '"name": 3', '"name": null'])
+def test_an_instance_file_with_a_mistyped_flag_or_name_is_refused(tmp_path, capsys, field):
+    path = tmp_path / "typed.json"
+    path.write_text(f'{{"columns": [[2, 0], [0, 1]], {field}}}')
+    assert run_cli("margin", path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot read instance {path}: ")
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_report_refuses_an_out_dir_that_is_not_a_directory(tmp_path, capsys, kind):
+    out_dir = tmp_path / "runs"
+    if kind == "file":
+        out_dir.write_text("")
+    assert run_cli("report", "--out-dir", out_dir) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --out-dir {out_dir} is not a directory"]
 
 
 @pytest.mark.parametrize(
@@ -1222,7 +1269,7 @@ def _skewed_oracle(monkeypatch, **shift):
         report = original(instance, *args, **kwargs)
         return dataclasses.replace(report, **{field: change(getattr(report, field)) for field, change in shift.items()})
 
-    for module in (linfeas.margins, linfeas.theorems):
+    for module in (linfeas.margins, linfeas.theorems, linfeas.reporting):
         monkeypatch.setattr(module, "margin_report", skewed)
 
 
@@ -1258,7 +1305,7 @@ def test_every_statement_reads_the_side_of_its_margin(axes, triangle, monkeypatc
             with pytest.raises(linfeas.theorems.InapplicableError, match=f"needs a strictly {sign} margin"):
                 statement(*args)
     certificate, trace = perceptron_classic(triangle, AlgorithmConfig(max_iters=5))
-    summary = build_run_summary(triangle, report, "classic", "primal-feasibility", certificate, trace)
+    summary = build_run_summary(triangle, certificate, trace)
     expected = {1: ["mistake-bound"], 0: [], -1: ["alternative-excludes-feasibility"]}[side]
     assert [check.name for check in summary.checks] == expected
 

@@ -67,6 +67,24 @@ def test_payload_without_normalizing_refuses_columns_it_cannot_measure(columns, 
     assert instance_from_dict({"columns": [[0.0, 0.0], [1e-150, 1e150]], "normalize": False}).n == 2
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("normalize", "false", "'normalize' must be true or false, got 'false'"),
+        ("normalize", 0, "'normalize' must be true or false, got 0"),
+        ("normalize", None, "'normalize' must be true or false, got None"),
+        ("name", 7, "'name' must be a string, got 7"),
+        ("name", ["a"], r"'name' must be a string, got \['a'\]"),
+    ],
+)
+def test_payload_refuses_a_mistyped_normalize_or_name(field, value, message):
+    # a truthy "false" once normalized the columns: [[2, 0], [0, 1]] loaded as [[1, 0], [0, 1]]
+    with pytest.raises(IngestError, match=message):
+        instance_from_dict({"columns": [[2.0, 0.0], [0.0, 1.0]], field: value})
+    kept = instance_from_dict({"columns": [[2.0, 0.0], [0.0, 1.0]], "normalize": False, "name": "raw"})
+    assert (kept.name, kept.normalized, kept.columns.tolist()) == ("raw", False, [[2.0, 0.0], [0.0, 1.0]])
+
+
 def test_ingest_ragged_rejected():
     with pytest.raises(IngestError, match="ragged"):
         ingest([[1.0, 0.0], [1.0]])

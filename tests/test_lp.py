@@ -147,7 +147,7 @@ def _posed_programs(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
         hoffman_dual(inst, np.zeros(inst.d), np.eye(inst.n)[0])
         hoffman_simplex(inst, SimplexPoint.unit_mass(inst.n, 0))
         certificate, trace = perceptron_normalized(inst, AlgorithmConfig(max_iters=150, mode="dual-certificate"))
-        build_run_summary(inst, report, "np", "dual-certificate", certificate, trace)
+        build_run_summary(inst, certificate, trace)
     monkeypatch.undo()
     return posed
 

@@ -29,6 +29,7 @@ from linfeas.margins import (
     BudgetExceededError,
     NegativeMarginError,
     _side,
+    dual_witness_distance,
     margin_grid_estimate,
     margin_report,
     minimum_enclosing_ball,
@@ -295,6 +296,14 @@ def test_representable_segment(segment):
 
 def test_representable_negative_answer(axes):
     assert representable(axes, np.zeros((1, 2)))[0] is None
+
+
+def test_dual_witness_distance_is_the_l1_distance_to_the_zero_combinations(triangle, axes):
+    # the triangle's only weights with A p = 0 are uniform: e_0 is 2/3 + 1/3 + 1/3 away from them
+    assert dual_witness_distance(triangle, np.array([1.0, 0.0, 0.0])) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert dual_witness_distance(triangle, np.full(3, 1.0 / 3.0)) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="empty"):  # the origin lies outside the hull of the axes
+        dual_witness_distance(axes, np.array([0.5, 0.5]))
 
 
 def test_representable_column_itself(triangle):

@@ -182,7 +182,7 @@ def test_hoffman_simplex_maps_an_empty_weight_set_to_a_simplex_breakdown(triangl
     def failing(*_args):
         raise ValueError("target polyhedron is empty (status infeasible)")
 
-    monkeypatch.setattr(linfeas.theorems, "dist_l1_to_polyhedron", failing)
+    monkeypatch.setattr(linfeas.theorems, "dual_witness_distance", failing)
     with pytest.raises(SimplexBreakdownError, match=r"^target polyhedron is empty \(status infeasible\)$"):
         hoffman_simplex(triangle, SimplexPoint.unit_mass(3, 0))
 
@@ -349,7 +349,7 @@ def test_a_run_certified_before_any_update_passes_each_per_update_check_vacuousl
     for inst, solver, config in runs:
         certificate, trace = solver(inst, config)
         assert trace.steps == 0 and certificate is not None
-        summary = build_run_summary(inst, margin_report(inst), trace.algorithm, config.mode, certificate, trace)
+        summary = build_run_summary(inst, certificate, trace)
         for check in summary.checks:
             if check.name in per_update:
                 seen.add(check.name)
@@ -437,9 +437,9 @@ def test_every_simplex_program_is_posed_in_the_rank_frame(monkeypatch):
                 statement()
             except (IllPosedError, InapplicableError):
                 pass
-        for name, algorithm in (("np", perceptron_normalized), ("vng", vng)):
+        for algorithm in (perceptron_normalized, vng):
             certificate, trace = algorithm(inst, AlgorithmConfig(max_iters=100))
-            build_run_summary(inst, report, name, "primal-feasibility", certificate, trace)
+            build_run_summary(inst, certificate, trace)
         assert max(rows, default=0) <= inst.rank + 1 + inst.n, inst.name
         deficient += inst.rank < inst.d and len(rows) > 0
     assert deficient >= 5
