@@ -22,8 +22,10 @@ loosened), the one-ulp and one-digit moves that the byte contracts must catch
 the order of input checks and oracle call, the two shared judgements (the
 side of the margin, ``margins._side``, and the per-update rule of the run
 replay, ``reporting._check_each_update``), the mode a classic trace records
-and the type of an instance file's ``normalize``, and the CLI's one exit
-table, in ``cli.main``.
+and the type of an instance file's ``normalize``, the CLI's one exit table,
+in ``cli.main``, the one side the enumeration budget bounds (the rank >= 2
+subset judge), the refusal ``margin_report`` keeps, and the least sample
+count ``certify_radius`` takes.
 """
 
 import argparse
@@ -109,6 +111,23 @@ MUTANTS = (
            "        print(str(exc), file=sys.stderr)\n        return EXIT_INAPPLICABLE\n", ("tests/test_cli.py",)),
     Mutant("certify-without-oracle-pass-through", CLI, "    except OracleError:  # a ValueError, but main maps it\n        raise\n",
            "", ("tests/test_cli.py",)),
+    # the one side the enumeration budget bounds, and the refusal kept like a report
+    Mutant("positive-side-checks-the-budget", MARGINS, "    cols = instance.columns.astype(np.longdouble)\n",
+           '    if instance.n > ENUMERATION_BUDGET:\n        raise BudgetExceededError("budget")\n'
+           "    cols = instance.columns.astype(np.longdouble)\n",
+           ("tests/test_margins.py::test_positive_margin_budget",)),
+    Mutant("rank-one-checks-the-budget", MARGINS,
+           "        # each column supports the segment in one orientation or both, + before -\n",
+           '        if n > ENUMERATION_BUDGET:\n            raise BudgetExceededError("budget")\n',
+           ("tests/test_cli.py::test_margin_of_a_rank_one_instance_past_the_budget",)),
+    Mutant("refusal-not-kept", MARGINS, "            _KEPT[instance] = copy.copy(error)\n", "",
+           ("tests/test_cli.py::test_batch_measures_each_instance_once",)),
+    Mutant("refusal-kept-with-its-frames", MARGINS, "            _KEPT[instance] = copy.copy(error)\n",
+           "            _KEPT[instance] = error\n", ("tests/test_margins.py::test_a_failed_measurement_is_kept",)),
+    Mutant("kept-refusal-grows-its-traceback", MARGINS, "        raise copy.copy(kept)\n", "        raise kept\n",
+           ("tests/test_margins.py::test_a_failed_measurement_is_kept",)),
+    Mutant("radius-refuses-one-sample", THEOREMS, "    if samples < 1:\n", "    if samples <= 1:\n",
+           ("tests/test_theorems.py::test_certify_radius_takes_a_single_sample",)),
 )
 
 

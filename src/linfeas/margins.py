@@ -1,22 +1,24 @@
-"""Exact desk-scale margin oracles with certifying witnesses.
+"""Exact margin oracles with certifying witnesses.
 
 The positive margin is the distance from the origin to the convex hull of
-the columns, found by one nonnegative least-squares program on [A; 1^T],
-each cycle of which is polynomial. The negative margin is the inradius of
-the hull about the origin inside the column span, found by an SVD side test
-on column r-subsets. At small shapes the test judges every r-subset in one
-batched pass, which costs less than any facet search there. Otherwise the
-facets come from the polar, by double description, so the cost follows the
-facet count and not C(n, r), and the test judges only the r-subsets near the
-nearest facets: it gives the value, the normal and the tie-break that it
-gives over every r-subset (the reference enumeration in tests/oracles.py). A
-quasi-uniform direction grid provides an independent low-rank cross-check,
-and the minimum enclosing ball comes out of the positive-margin witness in
-closed form.
+the columns, found at any n by one nonnegative least-squares program on
+[A; 1^T], each cycle of which is polynomial. The negative margin is the
+inradius of the hull about the origin inside the column span, found by an
+SVD side test on the columns at rank 1 and on column r-subsets at rank
+r >= 2, which alone is bounded (n <= ENUMERATION_BUDGET). At small shapes the
+test judges every r-subset in one batched pass, which costs less than any
+facet search there. Otherwise the facets come from the polar, by double
+description, so the cost follows the facet count and not C(n, r), and the
+test judges only the r-subsets near the nearest facets: it gives the value,
+the normal and the tie-break that it gives over every r-subset (the
+reference enumeration in tests/oracles.py). A quasi-uniform direction grid
+provides an independent low-rank cross-check, and the minimum enclosing ball
+comes out of the positive-margin witness in closed form.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import weakref
@@ -81,7 +83,7 @@ class OracleError(ValueError):
 
 
 class BudgetExceededError(OracleError):
-    """Raised when an exact oracle is asked for more columns than it enumerates."""
+    """Raised when the negative side's rank >= 2 subset judge is asked for more than ENUMERATION_BUDGET columns."""
 
 
 class MinNormPointError(OracleError):
@@ -127,15 +129,6 @@ def _side(gap: float) -> int:
     return 1 if gap > ZERO_BAND else -1 if gap < -ZERO_BAND else 0
 
 
-def _check_budget(instance: ProblemInstance) -> None:
-    if instance.n > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"instance has n={instance.n} columns, above the enumeration budget "
-            f"{ENUMERATION_BUDGET}; use margin_grid_estimate (rank <= 3) or the iterative "
-            "estimators in the algorithms module"
-        )
-
-
 def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoint, PrimalDirection | None]:
     """Distance from the origin to the convex hull, with a minimizing weight vector and direction.
 
@@ -157,7 +150,6 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     within 1e-8 of the origin it attains the distance on every column to well
     within ZERO_BAND, where the unit vector of the rounded witness does not.
     """
-    _check_budget(instance)
     cols = instance.columns.astype(np.longdouble)
     reach = np.sqrt(np.einsum("ij,ij->j", cols, cols)).max()
     shift = np.frexp(reach * np.sqrt(2.0))[1] - 1  # reach / 2**shift lies in [1/sqrt(2), sqrt(2))
@@ -299,7 +291,6 @@ def _negative_margin_details(
     subset it keeps as a near-minimum over all C(n, r): same value, winner,
     tie-break and boundary_pass on either side of the crossover.
     """
-    _check_budget(instance)
     r = basis.rank
     if r < 1:
         raise NegativeMarginError("instance has rank 0; margins are undefined")
@@ -317,6 +308,12 @@ def _negative_margin_details(
         keep = violations <= SIDE_TOL
         cond = np.ones(2 * n)
     else:
+        if n > ENUMERATION_BUDGET:  # the subset judge's cost, and the polar's int64 bitsets, grow with n
+            raise BudgetExceededError(
+                f"instance has n={n} columns, above the enumeration budget "
+                f"{ENUMERATION_BUDGET}; use margin_grid_estimate (rank <= 3) or the iterative "
+                "estimators in the algorithms module"
+            )
         longest = np.sqrt(np.einsum("ij,ij->j", instance.columns, instance.columns)).max()
         if r * comb(n, r) < ENUMERATE_BELOW and 1.0 <= longest * np.sqrt(2.0) < 2.0:  # unit scale
             subsets = _all_subsets(n, r)
@@ -354,8 +351,9 @@ def _negative_margin_details(
     return float(dists[winner]), direction, flagged
 
 
-# the report margin_report measured at each live instance's default rank cutoff; an entry dies with its instance
-_KEPT: weakref.WeakKeyDictionary[ProblemInstance, MarginReport] = weakref.WeakKeyDictionary()
+# what margin_report measured at each live instance's default rank cutoff, the report or the refusal (an
+# OracleError without a traceback, whose frames would hold the instance); an entry dies with its instance
+_KEPT: weakref.WeakKeyDictionary[ProblemInstance, MarginReport | OracleError] = weakref.WeakKeyDictionary()
 
 
 def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> MarginReport:
@@ -368,17 +366,25 @@ def margin_report(instance: ProblemInstance, rank_tol: float | None = None) -> M
     ball samples and the span test read, is measured once and kept for as long
     as the instance lives, so the oracle runs once per instance and every
     statement reads the same report, a frozen value: assigning a field raises
-    dataclasses.FrozenInstanceError. A failure raises and is not kept. A
-    report at another cutoff (``rank_tol``) is measured afresh and not kept.
+    dataclasses.FrozenInstanceError. A refusal (an OracleError) is kept the
+    same way: every later call raises a copy of it, with a traceback of its
+    own, and measures nothing. A report at another cutoff (``rank_tol``) is
+    measured afresh and nothing is kept.
     The witness direction is the unit margin maximizer; on the negative side
     it is minus the outward normal of the nearest facet.
     """
     if rank_tol is not None:
         return _measure(instance, rank_tol)
-    report = _KEPT.get(instance)
-    if report is None:
-        report = _KEPT[instance] = _measure(instance, None)
-    return report
+    kept = _KEPT.get(instance)
+    if kept is None:
+        try:
+            kept = _KEPT[instance] = _measure(instance, None)
+        except OracleError as error:
+            _KEPT[instance] = copy.copy(error)
+            raise
+    if isinstance(kept, OracleError):
+        raise copy.copy(kept)
+    return kept
 
 
 def _measure(instance: ProblemInstance, rank_tol: float | None) -> MarginReport:

@@ -158,7 +158,7 @@ def build_run_summary(instance: ProblemInstance, certificate: Certificate | None
     """Assemble the summary of one run, running every bound check that applies to it.
 
     The algorithm and the mode are the trace's, the margins the instance's kept margin_report. An instance
-    the oracle cannot measure (an OracleError, such as n above its budget) gets no oracle and no check.
+    the oracle refuses (an OracleError, such as the negative side's budget past n = 14) gets no oracle and no check.
     """
     try:
         report = margin_report(instance)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linfeas.cli
+import linfeas.lp
 import linfeas.margins
 import linfeas.reporting
 import linfeas.theorems
@@ -157,6 +158,7 @@ def test_certify_bad_vector_usage(axes_unit_path):
 def test_certify_meb_and_radius(tmp_path, triangle_path, axes_unit_path):
     assert run_cli("certify", axes_unit_path, "--theorem", "meb") == 0
     assert run_cli("certify", triangle_path, "--theorem", "radius", "--samples", "8") == 0
+    assert run_cli("certify", triangle_path, "--theorem", "radius", "--samples", "1") == 0  # the least count
     assert run_cli("certify", axes_unit_path, "--theorem", "radius") == 3
 
 
@@ -232,6 +234,66 @@ def test_batch_reports_unchecked_runs(tmp_path, capsys):
     for path in (tmp_path / "runs").glob("*.summary.json"):
         summary = json.loads(path.read_text())
         assert summary["verdict"] == "unchecked" and not summary["all_passed"]
+
+
+BUDGET_LINE = (
+    "instance has n=20 columns, above the enumeration budget 14; "
+    "use margin_grid_estimate (rank <= 3) or the iterative estimators in the algorithms module"
+)
+
+
+@pytest.mark.parametrize("command", ["margin", "gen", "certify"])
+def test_a_refusal_past_the_budget_is_one_line(tmp_path, capsys, command):
+    # the origin inside a hull of 20 columns in R^3: past its budget the rank >= 2 subset judge refuses, in one line
+    wide = tmp_path / "wide.json"
+    if command == "gen":
+        args = ("gen", "--kind", "planted-negative", "--d", "3", "--n", "20", "--target", "-0.3", "--out", wide)
+    else:
+        rng = np.random.default_rng(5)
+        save_instance(ingest(rng.standard_normal((20, 3)).tolist(), normalize=True), wide)
+        args = (command, wide, *(("--theorem", "radius") if command == "certify" else ()))
+    assert run_cli(*args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [BUDGET_LINE]
+
+
+def test_a_feasible_instance_past_the_budget_takes_every_path(tmp_path, capsys):
+    # the positive side has no budget: a planted-positive (50, 200) instance is measured and checked like a desk one
+    path = tmp_path / "instances" / "big.json"
+    gen = ("gen", "--kind", "planted-positive", "--d", "50", "--n", "200", "--target", "0.1", "--seed", "3")
+    assert run_cli(*gen, "--out", path) == 0
+    assert capsys.readouterr().out == f"{path}\n"
+    flags = ("--mode", "margin-maximization", "--max-iters", "2000")
+    assert run_cli("run", path, "--algorithm", "np", *flags, "--out-dir", tmp_path / "run") == 0
+    summaries = [read_json(capsys)]
+    for workers in ("1", "2"):
+        out = tmp_path / f"batch{workers}"
+        argv = ("batch", "--instances", path.parent, "--algorithms", "np", "--workers", workers, *flags)
+        assert run_cli(*argv, "--out-dir", out) == 0
+        assert capsys.readouterr().out == "planted-positive-d50-n200-s3,np,pass\n"
+        summaries += [json.loads(summary.read_text()) for summary in out.glob("*.summary.json")]
+    assert len(summaries) == 3
+    for summary in summaries:
+        assert summary["verdict"] == "pass" and summary["oracle"]["method"] == "min-norm-point"
+        assert [(check["name"], check["passed"]) for check in summary["checks"]] == [
+            ("margin-maximization-rate", True), ("meb-convergence", True), ("norm-sandwich", True)
+        ]
+    for theorem in ("hoffman-primal", "meb"):
+        assert run_cli("certify", path, "--theorem", theorem) == 0
+        assert read_json(capsys)["verified"] is True
+
+
+def test_margin_of_a_rank_one_instance_past_the_budget(tmp_path, capsys):
+    # the rank-1 judge reads each column once, so no budget guards it: 30 points on a line through the origin
+    from oracles import negative_margin_enumeration
+
+    inst = ingest(np.outer(np.linspace(-0.5, 1.0, 30), [0.6, 0.8]).tolist(), normalize=False, name="line")
+    assert run_cli("margin", save_instance(inst, tmp_path / "line.json")) == 0
+    payload = read_json(capsys)
+    assert (payload["rank"], payload["method"], payload["ill_posed"]) == (1, "enumeration", False)
+    value, normal, _ = negative_margin_enumeration(inst, inst.basis)
+    assert payload["rho_affine"] == -value == pytest.approx(-0.5, abs=1e-12)
+    assert payload["witness_direction"] == (-normal.vector).tolist()
 
 
 @pytest.mark.parametrize("kind, n, target", [("planted-positive", "6", "0.3"), ("planted-negative", "8", "-0.2")])
@@ -486,7 +548,7 @@ def test_batch_measures_each_instance_once(tmp_path, capsys, monkeypatch, mixed_
     )
     assert code == 3
     assert len(capsys.readouterr().out.splitlines()) == 12
-    assert measured.pop("wide") == 3  # above the budget: a failed measurement is not kept, so each run retries it
+    assert measured.pop("wide") == 1  # above the budget: its refusal is kept, so no run measures it again
     assert len(measured) == 3 and set(measured.values()) == {1}
 
 
@@ -685,7 +747,7 @@ def test_nnls_non_convergence_is_a_min_norm_point_failure(triangle_path, triangl
 
 
 # the columns of planted-negative-d2-n3-s7029 (tests/batteries.py) times 1e9: at that scale the
-# negative side's absolute tolerances find no supporting hyperplane
+# negative side's absolute tolerances find no supporting hyperplane on some BLAS kernels
 SCALED_TRIANGLE = [
     [-25962384.671750962, 999662920.4797766],
     [-894685325.410827, -446696953.75558893],
@@ -697,7 +759,13 @@ SCALED_TRIANGLE = [
     "args",
     [("margin",), ("certify", "--theorem", "radius"), ("batch",)],
 )
-def test_negative_side_failure_is_one_line(tmp_path, capsys, args):
+def test_negative_side_failure_is_one_line(tmp_path, capsys, monkeypatch, args):
+    def fail(instance, basis):
+        raise linfeas.margins.NegativeMarginError(
+            "no supporting hyperplane found; the hull is degenerate at this rank tolerance"
+        )
+
+    monkeypatch.setattr(linfeas.margins, "_negative_margin_details", fail)
     path = save_instance(ingest(SCALED_TRIANGLE, normalize=False, name="scaled"), tmp_path / "in" / "scaled.json")
     with pytest.raises(linfeas.margins.NegativeMarginError):
         linfeas.margins.margin_report(load_instance(path))
@@ -713,14 +781,11 @@ def test_negative_side_failure_is_one_line(tmp_path, capsys, args):
     assert captured.err.splitlines() == [expected]
 
 
-def test_simplex_breakdown_in_certify_is_one_line(tmp_path, capsys):
-    # a rank-4 instance in R^5 at 1e-6: phase 1 of a ball point's membership program
-    # comes out unbounded in rounding, which exact arithmetic rules out
-    from batteries import mixed_instances
-
-    (inst,) = [inst for inst, _ in mixed_instances(60, seed=42) if inst.name == "rank-deficient-d5-n10-s84"]
-    path = save_instance(ingest((1e-6 * inst.columns.T).tolist(), normalize=False, name="tiny"), tmp_path / "tiny.json")
-    assert run_cli("certify", path, "--theorem", "gordan3", "--gamma", "2.36e-7") == 3
+def test_simplex_breakdown_in_certify_is_one_line(triangle_path, capsys, monkeypatch):
+    # phase 1 of a ball point's membership program comes out unbounded, which exact arithmetic rules
+    # out: rounding can provoke it (a rank-4 instance in R^5 at 1e-6 did on one BLAS kernel)
+    monkeypatch.setattr(linfeas.lp, "_pivot_loop", lambda *args: "unbounded")
+    assert run_cli("certify", triangle_path, "--theorem", "gordan3", "--gamma", "0.2") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
@@ -728,15 +793,12 @@ def test_simplex_breakdown_in_certify_is_one_line(tmp_path, capsys):
     ]
 
 
-def test_hoffman_simplex_empty_witness_set_is_a_simplex_breakdown(tmp_path, capsys):
-    # a rank-3 instance in R^4 at 1e-6: its negative margin puts the origin in the hull, so exact
-    # arithmetic finds the zero-combination weight set nonempty; the l1 distance program's phase 1
-    # finds it empty in rounding, which was reported as a usage error (exit 1)
-    from batteries import mixed_instances
-
-    (inst,) = [inst for inst, _ in mixed_instances(60, seed=42) if inst.name == "rank-deficient-d4-n8-s60"]
-    path = save_instance(ingest((1e-6 * inst.columns.T).tolist(), normalize=False, name="tiny"), tmp_path / "tiny.json")
-    assert run_cli("certify", path, "--theorem", "hoffman-simplex") == 3
+def test_hoffman_simplex_empty_witness_set_is_a_simplex_breakdown(triangle_path, capsys, monkeypatch):
+    # a negative margin puts the origin in the hull, so exact arithmetic finds the zero-combination
+    # weight set nonempty; the l1 distance program finding it empty (as rounding did on a rank-3
+    # instance in R^4 at 1e-6 on one BLAS kernel) was reported as a usage error (exit 1)
+    monkeypatch.setattr(linfeas.lp, "solve", lambda *args: linfeas.lp.LpSolution(status="infeasible"))
+    assert run_cli("certify", triangle_path, "--theorem", "hoffman-simplex") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [

@@ -100,10 +100,16 @@ def test_positive_margin_sixty_degrees_vs_grid():
 
 
 def test_positive_margin_budget():
-    cols = np.eye(15)[:, :15]
-    inst = ingest(cols.T.tolist(), normalize=False)
+    # the positive side measures any n: the hull of the 15 axes lies 1/sqrt(15) from the origin
+    axes = ingest(np.eye(15).tolist(), normalize=False)
+    assert positive_margin_exact(axes)[0] == pytest.approx(1.0 / np.sqrt(15.0), abs=1e-12)
+    assert margin_report(axes).rho_affine == pytest.approx(1.0 / np.sqrt(15.0), abs=1e-12)
+    # the budget guards the rank >= 2 subset judge alone: 15 columns in the plane through a boundary origin
+    angles = np.linspace(0.0, np.pi, 15)
+    arc = ingest(np.column_stack([np.cos(angles), np.sin(angles)]).tolist(), normalize=False)
+    assert positive_margin_exact(arc)[0] == 0.0
     with pytest.raises(BudgetExceededError, match="iterative"):
-        positive_margin_exact(inst)
+        margin_report(arc)
 
 
 def test_negative_margin_segment(segment):
@@ -539,16 +545,35 @@ def test_a_kept_report_dies_with_its_instance(triangle):
     assert alive() is None
 
 
-def test_a_failed_measurement_is_not_kept(triangle):
+def test_a_failed_measurement_is_kept(triangle):
     def fail(instance, basis):
         raise NegativeMarginError("instance has rank 0; margins are undefined")
 
+    measured = []
+    measure = linfeas.margins._measure
     inst = _fresh(triangle)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("linfeas.margins._negative_margin_details", fail)
+        mp.setattr("linfeas.margins._measure", lambda *args: measured.append(None) or measure(*args))
+        with mp.context() as failing:
+            failing.setattr("linfeas.margins._negative_margin_details", fail)
+            with pytest.raises(NegativeMarginError):
+                margin_report(inst)
+        depths = []
+        for _ in range(3):  # the refusal stands, measured once, and each call raises it afresh
+            with pytest.raises(NegativeMarginError, match="^instance has rank 0; margins are undefined$") as info:
+                margin_report(inst)
+            depths.append(len(info.traceback))
+            del info  # its traceback holds this frame, and so the instance
+        assert len(measured) == 1 and depths == depths[:1] * 3
+        # a report at another cutoff is measured afresh, and keeps nothing
+        assert margin_report(inst, rank_tol=inst.basis.tolerance).rho_minus == pytest.approx(-0.5)
+        assert len(measured) == 2
         with pytest.raises(NegativeMarginError):
             margin_report(inst)
-    assert margin_report(inst).rho_minus == pytest.approx(-0.5)
+    alive = weakref.ref(inst)  # the kept refusal holds no frame that holds its instance
+    del inst
+    gc.collect()
+    assert alive() is None
 
 
 def test_polar_runs_only_above_the_crossover_or_off_unit_scale():

@@ -288,6 +288,11 @@ def test_certify_meb_and_radius_check_inputs_before_the_oracle(axes, monkeypatch
         certify_radius(axes)
 
 
+def test_certify_radius_takes_a_single_sample(triangle):
+    verdict = certify_radius(triangle, samples=1)
+    assert verdict.verified and verdict.interior_samples == 1 and verdict.failures == ()
+
+
 def test_a_report_at_another_rank_cutoff_is_not_kept(thin_heptagon):
     # at a cutoff of 1e-3 the report sees rank 2 and rho -0.63, while the ball samples and the
     # rank frame read rank 3, where rho is -6.2e-6: a statement that read it would fail its own checks
