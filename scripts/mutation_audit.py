@@ -24,8 +24,10 @@ side of the margin, ``margins._side``, and the per-update rule of the run
 replay, ``reporting._check_each_update``), the mode a classic trace records
 and the type of an instance file's ``normalize``, the CLI's one exit table,
 in ``cli.main``, the one side the enumeration budget bounds (the rank >= 2
-subset judge), the refusal ``margin_report`` keeps, and the least sample
-count ``certify_radius`` takes.
+subset judge), the refusal ``margin_report`` keeps, the least sample
+count ``certify_radius`` takes, and the oracle's one unit (the negative
+side measures in it and takes its band in it, and the crossover reads only
+the shape).
 """
 
 import argparse
@@ -73,8 +75,9 @@ MUTANTS = (
            "gaps = (self.radius_identity_gap, self.containment_overshoot, self.center_gap)",
            "gaps = (self.containment_overshoot, self.center_gap)", ("tests/test_theorems.py",)),
     # moves the byte contracts and the order checks must catch
-    Mutant("rho-minus-one-ulp", MARGINS, "    return float(dists[winner]), direction, flagged\n",
-           "    return float(dists[winner]) * (1.0 + 2.0**-52), direction, flagged\n", ("tests/test_margins.py",)),
+    Mutant("rho-minus-one-ulp", MARGINS, "    return float(np.ldexp(dists[winner], shift)), direction, flagged\n",
+           "    return float(np.ldexp(dists[winner], shift)) * (1.0 + 2.0**-52), direction, flagged\n",
+           ("tests/test_margins.py",)),
     Mutant("pivot-by-reciprocal", "src/linfeas/lp.py", "    tableau[row] /= tableau[row, col]\n",
            "    tableau[row] *= 1.0 / tableau[row, col]\n", ("tests/test_lp.py",)),
     Mutant("gordan-oracle-before-input-checks", THEOREMS,
@@ -112,9 +115,9 @@ MUTANTS = (
     Mutant("certify-without-oracle-pass-through", CLI, "    except OracleError:  # a ValueError, but main maps it\n        raise\n",
            "", ("tests/test_cli.py",)),
     # the one side the enumeration budget bounds, and the refusal kept like a report
-    Mutant("positive-side-checks-the-budget", MARGINS, "    cols = instance.columns.astype(np.longdouble)\n",
+    Mutant("positive-side-checks-the-budget", MARGINS, "    reach, shift = _unit(instance)\n",
            '    if instance.n > ENUMERATION_BUDGET:\n        raise BudgetExceededError("budget")\n'
-           "    cols = instance.columns.astype(np.longdouble)\n",
+           "    reach, shift = _unit(instance)\n",
            ("tests/test_margins.py::test_positive_margin_budget",)),
     Mutant("rank-one-checks-the-budget", MARGINS,
            "        # each column supports the segment in one orientation or both, + before -\n",
@@ -128,6 +131,16 @@ MUTANTS = (
            ("tests/test_margins.py::test_a_failed_measurement_is_kept",)),
     Mutant("radius-refuses-one-sample", THEOREMS, "    if samples < 1:\n", "    if samples <= 1:\n",
            ("tests/test_theorems.py::test_certify_radius_takes_a_single_sample",)),
+    # the oracle's one unit: the negative side measures in it, its band is taken in it, and the shape alone
+    # picks the crossover
+    Mutant("negative-side-without-the-unit", MARGINS, "    shift = _unit(instance)[1]\n", "    shift = 0\n",
+           ("tests/test_margins.py::test_the_margins_scale_with_the_columns",)),
+    Mutant("near-facet-band-left-absolute", MARGINS, "np.ldexp(ZERO_BAND, -shift)", "ZERO_BAND",
+           ("tests/test_margins.py::test_facets_feed_the_judge_every_subset_the_enumeration_keeps",)),
+    Mutant("crossover-keeps-its-unit-scale-guard", MARGINS, "        if r * comb(n, r) < ENUMERATE_BELOW:\n",
+           '        longest = np.sqrt(np.einsum("ij,ij->j", instance.columns, instance.columns)).max()\n'
+           "        if r * comb(n, r) < ENUMERATE_BELOW and 1.0 <= longest * np.sqrt(2.0) < 2.0:\n",
+           ("tests/test_margins.py::test_polar_runs_only_above_the_crossover",)),
 )
 
 

@@ -28,6 +28,11 @@ On the certify-lp shapes, each of those statements is also called in the
 library, right after margin_report on the same instance, with the arguments
 the CLI passes.
 
+Then ``linfeas margin`` on the scaled copies (``normalize: false``) of the
+two sets of tests/batteries.py's ``scale_sets``, 150 zero-margin and 90
+negative instances, at each of its ``SCALES`` from 1e-9 to 1e12, so that an
+output that moves off unit scale is counted field by field.
+
 Last, one round of the desk pipeline: ``linfeas gen`` of each of the four
 kinds at six fixed (d, n) from (3, 10) to (8, 14), ``linfeas margin`` of each
 saved instance, ``linfeas batch --algorithms np,vng --workers 2`` over them
@@ -205,6 +210,22 @@ def _audit_solvers(main, paths: list[Path], tmp: Path, out) -> None:
         _written("batch", mode, batch_dir, out)
 
 
+def _audit_scaled(main, tmp: Path, first: int | None, out) -> None:
+    """margin on each scale set's copies at every scale."""
+    from batteries import SCALES, scale_sets, scaled
+
+    from linfeas.instance import save_instance
+
+    for label, battery in scale_sets().items():
+        for inst in battery[:first]:
+            for scale in SCALES:
+                path = save_instance(scaled(inst, scale), tmp / "scaled" / f"{label}-{inst.name}-{scale:g}.json")
+                code, stdout, stderr = _cli(main, ["margin", path])
+                print(_line(f"scaled margin {scale:g} {label}/{inst.name}",
+                            f"exit {code}\n{stdout}{stderr}".replace(str(tmp), "<tmp>"), _json_fields(stdout, code)),
+                      file=out)
+
+
 def _audit_desk(main, tmp: Path, first: int | None, out) -> None:
     """gen, margin, batch and report, as one desk-pipeline round runs them."""
     instances, runs = tmp / "desk" / "instances", tmp / "desk" / "runs"
@@ -272,6 +293,7 @@ def audit(tree: Path, first: int | None, out) -> None:
             for inst in battery[:RUN_INSTANCES]:
                 solver_paths.append(save_instance(inst, tmp / "solvers" / f"{label}-{inst.name}.json"))
         _audit_solvers(main, solver_paths, tmp, out)
+        _audit_scaled(main, tmp, first, out)
         _audit_desk(main, tmp, first, out)
 
 

@@ -348,9 +348,7 @@ class ProblemInstance:
 
 
 def _compute_basis(columns: np.ndarray, tol: float) -> ColumnSpaceBasis:
-    """Rank-revealing orthogonalization with greedy pivoting on residual norms."""
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("rank tolerance must be finite and positive")
+    """Rank-revealing orthogonalization with greedy pivoting on residual norms; all-zero columns have rank 0."""
     d, n = columns.shape
     work = columns.copy()
     vectors: list[np.ndarray] = []
@@ -369,10 +367,7 @@ def _compute_basis(columns: np.ndarray, tol: float) -> ColumnSpaceBasis:
         q /= qn
         vectors.append(q)
         work -= np.outer(q, q @ work)
-    if vectors:
-        basis = np.column_stack(vectors)
-    else:
-        basis = np.zeros((d, 0))
+    basis = np.column_stack(vectors) if vectors else np.zeros((d, 0))
     return ColumnSpaceBasis(basis=basis, rank=len(vectors), tolerance=tol)
 
 
@@ -430,10 +425,12 @@ def column_space_basis(instance: ProblemInstance, tol: float | None = None) -> C
 
     The default cutoff is the instance-scaled one; passing ``tol`` recomputes
     the basis, since the reported rank (and hence the negative margin) can be
-    sensitive to it.
+    sensitive to it; it must be finite and positive.
     """
     if tol is None:
         return instance.basis
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("rank tolerance must be finite and positive")
     return _compute_basis(instance.columns, tol)
 
 

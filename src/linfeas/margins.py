@@ -64,7 +64,7 @@ ZERO_BAND = 1e-9
 
 ENUMERATION_BUDGET = 14
 
-SIDE_TOL = 1e-9  # supporting-hyperplane side test (absolute)
+SIDE_TOL = 1e-9  # supporting-hyperplane side test, in the oracle's unit (_unit)
 
 GRID_BLOCK = 65536  # directions margin_grid_estimate scores at once
 
@@ -129,6 +129,14 @@ def _side(gap: float) -> int:
     return 1 if gap > ZERO_BAND else -1 if gap < -ZERO_BAND else 0
 
 
+def _unit(instance: ProblemInstance) -> tuple[np.longdouble, int]:
+    """The longest column's length in longdouble, and the k with that length / 2**k in [1/sqrt(2), sqrt(2)): 2**k is
+    the oracle's unit, in which both sides measure, dividing by it rounds nothing, and k = 0 on unit columns."""
+    cols = instance.columns.astype(np.longdouble)
+    reach = np.sqrt(np.einsum("ij,ij->j", cols, cols)).max()
+    return reach, int(np.frexp(reach * np.sqrt(2.0))[1]) - 1
+
+
 def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoint, PrimalDirection | None]:
     """Distance from the origin to the convex hull, with a minimizing weight vector and direction.
 
@@ -140,9 +148,9 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     minimum over t, ||A p||^2 / (1 + ||A p||^2), increases with ||A p||; so
     p = u / sum(u) is a min-norm point of the hull, and x = A p the hull
     point. The program weighs A against the row of ones, so A is first
-    scaled by the power of two that brings its longest column to a length in
-    [1/sqrt(2), sqrt(2)): that rounds nothing and does not move p, and the
-    result does not depend on the columns' scale. A witness failing ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2,
+    divided by the oracle's unit (_unit): that rounds nothing and does not
+    move p, and the result does not depend on the columns' scale. A witness
+    failing ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2,
     or a least-squares loop that does not converge, raises MinNormPointError.
     Exactly 0 when the origin lies in the hull, judged by ||x|| <= 1e-12
     max_i ||a_i||, and then the direction is None;
@@ -150,9 +158,8 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     within 1e-8 of the origin it attains the distance on every column to well
     within ZERO_BAND, where the unit vector of the rounded witness does not.
     """
+    reach, shift = _unit(instance)
     cols = instance.columns.astype(np.longdouble)
-    reach = np.sqrt(np.einsum("ij,ij->j", cols, cols)).max()
-    shift = np.frexp(reach * np.sqrt(2.0))[1] - 1  # reach / 2**shift lies in [1/sqrt(2), sqrt(2))
     system = np.vstack([np.ldexp(cols, -shift), np.ones((1, instance.n), dtype=np.longdouble)])
     target = np.zeros(instance.d + 1, dtype=np.longdouble)
     target[-1] = 1.0
@@ -235,15 +242,15 @@ def _all_subsets(n: int, r: int) -> np.ndarray:
     return subsets
 
 
-def _near_facet_subsets(coords: np.ndarray, reach: float) -> np.ndarray:
-    """The column r-subsets near the polar's nearest facets, in lexicographic order; see _negative_margin_details."""
+def _near_facet_subsets(coords: np.ndarray, reach: float, band: float) -> np.ndarray:
+    """The column r-subsets near the nearest facets, lexicographic, band in coords' unit (_negative_margin_details)."""
     r, n = coords.shape
     rays = _polar_rays(coords)
     rays /= np.sqrt(np.einsum("ij,ij->i", rays[:, :r], rays[:, :r]))[:, None]  # unit facet normals
     facet_dist = np.maximum(rays[:, r], 0.0)
     slack = facet_dist[:, None] - rays[:, :r] @ coords  # (facets, n), >= 0 up to rounding
     excess = facet_dist - facet_dist.min()
-    near = excess[:, None] + slack <= (r + 1) * (SIDE_TOL + ZERO_BAND) + POLAR_TOL * reach
+    near = excess[:, None] + slack <= (r + 1) * (SIDE_TOL + band) + POLAR_TOL * reach
     count = near.sum(axis=1)
     subsets = [np.nonzero(near[count == r])[1].reshape(-1, r)]  # a simplicial facet is one subset
     for row in {tuple(np.flatnonzero(row)) for row in near[count > r]}:
@@ -259,33 +266,32 @@ def _negative_margin_details(
 ) -> tuple[float, PrimalDirection, bool]:
     """Inradius of the hull about the origin within the span, with the nearest facet's normal.
 
-    The judge is an SVD side test on column r-subsets in lexicographic order:
-    a subset's hyperplane is kept when it supports the hull within SIDE_TOL,
-    and the first kept subset within 1e-12 of the least distance wins. Rank 1
-    judges every column. At rank >= 2 the judge sees every r-subset when
-    r C(n, r) is below ENUMERATE_BELOW and the longest column lies in
-    [1/sqrt(2), sqrt(2)); there one batched pass costs less than the polar.
-    The second condition keeps the side test at the scale its absolute
-    tolerances (SIDE_TOL, the 1e-12 tie) were set for. On a triangle scaled by
-    1e9 the test rejects the nearest edge through rounding: judged over every
-    subset, it would return the second-nearest edge as the inradius, while the
-    polar offers only the nearest and the call raises NegativeMarginError.
+    The judge measures the basis coordinates divided by the oracle's unit
+    (_unit), the power of two 2**k nearest the longest column, and multiplies
+    the distance back: dividing rounds nothing, and SIDE_TOL, the 1e-12 tie
+    and the independence floor hold in the unit of the longest column. It is
+    an SVD side test on column r-subsets in lexicographic order: a subset's
+    hyperplane is kept when it supports the hull within SIDE_TOL, and the
+    first kept subset within 1e-12 of the least distance wins. Rank 1 judges
+    every column. At rank >= 2 the judge sees every r-subset when r C(n, r) is
+    below ENUMERATE_BELOW; there one batched pass costs less than the polar.
     Otherwise the judge sees only the subsets near the nearest facets, which
     come from the polar: a ray (y, s) of the cone
     {a_j . y <= s, s >= 0} (_polar_rays) with s > 0 is the facet y . x = s at
     distance s / ||y||; one with s = 0 is a supporting hyperplane through the
     origin, at distance 0 (the origin on the boundary, or beyond it by at most
-    ZERO_BAND, as margin_report asks only then). The judged subsets are the
+    the band b = ZERO_BAND / 2**k, as margin_report asks only when rho+ is
+    within ZERO_BAND in the columns' own units). The judged subsets are the
     r-subsets of the columns whose slack to one facet, plus that facet's
-    excess over the least facet distance, is at most (r + 1)(SIDE_TOL +
-    ZERO_BAND) and the polar's rounding (_near_facet_subsets).
+    excess over the least facet distance, is at most (r + 1)(SIDE_TOL + b)
+    and the polar's rounding (_near_facet_subsets).
 
     No near-minimum is lost: the rays (u_k, d_k), ||u_k|| = 1, generate the
     point (v, h(v)) of the cone, where v is a kept subset's unit normal and
     h(v) the hull's support in v, so v = sum_k c_k u_k with c >= 0 and
     sum_k c_k >= 1. The subset's columns lie within SIDE_TOL of h(v), and h(v)
     exceeds the least facet distance by at most SIDE_TOL and the 1e-12 (or
-    the subset's offset lies at most ZERO_BAND + SIDE_TOL below 0). Weighted by
+    the subset's offset lies at most b + SIDE_TOL below 0). Weighted by
     c_k, the facets' excesses plus the slacks of the r columns sum to at most
     the bound above, so one facet carries no more. The judge thus sees every
     subset it keeps as a near-minimum over all C(n, r): same value, winner,
@@ -294,7 +300,8 @@ def _negative_margin_details(
     r = basis.rank
     if r < 1:
         raise NegativeMarginError("instance has rank 0; margins are undefined")
-    coords = basis.coordinates(instance.columns)  # (r, n)
+    shift = _unit(instance)[1]
+    coords = np.ldexp(basis.coordinates(instance.columns), -shift)  # (r, n), in the oracle's unit
     n = instance.n
     reach = np.sqrt(r) * np.abs(coords).max()  # at least every column norm
 
@@ -310,15 +317,13 @@ def _negative_margin_details(
     else:
         if n > ENUMERATION_BUDGET:  # the subset judge's cost, and the polar's int64 bitsets, grow with n
             raise BudgetExceededError(
-                f"instance has n={n} columns, above the enumeration budget "
-                f"{ENUMERATION_BUDGET}; use margin_grid_estimate (rank <= 3) or the iterative "
-                "estimators in the algorithms module"
+                f"instance has n={n} columns, above the enumeration budget {ENUMERATION_BUDGET}; use "
+                "margin_grid_estimate (rank <= 3) or the iterative estimators in the algorithms module"
             )
-        longest = np.sqrt(np.einsum("ij,ij->j", instance.columns, instance.columns)).max()
-        if r * comb(n, r) < ENUMERATE_BELOW and 1.0 <= longest * np.sqrt(2.0) < 2.0:  # unit scale
+        if r * comb(n, r) < ENUMERATE_BELOW:
             subsets = _all_subsets(n, r)
         else:
-            subsets = _near_facet_subsets(coords, reach)
+            subsets = _near_facet_subsets(coords, reach, np.ldexp(ZERO_BAND, -shift))
         pts = np.moveaxis(coords[:, subsets], 0, 2)  # (count, r, r): rows are points
         diffs = pts[:, 1:, :] - pts[:, :1, :]  # (count, r-1, r)
         _, sing, vt = np.linalg.svd(diffs)
@@ -342,13 +347,11 @@ def _negative_margin_details(
     rounding = (NORMAL_ROUNDING * r * r * reach * cond)[keep]
 
     if dists.size == 0:
-        raise NegativeMarginError(
-            "no supporting hyperplane found; the hull is degenerate at this rank tolerance"
-        )
+        raise NegativeMarginError("no supporting hyperplane found; the hull is degenerate at this rank tolerance")
     winner = int(np.argmax(dists <= dists.min() + 1e-12))
     direction = PrimalDirection(basis.lift(normals[winner]))
     flagged = bool(rounding[winner] < violations[winner] <= SIDE_TOL)
-    return float(dists[winner]), direction, flagged
+    return float(np.ldexp(dists[winner], shift)), direction, flagged
 
 
 # what margin_report measured at each live instance's default rank cutoff, the report or the refusal (an
@@ -437,15 +440,15 @@ def _sphere_grid(resolution: int) -> Iterator[np.ndarray]:
 def margin_grid_estimate(instance: ProblemInstance, resolution: int) -> float:
     """Lower estimate of the span-restricted margin from a dense direction grid.
 
-    Supported for rank <= 3 only. The returned value never exceeds the exact
+    Supported for 1 <= rank <= 3 only. The returned value never exceeds the exact
     margin and is within O(1/resolution) of it (2*pi/resolution is a safe
     bound for unit columns).
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     rank = instance.rank
-    if rank > 3:
-        raise ValueError(f"grid estimate supports rank <= 3, instance has rank {rank}")
+    if not 1 <= rank <= 3:
+        raise ValueError(f"grid estimate supports 1 <= rank <= 3, instance has rank {rank}")
     coords = instance.basis.coordinates(instance.columns)  # (rank, n)
     if rank == 1:
         blocks = [np.array([[1.0], [-1.0]])]
@@ -483,12 +486,12 @@ def _rank_frame(instance: ProblemInstance, points: np.ndarray) -> tuple[np.ndarr
     On a rank-deficient instance F = B^T A and c_k = B^T v_k, with B the
     orthonormal basis of the span, so the d - r redundant rows of [A; 1^T]
     never reach the simplex; c_k is summed row by row, with the same bytes at
-    any k. At full rank, and at rank 0 (all-zero columns have no basis), F = A
-    and c_k = v_k. Without its last row and entry, a program is A x = v_k.
+    any k; at full rank F = A and c_k = v_k, and at rank 0 both are empty (a program is sum p = 1).
+    Without its last row and entry, a program is A x = v_k.
     """
     columns, n = instance.columns, instance.n
     frame, coords = columns, points
-    if columns.any() and instance.basis.rank < instance.d:
+    if instance.basis.rank < instance.d:
         basis = instance.basis.basis
         frame = basis.T @ columns
         coords = (points[:, None, :] * basis.T).sum(axis=2)

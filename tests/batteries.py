@@ -7,7 +7,10 @@ import math
 import numpy as np
 
 from linfeas.generators import GeneratorSpec, generate
-from linfeas.instance import ProblemInstance
+from linfeas.instance import ProblemInstance, ingest
+from linfeas.margins import ZERO_BAND, margin_report, positive_margin_exact
+
+SCALES = (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12)  # the column scales of the scale relation
 
 
 def positive_instances(count: int, seed: int = 9000, d_max: int = 5, n_max: int = 10):
@@ -99,3 +102,19 @@ def mixed_instances(count: int, seed: int = 5000, d_max: int = 5, n_max: int = 1
         out.append(generate(spec))
         s += 1
     return out
+
+
+def scale_sets() -> dict[str, list[ProblemInstance]]:
+    """The two sets the scale relation is measured on: the 150 zero-margin instances of negative_instances(100)
+    and mixed_instances(100, seed=42), and the 90 instances of negative_instances(60) and
+    mixed_instances(60, seed=42) whose margin lies below the ill-posed band."""
+    zero = [inst for inst, _ in negative_instances(100) + mixed_instances(100, seed=42)
+            if positive_margin_exact(inst)[0] == 0.0]
+    negative = [inst for inst, _ in negative_instances(60) + mixed_instances(60, seed=42)
+                if margin_report(inst).rho_affine < -ZERO_BAND]
+    return {"zero": zero, "negative": negative}
+
+
+def scaled(instance: ProblemInstance, scale: float) -> ProblemInstance:
+    """The instance with its columns multiplied by scale, kept as they are (normalize=False), under its own name."""
+    return ingest((scale * instance.columns).T.tolist(), normalize=False, name=instance.name)

@@ -42,7 +42,7 @@ from linfeas.lp import (
     SimplexBreakdownError,
     _HouseholderQR,
 )
-from linfeas.margins import NORMAL_ROUNDING, SIDE_TOL
+from linfeas.margins import NORMAL_ROUNDING, SIDE_TOL, NegativeMarginError
 
 
 def segment_min_norm(a: np.ndarray, b: np.ndarray, step: float = 1e-6) -> float:
@@ -243,11 +243,16 @@ def negative_margin_enumeration(
     r-subset of the columns, in lexicographic order, gets an SVD normal; the
     subsets whose hyperplane supports the hull within SIDE_TOL are kept, and the
     first kept subset within 1e-12 of the least distance wins. C(n, r) subsets.
+    It measures in the library's unit: the coordinates divided by the power of
+    two 2**k that brings the longest column into [1/sqrt(2), sqrt(2)), with the
+    distance multiplied back.
     """
     r = basis.rank
     if r < 1:
-        raise ValueError("instance has rank 0; margins are undefined")
-    coords = basis.coordinates(instance.columns)  # (r, n)
+        raise NegativeMarginError("instance has rank 0; margins are undefined")
+    cols = instance.columns.astype(np.longdouble)
+    shift = int(np.frexp(np.sqrt(np.einsum("ij,ij->j", cols, cols)).max() * np.sqrt(2.0))[1]) - 1
+    coords = np.ldexp(basis.coordinates(instance.columns), -shift)  # (r, n), in units of 2**shift
     n = instance.n
     reach = np.sqrt(r) * np.abs(coords).max()
     if r == 1:
@@ -282,7 +287,7 @@ def negative_margin_enumeration(
         raise ValueError("no supporting hyperplane found; the hull is degenerate at this rank tolerance")
     winner = int(np.argmax(dists <= dists.min() + 1e-12))
     direction = PrimalDirection(basis.lift(normals[winner]))
-    return float(dists[winner]), direction, bool(rounding[winner] < violations[winner] <= SIDE_TOL)
+    return float(np.ldexp(dists[winner], shift)), direction, bool(rounding[winner] < violations[winner] <= SIDE_TOL)
 
 
 def min_norm_point_rational(columns: np.ndarray) -> tuple[float, np.ndarray]:

@@ -746,13 +746,26 @@ def test_nnls_non_convergence_is_a_min_norm_point_failure(triangle_path, triangl
     assert capsys.readouterr().err.splitlines() == ["min-norm point: NNLS: no convergence in 150 major cycles"]
 
 
-# the columns of planted-negative-d2-n3-s7029 (tests/batteries.py) times 1e9: at that scale the
-# negative side's absolute tolerances find no supporting hyperplane on some BLAS kernels
+# the columns of planted-negative-d2-n3-s7029 (tests/batteries.py) times 1e9, columns that the solvers
+# refuse as not unit; the oracle measures them in the unit of the longest column, 2**30
 SCALED_TRIANGLE = [
     [-25962384.671750962, 999662920.4797766],
     [-894685325.410827, -446696953.75558893],
     [895272337.2073903, -445519295.0156222],
 ]
+
+
+def test_margin_of_the_scaled_triangle_scales_the_unit_one(tmp_path, capsys):
+    from batteries import negative_instances
+
+    unit = negative_instances(30)[29][0]
+    assert unit.name == "planted-negative-d2-n3-s7029"
+    path = save_instance(ingest(SCALED_TRIANGLE, normalize=False, name="scaled"), tmp_path / "scaled.json")
+    assert run_cli("margin", path) == 0
+    payload = read_json(capsys)
+    rho_minus = linfeas.margins.margin_report(unit).rho_minus
+    assert payload["rho_minus"] == pytest.approx(1e9 * rho_minus, rel=1e-14, abs=0.0)
+    assert payload["rho_minus"] == pytest.approx(-4.4611e8, rel=1e-4)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from oracles import (
     segment_min_norm,
 )
 
-from batteries import mixed_instances, negative_instances, positive_instances
+from batteries import SCALES, mixed_instances, negative_instances, positive_instances, scale_sets, scaled
 
 import linfeas.margins
 from linfeas.generators import GeneratorSpec, generate
@@ -64,21 +64,19 @@ def test_positive_margin_scales_with_the_columns():
             assert scaled == pytest.approx(scale * value, rel=1e-12)
 
 
-def test_zero_margin_reads_zero_at_any_column_scale():
+@pytest.fixture(scope="module")
+def sets():
+    return scale_sets()
+
+
+def test_zero_margin_reads_zero_at_any_column_scale(sets):
     # zero is judged against the columns' reach: scaled up, no zero-margin instance turns feasible
-    zero = [
-        inst for inst, _ in negative_instances(100) + mixed_instances(100, seed=42)
-        if positive_margin_exact(inst)[0] == 0.0
-    ]
-    assert len(zero) == 150
+    assert len(sets["zero"]) == 150
     for scale in (1e6, 1e9, 1e12):
-        for inst in zero:
-            scaled = ingest((scale * inst.columns).T.tolist(), normalize=False, name=inst.name)
-            assert positive_margin_exact(scaled)[0] == 0.0
-            try:
-                report = margin_report(scaled)
-            except NegativeMarginError:  # the negative side's tolerances are absolute
-                continue
+        for inst in sets["zero"]:
+            copy = scaled(inst, scale)
+            assert positive_margin_exact(copy)[0] == 0.0
+            report = margin_report(copy)
             assert report.rho_plus == 0.0 and report.rho_affine <= ZERO_BAND
 
 
@@ -110,6 +108,31 @@ def test_positive_margin_budget():
     assert positive_margin_exact(arc)[0] == 0.0
     with pytest.raises(BudgetExceededError, match="iterative"):
         margin_report(arc)
+
+
+def test_rank_zero_is_the_empty_span():
+    # all-zero columns span nothing: the basis is empty, both oracles refuse it, and a hull program is sum p = 1
+    zero = ingest([[0.0, 0.0], [0.0, 0.0]], normalize=False)
+    assert zero.rank == 0 and zero.basis.basis.shape == (2, 0)
+    with pytest.raises(NegativeMarginError, match="^instance has rank 0; margins are undefined$"):
+        margin_report(zero)
+    assert not _assert_matches_the_enumeration(zero)
+    with pytest.raises(ValueError, match="1 <= rank <= 3, instance has rank 0"):
+        margin_grid_estimate(zero, 100)
+    assert representable(zero, np.zeros((1, 2)))[0].weights.tolist() == [1.0, 0.0]
+    assert representable(zero, np.ones((1, 2))) == [None]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_the_margins_scale_with_the_columns(sets, scale):
+    # the margin is a property of the hull: scaled columns scale rho- and move no verdict, except that the
+    # ill-posed band, which is absolute, takes in every margin of the copies at 1e-9; every fifth instance
+    for inst in sets["zero"][::5] + sets["negative"][::5]:
+        unit = margin_report(inst)
+        report = margin_report(scaled(inst, scale))  # raises no OracleError
+        assert report.rho_minus / scale == pytest.approx(unit.rho_minus, rel=1e-14, abs=0.0), inst.name
+        assert (report.boundary_pass, report.rank, report.method) == (unit.boundary_pass, unit.rank, unit.method)
+        assert report.ill_posed == (unit.ill_posed or scale == 1e-9), inst.name
 
 
 def test_negative_margin_segment(segment):
@@ -576,7 +599,7 @@ def test_a_failed_measurement_is_kept(triangle):
     assert alive() is None
 
 
-def test_polar_runs_only_above_the_crossover_or_off_unit_scale():
+def test_polar_runs_only_above_the_crossover():
     # a unit-column certify-lp shape: r C(n, r) = 3 C(8, 3) = 168, below the crossover
     small = generate(GeneratorSpec("planted-negative", 3, 8, -0.5 / 3, seed=7))[0]
     assert margin_report(small).rho_minus < 0.0
@@ -585,11 +608,11 @@ def test_polar_runs_only_above_the_crossover_or_off_unit_scale():
     desk = generate(GeneratorSpec("planted-negative", 5, 12, -0.1, seed=7))[0]
     assert margin_report(desk).rho_minus < 0.0
     assert _polar_runs(desk) == 1
-    # three columns at 1e9: the side test's absolute tolerances do not hold at that scale
+    # three columns at 1e9 or at unit scale: the side test measures in the unit of the longest column, so
+    # the shape alone picks the path
     from test_cli import SCALED_TRIANGLE
 
-    assert _polar_runs(ingest(SCALED_TRIANGLE, normalize=False)) == 1
-    # the same triangle at unit scale is not
+    assert _polar_runs(ingest(SCALED_TRIANGLE, normalize=False)) == 0
     assert _polar_runs(ingest(SCALED_TRIANGLE, normalize=True)) == 0
 
 
@@ -641,9 +664,10 @@ def _near_degenerate_hulls():
 
 def test_facets_feed_the_judge_every_subset_the_enumeration_keeps():
     # a hull flat to within the side tolerance: the x-axis pair supports the
-    # hull only within SIDE_TOL, and is no facet, but the side test keeps it as
-    # the nearest supporting hyperplane, so it must reach the judge
-    flat = ingest([[-1e-4, 0.0], [1e-4, 0.0], [3e-5, 9e-10], [-3e-5, 9e-10], [1e-5, 9e-10], [0.0, -1.5e-9]],
+    # hull only within SIDE_TOL (at unit scale, where the tolerance is 1e-9),
+    # and is no facet, but the side test keeps it as the nearest supporting
+    # hyperplane, so it must reach the judge
+    flat = ingest([[-1.0, 0.0], [1.0, 0.0], [0.3, 9e-10], [-0.3, 9e-10], [0.1, 9e-10], [0.0, -1.5e-9]],
                   normalize=False)
     batteries = {
         "negative": [inst for inst, _ in negative_instances(40, seed=64)],
@@ -653,7 +677,12 @@ def test_facets_feed_the_judge_every_subset_the_enumeration_keeps():
         "non-simplicial": list(_non_simplicial_hulls()),
         "near-degenerate": list(_near_degenerate_hulls()),
         "flat": [flat],
+        # rho+ of about 2e-10 lies in the absolute band, so the negative side measures hulls that miss the
+        # origin by a fifth of the oracle's unit: the near-facet bound must take the band in that unit
+        "planted-positive at 1e-9": [scaled(generate(GeneratorSpec("planted-positive", d, n, 0.2, seed=seed))[0], 1e-9)
+                                     for seed, (d, n) in enumerate([(3, 10), (4, 12), (5, 14), (6, 11)])],
     }
+    assert margin_report(flat).boundary_pass  # the x-axis pair wins, a column beyond it within SIDE_TOL
     for label, battery in batteries.items():
         negative = sum(_assert_matches_the_enumeration(inst) for inst in battery)
         assert negative >= len(battery) // 3, (label, negative, len(battery))
@@ -669,8 +698,10 @@ def test_facets_match_the_enumeration_on_degenerate_inputs(cols):
 def test_boundary_pass_on_a_facet_within_side_tol(scale):
     # the diamond with a fifth column half of SIDE_TOL beyond the midpoint of
     # {e1, e2}: that subset still ties for the nearest facet and comes first,
-    # but passes the side test only within the tolerance, which is absolute
-    lift = 0.5 * SIDE_TOL / np.sqrt(2.0)
+    # but passes the side test only within the tolerance, which holds in the
+    # oracle's unit 2**k, the power of two nearest the longest column
+    k = np.frexp(scale * np.sqrt(2.0))[1] - 1
+    lift = 0.5 * SIDE_TOL * 2.0**k / np.sqrt(2.0)
     cols = scale * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.5, 0.5]])
     cols[4] += lift
     inst = ingest(cols.tolist(), normalize=False)
@@ -772,7 +803,7 @@ def test_batched_representable_matches_the_simplex_on_batteries():
 @example(cols=np.array([[2.0, -1.0]]), seed=0)  # n = 1
 @example(cols=np.array([[1.0], [-3.0], [0.5]]), seed=0)  # d = 1
 @example(cols=np.array([[0.0, 0.0], [1.0, 0.0]]), seed=0)  # a zero column
-@example(cols=np.array([[0.0]]), seed=0)  # all-zero columns: rank 0, no basis to pose the rank frame in
+@example(cols=np.array([[0.0]]), seed=0)  # all-zero columns: rank 0, an empty rank frame
 @example(cols=np.zeros((2, 3)), seed=0)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_batched_representable_on_degenerate_inputs(cols, seed):

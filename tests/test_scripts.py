@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from batteries import SCALES
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -44,7 +46,10 @@ def test_output_audit_flags_a_moved_field(tmp_path):
     run_script("output_audit.py", SCRIPTS.parent, "--first", 2, "--out", audit)
     rows = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
     calls = [row["call"].split() for row in rows]
-    assert {call[0] for call in calls} == {"margin_report", "library", "certify", "run", "batch", "desk"}
+    assert {call[0] for call in calls} == {"margin_report", "library", "certify", "run", "batch", "scaled", "desk"}
+    scaled = {tuple(call[2:]) for call in calls if call[0] == "scaled"}  # (scale, set/instance)
+    assert {scale for scale, _ in scaled} == {f"{scale:g}" for scale in SCALES} and len(scaled) == 2 * 2 * len(SCALES)
+    assert all(row["fields"]["exit"] == 0.0 for row in rows if row["call"].startswith("scaled "))
     # the library slice calls what the CLI's certify-lp calls do, and reads the same numbers
     library = {row["call"].split(" ", 1)[1]: row["fields"] for row in rows if row["call"].startswith("library ")}
     certify = {row["call"].split(" ", 1)[1]: row["fields"] for row in rows
