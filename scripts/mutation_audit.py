@@ -25,9 +25,11 @@ replay, ``reporting._check_each_update``), the mode a classic trace records
 and the type of an instance file's ``normalize``, the CLI's one exit table,
 in ``cli.main``, the one side the enumeration budget bounds (the rank >= 2
 subset judge), the refusal ``margin_report`` keeps, the least sample
-count ``certify_radius`` takes, and the oracle's one unit (the negative
+count ``certify_radius`` takes, the oracle's one unit (the negative
 side measures in it and takes its band in it, and the crossover reads only
-the shape).
+the shape), the certifiers' use of the same unit (the rank frame, the
+membership residual, a Gordan residual and the primal projection) and the
+verdicts' residual tolerance at ten times its value.
 """
 
 import argparse
@@ -115,9 +117,9 @@ MUTANTS = (
     Mutant("certify-without-oracle-pass-through", CLI, "    except OracleError:  # a ValueError, but main maps it\n        raise\n",
            "", ("tests/test_cli.py",)),
     # the one side the enumeration budget bounds, and the refusal kept like a report
-    Mutant("positive-side-checks-the-budget", MARGINS, "    reach, shift = _unit(instance)\n",
+    Mutant("positive-side-checks-the-budget", MARGINS, "    reach, shift = instance.unit\n",
            '    if instance.n > ENUMERATION_BUDGET:\n        raise BudgetExceededError("budget")\n'
-           "    reach, shift = _unit(instance)\n",
+           "    reach, shift = instance.unit\n",
            ("tests/test_margins.py::test_positive_margin_budget",)),
     Mutant("rank-one-checks-the-budget", MARGINS,
            "        # each column supports the segment in one orientation or both, + before -\n",
@@ -133,7 +135,7 @@ MUTANTS = (
            ("tests/test_theorems.py::test_certify_radius_takes_a_single_sample",)),
     # the oracle's one unit: the negative side measures in it, its band is taken in it, and the shape alone
     # picks the crossover
-    Mutant("negative-side-without-the-unit", MARGINS, "    shift = _unit(instance)[1]\n", "    shift = 0\n",
+    Mutant("negative-side-without-the-unit", MARGINS, "    shift = instance.unit[1]\n", "    shift = 0\n",
            ("tests/test_margins.py::test_the_margins_scale_with_the_columns",)),
     Mutant("near-facet-band-left-absolute", MARGINS, "np.ldexp(ZERO_BAND, -shift)", "ZERO_BAND",
            ("tests/test_margins.py::test_facets_feed_the_judge_every_subset_the_enumeration_keeps",)),
@@ -141,6 +143,25 @@ MUTANTS = (
            '        longest = np.sqrt(np.einsum("ij,ij->j", instance.columns, instance.columns)).max()\n'
            "        if r * comb(n, r) < ENUMERATE_BELOW and 1.0 <= longest * np.sqrt(2.0) < 2.0:\n",
            ("tests/test_margins.py::test_polar_runs_only_above_the_crossover",)),
+    # the certifiers' one unit: every program and residual is in it, and the residual tolerance holds at its edge
+    Mutant("rank-frame-without-the-unit", MARGINS,
+           "frame, coords = np.ldexp(instance.columns, -instance.unit[1]), np.ldexp(points, -instance.unit[1])",
+           "frame, coords = instance.columns, points",
+           ("tests/test_theorems.py::test_the_statements_scale_with_the_columns",)),
+    Mutant("accepted-on-the-raw-columns", MARGINS,
+           "_accepted(columns, np.ldexp(points[rows], -instance.unit[1]), weights)",
+           "_accepted(instance.columns, points[rows], weights)",
+           ("tests/test_theorems.py::test_the_statements_scale_with_the_columns",)),
+    Mutant("gordan-residual-in-the-columns-units", THEOREMS,
+           "residuals = np.array([math.ldexp(max(norm - gamma, 0.0), -instance.unit[1])])",
+           "residuals = np.array([max(norm - gamma, 0.0)])",
+           ("tests/test_theorems.py::test_the_statements_scale_with_the_columns",)),
+    Mutant("hoffman-primal-on-the-raw-columns", THEOREMS,
+           "dist_l2_to_halfspaces(np.ldexp(w, shift), np.ldexp(instance.columns, -shift), c)[0], -shift)",
+           "dist_l2_to_halfspaces(w, instance.columns, c)[0], 0)",
+           ("tests/test_theorems.py::test_the_statements_scale_with_the_columns",)),
+    Mutant("residual-tolerance-times-ten", THEOREMS, "RESIDUAL_TOL = 1e-9\n", "RESIDUAL_TOL = 1e-8\n",
+           ("tests/test_theorems.py::test_the_residual_tolerance_holds_at_its_edge",)),
 )
 
 

@@ -31,7 +31,11 @@ the CLI passes.
 Then ``linfeas margin`` on the scaled copies (``normalize: false``) of the
 two sets of tests/batteries.py's ``scale_sets``, 150 zero-margin and 90
 negative instances, at each of its ``SCALES`` from 1e-9 to 1e12, so that an
-output that moves off unit scale is counted field by field.
+output that moves off unit scale is counted field by field. On the negative
+set's copies ``linfeas certify`` also runs ``gordan1``, ``gordan3`` at gamma =
+scale |rho-|/2, ``radius``, ``hoffman-dual`` and ``hoffman-simplex``, and on
+the copies of positive_instances(40) ``gordan2`` at gamma = scale |rho|/2 and
+``hoffman-primal``, each rho from the unit copy's report.
 
 Last, one round of the desk pipeline: ``linfeas gen`` of each of the four
 kinds at six fixed (d, n) from (3, 10) to (8, 14), ``linfeas margin`` of each
@@ -210,20 +214,40 @@ def _audit_solvers(main, paths: list[Path], tmp: Path, out) -> None:
         _written("batch", mode, batch_dir, out)
 
 
+def _scaled_certify_args(label: str, unit: dict, scale: float) -> list[list[str]]:
+    """The certify argument lists audited on a set's copy at this scale, gamma from the unit copy's report."""
+    if label == "negative":
+        gamma = repr(scale * abs(unit["rho_minus"]) / 2.0)
+        return [["--theorem", "gordan1"], ["--theorem", "gordan3", "--gamma", gamma]] + [
+            ["--theorem", theorem] for theorem in ("radius", "hoffman-dual", "hoffman-simplex")]
+    if label == "positive":
+        return [["--theorem", "gordan2", "--gamma", repr(scale * abs(unit["rho_affine"]) / 2.0)],
+                ["--theorem", "hoffman-primal"]]
+    return []
+
+
 def _audit_scaled(main, tmp: Path, first: int | None, out) -> None:
-    """margin on each scale set's copies at every scale."""
-    from batteries import SCALES, scale_sets, scaled
+    """margin on each scale set's copies at every scale, and certify on the negative set's and on those of
+    positive_instances(40)."""
+    from batteries import SCALES, positive_instances, scale_sets, scaled
 
     from linfeas.instance import save_instance
+    from linfeas.margins import margin_report
 
-    for label, battery in scale_sets().items():
+    sets = {**scale_sets(), "positive": [inst for inst, _ in positive_instances(40)]}
+    for label, battery in sets.items():
         for inst in battery[:first]:
+            unit = margin_report(inst).as_dict()
             for scale in SCALES:
                 path = save_instance(scaled(inst, scale), tmp / "scaled" / f"{label}-{inst.name}-{scale:g}.json")
-                code, stdout, stderr = _cli(main, ["margin", path])
-                print(_line(f"scaled margin {scale:g} {label}/{inst.name}",
-                            f"exit {code}\n{stdout}{stderr}".replace(str(tmp), "<tmp>"), _json_fields(stdout, code)),
-                      file=out)
+                calls = [] if label == "positive" else [("margin", ["margin", path])]
+                calls += [(f"certify {' '.join(args)}", ["certify", path, *args])
+                          for args in _scaled_certify_args(label, unit, scale)]
+                for name, argv in calls:
+                    code, stdout, stderr = _cli(main, argv)
+                    print(_line(f"scaled {name} {scale:g} {label}/{inst.name}",
+                                f"exit {code}\n{stdout}{stderr}".replace(str(tmp), "<tmp>"),
+                                _json_fields(stdout, code)), file=out)
 
 
 def _audit_desk(main, tmp: Path, first: int | None, out) -> None:

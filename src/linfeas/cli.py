@@ -5,10 +5,10 @@ that cannot be written, a size that numpy cannot allocate, or standard
 output closed before the output was written (a reader such as head exited
 early; no traceback is printed), 2 a bound or certificate check failed (a
 genuine finding), 3 statement inapplicable, instance ill-posed, a certify
-statement whose simplex broke down in rounding (lp.SimplexBreakdownError, a
-state exact arithmetic rules out, which columns far from unit length can
-provoke), or a run to which no check applied, 4 a batch worker process
-ended without reporting its share. Only main maps errors to exit codes.
+statement whose program broke down in rounding (lp.SimplexBreakdownError, a
+state exact arithmetic rules out), or a run to which no check applied, 4 a
+batch worker process ended without reporting its share. Only main maps
+errors to exit codes.
 """
 
 from __future__ import annotations
@@ -363,8 +363,8 @@ def cmd_certify(args) -> int:
                 result = hoffman_primal(instance, np.ones(n) if c is None else c, np.zeros(d) if w is None else w)
     except OracleError:  # a ValueError, but main maps it
         raise
-    except SimplexBreakdownError as exc:  # rounding, which the columns' scale can provoke
-        raise InapplicableError(f"{theorem}: the simplex broke down in rounding on these columns ({exc})") from exc
+    except SimplexBreakdownError as exc:  # rounding, a state exact arithmetic rules out
+        raise InapplicableError(f"{theorem}: its program broke down in rounding on these columns ({exc})") from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     except FloatingPointError as exc:  # finite inputs whose statement leaves the float range

@@ -1,8 +1,8 @@
 """Linear feasibility instances and the geometric primitives shared by all solvers.
 
 An instance is a bundle of n points (the columns) in R^d. Downstream code
-works off three cached views of it: the Gram matrix, an orthonormal basis of
-the column span, and convex combinations of the columns. Every dataclass of
+works off its cached Gram matrix, orthonormal basis of the column span and
+unit (a power of two), and off convex combinations of the columns. Every dataclass of
 the library is frozen, and an instance's arrays are read-only: assigning a
 field raises dataclasses.FrozenInstanceError, so no caller can move columns
 under their cached basis or edit the kept report of margins.margin_report.
@@ -333,6 +333,14 @@ class ProblemInstance:
     @cached_property
     def basis(self) -> ColumnSpaceBasis:
         return _compute_basis(self.columns, self.default_rank_tol)
+
+    @cached_property
+    def unit(self) -> tuple[np.longdouble, int]:
+        """The longest column's length in longdouble, and the k with that length / 2**k in [1/sqrt(2), sqrt(2)):
+        2**k is the one unit of the oracle and the certifiers; dividing by it rounds nothing; k = 0 on unit columns."""
+        cols = self.columns.astype(np.longdouble)
+        reach = np.sqrt(np.einsum("ij,ij->j", cols, cols)).max()
+        return reach, int(np.frexp(reach * np.sqrt(2.0))[1]) - 1
 
     @property
     def default_rank_tol(self) -> float:

@@ -48,8 +48,8 @@ PIVOT_TOL = 1e-11  # a pivot entry must exceed this
 
 
 class SimplexBreakdownError(RuntimeError):
-    """Raised when the simplex reaches what exact arithmetic rules out: an unbounded phase 1, or no end
-    within the pivot budget. Only rounding gets it there, as on columns far from unit length."""
+    """Raised when rounding takes a program where exact arithmetic cannot: an unbounded phase 1, no end within
+    the pivot budget, or (in theorems) a distance program failing on a set that the margin makes nonempty."""
 
 
 class DegenerateFaceError(RuntimeError):

@@ -64,7 +64,7 @@ ZERO_BAND = 1e-9
 
 ENUMERATION_BUDGET = 14
 
-SIDE_TOL = 1e-9  # supporting-hyperplane side test, in the oracle's unit (_unit)
+SIDE_TOL = 1e-9  # supporting-hyperplane side test, in the oracle's unit (ProblemInstance.unit)
 
 GRID_BLOCK = 65536  # directions margin_grid_estimate scores at once
 
@@ -129,14 +129,6 @@ def _side(gap: float) -> int:
     return 1 if gap > ZERO_BAND else -1 if gap < -ZERO_BAND else 0
 
 
-def _unit(instance: ProblemInstance) -> tuple[np.longdouble, int]:
-    """The longest column's length in longdouble, and the k with that length / 2**k in [1/sqrt(2), sqrt(2)): 2**k is
-    the oracle's unit, in which both sides measure, dividing by it rounds nothing, and k = 0 on unit columns."""
-    cols = instance.columns.astype(np.longdouble)
-    reach = np.sqrt(np.einsum("ij,ij->j", cols, cols)).max()
-    return reach, int(np.frexp(reach * np.sqrt(2.0))[1]) - 1
-
-
 def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoint, PrimalDirection | None]:
     """Distance from the origin to the convex hull, with a minimizing weight vector and direction.
 
@@ -148,9 +140,9 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     minimum over t, ||A p||^2 / (1 + ||A p||^2), increases with ||A p||; so
     p = u / sum(u) is a min-norm point of the hull, and x = A p the hull
     point. The program weighs A against the row of ones, so A is first
-    divided by the oracle's unit (_unit): that rounds nothing and does not
-    move p, and the result does not depend on the columns' scale. A witness
-    failing ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2,
+    divided by the oracle's unit (ProblemInstance.unit): that rounds nothing
+    and does not move p, and the result does not depend on the columns'
+    scale. A witness failing ||x||^2 - min_i a_i . x <= 1e-9 max_i ||a_i||^2,
     or a least-squares loop that does not converge, raises MinNormPointError.
     Exactly 0 when the origin lies in the hull, judged by ||x|| <= 1e-12
     max_i ||a_i||, and then the direction is None;
@@ -158,7 +150,7 @@ def positive_margin_exact(instance: ProblemInstance) -> tuple[float, SimplexPoin
     within 1e-8 of the origin it attains the distance on every column to well
     within ZERO_BAND, where the unit vector of the rounded witness does not.
     """
-    reach, shift = _unit(instance)
+    reach, shift = instance.unit
     cols = instance.columns.astype(np.longdouble)
     system = np.vstack([np.ldexp(cols, -shift), np.ones((1, instance.n), dtype=np.longdouble)])
     target = np.zeros(instance.d + 1, dtype=np.longdouble)
@@ -266,8 +258,8 @@ def _negative_margin_details(
 ) -> tuple[float, PrimalDirection, bool]:
     """Inradius of the hull about the origin within the span, with the nearest facet's normal.
 
-    The judge measures the basis coordinates divided by the oracle's unit
-    (_unit), the power of two 2**k nearest the longest column, and multiplies
+    The judge measures the basis coordinates divided by the power of two 2**k
+    (ProblemInstance.unit) nearest the longest column, and multiplies
     the distance back: dividing rounds nothing, and SIDE_TOL, the 1e-12 tie
     and the independence floor hold in the unit of the longest column. It is
     an SVD side test on column r-subsets in lexicographic order: a subset's
@@ -300,7 +292,7 @@ def _negative_margin_details(
     r = basis.rank
     if r < 1:
         raise NegativeMarginError("instance has rank 0; margins are undefined")
-    shift = _unit(instance)[1]
+    shift = instance.unit[1]
     coords = np.ldexp(basis.coordinates(instance.columns), -shift)  # (r, n), in the oracle's unit
     n = instance.n
     reach = np.sqrt(r) * np.abs(coords).max()  # at least every column norm
@@ -487,15 +479,15 @@ def _rank_frame(instance: ProblemInstance, points: np.ndarray) -> tuple[np.ndarr
     orthonormal basis of the span, so the d - r redundant rows of [A; 1^T]
     never reach the simplex; c_k is summed row by row, with the same bytes at
     any k; at full rank F = A and c_k = v_k, and at rank 0 both are empty (a program is sum p = 1).
-    Without its last row and entry, a program is A x = v_k.
+    A and v_k are first divided by the oracle's unit (ProblemInstance.unit), which rounds nothing and moves no
+    p, so the simplex's tolerances hold in it. Without its last row and entry, a program is A x = v_k.
     """
-    columns, n = instance.columns, instance.n
-    frame, coords = columns, points
+    frame, coords = np.ldexp(instance.columns, -instance.unit[1]), np.ldexp(points, -instance.unit[1])
     if instance.basis.rank < instance.d:
         basis = instance.basis.basis
-        frame = basis.T @ columns
-        coords = (points[:, None, :] * basis.T).sum(axis=2)
-    return np.vstack([frame, np.ones((1, n))]), np.hstack([coords, np.ones((len(points), 1))])
+        frame = basis.T @ frame
+        coords = (coords[:, None, :] * basis.T).sum(axis=2)
+    return np.vstack([frame, np.ones((1, instance.n))]), np.hstack([coords, np.ones((len(points), 1))])
 
 
 def dual_witness_distance(instance: ProblemInstance, weights: np.ndarray) -> float:
@@ -514,8 +506,8 @@ def representable(instance: ProblemInstance, points: np.ndarray) -> list[Simplex
     The lowest open point runs a phase-1 feasibility program; its emptiness
     answer is the simplex status, double-checked: weights that simplex_rows
     refuses (SimplexPoint.from_approximate's rules) or a residual
-    ||columns @ p - v|| above 1e-9 also give None. The program comes from
-    _rank_frame, which also poses the l1 distance programs of the Hoffman
+    ||columns @ p - v|| / 2**k (the unit) above 1e-9 also give None. The
+    program comes from _rank_frame, which also poses the l1 distance programs of the Hoffman
     statements and of the run replay: on a rank-deficient instance it is
     [B^T A; 1^T] p = [B^T v; 1], with B the orthonormal basis of the span, so
     the redundant rows of [A; 1^T] do not arise. The residual is still taken
@@ -535,7 +527,7 @@ def representable(instance: ProblemInstance, points: np.ndarray) -> list[Simplex
         raise ValueError(f"query points have shape {points.shape}, expected (k, {instance.d})")
     if not np.all(np.isfinite(points)):
         raise ValueError("query points must be finite")
-    columns, n = instance.columns, instance.n
+    columns, n = np.ldexp(instance.columns, -instance.unit[1]), instance.n
     eq, rhs = _rank_frame(instance, points)
 
     answers: list[SimplexPoint | None] = [None] * len(points)
@@ -557,7 +549,7 @@ def representable(instance: ProblemInstance, points: np.ndarray) -> list[Simplex
         weights[0] = sol.x
         if len(rows) > 1:
             weights[1:, sol.basis] = solved[:, fits].T
-        for j, point in zip(rows, _accepted(columns, points[rows], weights)):
+        for j, point in zip(rows, _accepted(columns, np.ldexp(points[rows], -instance.unit[1]), weights)):
             answers[j] = point
             is_open[j] = point is None and j != k  # the simplex's answer stands; others may try a later basis
     return answers

@@ -13,11 +13,13 @@ the exact l1 or l2 distance from the LP module. Each verifier reads the
 instance's own ``margin_report``, kept per instance at its default rank
 cutoff, the one the rank frame, the ball samples and the span test read: a
 statement and its checks share one rank, and no statement can read the
-report of other columns or another cutoff.
+report of other columns or another cutoff. Every program and residual they
+take is in the oracle's unit 2**k (``ProblemInstance.unit``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +221,7 @@ def gordan_decide(
     if side == 1:
         w = report.witness_direction
         assert w is not None
-        slacks = w.vector @ instance.columns - pivot
+        slacks = np.ldexp(w.vector @ instance.columns - pivot, -instance.unit[1])
         return GordanVerdict(
             gamma=gamma, part=part, alternative_held="first", residuals=slacks, margin=report, witness_direction=w
         )
@@ -229,7 +231,7 @@ def gordan_decide(
         assert weights is not None
         norm = float(np.linalg.norm(combine(instance, weights)))
         # second alternative: a hull point within gamma of the origin
-        residuals = np.array([max(norm - gamma, 0.0)])
+        residuals = np.array([math.ldexp(max(norm - gamma, 0.0), -instance.unit[1])])
         return GordanVerdict(
             gamma=gamma, part=part, alternative_held="second", residuals=residuals, margin=report,
             witness_weights=weights,
@@ -248,7 +250,7 @@ def gordan_decide(
                 f"ball point {v} is not representable although the inradius "
                 f"{abs(report.rho_minus):.6g} covers radius {gamma:.6g}"
             )
-    gaps = np.matvec(instance.columns, np.array([p.weights for _, p in table])) - directions
+    gaps = np.ldexp(np.matvec(instance.columns, [p.weights for _, p in table]) - directions, -instance.unit[1])
     return GordanVerdict(
         gamma=gamma, part=part, alternative_held="second", residuals=np.sqrt(np.vecdot(gaps, gaps)), margin=report,
         ball_samples=table,
@@ -280,15 +282,16 @@ def hoffman_dual(instance: ProblemInstance, b: np.ndarray, x: np.ndarray) -> Hof
     if np.any(x < -1e-12):
         raise ValueError("x must be entrywise nonnegative")
     rho = _require_side(margin_report(instance), -1)
+    shift = instance.unit[1]  # residuals are in the unit 2**shift
     x = np.clip(x, 0.0, None)
     span_gap = float(np.linalg.norm(b - instance.basis.project(b)))
-    if span_gap > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
+    if span_gap > RESIDUAL_TOL * max(math.ldexp(1.0, shift), float(np.linalg.norm(b))):
         raise InapplicableError("witness set is empty: rhs has a component outside the column span")
     residual_vec = instance.columns @ x - b
     r = float(np.linalg.norm(residual_vec))
     bound = r / rho
-    if r <= 1e-12:
-        return _in_target("dual-general", bound, x, r)
+    if math.ldexp(r, -shift) <= 1e-12:
+        return _in_target("dual-general", bound, x, math.ldexp(r, -shift))
     eq, rhs = _rank_frame(instance, b[None])  # b lies in the span: A x = b in the rank frame, without the row of ones
     try:
         exact, _ = dist_l1_to_polyhedron(x, eq[:-1], rhs[0, :-1])
@@ -301,7 +304,7 @@ def hoffman_dual(instance: ProblemInstance, b: np.ndarray, x: np.ndarray) -> Hof
             "scaled residual direction is not representable despite the inradius guarantee"
         )
     repaired = x + p.weights * (r / rho)
-    witness_residual = float(np.linalg.norm(instance.columns @ repaired - b))
+    witness_residual = math.ldexp(float(np.linalg.norm(instance.columns @ repaired - b)), -shift)
     witness_distance = float(np.abs(repaired - x).sum())
     return HoffmanReport(
         variant="dual-general",
@@ -321,12 +324,13 @@ def hoffman_simplex(instance: ProblemInstance, p: SimplexPoint) -> HoffmanReport
     representation of the reflected, inradius-scaled hull point.
     """
     rho = _require_side(margin_report(instance), -1)
+    shift = instance.unit[1]  # residuals are in the unit 2**shift
     image = combine(instance, p)
     r = float(np.linalg.norm(image))
     relaxed = 2.0 * r / rho
     sharp = 2.0 * r / (r + rho)
-    if r <= 1e-12:
-        return _in_target("dual-simplex", sharp, p, r, relaxed)
+    if math.ldexp(r, -shift) <= 1e-12:
+        return _in_target("dual-simplex", sharp, p, math.ldexp(r, -shift), relaxed)
     v = -(rho / r) * image
     (p_prime,) = representable(instance, v[None])
     if p_prime is None:
@@ -335,7 +339,7 @@ def hoffman_simplex(instance: ProblemInstance, p: SimplexPoint) -> HoffmanReport
         )
     lam = r / (r + rho)
     blended = SimplexPoint.from_approximate(lam * p_prime.weights + (1.0 - lam) * p.weights)
-    witness_residual = float(np.linalg.norm(combine(instance, blended)))
+    witness_residual = math.ldexp(float(np.linalg.norm(combine(instance, blended))), -shift)
     witness_distance = float(np.abs(p.weights - blended.weights).sum())
     try:
         exact = dual_witness_distance(instance, p.weights)
@@ -356,8 +360,8 @@ def hoffman_primal(instance: ProblemInstance, c: np.ndarray, w: np.ndarray) -> H
     """Bound the Euclidean distance from w to {y | A^T y >= c} by violation/margin.
 
     The witness pushes w along the unit margin-maximizing direction far enough
-    to clear the largest violation. The exact distance cross-check is the
-    Euclidean projection onto the constraint polyhedron by NNLS.
+    to clear the largest violation. The exact distance is the NNLS projection
+    of 2**k w onto {y' | (A / 2**k)^T y' >= c}, over 2**k (the unit).
     """
     c = np.asarray(c, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -377,7 +381,11 @@ def hoffman_primal(instance: ProblemInstance, c: np.ndarray, w: np.ndarray) -> H
     witness = w + bound * direction.vector
     witness_residual = float(np.clip(c - instance.columns.T @ witness, 0.0, None).max())
     witness_distance = float(np.linalg.norm(witness - w))
-    exact, _ = dist_l2_to_halfspaces(w, instance.columns, c)
+    shift = instance.unit[1]  # y -> 2**shift y maps {y | A^T y >= c} onto {y' | (A / 2**shift)^T y' >= c}
+    try:
+        exact = math.ldexp(dist_l2_to_halfspaces(np.ldexp(w, shift), np.ldexp(instance.columns, -shift), c)[0], -shift)
+    except ValueError as exc:  # rho+ > 0 makes the set nonempty for every c: only rounding fails the projection
+        raise SimplexBreakdownError(str(exc)) from exc
     return HoffmanReport(
         variant="primal",
         bound_value=bound,

@@ -802,7 +802,7 @@ def test_simplex_breakdown_in_certify_is_one_line(triangle_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "gordan3: the simplex broke down in rounding on these columns (phase-1 subproblem cannot be unbounded)"
+        "gordan3: its program broke down in rounding on these columns (phase-1 subproblem cannot be unbounded)"
     ]
 
 
@@ -815,8 +815,24 @@ def test_hoffman_simplex_empty_witness_set_is_a_simplex_breakdown(triangle_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "hoffman-simplex: the simplex broke down in rounding on these columns "
+        "hoffman-simplex: its program broke down in rounding on these columns "
         "(target polyhedron is empty (status infeasible))"
+    ]
+
+
+def test_hoffman_primal_failed_projection_is_a_breakdown(axes_unit_path, capsys, monkeypatch):
+    # a positive margin makes {y | A^T y >= c} nonempty for every c, so only rounding can fail the
+    # projection's feasibility check: stand in for it
+    def failing(*_args):
+        raise ValueError("halfspace projection failed its feasibility check (tolerance 1e-9)")
+
+    monkeypatch.setattr(linfeas.theorems, "dist_l2_to_halfspaces", failing)
+    assert run_cli("certify", axes_unit_path, "--theorem", "hoffman-primal") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "hoffman-primal: its program broke down in rounding on these columns "
+        "(halfspace projection failed its feasibility check (tolerance 1e-9))"
     ]
 
 

@@ -47,9 +47,19 @@ def test_output_audit_flags_a_moved_field(tmp_path):
     rows = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
     calls = [row["call"].split() for row in rows]
     assert {call[0] for call in calls} == {"margin_report", "library", "certify", "run", "batch", "scaled", "desk"}
-    scaled = {tuple(call[2:]) for call in calls if call[0] == "scaled"}  # (scale, set/instance)
+    scaled = {tuple(call[2:]) for call in calls if call[:2] == ["scaled", "margin"]}  # (scale, set/instance)
     assert {scale for scale, _ in scaled} == {f"{scale:g}" for scale in SCALES} and len(scaled) == 2 * 2 * len(SCALES)
-    assert all(row["fields"]["exit"] == 0.0 for row in rows if row["call"].startswith("scaled "))
+    assert all(row["fields"]["exit"] == 0.0 for row in rows if row["call"].startswith("scaled margin "))
+    # certify on the copies: five statements on each negative instance, two on each positive one, all refused
+    # at 1e-9, where the ill-posed band takes in every margin, and all verified at the other scales
+    certified = {(call[3], call[-2], call[-1]): row["fields"]["exit"]  # (theorem, scale, set/instance) -> exit
+                 for call, row in zip(calls, rows) if call[:2] == ["scaled", "certify"]}
+    assert len(certified) == (2 * 5 + 2 * 2) * len(SCALES)
+    assert {(theorem, name.split("/")[0]) for theorem, _, name in certified} == {
+        *((theorem, "negative") for theorem in ("gordan1", "gordan3", "radius", "hoffman-dual", "hoffman-simplex")),
+        ("gordan2", "positive"), ("hoffman-primal", "positive"),
+    }
+    assert all(code == (3.0 if scale == "1e-09" else 0.0) for (_, scale, _), code in certified.items())
     # the library slice calls what the CLI's certify-lp calls do, and reads the same numbers
     library = {row["call"].split(" ", 1)[1]: row["fields"] for row in rows if row["call"].startswith("library ")}
     certify = {row["call"].split(" ", 1)[1]: row["fields"] for row in rows
