@@ -19,7 +19,10 @@ of the factor, not the QR arithmetic.
 ``simplex_frozen`` is the dense two-phase simplex as it stood before its
 pivots were cut to fewer numpy calls, kept verbatim: the library's must give
 the same status, basis and bytes on every program, so the cuts keep every
-operation and its order.
+operation and its order. ``_compute_basis``, ``_polar_rays`` and
+``_near_facet_subsets`` are the rank basis, the polar's double description and
+the judge's near-facet subsets as they stood before their loops were cut to
+fewer numpy calls, kept verbatim on the same terms.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from linfeas.lp import (
     SimplexBreakdownError,
     _HouseholderQR,
 )
-from linfeas.margins import NORMAL_ROUNDING, SIDE_TOL, NegativeMarginError
+from linfeas.margins import NORMAL_ROUNDING, POLAR_RANK_TOL, POLAR_TOL, SIDE_TOL, NegativeMarginError
 
 
 def segment_min_norm(a: np.ndarray, b: np.ndarray, step: float = 1e-6) -> float:
@@ -488,6 +491,104 @@ def simplex_frozen(objective: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple
         return status, None, None, basis
     return status, x, float(c @ x), basis
 
+
+# --- the rank basis and the polar before their loops were cut to fewer numpy calls ---------------
+
+
+def _compute_basis(columns: np.ndarray, tol: float) -> ColumnSpaceBasis:
+    """Rank-revealing orthogonalization with greedy pivoting on residual norms; all-zero columns have rank 0."""
+    d, n = columns.shape
+    work = columns.copy()
+    vectors: list[np.ndarray] = []
+    for _ in range(min(d, n)):
+        norms = np.sqrt(np.add.reduce(work * work, axis=0))  # np.linalg.norm(work, axis=0), without its wrapper
+        j = int(norms.argmax())
+        if norms[j] <= tol:
+            break
+        q = work[:, j] / norms[j]
+        # one re-orthogonalization pass keeps the basis clean at desk scale
+        for b in vectors:
+            q = q - (b @ q) * b
+        qn = np.sqrt(q.dot(q))  # np.linalg.norm(q)
+        if qn * norms[j] <= tol:  # the new direction's length in the columns' units, as tol is
+            break
+        q /= qn
+        vectors.append(q)
+        work -= np.outer(q, q @ work)
+    basis = np.column_stack(vectors) if vectors else np.zeros((d, 0))
+    return ColumnSpaceBasis(basis=basis, rank=len(vectors), tolerance=tol)
+
+
+def _polar_rays(coords: np.ndarray) -> np.ndarray:
+    """Extreme rays (y, s) of the cone {a_j . y <= s for every column, s >= 0}, by double description.
+
+    Motzkin, Raiffa, Thompson and Thrall (1953), as revisited by Fukuda and Prodon
+    (1996). The start is the cone of s >= 0 and r columns picked by one pivoted
+    Gram-Schmidt pass over the unit rows; the other columns cut it one at a time.
+    A cut keeps the rays on its side and joins each pair it separates that is
+    adjacent. Two rays are adjacent when the rows tight on both, at least r - 1
+    of them, have rank r - 1. A ray tight on exactly r rows has them independent,
+    so the count decides; between two rays tight on more, the shared unit rows
+    need an (r - 1)-th singular value above POLAR_RANK_TOL. (The combinatorial
+    test, no third ray tight on the shared rows, is not used: a ray counted tight
+    on a row it only nearly meets can hide a true edge.) A row is tight on a ray
+    within POLAR_TOL of the magnitude of its dot, which keeps the test
+    scale-invariant. The cone is pointed, as the columns span r dimensions. The
+    tight rows of a ray are the bits of one int64 (n <= ENUMERATION_BUDGET).
+    """
+    r, n = coords.shape
+    rows = np.empty((n + 1, r + 1))
+    rows[:n, :r], rows[:, r], rows[n, :r] = coords.T, -1.0, 0.0  # the last row is s >= 0
+    size = POLAR_TOL * np.abs(rows)
+    unit = rows / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    residual, order = unit.copy(), [n]
+    for _ in range(r):  # pivoted Gram-Schmidt on the unit rows, from s >= 0
+        residual -= (residual @ residual[order[-1]])[:, None] * residual[order[-1]]
+        weight = np.einsum("ij,ij->i", residual, residual)
+        order.append(int(np.argmax(weight)))
+        residual[order[-1]] /= np.sqrt(weight[order[-1]])
+    rays = -np.linalg.inv(rows[order]).T  # ray i is tight on every start row but order[i]
+    start = 1 << np.array(order, dtype=np.int64)
+    tight = start.sum() - start
+    for j in sorted(set(range(n)) - set(order)):
+        values = rays @ rows[j]
+        margin = np.abs(rays) @ size[j]
+        tight |= (np.abs(values) <= margin) * (1 << j)
+        cut, kept = (values > margin).nonzero()[0], (values < -margin).nonzero()[0]
+        if cut.size == 0:
+            continue
+        shared = tight[cut, None] & tight[kept]
+        p, q = np.nonzero(np.bitwise_count(shared) >= r - 1)
+        p, q, shared = cut[p], kept[q], shared[p, q]
+        crowded = (np.bitwise_count(tight[p]) > r) & (np.bitwise_count(tight[q]) > r)
+        if crowded.any():
+            held = (shared[crowded, None] >> np.arange(n + 1)) & 1  # (pairs, rows)
+            adjacent = ~crowded
+            adjacent[crowded] = np.linalg.svd(held[:, :, None] * unit, compute_uv=False)[:, r - 2] > POLAR_RANK_TOL
+            p, q, shared = p[adjacent], q[adjacent], shared[adjacent]
+        share = values[p] / (values[p] - values[q])  # in (0, 1): where the segment meets the row
+        survivors = values <= margin
+        rays = np.concatenate((rays[survivors], rays[p] + share[:, None] * (rays[q] - rays[p])))
+        tight = np.concatenate((tight[survivors], shared | (1 << j)))
+    return rays
+
+
+def _near_facet_subsets(coords: np.ndarray, reach: float, band: float) -> np.ndarray:
+    """The column r-subsets near the nearest facets, lexicographic, band in coords' unit (_negative_margin_details)."""
+    r, n = coords.shape
+    rays = _polar_rays(coords)
+    rays /= np.sqrt(np.einsum("ij,ij->i", rays[:, :r], rays[:, :r]))[:, None]  # unit facet normals
+    facet_dist = np.maximum(rays[:, r], 0.0)
+    slack = facet_dist[:, None] - rays[:, :r] @ coords  # (facets, n), >= 0 up to rounding
+    excess = facet_dist - facet_dist.min()
+    near = excess[:, None] + slack <= (r + 1) * (SIDE_TOL + band) + POLAR_TOL * reach
+    count = near.sum(axis=1)
+    subsets = [np.nonzero(near[count == r])[1].reshape(-1, r)]  # a simplicial facet is one subset
+    for row in {tuple(np.flatnonzero(row)) for row in near[count > r]}:
+        subsets.append(np.array(list(itertools.combinations(row, r))))
+    subsets = np.vstack(subsets)
+    _, first = np.unique(subsets @ n ** np.arange(r - 1, -1, -1), return_index=True)  # lexicographic
+    return subsets[first]
 
 # --- solver reference: the per-array loops -------------------------------------------------------
 

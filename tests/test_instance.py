@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batteries import mixed_instances
+from batteries import mixed_instances, negative_instances, positive_instances
+import oracles
 
 import linfeas
 from linfeas.instance import (
     IngestError,
+    _compute_basis,
     PrimalDirection,
     Record,
     SimplexPoint,
@@ -178,6 +180,18 @@ def test_basis_reconstructs_columns():
         assert residual <= 1e-8 * max(1.0, np.linalg.norm(col))
     identity = basis.basis.T @ basis.basis
     assert np.max(np.abs(identity - np.eye(basis.rank))) <= 1e-10
+
+
+def test_the_basis_matches_its_frozen_reference_byte_for_byte():
+    batteries = positive_instances(40) + negative_instances(40) + mixed_instances(80, seed=42)
+    deficient = 0
+    for inst, _ in batteries:
+        basis = _compute_basis(inst.columns, inst.default_rank_tol)
+        frozen = oracles._compute_basis(inst.columns, inst.default_rank_tol)
+        assert (basis.rank, basis.tolerance, basis.basis.shape) == (frozen.rank, frozen.tolerance, frozen.basis.shape)
+        assert basis.basis.tobytes() == frozen.basis.tobytes(), inst.name
+        deficient += basis.rank < min(inst.d, inst.n)
+    assert deficient >= 20  # the rank-deficient quarter of the mixed battery
 
 
 def test_combine_examples(axes, segment):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     angular_margin,
     min_norm_point_enumeration,
@@ -25,6 +26,8 @@ from linfeas.generators import GeneratorSpec, generate
 from linfeas.instance import ProblemInstance, SimplexPoint, combine, ingest, json_text
 from linfeas.margins import (
     SIDE_TOL,
+    _near_facet_subsets,
+    _polar_rays,
     ZERO_BAND,
     BudgetExceededError,
     NegativeMarginError,
@@ -660,6 +663,25 @@ def _near_degenerate_hulls():
     for _ in range(10):
         yield ingest((grid + 1e-12 * rng.standard_normal(grid.shape)).tolist(), normalize=True)
         yield ingest((diamond + 1e-10 * rng.standard_normal(diamond.shape)).tolist(), normalize=False)
+
+
+def test_the_polar_and_its_near_facet_subsets_match_their_frozen_reference_byte_for_byte():
+    # every desk shape, d 3-8 by n 10-14, on the negative side at rank >= 2, planted and from the desk's four kinds
+    planted = [generate(GeneratorSpec("planted-negative", d, n, -0.5 / d, seed=d * n, jitter=0.03))[0]
+               for d in range(3, 9) for n in range(10, 15)]
+    measured = 0
+    for inst in planted + list(_desk_shapes()):
+        if inst.rank < 2 or positive_margin_exact(inst)[0] > ZERO_BAND:
+            continue
+        shift = inst.unit[1]
+        coords = np.ldexp(inst.basis.coordinates(inst.columns), -shift)
+        rays, frozen = _polar_rays(coords), oracles._polar_rays(coords)
+        assert (rays.shape, rays.tobytes()) == (frozen.shape, frozen.tobytes()), inst.name
+        reach, band = np.sqrt(inst.rank) * np.abs(coords).max(), np.ldexp(ZERO_BAND, -shift)
+        subsets, frozen = _near_facet_subsets(coords, reach, band), oracles._near_facet_subsets(coords, reach, band)
+        assert (subsets.shape, subsets.tobytes()) == (frozen.shape, frozen.tobytes()), inst.name
+        measured += 1
+    assert measured >= 40
 
 
 def test_facets_feed_the_judge_every_subset_the_enumeration_keeps():
