@@ -28,8 +28,10 @@ subset judge), the refusal ``margin_report`` keeps, the least sample
 count ``certify_radius`` takes, the oracle's one unit (the negative
 side measures in it and takes its band in it, and the crossover reads only
 the shape), the certifiers' use of the same unit (the rank frame, the
-membership residual, a Gordan residual and the primal projection) and the
-verdicts' residual tolerance at ten times its value.
+membership residual, a Gordan residual and the primal projection), the
+verdicts' residual tolerance and the simplex's four tolerances at ten times
+their values, and the two in-place updates of the exact kernels that the byte
+references must catch (the pivot's reduced-cost row and the reflected slice).
 """
 
 import argparse
@@ -55,6 +57,7 @@ class Mutant(NamedTuple):
 
 
 THEOREMS, MARGINS, CLI = "src/linfeas/theorems.py", "src/linfeas/margins.py", "src/linfeas/cli.py"
+LP = "src/linfeas/lp.py"
 
 MUTANTS = (
     # the verdict clauses of the certifiers
@@ -77,11 +80,16 @@ MUTANTS = (
            "gaps = (self.radius_identity_gap, self.containment_overshoot, self.center_gap)",
            "gaps = (self.containment_overshoot, self.center_gap)", ("tests/test_theorems.py",)),
     # moves the byte contracts and the order checks must catch
-    Mutant("rho-minus-one-ulp", MARGINS, "    return float(np.ldexp(dists[winner], shift)), direction, flagged\n",
-           "    return float(np.ldexp(dists[winner], shift)) * (1.0 + 2.0**-52), direction, flagged\n",
+    Mutant("rho-minus-one-ulp", MARGINS, "    return float(np.ldexp(dists[first], shift)), direction, flagged\n",
+           "    return float(np.ldexp(dists[first], shift)) * (1.0 + 2.0**-52), direction, flagged\n",
            ("tests/test_margins.py",)),
-    Mutant("pivot-by-reciprocal", "src/linfeas/lp.py", "    tableau[row] /= tableau[row, col]\n",
+    Mutant("pivot-by-reciprocal", LP, "    tableau[row] /= tableau[row, col]\n",
            "    tableau[row] *= 1.0 / tableau[row, col]\n", ("tests/test_lp.py",)),
+    Mutant("pivot-leaves-the-cost-row-out", LP, "    tableau -= column[:, None] * tableau[row]",
+           "    tableau[:-1] -= column[:-1, None] * tableau[row]",
+           ("tests/test_lp.py::test_simplex_matches_its_frozen_reference_byte_for_byte",)),
+    Mutant("reflect-on-a-copy", LP, "        tail = vector[c:]  # one view", "        tail = vector[c:].copy()  # one view",
+           ("tests/test_lp.py::test_nnls_reusing_its_factor_matches_a_fresh_factorization_byte_for_byte",)),
     Mutant("gordan-oracle-before-input-checks", THEOREMS,
            "    if not 0.0 <= gamma < np.inf:\n",
            "    report = margin_report(instance)\n    if not 0.0 <= gamma < np.inf:\n", ("tests/test_cli.py",)),
@@ -162,6 +170,15 @@ MUTANTS = (
            ("tests/test_theorems.py::test_the_statements_scale_with_the_columns",)),
     Mutant("residual-tolerance-times-ten", THEOREMS, "RESIDUAL_TOL = 1e-9\n", "RESIDUAL_TOL = 1e-8\n",
            ("tests/test_theorems.py::test_the_residual_tolerance_holds_at_its_edge",)),
+    # the simplex's tolerances at ten times their values
+    Mutant("reduced-cost-tolerance-times-ten", LP, "REDUCED_COST_TOL = 1e-9 ", "REDUCED_COST_TOL = 1e-8 ",
+           ("tests/test_lp.py::test_a_column_enters_only_past_the_reduced_cost_tolerance",)),
+    Mutant("pivot-tolerance-times-ten", LP, "PIVOT_TOL = 1e-11 ", "PIVOT_TOL = 1e-10 ",
+           ("tests/test_lp.py::test_a_pivot_entry_counts_only_past_the_pivot_tolerance",)),
+    Mutant("feasibility-tolerance-times-ten", LP, "FEASIBILITY_TOL = 1e-9 ", "FEASIBILITY_TOL = 1e-8 ",
+           ("tests/test_lp.py::test_phase_one_infeasibility_is_real_only_past_the_feasibility_tolerance",)),
+    Mutant("ratio-tie-times-ten", LP, "best + 1e-12 * (1.0 + abs(best))", "best + 1e-11 * (1.0 + abs(best))",
+           ("tests/test_lp.py::test_ratios_within_the_tie_tolerance_leave_by_the_smallest_basis_label",)),
 )
 
 

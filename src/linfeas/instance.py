@@ -368,14 +368,14 @@ def _compute_basis(columns: np.ndarray, tol: float) -> ColumnSpaceBasis:
         q = work[:, j] / norms[j]
         # one re-orthogonalization pass keeps the basis clean at desk scale
         for b in vectors:
-            q = q - (b @ q) * b
+            q -= (b @ q) * b  # q is the division's own array
         qn = np.sqrt(q.dot(q))  # np.linalg.norm(q)
         if qn * norms[j] <= tol:  # the new direction's length in the columns' units, as tol is
             break
         q /= qn
         vectors.append(q)
-        work -= np.outer(q, q @ work)
-    basis = np.column_stack(vectors) if vectors else np.zeros((d, 0))
+        work -= q[:, None] * (q @ work)  # the products of np.outer, without its wrapper
+    basis = np.array(vectors).T.copy() if vectors else np.zeros((d, 0))  # np.column_stack, without its wrapper
     return ColumnSpaceBasis(basis=basis, rank=len(vectors), tolerance=tol)
 
 

@@ -64,23 +64,24 @@ class LpSolution:
     basis: list[int] | None = None
 
 
-def _pivot(tableau: np.ndarray, crow: np.ndarray, row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     column = tableau[:, col].copy()
     column[row] = 0.0
-    tableau -= column[:, None] * tableau[row]  # the products of np.outer, without its wrapper
-    crow -= crow[col] * tableau[row]
+    tableau -= column[:, None] * tableau[row]  # the products of np.outer, without its wrapper; the costs' row too
 
 
 def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
-    """Run simplex pivots until optimal or unbounded. Returns the status."""
-    m = tableau.shape[0]
+    """Run simplex pivots until optimal or unbounded; crow is the tableau's last row. Returns the status."""
+    m = tableau.shape[0] - 1
+    rhs = tableau[:m, -1]  # a view: each pivot updates it in place
+    ratios = np.empty(m)  # the ratio test's one buffer
     degenerate = 0
     bland = False
     for _ in range(MAX_PIVOTS):
         reduced = crow[:ncols]
         if bland:
-            eligible = np.nonzero(reduced < -REDUCED_COST_TOL)[0]
+            eligible = (reduced < -REDUCED_COST_TOL).nonzero()[0]
             if eligible.size == 0:
                 return "optimal"
             col = int(eligible[0])
@@ -88,20 +89,21 @@ def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
             col = int(reduced.argmin()) if ncols else 0
             if ncols == 0 or reduced[col] >= -REDUCED_COST_TOL:
                 return "optimal"
-        column = tableau[:, col]
+        column = tableau[:m, col]
         positive = column > PIVOT_TOL
         if not positive.any():
             return "unbounded"
-        ratios = np.divide(tableau[:, -1], column, out=np.full(m, np.inf), where=positive)
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=positive)
         best = float(ratios.min())
-        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+        ties = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
         # leaving-variable tie-break by smallest basis label (Bland-compatible)
         row = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
         if best <= FEASIBILITY_TOL:
             degenerate += 1
             if degenerate > degenerate_threshold:
                 bland = True
-        _pivot(tableau, crow, row, col)
+        _pivot(tableau, row, col)
         basis[row] = col
     raise SimplexBreakdownError("simplex did not terminate within the pivot budget")
 
@@ -112,12 +114,12 @@ def _two_phase(A, b, c):
 
     # phase 1: artificial identity basis minimizing total infeasibility; rows with b < 0 are negated
     sign = np.where(b < 0, -1.0, 1.0)
-    tableau = np.zeros((m, n + m + 1))
-    np.multiply(A, sign[:, None], out=tableau[:, :n])
-    np.multiply(b, sign, out=tableau[:, -1])
-    tableau.flat[n :: n + m + 2] = 1.0  # the diagonal of the artificial block, tableau[i, n + i]
+    tableau = np.zeros((m + 1, n + m + 1))  # the last row holds the reduced costs
+    np.multiply(A, sign[:, None], out=tableau[:m, :n])
+    np.multiply(b, sign, out=tableau[:m, -1])
+    tableau.flat[n : m * (n + m + 2) : n + m + 2] = 1.0  # the diagonal of the artificial block, tableau[i, n + i]
     basis = list(range(n, n + m))
-    crow = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
+    crow = np.concatenate([np.zeros(n), np.ones(m), [0.0]], out=tableau[-1])  # the reduced costs' row
     for i in range(m):
         crow -= tableau[i]  # basic artificial cost is 1
     threshold = 50 * (m + n + m)
@@ -130,30 +132,29 @@ def _two_phase(A, b, c):
     drop_rows: list[int] = []
     for i in range(m):
         if basis[i] >= n:
-            candidates = np.nonzero(np.abs(tableau[i, :n]) > PIVOT_TOL)[0]
+            candidates = (np.abs(tableau[i, :n]) > PIVOT_TOL).nonzero()[0]
             if candidates.size:
-                _pivot(tableau, crow, i, int(candidates[0]))
+                _pivot(tableau, i, int(candidates[0]))
                 basis[i] = int(candidates[0])
             else:
                 drop_rows.append(i)
     if drop_rows:
-        keep = [i for i in range(m) if i not in drop_rows]
-        tableau = tableau[keep]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
+        tableau = np.delete(tableau, drop_rows, axis=0)
+        basis = [basis[i] for i in range(m) if i not in drop_rows]
+        m = len(basis)
 
     # phase 2 on the original objective, artificial columns removed; on a zero objective every
     # reduced cost stays a zero, so phase 2 could not pivot and is skipped
     if c.any():
         tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-        crow = np.concatenate([c, [0.0]])
+        crow = np.concatenate([c, [0.0]], out=tableau[-1])
         for i in range(m):
             crow -= crow[basis[i]] * tableau[i]
         threshold = 50 * (m + n)
         if _pivot_loop(tableau, basis, crow, n, threshold) == "unbounded":
             return "unbounded", None, basis
     y = np.zeros(n)
-    y[basis] = tableau[:, -1]
+    y[basis] = tableau[:-1, -1]
     return "optimal", y, basis
 
 
@@ -162,7 +163,7 @@ def solve(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> L
     c = np.asarray(objective, dtype=float)
     A = np.asarray(eq_matrix, dtype=float)
     b = np.asarray(eq_rhs, dtype=float)
-    if c.ndim != 1 or not np.all(np.isfinite(c)):
+    if c.ndim != 1 or not np.isfinite(c).all():
         raise ValueError("objective must be a finite vector")
     if A.ndim != 2 or A.shape[1] != c.size or b.shape != (A.shape[0],):
         raise ValueError(f"inconsistent equality block: matrix {A.shape}, rhs {b.shape}")
@@ -202,7 +203,8 @@ def _reflect(vector: np.ndarray, c: int, reflector: tuple[np.ndarray, np.ndarray
     """Apply Householder reflector c, held as (2 v, v), to vector[c:] in place."""
     if reflector is not None:
         twice, v = reflector
-        vector[c:] -= twice * (v @ vector[c:])
+        tail = vector[c:]  # one view, read and updated in place
+        tail -= twice * (v @ tail)
 
 
 class _HouseholderQR:
@@ -245,7 +247,7 @@ class _HouseholderQR:
             norm = np.sqrt(v @ v)
             reflector = None
             if norm:
-                v = v / norm
+                v /= norm
                 reflector = (2.0 * v, v)
             _reflect(column, c, reflector)
             rhs = self.rhs[c].copy()
@@ -313,7 +315,7 @@ def _nnls(matrix: np.ndarray, target: np.ndarray) -> tuple[list[int], np.ndarray
         if norm <= NNLS_TOL * scale or gradient[j] >= -NNLS_TOL * reach * norm:
             return support, weights, residual
         try:
-            grown, solved = _minor_cycles(qr, support + [j], np.append(weights, 0.0))
+            grown, solved = _minor_cycles(qr, support + [j], np.concatenate((weights, [0.0])))
         except DegenerateFaceError:  # column j lies in the support's span: the residual cannot fall
             return support, weights, residual
         lowered = matrix[:, grown] @ solved - target

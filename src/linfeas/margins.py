@@ -198,7 +198,7 @@ def _polar_rays(coords: np.ndarray) -> np.ndarray:
     for _ in range(r):  # pivoted Gram-Schmidt on the unit rows, from s >= 0
         residual -= (residual @ residual[order[-1]])[:, None] * residual[order[-1]]
         weight = np.einsum("ij,ij->i", residual, residual)
-        order.append(int(np.argmax(weight)))
+        order.append(int(weight.argmax()))
         residual[order[-1]] /= np.sqrt(weight[order[-1]])
     rays = -np.linalg.inv(rows[order]).T  # ray i is tight on every start row but order[i]
     start = 1 << np.array(order, dtype=np.int64)
@@ -207,11 +207,12 @@ def _polar_rays(coords: np.ndarray) -> np.ndarray:
         values = rays @ rows[j]
         margin = np.abs(rays) @ size[j]
         tight |= (np.abs(values) <= margin) * (1 << j)
-        cut, kept = (values > margin).nonzero()[0], (values < -margin).nonzero()[0]
+        cut = (values > margin).nonzero()[0]
         if cut.size == 0:
             continue
+        kept = (values < -margin).nonzero()[0]
         shared = tight[cut, None] & tight[kept]
-        p, q = np.nonzero(np.bitwise_count(shared) >= r - 1)
+        p, q = (np.bitwise_count(shared) >= r - 1).nonzero()
         p, q, shared = cut[p], kept[q], shared[p, q]
         crowded = (np.bitwise_count(tight[p]) > r) & (np.bitwise_count(tight[q]) > r)
         if crowded.any():
@@ -219,9 +220,10 @@ def _polar_rays(coords: np.ndarray) -> np.ndarray:
             adjacent = ~crowded
             adjacent[crowded] = np.linalg.svd(held[:, :, None] * unit, compute_uv=False)[:, r - 2] > POLAR_RANK_TOL
             p, q, shared = p[adjacent], q[adjacent], shared[adjacent]
-        share = values[p] / (values[p] - values[q])  # in (0, 1): where the segment meets the row
+        above, source = values[p], rays[p]
+        share = above / (above - values[q])  # in (0, 1): where the segment meets the row
         survivors = values <= margin
-        rays = np.concatenate((rays[survivors], rays[p] + share[:, None] * (rays[q] - rays[p])))
+        rays = np.concatenate((rays[survivors], source + share[:, None] * (rays[q] - source)))
         tight = np.concatenate((tight[survivors], shared | (1 << j)))
     return rays
 
@@ -305,7 +307,7 @@ def _negative_margin_details(
         candidate_normals, beta = np.ones((2 * n, 1)), np.repeat(line, 2)
         violations = np.where(sign > 0.0, line.max() - beta, beta - line.min())
         keep = violations <= SIDE_TOL
-        cond = np.ones(2 * n)
+        sing = np.ones((2 * n, 1))  # a condition number of 1
     else:
         if n > ENUMERATION_BUDGET:  # the subset judge's cost, and the polar's int64 bitsets, grow with n
             raise BudgetExceededError(
@@ -316,13 +318,11 @@ def _negative_margin_details(
             subsets = _all_subsets(n, r)
         else:
             subsets = _near_facet_subsets(coords, reach, np.ldexp(ZERO_BAND, -shift))
-        pts = np.moveaxis(coords[:, subsets], 0, 2)  # (count, r, r): rows are points
+        pts = coords[:, subsets].transpose(1, 2, 0)  # (count, r, r): rows are points; np.moveaxis's view
         diffs = pts[:, 1:, :] - pts[:, :1, :]  # (count, r-1, r)
-        _, sing, vt = np.linalg.svd(diffs)
+        _, sing, vt = np.linalg.svd(diffs)  # the edges' singular values
         candidate_normals = vt[:, -1, :]  # unit by construction
         independent = sing[:, -1] > 1e-12 * np.maximum(1.0, sing[:, 0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = sing[:, 0] / sing[:, -1]  # of the edges; only the independent subsets' are read
         values = candidate_normals @ coords  # (count, n)
         beta = np.einsum("cr,cr->c", candidate_normals, pts[:, 0, :])
         over = values.max(axis=1) - beta
@@ -331,19 +331,17 @@ def _negative_margin_details(
         keep = independent & (outward | (under <= SIDE_TOL))
         sign = np.where(outward, 1.0, -1.0)
         violations = np.where(outward, over, under)
-    normals = (sign[:, None] * candidate_normals)[keep]
     dists = np.maximum(sign * beta, 0.0)[keep]
-    violations = np.maximum(violations, 0.0)[keep]
-    # the side test's excess of a_j . normal over the facet's offset carries rounding from the
-    # dots and from the normal: at most this much, so an excess below it is no near-miss
-    rounding = (NORMAL_ROUNDING * r * r * reach * cond)[keep]
-
     if dists.size == 0:
         raise NegativeMarginError("no supporting hyperplane found; the hull is degenerate at this rank tolerance")
-    winner = int(np.argmax(dists <= dists.min() + 1e-12))
-    direction = PrimalDirection(basis.lift(normals[winner]))
-    flagged = bool(rounding[winner] < violations[winner] <= SIDE_TOL)
-    return float(np.ldexp(dists[winner], shift)), direction, flagged
+    first = int((dists <= dists.min() + 1e-12).argmax())  # among the kept subsets
+    winner = int(keep.nonzero()[0][first])  # the same subset among all candidates
+    direction = PrimalDirection(basis.lift(sign[winner] * candidate_normals[winner]))
+    # the side test's excess of a_j . normal over the facet's offset carries rounding from the dots and
+    # from the normal: at most this much, by the winner's edge conditioning; an excess below it is no near-miss
+    rounding = NORMAL_ROUNDING * r * r * reach * (sing[winner, 0] / sing[winner, -1])
+    flagged = bool(rounding < np.maximum(violations[winner], 0.0) <= SIDE_TOL)
+    return float(np.ldexp(dists[first], shift)), direction, flagged
 
 
 # what margin_report measured at each live instance's default rank cutoff, the report or the refusal (an

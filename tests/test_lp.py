@@ -22,6 +22,8 @@ from linfeas.generators import GeneratorSpec, generate
 from linfeas.instance import SimplexPoint, ingest
 from linfeas.lp import (
     FEASIBILITY_TOL,
+    PIVOT_TOL,
+    REDUCED_COST_TOL,
     DegenerateFaceError,
     _nnls,
     dist_l1_to_polyhedron,
@@ -100,6 +102,45 @@ def test_phase_one_finished_under_blands_rule_is_optimal(monkeypatch):
     sol = solve(np.zeros(3), np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]), np.array([1.0, 0.0]))
     assert sol.status == "optimal"
     assert np.allclose(sol.x.sum(), 1.0) and sol.x[0] == pytest.approx(sol.x[1], abs=1e-12)
+
+
+def test_a_column_enters_only_past_the_reduced_cost_tolerance():
+    # min -eps x1 on x0 + x1 = 1: phase 1 ends at x0 = 1, where x1's reduced cost is -eps exactly
+    assert REDUCED_COST_TOL == 1e-9
+    inside = solve(np.array([0.0, -0.5e-9]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    outside = solve(np.array([0.0, -2e-9]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert (inside.status, inside.x.tolist(), inside.basis) == ("optimal", [1.0, 0.0], [0])
+    assert (outside.status, outside.x.tolist(), outside.basis) == ("optimal", [0.0, 1.0], [1])
+
+
+def test_a_pivot_entry_counts_only_past_the_pivot_tolerance():
+    # min -x1 on x0 + delta x1 = 1: x1's one entry is delta, so at or below the tolerance nothing bounds x1
+    assert PIVOT_TOL == 1e-11
+    assert solve(np.array([0.0, -1.0]), np.array([[1.0, 0.5e-11]]), np.array([1.0])).status == "unbounded"
+    outside = solve(np.array([0.0, -1.0]), np.array([[1.0, 2e-11]]), np.array([1.0]))
+    assert (outside.status, outside.basis) == ("optimal", [1])
+    assert outside.x[1] == 1.0 / 2e-11
+
+
+def test_phase_one_infeasibility_is_real_only_past_the_feasibility_tolerance():
+    # x0 + x1 = 1 and x0 + x1 = 1 + eta: phase 1 leaves an infeasibility of eta on the second row
+    assert FEASIBILITY_TOL == 1e-9
+    rows = np.array([[1.0, 1.0], [1.0, 1.0]])
+    inside = solve(np.zeros(2), rows, np.array([1.0, 1.0 + 0.5e-9]))
+    assert (inside.status, inside.x.tolist(), inside.basis) == ("optimal", [1.0, 0.0], [0])  # the row is redundant
+    assert solve(np.zeros(2), rows, np.array([1.0, 1.0 + 2e-9])).status == "infeasible"
+
+
+def test_ratios_within_the_tie_tolerance_leave_by_the_smallest_basis_label():
+    # x0 + x1 = 1 + tau and x0 + x2 = 1: x0 enters first, with ratios 1 + tau on row 0 (basis label 3) and
+    # 1 on row 1 (label 4); a tie, within 1e-12 (1 + 1), is broken by the label, else the smaller ratio leaves
+    rows = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    inside = solve(np.zeros(3), rows, np.array([1.0 + 1e-12, 1.0]))
+    outside = solve(np.zeros(3), rows, np.array([1.0 + 4e-12, 1.0]))
+    assert (inside.status, inside.basis) == ("optimal", [0, 2])
+    assert inside.x[0] == 1.0 + 1e-12 and inside.x[1] == 0.0
+    assert (outside.status, outside.basis) == ("optimal", [1, 0])
+    assert outside.x[0] == 1.0 and outside.x[2] == 0.0
 
 
 def test_membership_and_l1_distance_run_at_fifty_by_two_hundred():
