@@ -83,10 +83,10 @@ MUTANTS = (
     Mutant("rho-minus-one-ulp", MARGINS, "    return float(np.ldexp(dists[first], shift)), direction, flagged\n",
            "    return float(np.ldexp(dists[first], shift)) * (1.0 + 2.0**-52), direction, flagged\n",
            ("tests/test_margins.py",)),
-    Mutant("pivot-by-reciprocal", LP, "    tableau[row] /= tableau[row, col]\n",
-           "    tableau[row] *= 1.0 / tableau[row, col]\n", ("tests/test_lp.py",)),
-    Mutant("pivot-leaves-the-cost-row-out", LP, "    tableau -= column[:, None] * tableau[row]",
-           "    tableau[:-1] -= column[:-1, None] * tableau[row]",
+    Mutant("pivot-by-reciprocal", LP, "    pivot_row /= pivot_row[col]\n", "    pivot_row *= 1.0 / pivot_row[col]\n",
+           ("tests/test_lp.py",)),
+    Mutant("pivot-leaves-the-cost-row-out", LP, "    tableau -= column[:, None] * pivot_row",
+           "    tableau[:-1] -= column[:-1, None] * pivot_row",
            ("tests/test_lp.py::test_simplex_matches_its_frozen_reference_byte_for_byte",)),
     Mutant("reflect-on-a-copy", LP, "        tail = vector[c:]  # one view", "        tail = vector[c:].copy()  # one view",
            ("tests/test_lp.py::test_nnls_reusing_its_factor_matches_a_fresh_factorization_byte_for_byte",)),

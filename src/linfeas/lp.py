@@ -7,19 +7,19 @@ package's programs have at most 2n + 1 rows (margins._rank_frame), and
 exactness of the reported status matters more than speed. The pivot loop
 starts with the most-negative-reduced-cost rule and falls back to Bland's
 rule once the count of degenerate pivots suggests stalling, which
-guarantees termination. A pivot is a handful of whole-array numpy calls, and
-each keeps the arithmetic of the plainer form it replaced, operation for
-operation and in order, so the bytes of every answer stay those of
-tests/oracles.py's frozen copy. Phase 2 is skipped on an all-zero objective,
-as every membership program has: its reduced costs stay zero, so it could
-not pivot.
+guarantees termination. The tableau's last row holds the reduced costs, so a
+pivot is one whole-tableau update; each step keeps the arithmetic of the
+plainer form it replaced, operation for operation and in order, so the bytes
+of every answer stay those of tests/oracles.py's frozen copy. Phase 2 is
+skipped on an all-zero objective, as every membership program has: its
+reduced costs stay zero, so it could not pivot.
 
 The Euclidean projections share one active-set solver, Lawson and
 Hanson's NNLS on a Householder least-squares solve whose factor is kept
 across its cycles: it gives the projection onto an intersection of
 halfspaces here, and the min-norm point of a hull in the margins module. It
-keeps the precision of the arrays it is given. Nothing here enumerates
-subsets.
+keeps the precision of the arrays it is given, and the bytes of
+tests/oracles.py's fresh factorization. Nothing here enumerates subsets.
 """
 
 from __future__ import annotations
@@ -65,10 +65,11 @@ class LpSolution:
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
     column = tableau[:, col].copy()
     column[row] = 0.0
-    tableau -= column[:, None] * tableau[row]  # the products of np.outer, without its wrapper; the costs' row too
+    tableau -= column[:, None] * pivot_row  # the products of np.outer, without its wrapper; the costs' row too
 
 
 def _pivot_loop(tableau, basis, crow, ncols, degenerate_threshold):
@@ -119,9 +120,8 @@ def _two_phase(A, b, c):
     np.multiply(b, sign, out=tableau[:m, -1])
     tableau.flat[n : m * (n + m + 2) : n + m + 2] = 1.0  # the diagonal of the artificial block, tableau[i, n + i]
     basis = list(range(n, n + m))
-    crow = np.concatenate([np.zeros(n), np.ones(m), [0.0]], out=tableau[-1])  # the reduced costs' row
-    for i in range(m):
-        crow -= tableau[i]  # basic artificial cost is 1
+    crow = np.subtract.reduce(tableau[:m], axis=0, initial=0.0, out=tableau[-1])  # 0 - row 0 - row 1 - ...
+    crow[n:-1] = 0.0  # basic artificial cost is 1, so the artificial columns' reduced costs are 1 - 1
     threshold = 50 * (m + n + m)
     if _pivot_loop(tableau, basis, crow, n + m, threshold) != "optimal":
         raise SimplexBreakdownError("phase-1 subproblem cannot be unbounded")
